@@ -35,16 +35,8 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CertificationError, UserInputError
-from .eulerian import cyclic_descent_counts, eulerian_table
-from .measures import ExactPmf
-from .moments import (
-    MomentReport,
-    mean_d_C,
-    moments_c_C,
-    moments_d_R,
-    second_moment_d_C,
-    variance_d_C,
-)
+from .eulerian import cyclic_descent_counts, shared_table
+from .measures import ExactPmf, statistic_law
 from .pair import NogoodRow, nogood_diagnostic
 from .sampler import (
     SamplerConfig,
@@ -200,33 +192,11 @@ def _cmd_dist(args) -> tuple:
     )
 
 
-def _exact_only_report(k: int, n: int) -> MomentReport:
-    return MomentReport(
-        k=k,
-        n=n,
-        mean_exact=mean_d_C(k, n),
-        second_exact=second_moment_d_C(k, n),
-        variance_exact=variance_d_C(k, n),
-        mean_asym=None,
-        variance_asym=None,
-        error_mean=None,
-        error_variance=None,
-    )
-
-
 def _cmd_moments(args) -> tuple:
-    pick = (args.measure, args.stat)
-    if pick == ("C", "c"):
-        report = moments_c_C(args.k, args.n)
-    elif pick == ("R", "d"):
-        report = moments_d_R(args.k, args.n)
-    elif pick == ("C", "d"):
-        report = _exact_only_report(args.k, args.n)
-    else:
-        raise UserInputError(
-            "moments supports (measure, stat) in (C, c), (C, d), (R, d); "
-            f"got ({args.measure}, {args.stat})"
-        )
+    law = statistic_law(args.measure, args.stat)
+    if law.moments is None:
+        raise UserInputError(f"no moment formulas for ({args.measure}, {args.stat})")
+    report = law.moments(args.k, args.n)
     payload = report.to_json_dict(include_asym=args.asymptotic)
     header = tuple(payload)
     return payload, header, [tuple(payload.values())], _params(args), 0
@@ -337,7 +307,7 @@ def _cmd_eulerian(args) -> tuple:
         values = [counts.count(i) for i in range(1, args.n + 1)]
         kind = "cyclic"
     else:
-        values = list(eulerian_table(args.n).row(args.n))
+        values = list(shared_table(args.n).row(args.n))
         kind = "row"
     payload = {"n": args.n, "kind": kind, "values": [str(v) for v in values]}
     rows = list(enumerate(values, start=1))

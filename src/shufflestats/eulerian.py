@@ -107,11 +107,6 @@ def shared_table(n_max: int) -> EulerianTable:
     return _shared
 
 
-def eulerian_table(n_max: int) -> EulerianTable:
-    """Standalone exact table (the shared cache is usually what you want)."""
-    return EulerianTable.build(n_max)
-
-
 def eulerian_value(n: int, k: int) -> int:
     return shared_table(n).value(n, k)
 

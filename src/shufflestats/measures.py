@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import CertificationError, UserInputError
 from .eulerian import shared_table
+from .moments import MomentReport, moments_c_C, moments_d_C, moments_d_R
 from .permutations import Permutation, cyclic_descent_count, descent_count
 
 _ZERO = Fraction(0)
@@ -293,11 +294,75 @@ def parsimony_pmf(n: int, r: int, flavor: str) -> ExactPmf:
             f"shuffle count {r} exceeds the 2^{_MAX_SHUFFLE_EXPONENT} guard; "
             "call the pmf functions with an explicit k instead"
         )
-    k = 2**r
-    if flavor == "riffle":
-        base = d_pmf_R(k, n)
-    elif flavor == "cut_riffle":
-        base = c_pmf_C(k, n)
-    else:
-        raise UserInputError(f"unknown flavor {flavor!r}")
-    return base.pushforward(lambda s: parsimony_distance(s, flavor))
+    return statistic_law(parsimony_measure(flavor), "parsimony").pmf(2**r, n)
+
+
+# ---------------------------------------------------------------------------
+# The (measure, statistic) law table
+
+
+@dataclass(frozen=True)
+class StatisticLaw:
+    """Everything the package knows about one (measure, statistic) pair.
+
+    `base` builds the Eulerian-row law of the statistic the sampler reads
+    from each word (`reads`, "d" or "c"); a row with a parsimony
+    `flavor` is the pushforward of that law by parsimony_distance.
+    `moments` is the exact moment report, if there is one. A row with a
+    Poisson code approximates k - offset - s by Poisson(k/m), m = n +
+    shift, with certified bound (k/m)^2 [+ 2k/m, when `linear`] +
+    k(m+1)(1-1/k)^m.
+    """
+
+    base: Callable[[int, int], ExactPmf]
+    reads: str
+    flavor: Optional[str] = None
+    moments: Optional[Callable[[int, int], MomentReport]] = None
+    poisson: Optional[str] = None
+    offset: int = 0
+    shift: int = 0
+    linear: bool = True
+
+    def pmf(self, k: int, n: int) -> ExactPmf:
+        """Exact law of the statistic under the measure at (k, n)."""
+        law = self.base(k, n)
+        if self.flavor is None:
+            return law
+        return law.pushforward(lambda s: parsimony_distance(s, self.flavor))
+
+
+# Row order fixes the order of the Poisson codes: Cd, Cc, R.
+STATISTIC_LAWS: dict[tuple[str, str], StatisticLaw] = {
+    ("C", "d"): StatisticLaw(d_pmf_C, "d", moments=moments_d_C, poisson="Cd", linear=False),
+    ("C", "c"): StatisticLaw(c_pmf_C, "c", moments=moments_c_C, poisson="Cc"),
+    # d under R(k, n) is c - 1 under C(k, n+1), hence offset 1 and shift 1.
+    ("R", "d"): StatisticLaw(d_pmf_R, "d", moments=moments_d_R, poisson="R", offset=1, shift=1),
+    ("R", "parsimony"): StatisticLaw(d_pmf_R, "d", flavor="riffle"),
+    ("C", "parsimony"): StatisticLaw(c_pmf_C, "c", flavor="cut_riffle"),
+}
+
+
+def statistic_law(measure: str, statistic: str) -> StatisticLaw:
+    """The table row of (measure, statistic); UserInputError if there is none."""
+    law = STATISTIC_LAWS.get((measure, statistic))
+    if law is not None:
+        return law
+    measures = sorted({m for m, _ in STATISTIC_LAWS})
+    statistics = sorted({s for _, s in STATISTIC_LAWS})
+    if measure not in measures:
+        raise UserInputError(f"unknown measure {measure!r}; expected one of {measures}")
+    if statistic not in statistics:
+        raise UserInputError(f"unknown statistic {statistic!r}; expected one of {statistics}")
+    others = sorted(m for m, s in STATISTIC_LAWS if s == statistic)
+    raise UserInputError(
+        f"statistic {statistic!r} under measure {measure!r} has no closed-form law; "
+        f"use measure {' or '.join(map(repr, others))} or another statistic"
+    )
+
+
+def parsimony_measure(flavor: str) -> str:
+    """The measure whose parsimony row has this flavor."""
+    for (measure, _), law in STATISTIC_LAWS.items():
+        if law.flavor is not None and law.flavor == flavor:
+            return measure
+    raise UserInputError(f"unknown flavor {flavor!r}")

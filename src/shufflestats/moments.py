@@ -495,6 +495,21 @@ def moments_c_C(k: int, n: int) -> MomentReport:
     )
 
 
+def moments_d_C(k: int, n: int) -> MomentReport:
+    """Moment report for the descent count under C(k, n), exact fields only."""
+    return MomentReport(
+        k=k,
+        n=n,
+        mean_exact=mean_d_C(k, n),
+        second_exact=second_moment_d_C(k, n),
+        variance_exact=variance_d_C(k, n),
+        mean_asym=None,
+        variance_asym=None,
+        error_mean=None,
+        error_variance=None,
+    )
+
+
 def moments_d_R(k: int, n: int) -> MomentReport:
     """Moment report for the descent count under R(k, n).
 

@@ -91,12 +91,13 @@ def drift(p: Permutation) -> Fraction:
 
 @dataclass(frozen=True)
 class PairLaw:
-    """Exact step law of the pair: per conditioning value r, the
-    probabilities of d' - d = -1, 0, +1."""
+    """Exact step law of the pair: per conditioning value r, P(d = r)
+    and the probabilities of d' - d = -1, 0, +1."""
 
     k: Optional[int]
     n: int
     support: tuple[int, ...]
+    d_mass: tuple[Fraction, ...]
     down: tuple[Fraction, ...]
     stay: tuple[Fraction, ...]
     up: tuple[Fraction, ...]
@@ -106,10 +107,8 @@ class PairLaw:
         """Step law under C(k, n), or under the uniform measure if k is None."""
         d_pmf = d_pmf_uniform(n) if k is None else d_pmf_C(k, n)
         c_pmf = c_pmf_uniform(n) if k is None else c_pmf_C(k, n)
-        support = d_pmf.support
         down, stay, up = [], [], []
-        for r in support:
-            p_r = d_pmf.prob(r)
+        for r, p_r in d_pmf.items():
             # P(d = r and the wrap is a cyclic descent) = P(c = r+1)(r+1)/n
             j_up = c_pmf.prob(r + 1) * Fraction(r + 1, n) * Fraction(n - 1 - r, n)
             j_down = c_pmf.prob(r) * Fraction(n - r, n) * Fraction(r, n)
@@ -118,8 +117,8 @@ class PairLaw:
             down.append(dn)
             stay.append(1 - u - dn)
             up.append(u)
-        law = cls(k, n, support, tuple(down), tuple(stay), tuple(up))
-        law._check_exchangeable(d_pmf)
+        law = cls(k, n, d_pmf.support, d_pmf.mass, tuple(down), tuple(stay), tuple(up))
+        law._check_exchangeable()
         return law
 
     def joint(self, a: int, b: int) -> Fraction:
@@ -128,10 +127,7 @@ class PairLaw:
             i = self.support.index(a)
         except ValueError:
             return _ZERO
-        d_pmf = (
-            d_pmf_uniform(self.n) if self.k is None else d_pmf_C(self.k, self.n)
-        )
-        p_a = d_pmf.prob(a)
+        p_a = self.d_mass[i]
         if b == a - 1:
             return p_a * self.down[i]
         if b == a:
@@ -140,7 +136,7 @@ class PairLaw:
             return p_a * self.up[i]
         return _ZERO
 
-    def _check_exchangeable(self, d_pmf: ExactPmf) -> None:
+    def _check_exchangeable(self) -> None:
         for i, r in enumerate(self.support):
             total = self.down[i] + self.stay[i] + self.up[i]
             if total != 1:

@@ -26,15 +26,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
+import mpmath as mp
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import CertificationError, UserInputError
-from .measures import ExactPmf, c_pmf_C, d_pmf_C, d_pmf_R, parsimony_distance
+from .measures import (
+    ExactPmf,
+    d_pmf_R,
+    parsimony_distance,
+    parsimony_measure,
+    statistic_law,
+)
 from .permutations import Permutation, cyclic_rotate, descent_count, insert_symbol
 
-MEASURE_CODES = ("R", "C")
-STATISTIC_NAMES = ("d", "c", "parsimony")
 MAX_RIFFLE_ROUNDS = 62
 
 _THRESHOLD_BITS = 53
@@ -249,39 +253,12 @@ def _descents_per_row(words: np.ndarray) -> np.ndarray:
     return (words[:, :-1] > words[:, 1:]).sum(axis=1)
 
 
-def _cyclic_descents_per_row(words: np.ndarray) -> np.ndarray:
-    return _descents_per_row(words) + (words[:, -1] > words[:, 0])
-
-
 def _inverse_descents(words: np.ndarray) -> np.ndarray:
     """Descent count of the inverse of each row."""
     n = words.shape[1]
     inv = np.empty_like(words)
     np.put_along_axis(inv, words - 1, np.arange(1, n + 1, dtype=words.dtype)[None, :], axis=1)
     return _descents_per_row(inv)
-
-
-def _parsimony_table(n: int, flavor: str) -> np.ndarray:
-    """Lookup table mapping a statistic value to its parsimony distance."""
-    if flavor == "riffle":
-        return np.array([parsimony_distance(d, flavor) for d in range(n)], dtype=np.int64)
-    return np.array([0] + [parsimony_distance(c, flavor) for c in range(1, n)], dtype=np.int64)
-
-
-def _check_measure_statistic(measure: str, k: int, n: int, statistic: str) -> None:
-    if measure not in MEASURE_CODES:
-        raise UserInputError(f"unknown measure {measure!r}; expected one of {MEASURE_CODES}")
-    if statistic not in STATISTIC_NAMES:
-        raise UserInputError(f"unknown statistic {statistic!r}; expected one of {STATISTIC_NAMES}")
-    if k < 1 or n < 1:
-        raise UserInputError(f"k and n must be positive, got k={k}, n={n}")
-    if measure == "C" and n < 2:
-        raise UserInputError(f"the cut measure needs n >= 2, got n={n}")
-    if measure == "R" and statistic == "c":
-        raise UserInputError(
-            "statistic 'c' under measure 'R' has no closed-form reference pmf; "
-            "sample under measure 'C' or use statistic 'd'"
-        )
 
 
 def exact_statistic_pmf(measure: str, k: int, n: int, statistic: str) -> ExactPmf:
@@ -291,18 +268,7 @@ def exact_statistic_pmf(measure: str, k: int, n: int, statistic: str) -> ExactPm
     descent count; under "C" it is the pushforward of the cyclic descent
     count. The pair (measure "R", statistic "c") is rejected.
     """
-    _check_measure_statistic(measure, k, n, statistic)
-    if measure == "R":
-        base = d_pmf_R(k, n)
-        if statistic == "d":
-            return base
-        return base.pushforward(lambda v: parsimony_distance(v, "riffle"))
-    if statistic == "d":
-        return d_pmf_C(k, n)
-    base = c_pmf_C(k, n)
-    if statistic == "c":
-        return base
-    return base.pushforward(lambda v: parsimony_distance(v, "cut_riffle"))
+    return statistic_law(measure, statistic).pmf(k, n)
 
 
 def _run_streams(
@@ -333,16 +299,10 @@ def _fit(observed: Mapping[int, int], exact: ExactPmf, count: int) -> tuple[floa
     scores chi_square 0, p_value 1.
     """
     support = exact.support
-    probs = {v: float(exact.prob(v)) for v in support}
-    max_z = 0.0
-    for v in support:
-        p = probs[v]
-        if p >= 1.0:
-            continue
-        z = (observed[v] - count * p) / math.sqrt(count * p * (1.0 - p))
-        max_z = max(max_z, abs(z))
     if len(support) == 1:
         return 0.0, 1.0, 0.0
+    max_z = max(abs(z) for z in per_bin_z(observed, exact, count).values())
+    probs = {v: float(exact.prob(v)) for v in support}
     bins = [[float(observed[v]), count * probs[v]] for v in support]
     while len(bins) > 1 and min(exp for _, exp in bins) < _MIN_EXPECTED:
         i = min(range(len(bins)), key=lambda idx: bins[idx][1])
@@ -361,7 +321,11 @@ def _fit(observed: Mapping[int, int], exact: ExactPmf, count: int) -> tuple[floa
             f"an expected count of {_MIN_EXPECTED}"
         )
     chi_square = sum((obs - exp) ** 2 / exp for obs, exp in bins)
-    p_value = float(_scipy_stats.chi2.sf(chi_square, len(bins) - 1))
+    # Upper regularized incomplete gamma Q(df/2, x/2) (A&S 26.4.19),
+    # evaluated well past double precision so the result is rounded once.
+    df = len(bins) - 1
+    with mp.workdps(30):
+        p_value = float(mp.gammainc(df / 2, chi_square / 2, mp.inf, regularized=True))
     return chi_square, p_value, max_z
 
 
@@ -424,13 +388,16 @@ def per_bin_z(histogram: Mapping[int, int], exact: ExactPmf, count: int) -> dict
 
 def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> SampleSummary:
     """Sample a statistic under a measure and summarize against its exact pmf."""
-    _check_measure_statistic(measure, config.k, config.n, statistic)
-    exact = exact_statistic_pmf(measure, config.k, config.n, statistic)
-    width = exact.support[-1] + 1
+    law = statistic_law(measure, statistic)
     k, n = config.k, config.n
-    table = None
-    if statistic == "parsimony":
-        table = _parsimony_table(n, "riffle" if measure == "R" else "cut_riffle")
+    exact = law.pmf(k, n)
+    width = exact.support[-1] + 1
+    if law.flavor is not None:
+        # Parsimony distance of each read value; slot 0 is 0 (c is never 0).
+        distance = np.array(
+            [parsimony_distance(s, law.flavor) if s else 0 for s in range(n)],
+            dtype=np.int64,
+        )
 
     def worker(rng: np.random.Generator, chunk: int) -> np.ndarray:
         if chunk == 0:
@@ -440,14 +407,11 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
             shift = rng.integers(0, n, size=chunk)
             cols = (np.arange(n, dtype=np.int64)[None, :] + shift[:, None]) % n
             words = np.take_along_axis(words, cols, axis=1)
-        if statistic == "d":
-            values = _descents_per_row(words)
-        elif statistic == "c":
-            values = _cyclic_descents_per_row(words)
-        elif measure == "R":
-            values = table[_descents_per_row(words)]
-        else:
-            values = table[_cyclic_descents_per_row(words)]
+        values = _descents_per_row(words)
+        if law.reads == "c":
+            values += words[:, -1] > words[:, 0]
+        if law.flavor is not None:
+            values = distance[values]
         return np.bincount(values, minlength=width)
 
     return _summarize(_run_streams(config, worker), exact, config.count)
@@ -462,13 +426,11 @@ def sample_parsimony(
     the descent count; "cut_riffle" samples the cut measure and maps the
     cyclic descent count.
     """
-    if flavor not in ("riffle", "cut_riffle"):
-        raise UserInputError(f"unknown flavor {flavor!r}")
+    measure = parsimony_measure(flavor)
     if r < 0:
         raise UserInputError(f"rounds must be nonnegative, got {r}")
     if r > MAX_RIFFLE_ROUNDS:
         raise UserInputError(f"rounds {r} exceeds the {MAX_RIFFLE_ROUNDS}-round guard")
-    measure = "R" if flavor == "riffle" else "C"
     config = SamplerConfig(k=1 << r, n=n, count=count, seed=seed, streams=streams)
     return sample_statistic(measure, "parsimony", config)
 

@@ -12,7 +12,10 @@ The certified upper bounds are
     Cc: (k/n)^2 + 2k/n + k(n+1)(1-1/k)^n
     R:  (k/(n+1))^2 + 2k/(n+1) + k(n+2)(1-1/k)^(n+1)
 
-and every report checks tv_exact <= bound, raising CertificationError
+which is one formula, (k/m)^2 [+ 2k/m] + k(m+1)(1-1/k)^m: R at n is Cc
+at m = n+1 by the transfer identity, and Cd drops the 2k/m term. The
+codes, offsets and shifts are read from measures.STATISTIC_LAWS. Every
+report checks tv_exact <= bound, raising CertificationError
 when the certificate fails (which would mean a bug, not a near miss).
 
 Numerics policy. The Stein equation is solved by the forward recurrence
@@ -37,11 +40,12 @@ from typing import Iterable, Union
 import mpmath as mp
 
 from .errors import CertificationError, UserInputError
-from .measures import ExactPmf, c_pmf_C, d_pmf_C, d_pmf_R
+from .measures import STATISTIC_LAWS, ExactPmf, StatisticLaw
 
 Rational = Union[Fraction, float]
 
-STATISTIC_CODES = ("Cd", "Cc", "R")
+_POISSON_LAWS = {law.poisson: law for law in STATISTIC_LAWS.values() if law.poisson}
+STATISTIC_CODES = tuple(_POISSON_LAWS)
 
 _TV_DPS = 40
 _SANDWICH_LIMIT = 1e-13
@@ -212,49 +216,30 @@ def tv_exact_vs_poisson(pmf: ExactPmf, lam: Rational) -> float:
 # Certified bounds
 
 
-def _one_minus_inv_k_pow(k: int, e: int) -> Fraction:
-    return Fraction(k - 1, k) ** e
+def _certified_bound(k: int, n: int, statistic: str) -> Fraction:
+    """(k/m)^2 [+ 2k/m] + k(m+1)(1-1/k)^m, m = n + shift of the coded row."""
+    if k < 1 or n < 1:
+        raise UserInputError("need k >= 1 and n >= 1")
+    law = _poisson_law(statistic)
+    m = n + law.shift
+    lam = Fraction(k, m)
+    bound = lam**2 + k * (m + 1) * Fraction(k - 1, k) ** m
+    return bound + 2 * lam if law.linear else bound
 
 
 def bound_C_kd_exact(k: int, n: int) -> Fraction:
-    if k < 1 or n < 1:
-        raise UserInputError("need k >= 1 and n >= 1")
-    return Fraction(k, n) ** 2 + k * (n + 1) * _one_minus_inv_k_pow(k, n)
+    """Certified bound for k-d under C(k, n)."""
+    return _certified_bound(k, n, "Cd")
 
 
 def bound_C_kc_exact(k: int, n: int) -> Fraction:
-    if k < 1 or n < 1:
-        raise UserInputError("need k >= 1 and n >= 1")
-    return (
-        Fraction(k, n) ** 2
-        + Fraction(2 * k, n)
-        + k * (n + 1) * _one_minus_inv_k_pow(k, n)
-    )
+    """Certified bound for k-c under C(k, n)."""
+    return _certified_bound(k, n, "Cc")
 
 
 def bound_R_exact(k: int, n: int) -> Fraction:
-    if k < 1 or n < 1:
-        raise UserInputError("need k >= 1 and n >= 1")
-    return (
-        Fraction(k, n + 1) ** 2
-        + Fraction(2 * k, n + 1)
-        + k * (n + 2) * _one_minus_inv_k_pow(k, n + 1)
-    )
-
-
-def bound_C_kd(k: int, n: int) -> float:
-    """Certified bound for k-d under C(k, n); exact rational, then rounded."""
-    return float(bound_C_kd_exact(k, n))
-
-
-def bound_C_kc(k: int, n: int) -> float:
-    """Certified bound for k-c under C(k, n)."""
-    return float(bound_C_kc_exact(k, n))
-
-
-def bound_R(k: int, n: int) -> float:
-    """Certified bound for k-1-d under R(k, n)."""
-    return float(bound_R_exact(k, n))
+    """Certified bound for k-1-d under R(k, n): the k-c bound at n+1."""
+    return _certified_bound(k, n, "R")
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +272,20 @@ class TvReport:
         )
 
 
+def _poisson_law(statistic: str) -> StatisticLaw:
+    law = _POISSON_LAWS.get(statistic)
+    if law is None:
+        raise UserInputError(
+            f"unknown statistic {statistic!r}, expected one of {STATISTIC_CODES}"
+        )
+    return law
+
+
 def statistic_pushforward(k: int, n: int, statistic: str) -> tuple[ExactPmf, Fraction]:
     """Exact law of the coded statistic and its Poisson rate."""
-    if statistic == "Cd":
-        return d_pmf_C(k, n).pushforward(lambda d: k - d), Fraction(k, n)
-    if statistic == "Cc":
-        return c_pmf_C(k, n).pushforward(lambda c: k - c), Fraction(k, n)
-    if statistic == "R":
-        return d_pmf_R(k, n).pushforward(lambda d: k - 1 - d), Fraction(k, n + 1)
-    raise UserInputError(
-        f"unknown statistic {statistic!r}, expected one of {STATISTIC_CODES}"
-    )
-
-
-def _bound_for(k: int, n: int, statistic: str) -> Fraction:
-    if statistic == "Cd":
-        return bound_C_kd_exact(k, n)
-    if statistic == "Cc":
-        return bound_C_kc_exact(k, n)
-    return bound_R_exact(k, n)
+    law = _poisson_law(statistic)
+    pmf = law.pmf(k, n).pushforward(lambda s: k - law.offset - s)
+    return pmf, Fraction(k, n + law.shift)
 
 
 def tv_report(k: int, n: int, statistic: str) -> TvReport:
@@ -316,7 +296,7 @@ def tv_report(k: int, n: int, statistic: str) -> TvReport:
     """
     pmf, lam = statistic_pushforward(k, n, statistic)
     tv = tv_exact_vs_poisson(pmf, lam)
-    bound = _bound_for(k, n, statistic)
+    bound = _certified_bound(k, n, statistic)
     slack = float(bound) - tv
     if slack < 0:
         raise CertificationError(
@@ -338,6 +318,8 @@ def sweep_k_values(n: int, points: int = 20) -> list[int]:
     """Up to ``points`` integers evenly spread over 1..floor(n/4)."""
     if n < 4:
         raise UserInputError("sweep needs n >= 4 so that floor(n/4) >= 1")
+    if points < 1:
+        raise UserInputError(f"sweep needs at least one k point, got {points}")
     k_top = n // 4
     raw = {1 + round(i * (k_top - 1) / max(1, points - 1)) for i in range(points)}
     return sorted(min(v, k_top) for v in raw)

@@ -18,7 +18,7 @@ from conftest import oracle_descents, oracle_moment, oracle_pmf, pmf_as_dict, st
 from shufflestats import (
     Permutation,
     SamplerConfig,
-    bound_C_kd,
+    bound_C_kd_exact,
     c_pmf_C,
     central_eulerian_ratio,
     certification_sweep,
@@ -97,7 +97,7 @@ def test_c04_poisson_bounds_certify_across_the_sweep():
     pinned = tv_report(5, 200, "Cd")
     assert pinned.bound == pytest.approx(6.25e-4, rel=1e-9)
     assert pinned.tv_exact < pinned.bound
-    assert bound_C_kd(5, 200) == pytest.approx(6.25e-4, rel=1e-9)
+    assert float(bound_C_kd_exact(5, 200)) == pytest.approx(6.25e-4, rel=1e-9)
     assert time.monotonic() - started < 300
 
 

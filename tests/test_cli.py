@@ -133,6 +133,15 @@ class TestTv:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_grid_rejects_nonpositive_k_points(self, capsys, points):
+        code, out, err = run_cli(
+            capsys, "tv", "--grid", "--n-list", "20", "--k-points", points
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_grid_rows_are_sorted_and_certified(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -336,6 +345,16 @@ class TestFloatRendering:
 
 
 class TestConsoleEntry:
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, shufflestats.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "shufflestats.cli",

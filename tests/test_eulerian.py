@@ -11,7 +11,6 @@ from shufflestats import (
     EulerianTable,
     UserInputError,
     cyclic_descent_counts,
-    eulerian_table,
     eulerian_value,
     shared_table,
 )
@@ -20,19 +19,19 @@ from shufflestats import (
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rows_match_enumeration(n):
     counts = Counter(d for d, _ in stat_pairs(n))
-    table = eulerian_table(n)
+    table = EulerianTable.build(n)
     for k in range(1, n + 1):
         assert table.value(n, k) == counts.get(k - 1, 0)
 
 
 def test_row_sums_are_factorials():
-    table = eulerian_table(30)
+    table = EulerianTable.build(30)
     for n in range(1, 31):
         assert sum(table.row(n)) == math.factorial(n)
 
 
 def test_rows_are_palindromic():
-    table = eulerian_table(30)
+    table = EulerianTable.build(30)
     for n in range(1, 31):
         row = table.row(n)
         assert row == row[::-1]
@@ -44,13 +43,13 @@ def test_values_outside_triangle_are_zero():
 
 
 def test_row_range_is_validated():
-    table = eulerian_table(6)
+    table = EulerianTable.build(6)
     with pytest.raises(UserInputError):
         table.row(0)
     with pytest.raises(UserInputError):
         table.row(7)
     with pytest.raises(UserInputError):
-        eulerian_table(0)
+        EulerianTable.build(0)
 
 
 def test_shared_table_grows_monotonically():
@@ -61,7 +60,7 @@ def test_shared_table_grows_monotonically():
 
 
 def test_serialization_round_trip():
-    table = eulerian_table(9)
+    table = EulerianTable.build(9)
     text = table.to_text()
     back = EulerianTable.from_text(text)
     assert back.n_max == 9
@@ -92,7 +91,7 @@ class TestCyclicCounts:
         # counts at size n are n times the Eulerian row of size n-1
         n = 9
         record = cyclic_descent_counts(n)
-        table = eulerian_table(n - 1)
+        table = EulerianTable.build(n - 1)
         for i in range(1, n):
             assert record.count(i) == n * table.value(n - 1, i)
 

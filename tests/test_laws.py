@@ -1,0 +1,89 @@
+"""The (measure, statistic) law table, row by row, against the oracle."""
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import oracle_pmf
+from shufflestats import (
+    STATISTIC_CODES,
+    STATISTIC_LAWS,
+    ExactPmf,
+    UserInputError,
+    bound_C_kc_exact,
+    bound_C_kd_exact,
+    bound_R_exact,
+    exact_statistic_pmf,
+    statistic_pushforward,
+)
+
+F = Fraction
+GRID = [(k, n) for n in range(2, 7) for k in range(1, 6)]
+
+
+def _parsimony(flavor, s):
+    """Fewest shuffles r with 2^r >= d+1 (riffle) or 2^r >= c (cut_riffle)."""
+    need = s + 1 if flavor == "riffle" else s
+    r = 0
+    while 2**r < need:
+        r += 1
+    return r
+
+
+def oracle_law(measure, statistic, k, n):
+    if statistic != "parsimony":
+        return oracle_pmf(measure, k, n, statistic)
+    read, flavor = ("d", "riffle") if measure == "R" else ("c", "cut_riffle")
+    out = {}
+    for s, m in oracle_pmf(measure, k, n, read).items():
+        r = _parsimony(flavor, s)
+        out[r] = out.get(r, F(0)) + m
+    return out
+
+
+@pytest.mark.parametrize("key", list(STATISTIC_LAWS), ids="/".join)
+def test_row(key):
+    measure, statistic = key
+    law = STATISTIC_LAWS[key]
+    for k, n in GRID:
+        want = oracle_law(measure, statistic, k, n)
+        got = law.pmf(k, n)
+        assert dict(got.items()) == want, (k, n)
+        assert exact_statistic_pmf(measure, k, n, statistic) == got
+        if law.moments is not None:
+            assert law.moments(k, n).mean_exact == got.mean(), (k, n)
+        if law.poisson is not None:
+            pushed, lam = statistic_pushforward(k, n, law.poisson)
+            want_pushed = ExactPmf((k - law.offset - s, m) for s, m in want.items())
+            assert pushed == want_pushed, (k, n)
+            assert lam == F(k, n + law.shift)
+
+
+def test_table_covers_the_five_pairs():
+    assert set(STATISTIC_LAWS) == {
+        ("R", "d"), ("C", "d"), ("C", "c"), ("R", "parsimony"), ("C", "parsimony"),
+    }
+    assert STATISTIC_CODES == ("Cd", "Cc", "R")
+
+
+@pytest.mark.parametrize("k, n", GRID)
+def test_bounds_match_their_closed_forms(k, n):
+    tail = k * (n + 1) * F(k - 1, k) ** n
+    assert bound_C_kd_exact(k, n) == F(k, n) ** 2 + tail
+    assert bound_C_kc_exact(k, n) == F(k, n) ** 2 + F(2 * k, n) + tail
+    assert bound_R_exact(k, n) == (
+        F(k, n + 1) ** 2 + F(2 * k, n + 1) + k * (n + 2) * F(k - 1, k) ** (n + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "measure, statistic", [("R", "c"), ("Q", "d"), ("C", "x")]
+)
+def test_pairs_outside_the_table_are_rejected(measure, statistic):
+    with pytest.raises(UserInputError):
+        exact_statistic_pmf(measure, 3, 4, statistic)
+
+
+def test_cyclic_under_shuffle_measure_points_to_C():
+    with pytest.raises(UserInputError, match="measure 'C'"):
+        exact_statistic_pmf("R", 3, 4, "c")

@@ -1,6 +1,7 @@
 """Monte Carlo machinery: insertion sampler, GSR shuffles, fit summaries."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,29 @@ class TestFitSummaries:
         values = sample_from_pmf(pmf, 4, _rng(8))
         with pytest.raises(UserInputError):
             summarize_values(values, pmf)
+
+    def test_p_value_with_two_degrees_of_freedom(self):
+        # chi-square with df = 2 has survival function exp(-x/2)
+        pmf = ExactPmf([(0, F(1, 4)), (1, F(1, 2)), (2, F(1, 4))])
+        values = np.repeat([0, 1, 2], [30, 45, 25])
+        summary = summarize_values(values, pmf)
+        assert summary.chi_square == 1.5
+        assert summary.p_value == pytest.approx(math.exp(-0.75), rel=1e-15, abs=0)
+
+    def test_p_value_with_one_degree_of_freedom(self):
+        # chi-square with df = 1 has survival function erfc(sqrt(x/2))
+        pmf = ExactPmf([(0, F(1, 2)), (1, F(1, 2))])
+        values = np.repeat([0, 1], [55, 45])
+        summary = summarize_values(values, pmf)
+        assert summary.chi_square == 1.0
+        assert summary.p_value == pytest.approx(math.erfc(math.sqrt(0.5)), rel=1e-15, abs=0)
+
+    def test_max_bin_z_is_largest_per_bin_z(self):
+        pmf = ExactPmf([(0, F(1, 4)), (1, F(1, 2)), (2, F(1, 4))])
+        values = np.repeat([0, 1, 2], [30, 45, 25])
+        summary = summarize_values(values, pmf)
+        z = per_bin_z(summary.histogram, pmf, 100)
+        assert summary.max_bin_z == max(abs(v) for v in z.values())
 
     def test_per_bin_z_covers_support(self):
         pmf = ExactPmf([(0, F(1, 2)), (1, F(1, 2))])

@@ -11,7 +11,6 @@ from shufflestats import (
     ExactPmf,
     UserInputError,
     bound_C_kc_exact,
-    bound_C_kd,
     bound_C_kd_exact,
     bound_R_exact,
     certification_sweep,
@@ -110,7 +109,7 @@ class TestBounds:
         assert bound_C_kd_exact(1, 7) == F(1, 49)
         assert bound_C_kc_exact(1, 7) == F(1, 49) + F(2, 7)
         assert bound_R_exact(1, 9) == F(21, 100)
-        assert bound_C_kd(5, 200) == pytest.approx(6.25e-4, rel=1e-9)
+        assert float(bound_C_kd_exact(5, 200)) == pytest.approx(6.25e-4, rel=1e-9)
 
     def test_deterministic_regime_floor(self):
         # at k = 1 the R-side statistic is identically zero, so the gap
@@ -160,6 +159,11 @@ class TestReportsAndSweep:
         assert sweep_k_values(4) == [1]
         with pytest.raises(UserInputError):
             sweep_k_values(3)
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_sweep_rejects_nonpositive_points(self, points):
+        with pytest.raises(UserInputError):
+            sweep_k_values(20, points)
 
     def test_small_sweep_certifies(self):
         reports = certification_sweep(n_list=(20,), k_points=5)

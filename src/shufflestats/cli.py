@@ -36,13 +36,12 @@ from fractions import Fraction
 from . import __version__
 from .errors import CertificationError, UserInputError
 from .eulerian import cyclic_descent_counts, shared_table
-from .measures import ExactPmf, statistic_law
+from .measures import statistic_law
 from .pair import NogoodRow, nogood_diagnostic
 from .sampler import (
     SamplerConfig,
     SampleSummary,
     exact_statistic_pmf,
-    per_bin_z,
     riffle_summary,
     sample_statistic,
 )
@@ -137,47 +136,47 @@ def _params(args, **overrides) -> dict:
     return out
 
 
-def _resolve_seed(text: str) -> tuple[int, bool]:
-    """Parse --seed; "auto" draws 64 fresh bits and reports them drawn."""
-    if text == "auto":
-        return secrets.randbits(64), True
+def _resolve_seed(args) -> int:
+    """Parse --seed; "auto" draws 64 fresh bits, announced on stderr without --out."""
+    if args.seed == "auto":
+        seed = secrets.randbits(64)
+        if args.out is None:
+            print(f"drawn seed: {seed}", file=sys.stderr)
+        return seed
     try:
-        seed = int(text)
+        seed = int(args.seed)
     except ValueError as exc:
-        raise UserInputError(f"seed must be an integer or 'auto', got {text!r}") from exc
+        raise UserInputError(f"seed must be an integer or 'auto', got {args.seed!r}") from exc
     if not 0 <= seed < 2**64:
         raise UserInputError("seed must fit in an unsigned 64-bit integer")
-    return seed, False
+    return seed
 
 
-def _summary_payload(summary: SampleSummary, exact: ExactPmf, count: int) -> dict:
-    z = per_bin_z(summary.histogram, exact, count)
-    return {
-        "histogram": {str(v): c for v, c in summary.histogram.items()},
-        "empirical_pmf": {str(v): p for v, p in summary.empirical_pmf.items()},
-        "exact_pmf": exact.to_json_dict(),
-        "per_bin_z": {str(v): value for v, value in z.items()},
-        "chi_square": summary.chi_square,
-        "p_value": summary.p_value,
-        "max_bin_z": summary.max_bin_z,
-    }
-
-
-def _summary_rows(summary: SampleSummary, exact: ExactPmf, count: int) -> list[tuple]:
-    z = per_bin_z(summary.histogram, exact, count)
-    rows = []
-    for value, mass in exact.items():
-        rows.append(
-            (
-                value,
-                summary.histogram[value],
-                float(summary.empirical_pmf[value]),
-                mass.numerator,
-                mass.denominator,
-                float(z[value]),
-            )
+def _sample_report(args, head: dict, summary: SampleSummary) -> tuple:
+    """Payload and CSV rows of `sample` and `riffle`: the run's head plus its summary."""
+    exact, z = summary.exact_pmf, summary.bin_z
+    payload = dict(head)
+    payload.update(
+        histogram={str(v): c for v, c in summary.histogram.items()},
+        empirical_pmf={str(v): p for v, p in summary.empirical_pmf.items()},
+        exact_pmf=exact.to_json_dict(),
+        per_bin_z={str(v): value for v, value in z.items()},
+        chi_square=summary.chi_square,
+        p_value=summary.p_value,
+        max_bin_z=summary.max_bin_z,
+    )
+    rows = [
+        (
+            value,
+            summary.histogram[value],
+            float(summary.empirical_pmf[value]),
+            mass.numerator,
+            mass.denominator,
+            float(z[value]),
         )
-    return rows
+        for value, mass in exact.items()
+    ]
+    return payload, _SAMPLE_CSV_HEADER, rows, _params(args, seed=head["seed"]), 0
 
 
 def _cmd_dist(args) -> tuple:
@@ -223,15 +222,11 @@ def _cmd_tv(args) -> tuple:
 
 
 def _cmd_sample(args) -> tuple:
-    seed, drawn = _resolve_seed(args.seed)
-    if drawn and args.out is None:
-        print(f"drawn seed: {seed}", file=sys.stderr)
+    seed = _resolve_seed(args)
     config = SamplerConfig(
         k=args.k, n=args.n, count=args.count, seed=seed, streams=args.streams
     )
-    summary = sample_statistic(args.measure, args.stat, config)
-    exact = exact_statistic_pmf(args.measure, args.k, args.n, args.stat)
-    payload = {
+    head = {
         "measure": args.measure,
         "statistic": args.stat,
         "k": args.k,
@@ -240,26 +235,13 @@ def _cmd_sample(args) -> tuple:
         "seed": seed,
         "streams": args.streams,
     }
-    payload.update(_summary_payload(summary, exact, args.count))
-    rows = _summary_rows(summary, exact, args.count)
-    return payload, _SAMPLE_CSV_HEADER, rows, _params(args, seed=seed), 0
+    return _sample_report(args, head, sample_statistic(args.measure, args.stat, config))
 
 
 def _cmd_riffle(args) -> tuple:
-    seed, drawn = _resolve_seed(args.seed)
-    if drawn and args.out is None:
-        print(f"drawn seed: {seed}", file=sys.stderr)
-    summary = riffle_summary(args.n, args.rounds, args.count, seed)
-    exact = exact_statistic_pmf("R", 1 << args.rounds, args.n, "d")
-    payload = {
-        "n": args.n,
-        "rounds": args.rounds,
-        "count": args.count,
-        "seed": seed,
-    }
-    payload.update(_summary_payload(summary, exact, args.count))
-    rows = _summary_rows(summary, exact, args.count)
-    return payload, _SAMPLE_CSV_HEADER, rows, _params(args, seed=seed), 0
+    seed = _resolve_seed(args)
+    head = {"n": args.n, "rounds": args.rounds, "count": args.count, "seed": seed}
+    return _sample_report(args, head, riffle_summary(args.n, args.rounds, args.count, seed))
 
 
 def _cmd_diagnostic(args) -> tuple:

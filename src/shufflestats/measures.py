@@ -277,24 +277,27 @@ def parsimony_distance(stat: int, flavor: str) -> int:
     raise UserInputError(f"unknown flavor {flavor!r}")
 
 
-_MAX_SHUFFLE_EXPONENT = 62
+# Overflow tripwire on the shuffle count r where a law needs k = 2**r;
+# arbitrary big k is available through d_pmf_R / c_pmf_C directly.
+MAX_RIFFLE_ROUNDS = 62
+
+
+def riffle_piles(rounds: int) -> int:
+    """Pile count k = 2**rounds of `rounds` riffle shuffles, within the guard."""
+    if rounds < 0:
+        raise UserInputError(f"rounds must be nonnegative, got {rounds}")
+    if rounds > MAX_RIFFLE_ROUNDS:
+        raise UserInputError(f"rounds {rounds} exceeds the {MAX_RIFFLE_ROUNDS}-round guard")
+    return 1 << rounds
 
 
 def parsimony_pmf(n: int, r: int, flavor: str) -> ExactPmf:
     """Pmf of the minimum parsimony distance after r shuffles of n cards.
 
-    Exact pushforward of the relevant statistic's pmf at k = 2^r. The
-    exponent is capped at 62 as an overflow tripwire; arbitrary big k is
-    available through d_pmf_R / c_pmf_C directly.
+    Exact pushforward of the relevant statistic's pmf at k = 2^r.
     """
-    if r < 0:
-        raise UserInputError("shuffle count must be >= 0")
-    if r > _MAX_SHUFFLE_EXPONENT:
-        raise UserInputError(
-            f"shuffle count {r} exceeds the 2^{_MAX_SHUFFLE_EXPONENT} guard; "
-            "call the pmf functions with an explicit k instead"
-        )
-    return statistic_law(parsimony_measure(flavor), "parsimony").pmf(2**r, n)
+    k = riffle_piles(r)
+    return statistic_law(parsimony_measure(flavor), "parsimony").pmf(k, n)
 
 
 # ---------------------------------------------------------------------------

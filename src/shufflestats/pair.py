@@ -37,6 +37,13 @@ from .permutations import Permutation, cyclic_rotate, descent_count
 _ZERO = Fraction(0)
 
 
+def _d_and_c_pmfs(n: int, k: Optional[int]) -> tuple[ExactPmf, ExactPmf]:
+    """Laws of d and c under C(k, n), or under the uniform measure if k is None."""
+    if k is None:
+        return d_pmf_uniform(n), c_pmf_uniform(n)
+    return d_pmf_C(k, n), c_pmf_C(k, n)
+
+
 def _wraps_down(p: Permutation) -> bool:
     """chi_n(pi): position n is a cyclic descent, i.e. pi(n) > pi(1)."""
     return p.word[-1] > p.word[0]
@@ -105,8 +112,7 @@ class PairLaw:
     @classmethod
     def build(cls, n: int, k: Optional[int] = None) -> "PairLaw":
         """Step law under C(k, n), or under the uniform measure if k is None."""
-        d_pmf = d_pmf_uniform(n) if k is None else d_pmf_C(k, n)
-        c_pmf = c_pmf_uniform(n) if k is None else c_pmf_C(k, n)
+        d_pmf, c_pmf = _d_and_c_pmfs(n, k)
         down, stay, up = [], [], []
         for r, p_r in d_pmf.items():
             # P(d = r and the wrap is a cyclic descent) = P(c = r+1)(r+1)/n
@@ -161,16 +167,14 @@ def _pmfs_and_moments(
 ) -> tuple[ExactPmf, ExactPmf, Fraction, Fraction]:
     if n < 2:
         raise UserInputError("need n >= 2")
+    d_pmf, c_pmf = _d_and_c_pmfs(n, k)
     if k is None:
-        d_pmf = d_pmf_uniform(n)
-        c_pmf = c_pmf_uniform(n)
         mean_d = Fraction(n - 1, 2)
         var_d = Fraction(n + 1, 12)
     else:
-        d_pmf = d_pmf_C(k, n)
-        c_pmf = c_pmf_C(k, n)
         mean_d = mean_d_C(k, n)
         var_d = variance_d_C(k, n)
+    # Downstream trusts E(W) = 0 and E(W^2) = 1; this check makes them exact.
     if d_pmf.mean() != mean_d or d_pmf.variance() != var_d:
         raise CertificationError(
             f"moment/pmf disagreement at n={n}, k={k}"
@@ -228,10 +232,6 @@ def g_remainder(n: int, k: Optional[int] = None) -> NormalizedPair:
     through the cyclic pmf alone) are both evaluated and must agree.
     """
     d_pmf, c_pmf, mean_d, var_d = _pmfs_and_moments(n, k)
-    # E(W) = 0 and E(W^2) = 1 in exact arithmetic, by construction;
-    # guard anyway since downstream trusts the normalization.
-    if d_pmf.mean() != mean_d or d_pmf.variance() != var_d:
-        raise CertificationError("normalization failed")
     sqrt_v = math.sqrt(float(var_d))
     g_vals = []
     agg = _ZERO

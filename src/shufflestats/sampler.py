@@ -1,18 +1,21 @@
 """Random generation of shuffled permutations, with exact reference checks.
 
-Two independent samplers live here. The first grows a permutation one
-symbol at a time through weighted insertions; after n-1 steps the result
-carries the k-shuffle law exactly, with no rejection and no enumeration.
-The second simulates the physical riffle (binomial cut, uniformly random
-interleave) and exists to cross-validate the first. Empirical output is
-summarized against the exact pmfs from :mod:`shufflestats.measures` via a
-Pearson chi-square test with tail-bin merging plus per-bin binomial
-z-scores.
+Two independent samplers live here, each one vectorised kernel over a
+batch of words. The first grows a permutation one symbol at a time
+through weighted insertions; after n-1 steps the result carries the
+k-shuffle law exactly, with no rejection and no enumeration. The second
+simulates the physical riffle (binomial cut, uniformly random
+interleave) and exists to cross-validate the first. The single-draw
+functions are row 0 of a one-row batch. Empirical output is summarized
+against the exact pmfs from :mod:`shufflestats.measures` via a Pearson
+chi-square test with tail-bin merging plus per-bin binomial z-scores,
+computed once and kept on the summary.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``. Each stream draws a fixed, precomputed number of
 samples and the per-stream histograms are merged in stream-id order, so
-aggregate output is reproducible no matter how the threads are scheduled.
+aggregate output is reproducible no matter how the threads are scheduled
+or how many run (at most one per CPU).
 Where a draw must hit an exact rational probability, the rational is
 converted to an integer threshold out of 2**53 and compared against a
 uniform 53-bit integer; the per-draw bias is below 2**-53.
@@ -21,6 +24,7 @@ uniform 53-bit integer; the per-draw bias is below 2**-53.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,16 +34,16 @@ import mpmath as mp
 import numpy as np
 
 from .errors import CertificationError, UserInputError
-from .measures import (
+from .measures import (  # MAX_RIFFLE_ROUNDS is re-exported here
+    MAX_RIFFLE_ROUNDS,
     ExactPmf,
     d_pmf_R,
     parsimony_distance,
     parsimony_measure,
+    riffle_piles,
     statistic_law,
 )
 from .permutations import Permutation, cyclic_rotate, descent_count, insert_symbol
-
-MAX_RIFFLE_ROUNDS = 62
 
 _THRESHOLD_BITS = 53
 _SCALE = 1 << _THRESHOLD_BITS
@@ -78,21 +82,27 @@ class SamplerConfig:
 class SampleSummary:
     """Histogram of a sampled statistic plus its fit against the exact pmf.
 
-    The histogram and empirical pmf are keyed by the exact support (bins
-    with zero observations are present), chi_square and p_value come from
-    the merged-bin Pearson test, and max_bin_z is the largest absolute
-    per-bin binomial z-score before any merging.
+    The histogram and empirical pmf are keyed by the support of
+    exact_pmf, the reference law of the fit (bins with zero observations
+    are present). chi_square and p_value come from the merged-bin Pearson
+    test; bin_z holds the per-bin binomial z-scores before any merging.
     """
 
     histogram: dict[int, int]
     empirical_pmf: dict[int, float]
     chi_square: float
     p_value: float
-    max_bin_z: float
+    exact_pmf: ExactPmf
+    bin_z: dict[int, float]
 
     @property
     def count(self) -> int:
         return sum(self.histogram.values())
+
+    @property
+    def max_bin_z(self) -> float:
+        """Largest absolute per-bin z-score."""
+        return max(abs(z) for z in self.bin_z.values())
 
 
 def _stream_generator(seed: int, stream_id: int) -> np.random.Generator:
@@ -190,28 +200,15 @@ def sample_C(k: int, n: int, rng: np.random.Generator) -> Permutation:
 def gsr_shuffle(p: Permutation, rng: np.random.Generator) -> Permutation:
     """One physical riffle applied to a deck in the order given by p.
 
-    The deck is cut at a Binomial(n, 1/2) position, then cards drop from
-    the bottoms of the two packets with probability proportional to the
-    packets' current sizes, building the shuffled pile bottom up. Every
-    interleaving of the two packets is equally likely.
+    One riffle of a sorted deck (a one-row _gsr_words batch) names, for
+    each position, the card of p that lands there.
     """
-    n = p.n
-    cut = int(rng.binomial(n, 0.5))
-    top, bottom = list(p.word[:cut]), list(p.word[cut:])
-    out = [0] * n
-    a, b = len(top), len(bottom)
-    for pos in range(n - 1, -1, -1):
-        if int(rng.integers(0, a + b)) < a:
-            a -= 1
-            out[pos] = top[a]
-        else:
-            b -= 1
-            out[pos] = bottom[b]
-    return Permutation._from_trusted(tuple(out))
+    row = _gsr_words(p.n, 1, 1, rng)[0]
+    return Permutation._from_trusted(tuple(p.word[w - 1] for w in row))
 
 
 def gsr_iterate(n: int, rounds: int, rng: np.random.Generator) -> Permutation:
-    """Riffle a sorted n-card deck `rounds` times.
+    """Riffle a sorted n-card deck `rounds` times (row 0 of a _gsr_words batch).
 
     The INVERSE of the returned permutation has descent count distributed
     as d_pmf_R(2**rounds, n); callers comparing against the closed-form
@@ -221,19 +218,21 @@ def gsr_iterate(n: int, rounds: int, rng: np.random.Generator) -> Permutation:
         raise UserInputError(f"n must be a positive integer, got {n}")
     if rounds < 0:
         raise UserInputError(f"rounds must be nonnegative, got {rounds}")
-    p = Permutation.identity(n)
-    for _ in range(rounds):
-        p = gsr_shuffle(p, rng)
-    return p
+    row = _gsr_words(n, rounds, 1, rng)[0]
+    return Permutation._from_trusted(tuple(int(s) for s in row))
 
 
 def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized r-round riffle of `count` sorted decks.
 
-    Dropping cards proportionally to packet sizes makes every
-    interleaving equally likely, so each round places the top packet's
-    cards at a uniformly random size-`cut` subset of positions and fills
-    both packets in order.
+    The physical riffle cuts at a Binomial(n, 1/2) position, then drops
+    cards from the bottoms of the two packets with probability
+    proportional to the packets' current sizes. Any one interleaving of
+    packets of sizes a and b then has probability a! b! / (a+b)!, the
+    product of those drop chances, so all interleavings are equally
+    likely (Bayer and Diaconis 1992). Each round therefore places the
+    top packet's cards at a uniformly random size-`cut` subset of
+    positions and fills both packets in order.
     """
     words = np.tile(np.arange(1, n + 1, dtype=np.int32), (count, 1))
     for _ in range(rounds):
@@ -272,25 +271,43 @@ def exact_statistic_pmf(measure: str, k: int, n: int, statistic: str) -> ExactPm
 
 
 def _run_streams(
-    config: SamplerConfig, worker: Callable[[np.random.Generator, int], np.ndarray]
+    config: SamplerConfig, width: int, draw: Callable[[np.random.Generator, int], np.ndarray]
 ) -> np.ndarray:
-    """Run one worker per stream and merge the histograms in id order."""
+    """Bincount each stream's drawn statistic values and merge them in id order.
+
+    Streams are the logical split of the sample; at most one thread per
+    CPU runs them, which changes no draw.
+    """
     chunks = _stream_counts(config.count, config.streams)
 
     def run(sid: int) -> np.ndarray:
-        return worker(_stream_generator(config.seed, sid), chunks[sid])
+        if chunks[sid] == 0:
+            return np.zeros(width, dtype=np.int64)
+        values = draw(_stream_generator(config.seed, sid), chunks[sid])
+        return np.bincount(values, minlength=width)
 
-    with ThreadPoolExecutor(max_workers=config.streams) as pool:
+    workers = min(config.streams, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(run, range(config.streams)))
-    width = max(part.shape[0] for part in parts)
-    merged = np.zeros(width, dtype=np.int64)
+    merged = np.zeros(max(part.shape[0] for part in parts), dtype=np.int64)
     for part in parts:
         merged[: part.shape[0]] += part
     return merged
 
 
-def _fit(observed: Mapping[int, int], exact: ExactPmf, count: int) -> tuple[float, float, float]:
-    """Pearson chi-square with tail merging, plus the largest per-bin z.
+def _on_support(
+    histogram: Mapping[int, int], exact: ExactPmf
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Counts over the exact support (zeros present) and the stray counts off it."""
+    observed = {v: histogram.get(v, 0) for v in exact.support}
+    stray = {v: c for v, c in histogram.items() if c and v not in observed}
+    return observed, stray
+
+
+def _fit(
+    observed: Mapping[int, int], exact: ExactPmf, count: int
+) -> tuple[float, float, dict[int, float]]:
+    """Pearson chi-square with tail merging, plus the per-bin z-scores.
 
     Bins are merged (smallest expected count into its smaller neighbor)
     until every expected count reaches 5; degrees of freedom are the
@@ -299,9 +316,9 @@ def _fit(observed: Mapping[int, int], exact: ExactPmf, count: int) -> tuple[floa
     scores chi_square 0, p_value 1.
     """
     support = exact.support
+    z = per_bin_z(observed, exact, count)
     if len(support) == 1:
-        return 0.0, 1.0, 0.0
-    max_z = max(abs(z) for z in per_bin_z(observed, exact, count).values())
+        return 0.0, 1.0, z
     probs = {v: float(exact.prob(v)) for v in support}
     bins = [[float(observed[v]), count * probs[v]] for v in support]
     while len(bins) > 1 and min(exp for _, exp in bins) < _MIN_EXPECTED:
@@ -326,7 +343,7 @@ def _fit(observed: Mapping[int, int], exact: ExactPmf, count: int) -> tuple[floa
     df = len(bins) - 1
     with mp.workdps(30):
         p_value = float(mp.gammainc(df / 2, chi_square / 2, mp.inf, regularized=True))
-    return chi_square, p_value, max_z
+    return chi_square, p_value, z
 
 
 def _summarize(bin_counts: np.ndarray, exact: ExactPmf, count: int) -> SampleSummary:
@@ -336,26 +353,20 @@ def _summarize(bin_counts: np.ndarray, exact: ExactPmf, count: int) -> SampleSum
     its appearance means the sampler itself is wrong; that raises
     CertificationError rather than feeding the fit.
     """
-    support_set = set(exact.support)
-    stray = {
-        int(v): int(c) for v, c in enumerate(bin_counts) if c and int(v) not in support_set
-    }
+    observed, stray = _on_support(dict(enumerate(bin_counts.tolist())), exact)
     if stray:
         raise CertificationError(f"samples outside the exact support: {stray}")
-    observed = {
-        v: int(bin_counts[v]) if v < bin_counts.shape[0] else 0 for v in exact.support
-    }
     total = sum(observed.values())
     if total != count:
         raise CertificationError(f"histogram totals {total}, expected {count}")
-    chi_square, p_value, max_z = _fit(observed, exact, count)
-    empirical = {v: observed[v] / count for v in exact.support}
+    chi_square, p_value, z = _fit(observed, exact, count)
     return SampleSummary(
         histogram=observed,
-        empirical_pmf=empirical,
+        empirical_pmf={v: c / count for v, c in observed.items()},
         chi_square=chi_square,
         p_value=p_value,
-        max_bin_z=max_z,
+        exact_pmf=exact,
+        bin_z=z,
     )
 
 
@@ -366,12 +377,11 @@ def goodness_of_fit(summary: SampleSummary, exact: ExactPmf) -> tuple[float, flo
     the summary was built against; observations outside its support are
     impossible under the reference and force p_value to 0.
     """
-    count = sum(summary.histogram.values())
-    observed = {v: summary.histogram.get(v, 0) for v in exact.support}
-    stray = count - sum(observed.values())
+    observed, stray = _on_support(summary.histogram, exact)
     if stray:
         return math.inf, 0.0, math.inf
-    return _fit(observed, exact, count)
+    chi_square, p_value, z = _fit(observed, exact, summary.count)
+    return chi_square, p_value, max(abs(value) for value in z.values())
 
 
 def per_bin_z(histogram: Mapping[int, int], exact: ExactPmf, count: int) -> dict[int, float]:
@@ -391,7 +401,6 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
     law = statistic_law(measure, statistic)
     k, n = config.k, config.n
     exact = law.pmf(k, n)
-    width = exact.support[-1] + 1
     if law.flavor is not None:
         # Parsimony distance of each read value; slot 0 is 0 (c is never 0).
         distance = np.array(
@@ -399,9 +408,7 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
             dtype=np.int64,
         )
 
-    def worker(rng: np.random.Generator, chunk: int) -> np.ndarray:
-        if chunk == 0:
-            return np.zeros(width, dtype=np.int64)
+    def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
         words = _insertion_words(k, n, chunk, rng)
         if measure == "C":
             shift = rng.integers(0, n, size=chunk)
@@ -410,11 +417,9 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
         values = _descents_per_row(words)
         if law.reads == "c":
             values += words[:, -1] > words[:, 0]
-        if law.flavor is not None:
-            values = distance[values]
-        return np.bincount(values, minlength=width)
+        return values if law.flavor is None else distance[values]
 
-    return _summarize(_run_streams(config, worker), exact, config.count)
+    return _summarize(_run_streams(config, exact.support[-1] + 1, draw), exact, config.count)
 
 
 def sample_parsimony(
@@ -427,11 +432,7 @@ def sample_parsimony(
     cyclic descent count.
     """
     measure = parsimony_measure(flavor)
-    if r < 0:
-        raise UserInputError(f"rounds must be nonnegative, got {r}")
-    if r > MAX_RIFFLE_ROUNDS:
-        raise UserInputError(f"rounds {r} exceeds the {MAX_RIFFLE_ROUNDS}-round guard")
-    config = SamplerConfig(k=1 << r, n=n, count=count, seed=seed, streams=streams)
+    config = SamplerConfig(k=riffle_piles(r), n=n, count=count, seed=seed, streams=streams)
     return sample_statistic(measure, "parsimony", config)
 
 
@@ -441,24 +442,16 @@ def riffle_summary(
     """Riffle sorted decks `rounds` times and fit inverse descent counts.
 
     This is the physical-simulation counterpart of sample_statistic: the
-    decks are shuffled card by card, each result is inverted, and the
-    inverse descent histogram is tested against d_pmf_R(2**rounds, n).
+    decks are riffled, each result is inverted, and the inverse descent
+    histogram is tested against d_pmf_R(2**rounds, n).
     """
-    if rounds < 0:
-        raise UserInputError(f"rounds must be nonnegative, got {rounds}")
-    if rounds > MAX_RIFFLE_ROUNDS:
-        raise UserInputError(f"rounds {rounds} exceeds the {MAX_RIFFLE_ROUNDS}-round guard")
-    config = SamplerConfig(k=1 << rounds, n=n, count=count, seed=seed, streams=streams)
-    exact = d_pmf_R(1 << rounds, n)
-    width = exact.support[-1] + 1
+    config = SamplerConfig(k=riffle_piles(rounds), n=n, count=count, seed=seed, streams=streams)
+    exact = d_pmf_R(config.k, n)
 
-    def worker(rng: np.random.Generator, chunk: int) -> np.ndarray:
-        if chunk == 0:
-            return np.zeros(width, dtype=np.int64)
-        words = _gsr_words(n, rounds, chunk, rng)
-        return np.bincount(_inverse_descents(words), minlength=width)
+    def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
+        return _inverse_descents(_gsr_words(n, rounds, chunk, rng))
 
-    return _summarize(_run_streams(config, worker), exact, config.count)
+    return _summarize(_run_streams(config, exact.support[-1] + 1, draw), exact, config.count)
 
 
 def sample_from_pmf(pmf: ExactPmf, count: int, rng: np.random.Generator) -> np.ndarray:

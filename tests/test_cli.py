@@ -5,11 +5,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from shufflestats import cli, d_pmf_R
+from shufflestats import cli, d_pmf_R, measures, sampler
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +256,77 @@ class TestRiffle:
         payload = json.loads(out)
         assert payload["exact_pmf"] == d_pmf_R(4, 6).to_json_dict()
         assert float(payload["p_value"]) > 0.001
+
+
+# Stdout SHA-256 of `sample` and `riffle` at fixed seeds. Any change to
+# a draw, the fit or the rendering moves one of these.
+SAMPLE_ARGS = ("--count", "10000", "--seed", "20261018", "--streams", "3")
+PINNED_SAMPLE_BYTES = [
+    ("R", "d", 4, 6, "json", "94eacfaf67c9d9693417272a44354730c063b2fabafc0a1eaa519e3ea7d07e92"),
+    ("R", "d", 4, 6, "csv", "df8991e5d279c08ca1f4ef10f94297c3138f28daf52ac82cb6f9093e044f2ae7"),
+    ("C", "d", 5, 6, "json", "f72314f01a6236c0eeca13b6481f3c0d48db6e74ac6cc3388632209365f84a6f"),
+    ("C", "d", 5, 6, "csv", "5f4153d4c031fdb43263c5c42f6062e8484712cad3f509c9ed50a89f4275fdc7"),
+    ("C", "c", 3, 5, "json", "231eff10f65d84e2080eea9ee803e01f19cc83a39fddb44b15c95e2981048a15"),
+    ("C", "c", 3, 5, "csv", "fa3ce56ef0d02e71f907ed0ba56c0c092ac639b5a0de170928b9c4518f270a02"),
+    ("R", "parsimony", 8, 6, "json",
+     "584fc9c6dc0cc394a075f27bf4558ed55390033145af01f8cfdfaaeecde16a90"),
+    ("R", "parsimony", 8, 6, "csv",
+     "e8b408a2f418a8b876526048900ae807612984921106ed3bfcc5abb16c42849f"),
+    ("C", "parsimony", 8, 6, "json",
+     "aef2366437020a022b9a366ce23e4d509301614a40f58e0d353d8b37618942b1"),
+    ("C", "parsimony", 8, 6, "csv",
+     "15f7d7971e8a33c5db543b5efeada7869a58b4d4dcb199ce58e5a3ddc65f43e9"),
+]
+RIFFLE_ARGV = ("riffle", "--n", "13", "--rounds", "3", "--count", "10000", "--seed", "7")
+RIFFLE_SHA256 = "e07a228896150ef1823db152f786b02a5133c7a84c0fcda2c8d523490e8d8935"
+
+
+def _sample_argv(measure, stat, k, n, fmt):
+    return ("sample", "--measure", measure, "--stat", stat, "--k", str(k), "--n", str(n),
+            *SAMPLE_ARGS, "--format", fmt)
+
+
+class TestPinnedSampleBytes:
+    @pytest.mark.parametrize(
+        "measure, stat, k, n, fmt, digest",
+        PINNED_SAMPLE_BYTES,
+        ids=[f"{m}-{s}-{f}" for m, s, _, _, f, _ in PINNED_SAMPLE_BYTES],
+    )
+    def test_sample(self, capsys, measure, stat, k, n, fmt, digest):
+        code, out, err = run_cli(capsys, *_sample_argv(measure, stat, k, n, fmt))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_riffle(self, capsys):
+        code, out, err = run_cli(capsys, *RIFFLE_ARGV)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == RIFFLE_SHA256
+
+
+class TestSampleFitsOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [_sample_argv("C", "parsimony", 8, 6, "json"), RIFFLE_ARGV],
+        ids=["sample", "riffle"],
+    )
+    def test_exact_law_and_z_scores_are_built_once(self, capsys, monkeypatch, argv):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(sampler, "per_bin_z", counted("z", sampler.per_bin_z))
+        monkeypatch.setattr(sampler, "d_pmf_R", counted("law", sampler.d_pmf_R))
+        monkeypatch.setattr(
+            measures.StatisticLaw, "pmf", counted("law", measures.StatisticLaw.pmf)
+        )
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == {"law": 1, "z": 1}
 
 
 class TestVerify:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import oracle_descents, oracle_shuffle_weight
 from shufflestats import (
+    MAX_RIFFLE_ROUNDS,
     CertificationError,
     ExactPmf,
     Permutation,
@@ -35,6 +37,7 @@ from shufflestats import (
     sample_statistic,
     summarize_values,
 )
+from shufflestats import measures, sampler
 
 F = Fraction
 
@@ -145,6 +148,27 @@ class TestGsr:
         for _ in range(20):
             p = gsr_shuffle(p, rng)
             assert sorted(p.word) == list(range(1, 9))
+
+    def test_shuffle_is_deck_composed_with_one_riffle(self):
+        # same key, same draws: gsr_shuffle(p) reads p through one riffle
+        p = Permutation((3, 1, 4, 2, 5, 7, 6))
+        for seed in range(6):
+            riffle = gsr_iterate(7, 1, _rng(seed))
+            want = Permutation(tuple(p(i) for i in riffle.word))
+            assert gsr_shuffle(p, _rng(seed)) == want
+
+    def test_one_riffle_matches_permutation_law(self):
+        # the inverse of one riffle is R(2, n)-distributed, word by word
+        n, reps = 4, 16_000
+        words = list(itertools.permutations(range(1, n + 1)))
+        index = {w: i for i, w in enumerate(words)}
+        law = ExactPmf(
+            (i, oracle_shuffle_weight(2, n, oracle_descents(Permutation(w).inverse().word)))
+            for i, w in enumerate(words)
+        )
+        rng = _rng(77)
+        values = np.array([index[gsr_iterate(n, 1, rng).word] for _ in range(reps)])
+        assert summarize_values(values, law).p_value > 0.001
 
     def test_many_rounds_allowed_without_exact_reference(self):
         # iterating the physical shuffle never touches 2^rounds, so no cap
@@ -332,7 +356,65 @@ class TestParsimonyAndRiffle:
         assert summary.histogram == {0: 150}
 
 
+class TestRoundGuard:
+    def test_one_cap_shared_by_every_entry(self):
+        assert sampler.MAX_RIFFLE_ROUNDS is measures.MAX_RIFFLE_ROUNDS
+        assert MAX_RIFFLE_ROUNDS == 62
+        assert measures.riffle_piles(MAX_RIFFLE_ROUNDS) == 2**62
+        assert parsimony_pmf(5, MAX_RIFFLE_ROUNDS, "riffle").support[-1] == 3
+
+    @pytest.mark.parametrize("rounds", [-1, MAX_RIFFLE_ROUNDS + 1])
+    def test_out_of_range_rounds_rejected(self, rounds):
+        with pytest.raises(UserInputError, match="rounds"):
+            parsimony_pmf(5, rounds, "riffle")
+        with pytest.raises(UserInputError, match="rounds"):
+            sample_parsimony(5, rounds, "riffle", count=100, seed=0)
+        with pytest.raises(UserInputError, match="rounds"):
+            riffle_summary(5, rounds, count=100, seed=0)
+
+
+class TestThreadCap:
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        seen = []
+        real = sampler.ThreadPoolExecutor
+
+        def recording(max_workers=None):
+            seen.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", recording)
+        return seen
+
+    def test_streams_beyond_cpu_count_share_the_workers(self, requested):
+        cfg = SamplerConfig(k=3, n=5, count=6400, seed=1, streams=64)
+        sample_statistic("R", "d", cfg)
+        riffle_summary(5, 2, count=6400, seed=1, streams=64)
+        assert len(requested) == 2
+        assert max(requested) <= (os.cpu_count() or 1)
+
+    def test_worker_count_changes_no_draw(self, requested, monkeypatch):
+        cfg = SamplerConfig(k=3, n=5, count=6400, seed=1, streams=64)
+        wide = sample_statistic("R", "d", cfg)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        narrow = sample_statistic("R", "d", cfg)
+        assert requested[-1] == 1
+        assert narrow.histogram == wide.histogram
+        assert narrow.chi_square == wide.chi_square
+
+
 class TestSummaryType:
+    def test_summary_keeps_its_law_and_z_scores(self):
+        cfg = SamplerConfig(k=4, n=6, count=5_000, seed=3, streams=2)
+        summary = sample_statistic("R", "d", cfg)
+        exact = d_pmf_R(4, 6)
+        assert summary.exact_pmf == exact
+        assert summary.bin_z == per_bin_z(summary.histogram, exact, 5_000)
+        assert summary.max_bin_z == max(abs(z) for z in summary.bin_z.values())
+        riffled = riffle_summary(6, 2, count=5_000, seed=3, streams=2)
+        assert riffled.exact_pmf == exact
+        assert riffled.bin_z == per_bin_z(riffled.histogram, exact, 5_000)
+
     def test_fields_are_plain(self):
         cfg = SamplerConfig(k=2, n=4, count=5_000, seed=9)
         summary = sample_statistic("R", "d", cfg)

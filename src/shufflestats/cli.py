@@ -5,7 +5,7 @@ Eight subcommands expose the engine: `dist` (exact pmfs), `moments`
 total-variation rows, single or swept), `sample` and `riffle` (the two
 samplers with goodness-of-fit summaries), `diagnostic` (the regression
 remainder table), `verify` (the cross-module identity suites), and
-`eulerian` (raw triangle rows).
+`eulerian` (raw Eulerian rows).
 
 Output conventions, applied uniformly: exact rationals are reduced
 "num/den" strings, floats carry 17 significant digits and are emitted as
@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CertificationError, UserInputError
-from .eulerian import cyclic_descent_counts, shared_table
+from .eulerian import cyclic_descent_counts, eulerian_row
 from .measures import statistic_law
 from .pair import NogoodRow, nogood_diagnostic
 from .sampler import (
@@ -284,13 +284,8 @@ def _cmd_verify(args) -> tuple:
 
 
 def _cmd_eulerian(args) -> tuple:
-    if args.cyclic:
-        counts = cyclic_descent_counts(args.n)
-        values = [counts.count(i) for i in range(1, args.n + 1)]
-        kind = "cyclic"
-    else:
-        values = list(shared_table(args.n).row(args.n))
-        kind = "row"
+    kind = "cyclic" if args.cyclic else "row"
+    values = cyclic_descent_counts(args.n) if args.cyclic else eulerian_row(args.n)
     payload = {"n": args.n, "kind": kind, "values": [str(v) for v in values]}
     rows = list(enumerate(values, start=1))
     return payload, ("index", "value"), rows, _params(args), 0
@@ -383,10 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(verify)
     verify.set_defaults(handler=_cmd_verify)
 
-    eulerian = subs.add_parser("eulerian", help="one triangle row, exact big integers")
+    eulerian = subs.add_parser("eulerian", help="one Eulerian row, exact big integers")
     eulerian.add_argument("--n", type=int, required=True)
     eulerian.add_argument(
-        "--cyclic", action="store_true", help="cyclic-count row instead of the triangle row"
+        "--cyclic", action="store_true", help="cyclic-count row instead of the Eulerian row"
     )
     _add_output_flags(eulerian)
     eulerian.set_defaults(handler=_cmd_eulerian)

@@ -6,7 +6,7 @@ count. The cut-then-riffle family C(k, n) weights it by
 C(n+k-c-1, n-1) / (n * k^(n-1)) where c is its cyclic descent count;
 this family is invariant under cyclic rotation of the one-line word.
 
-All pmf computation goes through Eulerian tables so it scales to n in
+All pmf computation goes through Eulerian rows so it scales to n in
 the hundreds; enumeration appears only in tests, as the oracle.
 """
 
@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import CertificationError, UserInputError
-from .eulerian import shared_table
+from .eulerian import eulerian_row
 from .moments import MomentReport, moments_c_C, moments_d_C, moments_d_R
 from .permutations import Permutation, cyclic_descent_count, descent_count
 
@@ -164,41 +164,36 @@ def c_prob(spec: MeasureSpec, p: Permutation) -> Fraction:
     return Fraction(comb(n + k - c - 1, n - 1), n * k ** (n - 1))
 
 
+def _row_law(
+    row: tuple[int, ...], first: int, weight: Callable[[int], int], den: int
+) -> ExactPmf:
+    """Mass row[j] * weight(first + j) / den at first + j: an Eulerian row law."""
+    return ExactPmf((first + j, Fraction(a * weight(first + j), den)) for j, a in enumerate(row))
+
+
 def d_pmf_R(k: int, n: int) -> ExactPmf:
     """Exact pmf of the descent count under R(k, n).
 
-    Mass at r is A[n][r+1] * C(n+k-r-1, n) / k^n. The binomial factor
-    vanishes for r >= k, which trims the support automatically.
+    Mass at r is A(n, r+1) * C(n+k-r-1, n) / k^n. The binomial factor
+    vanishes for r >= k, so only the first min(n, k) columns count.
     """
     if k < 1 or n < 1:
         raise UserInputError("need k >= 1 and n >= 1")
-    table = shared_table(n)
-    den = k**n
-    pairs = []
-    for r in range(min(n, k)):
-        w = table.value(n, r + 1) * comb(n + k - r - 1, n)
-        if w:
-            pairs.append((r, Fraction(w, den)))
-    return ExactPmf(pairs)
+    return _row_law(eulerian_row(n)[:k], 0, lambda r: comb(n + k - r - 1, n), k**n)
 
 
 def c_pmf_C(k: int, n: int) -> ExactPmf:
     """Exact pmf of the cyclic descent count under C(k, n), n >= 2.
 
-    Mass at i is n * A[n-1][i] * C(n+k-i-1, n-1) / (n * k^(n-1)).
+    Mass at i is n * A(n-1, i) * C(n+k-i-1, n-1) / (n * k^(n-1)).
     """
     if k < 1:
         raise UserInputError("need k >= 1")
     if n < 2:
         raise UserInputError("family C requires n >= 2")
-    table = shared_table(n - 1)
-    den = k ** (n - 1)
-    pairs = []
-    for i in range(1, min(n - 1, k) + 1):
-        w = table.value(n - 1, i) * comb(n + k - i - 1, n - 1)
-        if w:
-            pairs.append((i, Fraction(w, den)))
-    return ExactPmf(pairs)
+    return _row_law(
+        eulerian_row(n - 1)[:k], 1, lambda i: comb(n + k - i - 1, n - 1), k ** (n - 1)
+    )
 
 
 def d_pmf_C(k: int, n: int) -> ExactPmf:
@@ -222,20 +217,14 @@ def d_pmf_uniform(n: int) -> ExactPmf:
     """Descent-count pmf under the uniform measure: Eulerian row over n!."""
     if n < 1:
         raise UserInputError("need n >= 1")
-    table = shared_table(n)
-    den = factorial(n)
-    return ExactPmf((r, Fraction(table.value(n, r + 1), den)) for r in range(n))
+    return _row_law(eulerian_row(n), 0, lambda r: 1, factorial(n))
 
 
 def c_pmf_uniform(n: int) -> ExactPmf:
     """Cyclic-descent pmf under the uniform measure on S_n, n >= 2."""
     if n < 2:
         raise UserInputError("need n >= 2")
-    table = shared_table(n - 1)
-    den = factorial(n - 1)
-    return ExactPmf(
-        (i, Fraction(table.value(n - 1, i), den)) for i in range(1, n)
-    )
+    return _row_law(eulerian_row(n - 1), 1, lambda i: 1, factorial(n - 1))
 
 
 def transfer_R_to_C(k: int, n: int) -> ExactPmf:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CertificationError, UserInputError
-from .eulerian import shared_table
+from .eulerian import eulerian_row, eulerian_value
 from .measures import (
     ExactPmf,
     c_pmf_C,
@@ -288,14 +288,14 @@ def newton_check(n_max: int) -> NewtonRecord:
     """
     if n_max < 3:
         raise UserInputError("n_max must be >= 3")
-    table = shared_table(n_max - 1)
     cases = 0
     equalities = []
     for n in range(3, n_max + 1):
         cutoff = (n - 1) // 2 if n % 2 else n // 2 - 1
+        row = (0,) + eulerian_row(n - 1) + (0,)  # row[r] = A(n-1, r), 0 <= r <= n
         for r in range(n):
-            lhs = (r + 1) * table.value(n - 1, r + 1)
-            rhs = (n - r) * table.value(n - 1, r)
+            lhs = (r + 1) * row[r + 1]
+            rhs = (n - r) * row[r]
             holds = lhs >= rhs
             if holds != (r <= cutoff):
                 raise CertificationError(
@@ -316,10 +316,7 @@ def central_eulerian_ratio(n: int) -> Fraction:
     """A[n-1][ceil((n-1)/2)] / (n-1)!, the central Eulerian mass."""
     if n < 2:
         raise UserInputError("need n >= 2")
-    table = shared_table(n - 1)
-    return Fraction(
-        table.value(n - 1, (n - 1 + 1) // 2), math.factorial(n - 1)
-    )
+    return Fraction(eulerian_value(n - 1, n // 2), math.factorial(n - 1))
 
 
 def mean_abs_deviation_uniform_d(n: int) -> Fraction:
@@ -370,7 +367,6 @@ def nogood_diagnostic(n_lo: int, n_hi: int) -> list[NogoodRow]:
     """
     if n_lo < 3 or n_hi < n_lo:
         raise UserInputError("need 3 <= n_lo <= n_hi")
-    table = shared_table(n_hi - 1)
     rows = []
     for n in range(n_lo, n_hi + 1):
         pair = g_remainder(n, k=None)
@@ -381,7 +377,7 @@ def nogood_diagnostic(n_lo: int, n_hi: int) -> list[NogoodRow]:
 
         if n % 2:
             b_term = Fraction(n + 1, 2) * Fraction(
-                table.value(n - 1, (n - 1) // 2), 2 * math.factorial(n - 1)
+                eulerian_value(n - 1, (n - 1) // 2), 2 * math.factorial(n - 1)
             )
             # Exact identity from the proof chain, odd n only:
             # E|G| = (n-1)/(n^2 sqrt(var)) ((n+1)/2 A/(n-1)! - MAD(n-1))
@@ -394,7 +390,7 @@ def nogood_diagnostic(n_lo: int, n_hi: int) -> list[NogoodRow]:
                 )
         else:
             b_term = Fraction(
-                n * table.value(n - 1, n // 2), 2 * math.factorial(n - 1)
+                n * eulerian_value(n - 1, n // 2), 2 * math.factorial(n - 1)
             )
         var_prev = Fraction(n, 12)  # Var under U_{n-1}
         # Dominance: q_scaled/sqrt(var_n) >= ((n-1)/(n sqrt(var_n)))

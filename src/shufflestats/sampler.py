@@ -316,9 +316,8 @@ def _fit(
     scores chi_square 0, p_value 1.
     """
     support = exact.support
-    z = per_bin_z(observed, exact, count)
     if len(support) == 1:
-        return 0.0, 1.0, z
+        return 0.0, 1.0, per_bin_z(observed, exact, count)
     probs = {v: float(exact.prob(v)) for v in support}
     bins = [[float(observed[v]), count * probs[v]] for v in support]
     while len(bins) > 1 and min(exp for _, exp in bins) < _MIN_EXPECTED:
@@ -343,7 +342,7 @@ def _fit(
     df = len(bins) - 1
     with mp.workdps(30):
         p_value = float(mp.gammainc(df / 2, chi_square / 2, mp.inf, regularized=True))
-    return chi_square, p_value, z
+    return chi_square, p_value, per_bin_z(observed, exact, count)
 
 
 def _summarize(bin_counts: np.ndarray, exact: ExactPmf, count: int) -> SampleSummary:
@@ -385,14 +384,23 @@ def goodness_of_fit(summary: SampleSummary, exact: ExactPmf) -> tuple[float, flo
 
 
 def per_bin_z(histogram: Mapping[int, int], exact: ExactPmf, count: int) -> dict[int, float]:
-    """Binomial z-score of each support bin, keyed by statistic value."""
+    """Binomial z-score of each support bin, keyed by statistic value.
+
+    A mass too small for a float variance (P(d = 199) = 200^-200 under
+    R(200, 200) is 0.0 as a float) is scored from its exact value.
+    """
     out: dict[int, float] = {}
-    for v in exact.support:
-        p = float(exact.prob(v))
+    for v, mass in exact.items():
+        p = float(mass)
+        var = count * p * (1.0 - p)
         if p >= 1.0:
             out[v] = 0.0
-            continue
-        out[v] = (histogram.get(v, 0) - count * p) / math.sqrt(count * p * (1.0 - p))
+        elif var > 0.0:
+            out[v] = (histogram.get(v, 0) - count * p) / math.sqrt(var)
+        else:
+            dev = histogram.get(v, 0) - count * mass
+            z2 = dev * dev / (count * mass * (1 - mass))
+            out[v] = math.copysign(float(mp.sqrt(mp.mpf(z2.numerator) / z2.denominator)), dev)
     return out
 
 

@@ -96,13 +96,13 @@ def _suite_cyclic_counts(oracle_max: int) -> int:
         hist = Counter(cyclic_descent_count(p) for p in enumerate_sn(n))
         counts = cyclic_descent_counts(n)
         for i in range(1, n + 1):
-            if counts.count(i) != hist.get(i, 0):
+            if counts[i - 1] != hist.get(i, 0):
                 raise CertificationError(
-                    f"cyclic count at (n={n}, i={i}): table {counts.count(i)}, "
+                    f"cyclic count at (n={n}, i={i}): formula {counts[i - 1]}, "
                     f"enumeration {hist.get(i, 0)}"
                 )
             checks += 1
-        if counts.total() != factorial(n):
+        if sum(counts) != factorial(n):
             raise CertificationError(f"cyclic counts at n={n} do not total n!")
         checks += 1
     return checks
@@ -227,7 +227,7 @@ def _suite_generating_function(n_max: int, order: int = 12) -> int:
                 (-1) ** (j - m) * comb(n, j - m) * m ** (n - 1)
                 for m in range(max(0, j - n), j + 1)
             )
-            lhs = counts.count(j) if 1 <= j <= n else 0
+            lhs = counts[j - 1] if 1 <= j <= n else 0
             if lhs != rhs:
                 raise CertificationError(
                     f"generating function coefficient t^{j} at n={n}: "

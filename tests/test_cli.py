@@ -244,6 +244,18 @@ class TestSample:
         assert code == 2
         assert "seed" in err
 
+    def test_undersized_sample_with_underflowing_mass_exits_2(self, capsys):
+        # P(d = 199) = 200^-200 is 0.0 as a float; the fit must reject the
+        # 10-draw sample, not divide by its float variance
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--measure", "R", "--k", "200", "--n", "200",
+            "--count", "10", "--seed", "1", "--streams", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: undersized sample")
+
 
 class TestRiffle:
     def test_payload(self, capsys):
@@ -388,6 +400,34 @@ class TestEulerian:
         assert code == 0
         rows = list(csv.reader(out.splitlines()))
         assert rows[1:] == [["1", "1"], ["2", "11"], ["3", "11"], ["4", "1"]]
+
+    @pytest.mark.parametrize(
+        "argv", [("--n", "0"), ("--n", "-3"), ("--cyclic", "--n", "1")]
+    )
+    def test_bad_n_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eulerian", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"n = {argv[-1]}" in err
+
+    def test_row_1000_peak_rss_is_bounded(self):
+        # The row is stepped up holding two rows at a time; a triangle up to
+        # n = 1000 took about 400 MB.
+        script = (
+            "import contextlib, io, resource, sys\n"
+            "from shufflestats.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['eulerian', '--n', '1000'])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak_kb < 150 * 1024
 
 
 class TestDiagnostic:

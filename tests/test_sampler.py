@@ -265,6 +265,27 @@ class TestFitSummaries:
         assert set(z) == {0, 1}
         assert z[0] == pytest.approx(-z[1], abs=1e-12)
 
+    def test_mass_underflowing_float_gives_finite_fit(self):
+        # P(d = 199) = 200^-200 is 0.0 as a float
+        pmf = d_pmf_R(200, 200)
+        assert float(pmf.prob(199)) == 0.0
+        summary = summarize_values(sample_from_pmf(pmf, 10**5, _rng(5)), pmf)
+        assert math.isfinite(summary.chi_square)
+        assert math.isfinite(summary.max_bin_z)
+        assert 0.0 < summary.p_value <= 1.0
+        # the unobserved bin scores -sqrt(count * p / (1 - p)), about -2.5e-228
+        assert summary.histogram[199] == 0
+        assert summary.bin_z[199] == pytest.approx(-math.sqrt(1e5) * 200.0**-100, rel=1e-12)
+        assert all(math.isfinite(z) for z in summary.bin_z.values())
+        chi2, p, max_z = goodness_of_fit(summary, pmf)
+        assert (chi2, p, max_z) == (summary.chi_square, summary.p_value, summary.max_bin_z)
+
+    def test_per_bin_z_keeps_float_expression_for_normal_masses(self):
+        pmf = ExactPmf([(0, F(1, 3)), (1, F(2, 3))])
+        p = float(F(1, 3))
+        expected = (40 - 100 * p) / math.sqrt(100 * p * (1.0 - p))
+        assert per_bin_z({0: 40, 1: 60}, pmf, 100)[0] == expected
+
     def test_sample_from_pmf_is_deterministic(self):
         pmf = ExactPmf([(0, F(1, 3)), (2, F(2, 3))])
         a = sample_from_pmf(pmf, 1000, _rng(99))

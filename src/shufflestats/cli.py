@@ -181,11 +181,12 @@ def _sample_report(args, head: dict, summary: SampleSummary) -> tuple:
 
 def _cmd_dist(args) -> tuple:
     pmf = exact_statistic_pmf(args.measure, args.k, args.n, args.stat)
-    rows = [(v, num, den, flt) for v, num, den, flt in pmf.to_csv_rows()]
+    # Only the asked-for format is built: both stringify every atom.
+    json_view = args.format == "json"
     return (
-        pmf.to_json_dict(),
+        pmf.to_json_dict() if json_view else None,
         ("value", "numerator", "denominator", "probability"),
-        rows,
+        None if json_view else pmf.to_csv_rows(),
         _params(args),
         0,
     )

@@ -12,9 +12,10 @@ the hundreds; enumeration appears only in tests, as the oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import CertificationError, UserInputError
@@ -48,15 +49,23 @@ class MeasureSpec:
 class ExactPmf:
     """A finitely supported pmf with exact rational masses.
 
-    Support values are distinct sorted nonnegative integers; masses are
-    positive Fractions summing to exactly 1. Zero-mass values are
-    trimmed from the support but remain queryable through prob().
+    The law is held as nonnegative int numerators over one int
+    denominator: the mass at support[i] is nums[i] / den. Support values
+    are distinct sorted nonnegative integers, zero atoms are dropped
+    (prob() still answers 0 there), and sum(nums) == den exactly, so
+    means, variances and pushforwards are integer sums. Fractions appear
+    only at the edge (mass, items, prob, JSON/CSV, repr); each atom is
+    reduced once, on first use, and kept.
+
+    ExactPmf(pairs) takes (value, mass) pairs with rational masses and
+    puts them over the lcm of their denominators.
     """
 
-    __slots__ = ("support", "mass")
+    __slots__ = ("support", "nums", "den", "_mass")
 
     support: tuple[int, ...]
-    mass: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, pairs: Iterable[tuple[int, Fraction]]):
         acc: dict[int, Fraction] = {}
@@ -71,55 +80,103 @@ class ExactPmf:
         total = sum(acc.values(), _ZERO)
         if total != 1:
             raise UserInputError(f"masses sum to {total}, not 1")
+        den = lcm(*(m.denominator for m in acc.values()))
         support = tuple(sorted(acc))
+        nums = tuple(acc[v].numerator * (den // acc[v].denominator) for v in support)
+        self._set(support, nums, den)
+
+    @classmethod
+    def over(cls, den: int, atoms: Iterable[tuple[int, int]]) -> "ExactPmf":
+        """The law with mass num / den at each value of the (value, num) atoms.
+
+        Numerators at a repeated value add up and must sum to den; the
+        checks and their messages are those of ExactPmf(pairs).
+        """
+        if den < 1:
+            raise UserInputError(f"denominator {den} is not positive")
+        acc: dict[int, int] = {}
+        for value, num in atoms:
+            if value < 0:
+                raise UserInputError(f"negative support value {value}")
+            if num < 0:
+                raise UserInputError(f"negative mass at {value}")
+            if num:
+                acc[value] = acc.get(value, 0) + num
+        total = sum(acc.values())
+        if total != den:
+            raise UserInputError(f"masses sum to {Fraction(total, den)}, not 1")
+        support = tuple(sorted(acc))
+        nums = tuple(acc[v] for v in support)
+        pmf = cls.__new__(cls)
+        pmf._set(support, nums, den)
+        return pmf
+
+    def _set(self, support: tuple[int, ...], nums: tuple[int, ...], den: int) -> None:
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "mass", tuple(acc[v] for v in support))
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_mass", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactPmf is immutable")
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        """Reduced masses in support order, computed on first use."""
+        if self._mass is None:
+            den = self.den
+            object.__setattr__(self, "_mass", tuple(Fraction(a, den) for a in self.nums))
+        return self._mass
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(zip(self.support, self.mass))
 
     def prob(self, value: int) -> Fraction:
         """Exact mass at value; exact 0 off the support."""
-        lo, hi = 0, len(self.support)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.support[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.support) and self.support[lo] == value:
-            return self.mass[lo]
+        i = bisect_left(self.support, value)
+        if i < len(self.support) and self.support[i] == value:
+            return self.mass[i]
         return _ZERO
 
     def mean(self) -> Fraction:
-        return sum((Fraction(v) * m for v, m in self.items()), _ZERO)
+        return Fraction(sum(v * a for v, a in zip(self.support, self.nums)), self.den)
 
     def second_moment(self) -> Fraction:
-        return sum((Fraction(v * v) * m for v, m in self.items()), _ZERO)
+        return Fraction(sum(v * v * a for v, a in zip(self.support, self.nums)), self.den)
 
     def variance(self) -> Fraction:
-        mu = self.mean()
-        return self.second_moment() - mu * mu
+        s1 = s2 = 0
+        for v, a in zip(self.support, self.nums):
+            s1 += v * a
+            s2 += v * v * a
+        return Fraction(self.den * s2 - s1 * s1, self.den * self.den)
 
     def pushforward(self, fn: Callable[[int], int]) -> "ExactPmf":
-        return ExactPmf((fn(v), m) for v, m in self.items())
+        return ExactPmf.over(self.den, ((fn(v), a) for v, a in zip(self.support, self.nums)))
 
     def l1_distance(self, other: "ExactPmf") -> Fraction:
-        values = set(self.support) | set(other.support)
-        return sum((abs(self.prob(v) - other.prob(v)) for v in values), _ZERO)
+        mine = dict(zip(self.support, self.nums))
+        theirs = dict(zip(other.support, other.nums))
+        total = sum(
+            abs(mine.get(v, 0) * other.den - theirs.get(v, 0) * self.den)
+            for v in mine.keys() | theirs.keys()
+        )
+        return Fraction(total, self.den * other.den)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExactPmf)
-            and self.support == other.support
-            and self.mass == other.mass
+        if not isinstance(other, ExactPmf):
+            return False
+        if self.support != other.support:
+            return False
+        return all(
+            a * other.den == b * self.den for a, b in zip(self.nums, other.nums)
         )
 
     def __hash__(self) -> int:
-        return hash((self.support, self.mass))
+        # Equal laws have one fully reduced form: numerators and
+        # denominator divided by their common gcd.
+        g = gcd(*self.nums)
+        return hash((self.support, tuple(a // g for a in self.nums), self.den // g))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}: {m}" for v, m in self.items())
@@ -130,7 +187,7 @@ class ExactPmf:
         return {str(v): str(m) for v, m in self.items()}
 
     def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
-        """Rows of (value, numerator, denominator, float mass)."""
+        """Rows of (value, numerator, denominator, float mass), reduced."""
         return [(v, m.numerator, m.denominator, float(m)) for v, m in self.items()]
 
     @classmethod
@@ -164,11 +221,22 @@ def c_prob(spec: MeasureSpec, p: Permutation) -> Fraction:
     return Fraction(comb(n + k - c - 1, n - 1), n * k ** (n - 1))
 
 
-def _row_law(
-    row: tuple[int, ...], first: int, weight: Callable[[int], int], den: int
-) -> ExactPmf:
-    """Mass row[j] * weight(first + j) / den at first + j: an Eulerian row law."""
-    return ExactPmf((first + j, Fraction(a * weight(first + j), den)) for j, a in enumerate(row))
+def _row_law(row: tuple[int, ...], first: int, top: int, m: int, den: int) -> ExactPmf:
+    """Mass row[j] * C(top - j, m) / den at first + j: an Eulerian row law.
+
+    The binomials step down by the exact ratio C(t-1, m) = C(t, m) (t-m)/t,
+    a small-int multiply and divide per atom where a fresh comb per atom
+    cost about 40x more at n = 1000. Every caller keeps t >= 1.
+    """
+
+    def atoms():
+        w = comb(top, m)
+        for j, a in enumerate(row):
+            yield first + j, a * w
+            t = top - j
+            w = w * (t - m) // t
+
+    return ExactPmf.over(den, atoms())
 
 
 def d_pmf_R(k: int, n: int) -> ExactPmf:
@@ -179,7 +247,7 @@ def d_pmf_R(k: int, n: int) -> ExactPmf:
     """
     if k < 1 or n < 1:
         raise UserInputError("need k >= 1 and n >= 1")
-    return _row_law(eulerian_row(n)[:k], 0, lambda r: comb(n + k - r - 1, n), k**n)
+    return _row_law(eulerian_row(n)[:k], 0, n + k - 1, n, k**n)
 
 
 def c_pmf_C(k: int, n: int) -> ExactPmf:
@@ -191,9 +259,7 @@ def c_pmf_C(k: int, n: int) -> ExactPmf:
         raise UserInputError("need k >= 1")
     if n < 2:
         raise UserInputError("family C requires n >= 2")
-    return _row_law(
-        eulerian_row(n - 1)[:k], 1, lambda i: comb(n + k - i - 1, n - 1), k ** (n - 1)
-    )
+    return _row_law(eulerian_row(n - 1)[:k], 1, n + k - 2, n - 1, k ** (n - 1))
 
 
 def d_pmf_C(k: int, n: int) -> ExactPmf:
@@ -205,26 +271,25 @@ def d_pmf_C(k: int, n: int) -> ExactPmf:
         P(d = l) = P(c = l) * (n-l)/n + P(c = l+1) * (l+1)/n.
     """
     cp = c_pmf_C(k, n)
-    pairs = []
-    for l in range(0, n):
-        m = cp.prob(l) * Fraction(n - l, n) + cp.prob(l + 1) * Fraction(l + 1, n)
-        if m:
-            pairs.append((l, m))
-    return ExactPmf(pairs)
+    num = dict(zip(cp.support, cp.nums))
+    return ExactPmf.over(
+        n * cp.den,
+        ((l, num.get(l, 0) * (n - l) + num.get(l + 1, 0) * (l + 1)) for l in range(n)),
+    )
 
 
 def d_pmf_uniform(n: int) -> ExactPmf:
     """Descent-count pmf under the uniform measure: Eulerian row over n!."""
     if n < 1:
         raise UserInputError("need n >= 1")
-    return _row_law(eulerian_row(n), 0, lambda r: 1, factorial(n))
+    return _row_law(eulerian_row(n), 0, n, 0, factorial(n))
 
 
 def c_pmf_uniform(n: int) -> ExactPmf:
     """Cyclic-descent pmf under the uniform measure on S_n, n >= 2."""
     if n < 2:
         raise UserInputError("need n >= 2")
-    return _row_law(eulerian_row(n - 1), 1, lambda i: 1, factorial(n - 1))
+    return _row_law(eulerian_row(n - 1), 1, n, 0, factorial(n - 1))
 
 
 def transfer_R_to_C(k: int, n: int) -> ExactPmf:
@@ -236,13 +301,13 @@ def transfer_R_to_C(k: int, n: int) -> ExactPmf:
     """
     dp = d_pmf_R(k, n)
     cp = c_pmf_C(k, n + 1)
-    values = set(dp.support) | {i - 1 for i in cp.support}
-    for r in sorted(values):
-        lhs = dp.prob(r)
-        rhs = cp.prob(r + 1)
-        if lhs != rhs:
+    lhs = dict(zip(dp.support, dp.nums))
+    rhs = {i - 1: a for i, a in zip(cp.support, cp.nums)}
+    for r in sorted(lhs.keys() | rhs.keys()):
+        if lhs.get(r, 0) * cp.den != rhs.get(r, 0) * dp.den:
             raise CertificationError(
-                f"transfer identity broken at k={k} n={n} r={r}: {lhs} != {rhs}"
+                f"transfer identity broken at k={k} n={n} r={r}: "
+                f"{dp.prob(r)} != {cp.prob(r + 1)}"
             )
     return dp
 

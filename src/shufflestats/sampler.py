@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 import mpmath as mp
-import numpy as np
 
 from .errors import CertificationError, UserInputError
 from .measures import (  # MAX_RIFFLE_ROUNDS is re-exported here
@@ -44,6 +43,23 @@ from .measures import (  # MAX_RIFFLE_ROUNDS is re-exported here
     statistic_law,
 )
 from .permutations import Permutation, cyclic_rotate, descent_count, insert_symbol
+
+
+class _LazyNumpy:
+    """numpy, imported at first use and then bound to `np` in its place.
+
+    Only the samplers need it; the exact commands (dist, tv, moments,
+    eulerian) then run without its import time and its ~13 MB.
+    """
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        globals()["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 _THRESHOLD_BITS = 53
 _SCALE = 1 << _THRESHOLD_BITS

@@ -51,6 +51,27 @@ def oracle_pmf(family: str, k: int, n: int, statistic: str) -> dict[int, Fractio
     return {v: m for v, m in sorted(masses.items()) if m}
 
 
+def oracle_parsimony(flavor: str, s: int) -> int:
+    """Fewest shuffles r with 2^r >= d+1 (riffle) or 2^r >= c (cut_riffle)."""
+    need = s + 1 if flavor == "riffle" else s
+    r = 0
+    while 2**r < need:
+        r += 1
+    return r
+
+
+def oracle_law(measure: str, statistic: str, k: int, n: int) -> dict[int, Fraction]:
+    """Exact law of d, c or the parsimony distance, by enumeration."""
+    if statistic != "parsimony":
+        return oracle_pmf(measure, k, n, statistic)
+    read, flavor = ("d", "riffle") if measure == "R" else ("c", "cut_riffle")
+    out: dict[int, Fraction] = {}
+    for s, m in oracle_pmf(measure, k, n, read).items():
+        r = oracle_parsimony(flavor, s)
+        out[r] = out.get(r, Fraction(0)) + m
+    return out
+
+
 def oracle_moment(family, k, n, statistic, power) -> Fraction:
     pmf = oracle_pmf(family, k, n, statistic)
     return sum((m * v**power for v, m in pmf.items()), Fraction(0))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -315,6 +316,84 @@ class TestPinnedSampleBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == RIFFLE_SHA256
 
 
+# Stdout SHA-256 of `dist` at n = 250 for the five (measure, statistic)
+# pairs, recorded before the laws moved to integer numerators over one
+# denominator.
+PINNED_DIST_BYTES = [
+    ("R", "d", 40, "json", "38741da6be939274541be2a158d2f22d2440e8b4caf8544f7731296c9acb04c3"),
+    ("R", "d", 40, "csv", "4b25ba8379ed7d3214b7c16973dab0ca3fd33fe1af6867b6cd848c4791d94072"),
+    ("C", "d", 180, "json", "9d50d4c78dc18c69849767db388f197429ac8cb27e946a534540834155d91e35"),
+    ("C", "d", 180, "csv", "f12b6890ebe8d9a73a42aed171caa87e18a7601608e010ce215069556fe4349c"),
+    ("C", "c", 250, "json", "14e02172f92fa6a01775ca7251c48717f14ee7f9229ae8eefcf832dd5ccd9878"),
+    ("C", "c", 250, "csv", "93a9b67ab0f6bcf3e4b74029ad68e27c643b896e8a865d8e96786bfe4dcac3ce"),
+    ("R", "parsimony", 2**30, "json",
+     "af16f4e16508248ee7b4de0c5aae8565e0b39e5027050fd4896996696bf2a219"),
+    ("R", "parsimony", 2**30, "csv",
+     "f7bb0076ff35befb20a499e5b1a630d9b6681417e717ec455bb14764420f03fb"),
+    ("C", "parsimony", 64, "json",
+     "da021acd557a4e7d2ca541739ab0d7eb184645cfcb8f59969fd7ba651ca7804e"),
+    ("C", "parsimony", 64, "csv",
+     "e0349a60720444fb7315756e872b0e4fda6ef562a80217e3044cc91b7d10a984"),
+]
+
+
+@pytest.mark.parametrize(
+    "measure, stat, k, fmt, digest",
+    PINNED_DIST_BYTES,
+    ids=[f"{m}-{s}-{f}" for m, s, _, f, _ in PINNED_DIST_BYTES],
+)
+def test_pinned_dist_bytes(capsys, measure, stat, k, fmt, digest):
+    code, out, err = run_cli(
+        capsys, "dist", "--measure", measure, "--stat", stat, "--k", str(k), "--n", "250",
+        "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_dist_renders_only_the_asked_format(capsys, monkeypatch, fmt):
+    calls = Counter()
+    for name in ("to_json_dict", "to_csv_rows"):
+        original = getattr(measures.ExactPmf, name)
+
+        def counted(self, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(measures.ExactPmf, name, counted)
+    code, _, _ = run_cli(capsys, "dist", "--measure", "C", "--k", "3", "--n", "5", "--format", fmt)
+    assert code == 0
+    assert calls == {"to_json_dict" if fmt == "json" else "to_csv_rows": 1}
+
+
+# Two commands at k far above n whose loops ran over k: the power sums
+# of `moments` and the Poisson walk of `tv` (1 to 2 s each before, a few
+# ms now). Stdout SHA-256 recorded before the change.
+LARGE_K_COMMANDS = [
+    (("moments", "--measure", "C", "--stat", "c", "--k", "1048576", "--n", "9"),
+     "36da25f651b7a0d3da874330447b199b21cfe4c3285cb433fa5acbf4ea1add41"),
+    (("moments", "--measure", "R", "--stat", "d", "--k", "3000000", "--n", "3", "--asymptotic"),
+     "ecafdfd31ed458607db61126c53251381322d97a4cb7b161acaaae02237122cc"),
+    (("tv", "--statistic", "R", "--k", "200000", "--n", "10"),
+     "769e8e592506d83ae838090b45c2169132c69f51ad1ad3263cd0e8369730d747"),
+    (("tv", "--statistic", "Cd", "--k", "131072", "--n", "12", "--format", "csv"),
+     "e6078f7e8d6f01430d8e740359b941df2ecd76d8540c2c286edcd59ca9e6a931"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", LARGE_K_COMMANDS, ids=["moments-C-c", "moments-R-d", "tv-R", "tv-Cd"]
+)
+def test_large_k_commands_are_fast_and_unchanged(capsys, argv, digest):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert elapsed < 0.5
+
+
 class TestSampleFitsOnce:
     @pytest.mark.parametrize(
         "argv",
@@ -466,6 +545,24 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout == "False\n"
+
+    def test_exact_commands_leave_numpy_unloaded(self):
+        # Only the samplers import numpy; it costs an exact command about
+        # 13 MB and a tenth of a second.
+        script = (
+            "import contextlib, io, sys\n"
+            "from shufflestats.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in (\n"
+            "        ['dist', '--measure', 'C', '--stat', 'd', '--k', '3', '--n', '6'],\n"
+            "        ['moments', '--measure', 'R', '--k', '3', '--n', '6'],\n"
+            "        ['tv', '--statistic', 'Cc', '--k', '3', '--n', '20'],\n"
+            "        ['eulerian', '--n', '6', '--cyclic'])]\n"
+            "print(codes, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0] False\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

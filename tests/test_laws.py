@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_pmf
+from conftest import oracle_law
 from shufflestats import (
     STATISTIC_CODES,
     STATISTIC_LAWS,
@@ -19,26 +19,6 @@ from shufflestats import (
 
 F = Fraction
 GRID = [(k, n) for n in range(2, 7) for k in range(1, 6)]
-
-
-def _parsimony(flavor, s):
-    """Fewest shuffles r with 2^r >= d+1 (riffle) or 2^r >= c (cut_riffle)."""
-    need = s + 1 if flavor == "riffle" else s
-    r = 0
-    while 2**r < need:
-        r += 1
-    return r
-
-
-def oracle_law(measure, statistic, k, n):
-    if statistic != "parsimony":
-        return oracle_pmf(measure, k, n, statistic)
-    read, flavor = ("d", "riffle") if measure == "R" else ("c", "cut_riffle")
-    out = {}
-    for s, m in oracle_pmf(measure, k, n, read).items():
-        r = _parsimony(flavor, s)
-        out[r] = out.get(r, F(0)) + m
-    return out
 
 
 @pytest.mark.parametrize("key", list(STATISTIC_LAWS), ids="/".join)

@@ -1,0 +1,200 @@
+"""Property tests: integer-numerator laws, power sums and the TV sum.
+
+Every law is held as int numerators over one denominator; these tests
+hold that representation to the enumeration oracle in conftest and to
+the Fraction-built ExactPmf, and hold the two k >> n shortcuts (power
+sums by Bernoulli numbers, the TV sum over the pmf's range only) to the
+direct computations they replace.
+"""
+
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import oracle_law
+from shufflestats import (
+    STATISTIC_CODES,
+    STATISTIC_LAWS,
+    CertificationError,
+    ExactPmf,
+    UserInputError,
+    moments,
+    power_sum,
+    statistic_pushforward,
+    tv_sandwich,
+)
+
+F = Fraction
+
+law_keys = st.sampled_from(sorted(STATISTIC_LAWS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=law_keys, k=st.integers(1, 12), n=st.integers(2, 7))
+def test_law_rows_match_the_oracle(key, k, n):
+    measure, statistic = key
+    pmf = STATISTIC_LAWS[key].pmf(k, n)
+    want = oracle_law(measure, statistic, k, n)
+    assert dict(pmf.items()) == want
+    assert sum(pmf.nums) == pmf.den
+    assert all(a > 0 for a in pmf.nums)
+    mean = sum((v * m for v, m in want.items()), F(0))
+    assert pmf.mean() == mean
+    assert pmf.variance() == sum((v * v * m for v, m in want.items()), F(0)) - mean**2
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=law_keys, k=st.integers(1, 40), n=st.integers(2, 30), scale=st.integers(2, 50))
+def test_int_and_fraction_built_laws_are_one_law(key, k, n, scale):
+    pmf = STATISTIC_LAWS[key].pmf(k, n)
+    from_fractions = ExactPmf(pmf.items())
+    scaled = ExactPmf.over(
+        pmf.den * scale, ((v, a * scale) for v, a in zip(pmf.support, pmf.nums))
+    )
+    for other in (from_fractions, scaled):
+        assert other == pmf
+        assert hash(other) == hash(pmf)
+        assert other.to_json_dict() == pmf.to_json_dict()
+
+
+atoms = st.dictionaries(st.integers(0, 30), st.integers(0, 10**6), min_size=1).filter(
+    lambda d: sum(d.values()) > 0
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nums=atoms, scale=st.integers(1, 1000))
+def test_over_equals_the_fraction_constructor(nums, scale):
+    den = sum(nums.values())
+    by_ints = ExactPmf.over(den * scale, ((v, a * scale) for v, a in nums.items()))
+    by_fractions = ExactPmf((v, F(a, den)) for v, a in nums.items())
+    assert by_ints == by_fractions
+    assert hash(by_ints) == hash(by_fractions)
+    assert by_ints.items() == by_fractions.items()
+    assert all(a > 0 for a in by_ints.nums)
+    assert sum(by_ints.nums) == by_ints.den
+    assert by_ints.mean() == sum((v * m for v, m in by_fractions.items()), F(0))
+    assert by_ints.variance() == by_fractions.variance()
+    moved = by_ints.pushforward(lambda v: v // 3)
+    assert moved == by_fractions.pushforward(lambda v: v // 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=atoms, b=atoms)
+def test_l1_distance_and_inequality(a, b):
+    pa = ExactPmf.over(sum(a.values()), a.items())
+    pb = ExactPmf.over(sum(b.values()), b.items())
+    want = sum(abs(pa.prob(v) - pb.prob(v)) for v in set(pa.support) | set(pb.support))
+    assert pa.l1_distance(pb) == want
+    assert (pa == pb) == (want == 0)
+
+
+def test_over_checks_like_the_constructor():
+    with pytest.raises(UserInputError, match="masses sum to 1/2, not 1"):
+        ExactPmf.over(4, [(0, 2)])
+    with pytest.raises(UserInputError, match="negative mass at 1"):
+        ExactPmf.over(1, [(0, 2), (1, -1)])
+    with pytest.raises(UserInputError, match="negative support value -1"):
+        ExactPmf.over(1, [(-1, 1)])
+
+
+# -- power sums ------------------------------------------------------------
+
+
+def _direct(p, a):
+    return sum(r**p for r in range(1, a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 40), a=st.integers(0, 6000))
+def test_power_sum_matches_direct_summation(p, a):
+    assert power_sum(p, a) == _direct(p, a)
+
+
+def _threshold(p):
+    return max(moments._BERNOULLI_MIN_A, (p + 1) ** 2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, 31, 32, 60])
+def test_power_sum_on_both_sides_of_the_switch(p, monkeypatch):
+    routed = []
+    bernoulli = moments.power_sum_bernoulli
+
+    def counted(*args):
+        routed.append(args)
+        return bernoulli(*args)
+
+    monkeypatch.setattr(moments, "power_sum_bernoulli", counted)
+    a = _threshold(p)
+    assert power_sum(p, a - 1) == _direct(p, a - 1)
+    assert routed == []
+    assert power_sum(p, a) == _direct(p, a)
+    assert routed == [(p, a)]
+
+
+def test_power_sum_keeps_large_p_off_the_bernoulli_route(monkeypatch):
+    p = moments._BERNOULLI_P_MAX + 1
+
+    def refuse(*args):
+        raise AssertionError("Bernoulli route taken")
+
+    monkeypatch.setattr(moments, "power_sum_bernoulli", refuse)
+    a = _threshold(p)
+    assert power_sum(p, a) == _direct(p, a)
+
+
+def test_power_sum_rejects_a_fractional_bernoulli_sum(monkeypatch):
+    monkeypatch.setattr(moments, "power_sum_bernoulli", lambda p, a: F(1, 2))
+    with pytest.raises(CertificationError):
+        power_sum(3, 10**6)
+
+
+# -- TV sum ------------------------------------------------------------------
+
+
+def reference_tv_sandwich(pmf, lam):
+    """The sum as it was before it ran over the pmf's range only: every j
+    from 0 to the top of the support, then the Poisson tail summed upward
+    with its geometric remainder in the upper end."""
+    with mp.workdps(40):
+        lam_mp = mp.mpf(lam.numerator) / lam.denominator
+        top = pmf.support[-1]
+        q = mp.e ** (-lam_mp)
+        acc = mp.mpf(0)
+        for j in range(top + 1):
+            p = pmf.prob(j)
+            acc += abs(mp.mpf(p.numerator) / p.denominator - q)
+            q = q * lam_mp / (j + 1)
+        j = top + 1
+        floor = mp.mpf(10) ** -45
+        while q > floor or j <= float(lam):
+            acc += q
+            j += 1
+            q = q * lam_mp / j
+        remainder = q / (1 - lam_mp / (j + 1))
+        lo = acc / 2
+        return float(lo), float(lo + remainder / 2 + mp.mpf(10) ** -28)
+
+
+def _agrees_with_reference(code, k, n):
+    pmf, lam = statistic_pushforward(k, n, code)
+    lo, hi = tv_sandwich(pmf, lam)
+    ref_lo, ref_hi = reference_tv_sandwich(pmf, lam)
+    assert lo <= hi
+    # The two enclosures overlap to within one part in 10^15.
+    assert lo <= ref_hi + 1e-15 and ref_lo <= hi + 1e-15
+
+
+@settings(max_examples=120, deadline=None)
+@given(code=st.sampled_from(STATISTIC_CODES), k=st.integers(1, 120), n=st.integers(2, 40))
+def test_tv_sum_matches_the_full_walk(code, k, n):
+    _agrees_with_reference(code, k, n)
+
+
+@pytest.mark.parametrize("code", STATISTIC_CODES)
+@pytest.mark.parametrize("k, n", [(2000, 3), (5000, 8), (9973, 12)])
+def test_tv_sum_matches_the_full_walk_for_k_far_above_n(code, k, n):
+    _agrees_with_reference(code, k, n)

@@ -26,7 +26,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import secrets
 import sys
 import time
@@ -47,8 +46,6 @@ from .sampler import (
 )
 from .stein import STATISTIC_CODES, TvReport, certification_sweep, tv_report
 from .verify import DEFAULT_ORACLE_MAX, FAULT_MODES, run_all
-
-ORACLE_MAX_ENV = "SHUFFLESTATS_ORACLE_MAX"
 
 _SAMPLE_CSV_HEADER = ("value", "count", "empirical", "exact_num", "exact_den", "z")
 
@@ -104,13 +101,20 @@ def _render_csv(header, rows) -> str:
     return buffer.getvalue()
 
 
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except OSError as exc:
+        raise UserInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, args, params: dict, started: float) -> None:
     if args.out is None:
         sys.stdout.write(text)
         return
     data = text.encode("utf-8")
-    with open(args.out, "wb") as handle:
-        handle.write(data)
+    _write(args.out, data)
     manifest = RunManifest(
         tool="shufflestats",
         version=__version__,
@@ -125,8 +129,8 @@ def _emit(text: str, args, params: dict, started: float) -> None:
             }
         ],
     )
-    with open(f"{args.out}.manifest.json", "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(asdict(manifest), indent=2) + "\n")
+    record = json.dumps(asdict(manifest), indent=2) + "\n"
+    _write(f"{args.out}.manifest.json", record.encode("utf-8"))
 
 
 def _params(args, **overrides) -> dict:
@@ -252,27 +256,15 @@ def _cmd_diagnostic(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
-    oracle_max = args.oracle_max
-    if oracle_max is None:
-        raw = os.environ.get(ORACLE_MAX_ENV)
-        if raw is None:
-            oracle_max = DEFAULT_ORACLE_MAX
-        else:
-            try:
-                oracle_max = int(raw)
-            except ValueError as exc:
-                raise UserInputError(
-                    f"{ORACLE_MAX_ENV} must be an integer, got {raw!r}"
-                ) from exc
     results = run_all(
-        oracle_max=oracle_max,
+        oracle_max=args.oracle_max,
         k_max=args.k_max,
         n_max=args.n_max,
         inject_fault=args.inject_fault,
     )
     all_passed = all(r.passed for r in results)
     payload = {
-        "oracle_max": oracle_max,
+        "oracle_max": args.oracle_max,
         "k_max": args.k_max,
         "n_max": args.n_max,
         "inject_fault": args.inject_fault,
@@ -281,7 +273,7 @@ def _cmd_verify(args) -> tuple:
     }
     rows = [(r.name, r.passed, r.checks, r.detail) for r in results]
     header = ("name", "passed", "checks", "detail")
-    return payload, header, rows, _params(args, oracle_max=oracle_max), 0 if all_passed else 3
+    return payload, header, rows, _params(args), 0 if all_passed else 3
 
 
 def _cmd_eulerian(args) -> tuple:
@@ -370,8 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--oracle-max",
         type=int,
-        default=None,
-        help=f"enumeration cap; defaults to ${ORACLE_MAX_ENV} or {DEFAULT_ORACLE_MAX}",
+        default=DEFAULT_ORACLE_MAX,
+        help="enumeration cap (default: %(default)s)",
     )
     verify.add_argument("--k-max", type=int, default=12)
     verify.add_argument("--n-max", type=int, default=8)

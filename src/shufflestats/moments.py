@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, pi
+from math import comb, perm, pi
 from typing import Optional
 
 import mpmath as mp
@@ -36,65 +36,35 @@ _WORK_DPS = 100
 # Bernoulli numbers
 
 
-class BernoulliCache:
-    """Exact Bernoulli numbers B_0..B_m, grown on demand.
+_bern_lock = threading.Lock()
+_bern: tuple[Fraction, ...] = (Fraction(1),)
 
-    Uses the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 with
+
+def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
+    """The shared tuple B_0..B_j, j >= m, grown on demand.
+
+    Uses the defining recurrence sum_{j=0}^{t} C(t+1, j) B_j = 0 with
     the B_1 = -1/2 convention.
     """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[Fraction, ...]):
-        self.values = values
-
-    @classmethod
-    def build(cls, m: int) -> "BernoulliCache":
-        if m < 0:
-            raise UserInputError("m must be >= 0")
-        values = [Fraction(1)]
-        for t in range(1, m + 1):
-            acc = sum(
-                (comb(t + 1, j) * values[j] for j in range(t)), Fraction(0)
-            )
-            values.append(-acc / (t + 1))
-        return cls(tuple(values))
-
-    def value(self, t: int) -> Fraction:
-        return self.values[t]
-
-
-_bern_lock = threading.Lock()
-_bern = BernoulliCache.build(32)
-
-
-def bernoulli_numbers(m: int) -> BernoulliCache:
-    """Shared cache holding at least B_0..B_m."""
     global _bern
-    if m < len(_bern.values):
+    if m < len(_bern):
         return _bern
     with _bern_lock:
-        if m >= len(_bern.values):
-            _bern = BernoulliCache.build(max(m, 2 * len(_bern.values)))
+        if m >= len(_bern):
+            values = list(_bern)
+            for t in range(len(values), max(m, 2 * len(values)) + 1):
+                acc = sum((comb(t + 1, j) * values[j] for j in range(t)), Fraction(0))
+                values.append(-acc / (t + 1))
+            _bern = tuple(values)
     return _bern
 
 
 def bernoulli_number(t: int) -> Fraction:
-    return bernoulli_numbers(t).value(t)
+    return bernoulli_numbers(t)[t]
 
 
 # ---------------------------------------------------------------------------
 # Exact power sums, two ways
-
-
-def falling_factorial(n: int, t: int) -> int:
-    """(n)_t = n (n-1) ... (n-t+1), with (n)_0 = 1."""
-    if t < 0:
-        raise UserInputError("t must be >= 0")
-    out = 1
-    for i in range(t):
-        out *= n - i
-    return out
 
 
 # Where power_sum takes the Bernoulli route; see its docstring.
@@ -129,9 +99,9 @@ def power_sum_bernoulli(p: int, a: int) -> Fraction:
     """The same partial power sum through the Bernoulli expansion.
 
     sum_{r=0}^{a-1} r^p = a^p/(p+1) * (a + sum_{t=0}^{p-1}
-    B_{t+1} (p+1)_{t+1} / ((t+1)! a^t)). Exact rational arithmetic;
-    kept as an independent route so tests can pin it against the direct
-    summation.
+    B_{t+1} (p+1)_{t+1} / ((t+1)! a^t)), where (x)_t is the falling
+    factorial. Exact rational arithmetic; kept as an independent route
+    so tests can pin it against the direct summation.
     """
     if p < 1 or a < 1:
         raise UserInputError("expansion needs p >= 1 and a >= 1")
@@ -140,105 +110,38 @@ def power_sum_bernoulli(p: int, a: int) -> Fraction:
     fact = 1  # (t+1)! running value
     for t in range(p):
         fact *= t + 1
-        term = bern.value(t + 1) * falling_factorial(p + 1, t + 1)
-        inner += term / (fact * Fraction(a) ** t)
+        inner += bern[t + 1] * perm(p + 1, t + 1) / (fact * Fraction(a) ** t)
     return Fraction(a) ** p / (p + 1) * inner
 
 
 # ---------------------------------------------------------------------------
-# Exact moments of c under C(k, n)
+# Exact moments under C(k, n)
 
 
-def mean_c_exact(k: int, n: int) -> Fraction:
-    """E(c) = k - n/k^(n-1) * sum_{j=1}^{k-1} j^(n-1), n >= 2."""
+def _c_moments(k: int, n: int) -> tuple[Fraction, Fraction]:
+    """(E(c), E(c^2)) under C(k, n), n >= 2, from two power sums.
+
+    With S(p) = sum_{j=1}^{k-1} j^p:
+        E(c)   = k - n S(n-1) / k^(n-1)
+        E(c^2) = k^2 - (n (n+1) S(n) - n (nk - n - k) S(n-1)) / k^(n-1)
+    Every other moment is algebra on these two.
+    """
     if n < 2:
         raise UserInputError("cyclic descent moments need n >= 2")
     if k < 1:
         raise UserInputError("k must be >= 1")
-    return k - Fraction(n * power_sum(n - 1, k), k ** (n - 1))
-
-
-def second_moment_c_exact(k: int, n: int) -> Fraction:
-    """E(c^2) under C(k, n), n >= 2."""
-    if n < 2:
-        raise UserInputError("cyclic descent moments need n >= 2")
-    if k < 1:
-        raise UserInputError("k must be >= 1")
-    s_n = power_sum(n, k)
     s_nm1 = power_sum(n - 1, k)
+    s_n = power_sum(n, k)
     den = k ** (n - 1)
-    return (
-        k * k
-        - Fraction(n * (n + 1) * s_n, den)
-        + Fraction(n * (n * k - n - k) * s_nm1, den)
-    )
-
-
-def variance_c_exact(k: int, n: int) -> Fraction:
-    mu = mean_c_exact(k, n)
-    return second_moment_c_exact(k, n) - mu * mu
-
-
-def mean_d_C(k: int, n: int) -> Fraction:
-    """E(d) = (n-1)/n * E(c) under C(k, n)."""
-    return Fraction(n - 1, n) * mean_c_exact(k, n)
-
-
-def second_moment_d_C(k: int, n: int) -> Fraction:
-    """E(d^2) = (1 - 2/n) E(c^2) + E(c)/n under C(k, n)."""
-    return (1 - Fraction(2, n)) * second_moment_c_exact(k, n) + Fraction(
-        1, n
-    ) * mean_c_exact(k, n)
-
-
-def variance_d_C(k: int, n: int) -> Fraction:
-    mu = mean_d_C(k, n)
-    return second_moment_d_C(k, n) - mu * mu
+    mean = k - Fraction(n * s_nm1, den)
+    second = k * k - Fraction(n * (n + 1) * s_n - n * (n * k - n - k) * s_nm1, den)
+    return mean, second
 
 
 def use1_mean(k: int, n: int) -> Fraction:
     """E(d * [position n wraps downward]) = (E(c^2) - E(c)) / n."""
-    return (second_moment_c_exact(k, n) - mean_c_exact(k, n)) / n
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli route for the mean
-
-
-@dataclass(frozen=True)
-class AsymptoticSeries:
-    """The finite sum E(c) = -k * sum_{t=1}^{n-1} B_t (n)_t / (t! k^t).
-
-    terms[t] holds B_t (n)_t / (t! k^t) for 0 <= t <= n-1; odd terms
-    with t >= 3 are exactly zero.
-    """
-
-    alpha: float
-    terms: tuple[Fraction, ...]
-
-    @classmethod
-    def build(cls, k: int, n: int) -> "AsymptoticSeries":
-        if n < 2 or k < 1:
-            raise UserInputError("need n >= 2 and k >= 1")
-        bern = bernoulli_numbers(n - 1)
-        terms = []
-        fact = 1
-        for t in range(n):
-            if t:
-                fact *= t
-            terms.append(
-                bern.value(t) * falling_factorial(n, t) / (fact * Fraction(k) ** t)
-            )
-        return cls(alpha=k / n, terms=tuple(terms))
-
-    def tail_sum(self, start: int = 1) -> Fraction:
-        return sum(self.terms[start:], Fraction(0))
-
-
-def mean_c_bernoulli(k: int, n: int) -> Fraction:
-    """E(c) through the Bernoulli series; equals mean_c_exact identically."""
-    series = AsymptoticSeries.build(k, n)
-    return -k * series.tail_sum(start=1)
+    mean, second = _c_moments(k, n)
+    return (second - mean) / n
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +156,7 @@ def estimate0_deviation(n: int, t: int) -> tuple[Fraction, Fraction]:
     if not 0 <= t <= n:
         raise UserInputError("need 0 <= t <= n")
     lhs = abs(
-        (1 - Fraction(falling_factorial(n, t), n**t)) - Fraction(comb(t, 2), n)
+        (1 - Fraction(perm(n, t), n**t)) - Fraction(comb(t, 2), n)
     )
     rhs = Fraction(comb(t, 2) ** 2, 2 * n**2)
     return lhs, rhs
@@ -304,7 +207,7 @@ def bernoulli_tail_exact(alpha: float, l: int, start: int, t_max: int = 400) -> 
         a = mp.mpf(alpha)
         total = mp.mpf(0)
         for t in range(start, t_max + 1):
-            b = bern.value(t)
+            b = bern[t]
             if not b:
                 continue
             total += (
@@ -318,11 +221,18 @@ def bernoulli_tail_exact(alpha: float, l: int, start: int, t_max: int = 400) -> 
 # Closed forms of the four Bernoulli series
 
 
-def _closed_forms(alpha: mp.mpf) -> tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
-    e = mp.exp(1 / alpha)
+def _mean_closed_forms(alpha: mp.mpf, e: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+    """Closed forms 1 and 2, the two the mean needs, at e = e^(1/alpha)."""
     em1 = e - 1
     p1 = 1 / (alpha * em1)
     p2 = e * (-2 * alpha * e + 2 * alpha + e + 1) / (2 * alpha**3 * em1**3)
+    return p1, p2
+
+
+def _closed_forms(alpha: mp.mpf) -> tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
+    e = mp.exp(1 / alpha)
+    em1 = e - 1
+    p1, p2 = _mean_closed_forms(alpha, e)
     p3 = (alpha * e - e - alpha) / (alpha * em1**2)
     p4 = e * (3 * alpha * e**2 - e**2 - 4 * e - 3 * alpha - 1) / (
         2 * alpha**3 * em1**4
@@ -345,7 +255,7 @@ def bernoulli_series_partial(alpha: float, part: int, t_max: int = 200) -> mp.mp
         a = mp.mpf(alpha)
         total = mp.mpf(0)
         for t in range(t_max + 1):
-            b = bern.value(t + 1) if part in (3, 4) else bern.value(t)
+            b = bern[t + 1] if part in (3, 4) else bern[t]
             if part in (2, 4):
                 w = comb(t, 2)
                 if not w:
@@ -404,17 +314,15 @@ def bernoulli_closed_forms(alpha: float) -> tuple[float, float, float, float]:
 def asymptotic_mean_c(alpha: float) -> tuple[mp.mpf, mp.mpf]:
     """(m, s) with E(c) = n*m + s + O(1/n) at k = alpha*n.
 
-    m(alpha) = alpha - 1/(e^(1/alpha) - 1)
-    s(alpha) = e^(1/a) (-2a e^(1/a) + 2a + e^(1/a) + 1) / (2 a^2 (e^(1/a)-1)^3)
+    m(alpha) = alpha (1 - p1) = alpha - 1/(e^(1/alpha) - 1)
+    s(alpha) = alpha p2, with p1, p2 the first two series closed forms.
     """
     if alpha <= ALPHA_THRESHOLD:
         raise UserInputError(f"need alpha > 1/(2*pi), got {alpha}")
     with mp.workdps(_WORK_DPS):
         a = mp.mpf(alpha)
-        e = mp.exp(1 / a)
-        m = a - 1 / (e - 1)
-        s = e * (-2 * a * e + 2 * a + e + 1) / (2 * a**2 * (e - 1) ** 3)
-        return m, s
+        p1, p2 = _mean_closed_forms(a, mp.exp(1 / a))
+        return a * (1 - p1), a * p2
 
 
 def asymptotic_variance_c(alpha: float) -> mp.mpf:
@@ -475,19 +383,24 @@ class MomentReport:
 
 
 def _report(
-    k: int, n: int, mean: Fraction, second: Fraction, n_scale: int, shift: int
+    k: int, n: int, mean: Fraction, second: Fraction, scale: Optional[int] = None, shift: int = 0
 ) -> MomentReport:
+    """Exact fields, plus the asymptotic ones of c under C(k, scale) shifted by shift.
+
+    The asymptotic fields stay None without a scale, or when k/scale
+    does not clear the convergence threshold.
+    """
     variance = second - mean * mean
     if variance < 0:
         raise CertificationError(f"negative variance at k={k} n={n}: {variance}")
-    alpha = k / n_scale
     mean_asym = variance_asym = err_m = err_v = None
-    if alpha > ALPHA_THRESHOLD:
+    if scale is not None and k / scale > ALPHA_THRESHOLD:
+        alpha = k / scale
         with mp.workdps(_WORK_DPS):
             m, s = asymptotic_mean_c(alpha)
             v = asymptotic_variance_c(alpha)
-            ma = n_scale * m + s + shift
-            va = n_scale * v
+            ma = scale * m + s + shift
+            va = scale * v
             mean_asym = float(ma)
             variance_asym = float(va)
             err_m = float(mp.mpf(mean.numerator) / mean.denominator - ma)
@@ -509,24 +422,17 @@ def _report(
 
 def moments_c_C(k: int, n: int) -> MomentReport:
     """Moment report for the cyclic descent count under C(k, n)."""
-    return _report(
-        k, n, mean_c_exact(k, n), second_moment_c_exact(k, n), n, 0
-    )
+    mean, second = _c_moments(k, n)
+    return _report(k, n, mean, second, n)
 
 
 def moments_d_C(k: int, n: int) -> MomentReport:
-    """Moment report for the descent count under C(k, n), exact fields only."""
-    return MomentReport(
-        k=k,
-        n=n,
-        mean_exact=mean_d_C(k, n),
-        second_exact=second_moment_d_C(k, n),
-        variance_exact=variance_d_C(k, n),
-        mean_asym=None,
-        variance_asym=None,
-        error_mean=None,
-        error_variance=None,
-    )
+    """Moment report for the descent count under C(k, n), exact fields only.
+
+    E(d) = (n-1)/n E(c) and E(d^2) = (1 - 2/n) E(c^2) + E(c)/n.
+    """
+    mean_c, second_c = _c_moments(k, n)
+    return _report(k, n, (n - 1) * mean_c / n, ((n - 2) * second_c + mean_c) / n)
 
 
 def moments_d_R(k: int, n: int) -> MomentReport:
@@ -538,8 +444,5 @@ def moments_d_R(k: int, n: int) -> MomentReport:
     """
     if k < 1 or n < 1:
         raise UserInputError("need k >= 1 and n >= 1")
-    mean_c = mean_c_exact(k, n + 1)
-    second_c = second_moment_c_exact(k, n + 1)
-    mean = mean_c - 1
-    second = second_c - 2 * mean_c + 1
-    return _report(k, n, mean, second, n + 1, -1)
+    mean_c, second_c = _c_moments(k, n + 1)
+    return _report(k, n, mean_c - 1, second_c - 2 * mean_c + 1, n + 1, -1)

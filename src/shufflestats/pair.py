@@ -31,7 +31,7 @@ from .measures import (
     d_pmf_C,
     d_pmf_uniform,
 )
-from .moments import mean_d_C, variance_d_C
+from .moments import moments_d_C
 from .permutations import Permutation, cyclic_rotate, descent_count
 
 _ZERO = Fraction(0)
@@ -172,8 +172,8 @@ def _pmfs_and_moments(
         mean_d = Fraction(n - 1, 2)
         var_d = Fraction(n + 1, 12)
     else:
-        mean_d = mean_d_C(k, n)
-        var_d = variance_d_C(k, n)
+        report = moments_d_C(k, n)
+        mean_d, var_d = report.mean_exact, report.variance_exact
     # Downstream trusts E(W) = 0 and E(W^2) = 1; this check makes them exact.
     if d_pmf.mean() != mean_d or d_pmf.variance() != var_d:
         raise CertificationError(

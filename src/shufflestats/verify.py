@@ -30,14 +30,7 @@ from .measures import (
     r_prob,
     transfer_R_to_C,
 )
-from .moments import (
-    mean_c_exact,
-    mean_d_C,
-    moments_d_R,
-    second_moment_c_exact,
-    second_moment_d_C,
-    use1_mean,
-)
+from .moments import moments_c_C, moments_d_C, moments_d_R, use1_mean
 from .pair import PairLaw, drift, g_remainder, rotation_conditional_law
 from .permutations import (
     Permutation,
@@ -168,14 +161,15 @@ def _suite_moments(oracle_max: int, k_max: int) -> int:
                 w_r = mult * _r_weight(k, n, d)
                 e_d_r += w_r * d
                 e_d2_r += w_r * d * d
+            c_c, d_c, d_r = moments_c_C(k, n), moments_d_C(k, n), moments_d_R(k, n)
             pairs = (
-                ("mean_c", mean_c_exact(k, n), e_c),
-                ("second_c", second_moment_c_exact(k, n), e_c2),
-                ("mean_d_C", mean_d_C(k, n), e_d),
-                ("second_d_C", second_moment_d_C(k, n), e_d2),
+                ("mean_c", c_c.mean_exact, e_c),
+                ("second_c", c_c.second_exact, e_c2),
+                ("mean_d_C", d_c.mean_exact, e_d),
+                ("second_d_C", d_c.second_exact, e_d2),
                 ("use1", use1_mean(k, n), e_use1),
-                ("mean_d_R", moments_d_R(k, n).mean_exact, e_d_r),
-                ("second_d_R", moments_d_R(k, n).second_exact, e_d2_r),
+                ("mean_d_R", d_r.mean_exact, e_d_r),
+                ("second_d_R", d_r.second_exact, e_d2_r),
             )
             for name, closed, oracle in pairs:
                 if closed != oracle:

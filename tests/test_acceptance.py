@@ -26,21 +26,18 @@ from shufflestats import (
     d_pmf_R,
     decision_tree_distribution,
     insertion_normalization,
-    mean_c_exact,
-    mean_d_C,
+    moments_c_C,
+    moments_d_C,
     newton_check,
     nogood_diagnostic,
     asymptotic_mean_c,
     asymptotic_variance_c,
     riffle_summary,
     sample_statistic,
-    second_moment_c_exact,
-    second_moment_d_C,
     solve_stein,
     sweep_k_values,
     tv_report,
     use1_mean,
-    variance_c_exact,
 )
 
 F = Fraction
@@ -64,10 +61,11 @@ def test_c02_exact_moments_and_derived_identities_match_enumeration():
             e_c2 = oracle_moment("C", k, n, "c", 2)
             e_d1 = oracle_moment("C", k, n, "d", 1)
             e_d2 = oracle_moment("C", k, n, "d", 2)
-            assert mean_c_exact(k, n) == e_c1
-            assert second_moment_c_exact(k, n) == e_c2
-            assert mean_d_C(k, n) == e_d1
-            assert second_moment_d_C(k, n) == e_d2
+            c_rep, d_rep = moments_c_C(k, n), moments_d_C(k, n)
+            assert c_rep.mean_exact == e_c1
+            assert c_rep.second_exact == e_c2
+            assert d_rep.mean_exact == e_d1
+            assert d_rep.second_exact == e_d2
             # derived identities, both sides exact
             assert e_d1 == F(n - 1, n) * e_c1
             assert e_d2 == (1 - F(2, n)) * e_c2 + e_c1 / n
@@ -118,15 +116,15 @@ def test_c06_linear_mean_regime_error_decays_like_one_over_n():
     assert float(m) == pytest.approx(0.4180233, abs=5e-8)
     scaled_gaps = []
     for n in (50, 100, 200, 400, 800):
-        exact = float(mean_c_exact(n, n))
+        exact = float(moments_c_C(n, n).mean_exact)
         scaled_gaps.append(n * abs(exact - (n * float(m) + float(s))))
     assert max(scaled_gaps) <= 2 * scaled_gaps[0]
 
 
 def test_c07_linear_variance_regime_stays_bounded():
     v1 = float(asymptotic_variance_c(1.0))
-    gap_at_50 = abs(float(variance_c_exact(50, 50)) - 50 * v1)
-    gap_at_800 = abs(float(variance_c_exact(800, 800)) - 800 * v1)
+    gap_at_50 = abs(float(moments_c_C(50, 50).variance_exact) - 50 * v1)
+    gap_at_800 = abs(float(moments_c_C(800, 800).variance_exact) - 800 * v1)
     assert gap_at_800 <= gap_at_50 + 1
     assert abs(float(asymptotic_variance_c(1e6)) - 1 / 12) < 1e-6
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from shufflestats import cli, d_pmf_R, measures, sampler
+from shufflestats.verify import DEFAULT_ORACLE_MAX
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +116,58 @@ class TestMoments:
         payload = json.loads(out)
         assert payload["mean_exact"] == "1/4"
         assert payload["variance_exact"] == "3/16"
+
+    @pytest.mark.parametrize(
+        "measure, stat, k, n",
+        [(m, s, "2", n) for m, s in (("C", "c"), ("C", "d"), ("R", "d")) for n in ("0", "-3")]
+        + [("C", "c", "2", "1"), ("C", "d", "2", "1")]
+        + [(m, s, "0", "5") for m, s in (("C", "c"), ("C", "d"), ("R", "d"))],
+    )
+    def test_bad_input_exits_2(self, capsys, measure, stat, k, n):
+        code, out, err = run_cli(
+            capsys, "moments", "--measure", measure, "--stat", stat, "--k", k, "--n", n
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+class TestOutPath:
+    ARGV = ("dist", "--measure", "R", "--k", "2", "--n", "3")
+
+    def _assert_refused(self, capsys, out_path, named):
+        code, out, err = run_cli(capsys, *self.ARGV, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert str(named) in err
+
+    def test_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        self._assert_refused(capsys, target, target)
+
+    def test_directory_as_path_exits_2(self, tmp_path, capsys):
+        self._assert_refused(capsys, tmp_path, tmp_path)
+
+    def test_unwritable_manifest_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "x.json"
+        (tmp_path / "x.json.manifest.json").mkdir()
+        self._assert_refused(capsys, target, f"{target}.manifest.json")
+
+    def test_written_bytes_and_manifest(self, tmp_path, capsys):
+        _, stdout, _ = run_cli(capsys, *self.ARGV)
+        data = stdout.encode()
+        target = tmp_path / "x.json"
+        assert run_cli(capsys, *self.ARGV, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == data
+        text = (tmp_path / "x.json.manifest.json").read_text()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2) + "\n"
+        assert list(manifest) == [
+            "tool", "version", "subcommand", "parameters", "wall_time_seconds", "outputs"
+        ]
+        assert manifest["outputs"] == [
+            {"path": str(target), "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        ]
 
 
 class TestTv:
@@ -394,6 +447,122 @@ def test_large_k_commands_are_fast_and_unchanged(capsys, argv, digest):
     assert elapsed < 0.5
 
 
+# Stdout SHA-256 of `moments` for the three pairs, recorded before the
+# reports shared one pair of power sums: alpha above and below the
+# asymptotic threshold, and k >> n on the Bernoulli power-sum route.
+PINNED_MOMENTS_BYTES = [
+    ("C", "c", 50, 50, "json", False,
+     "f0eaf99684491b570ad1c1e3499b8c0f31ea8b22480018afeaeb29d71f9d305b"),
+    ("C", "c", 50, 50, "json", True,
+     "625361c34421da612780818d09c57ec9a7baedcc1d4534651b7262172d5643d1"),
+    ("C", "c", 50, 50, "csv", False,
+     "f5f3d413ddc07ef48dfd22becf5aa982d563a86da2321be4eaed7e73f3e651d2"),
+    ("C", "c", 50, 50, "csv", True,
+     "7c90a1043448cf7d5c73bce63edc688b76b363ff4c0ffed35a404fa90e16e81c"),
+    ("C", "c", 300, 750, "json", False,
+     "d62741cafb4f64b7810460540602297867ac7840fde9812077f7d2283aab9869"),
+    ("C", "c", 300, 750, "json", True,
+     "b807b1d007197c1edcb230f9a32205020aab368cecaebe04108ee25aa834d996"),
+    ("C", "c", 300, 750, "csv", False,
+     "5d6d0d0e29541a79b5d53279de7e7e45abfa59da6c5f4de0d237d30bbf9550b9"),
+    ("C", "c", 300, 750, "csv", True,
+     "d7b0322786108fea03b693b3c92878edfdb42df3128db1879e27301ad742c690"),
+    ("C", "c", 13, 200, "json", False,
+     "8aee7d8ca32b1c555149eecaaf3e7f85df631c8dc5b48cc09d2618d49b9ab225"),
+    ("C", "c", 13, 200, "json", True,
+     "750678d6572fcf47a3f7154485bbc4b315f7f4719a011f4fc0b60af8693ab065"),
+    ("C", "c", 13, 200, "csv", False,
+     "561a3416e55d1ba0549c4d3c65bdcd5e8ffb5313428f7c5b9a8b7368da61e781"),
+    ("C", "c", 13, 200, "csv", True,
+     "7849f88cad74b4740420ea779c6b04ede2034c9531eeb5b840088fa57e0624ec"),
+    ("C", "c", 2**20, 9, "json", False,
+     "36da25f651b7a0d3da874330447b199b21cfe4c3285cb433fa5acbf4ea1add41"),
+    ("C", "c", 2**20, 9, "json", True,
+     "fe9654493bd864d0d773374dfb87c35dcf5c5fa25fffc8d55f097907e16c1474"),
+    ("C", "c", 2**20, 9, "csv", False,
+     "aef9d698d3ee7d320ff452b3511b1a449f8182ea7aea3d0d10a9f356ead34bf9"),
+    ("C", "c", 2**20, 9, "csv", True,
+     "6ae07be3d8c960f3cea443e93ff3fcacbecf245f2aeaa39a8f360844b844cf54"),
+    ("C", "d", 50, 50, "json", False,
+     "04daa4bd33059b55b5ba11e48b2b195bff73ad90fdefc4779070c8ade2e8df1d"),
+    ("C", "d", 50, 50, "json", True,
+     "a4080347e99a45d0d131b7e17b97a874bef597149dec8236c416f151520ff1bf"),
+    ("C", "d", 50, 50, "csv", False,
+     "eb683812b4c3680f9035cca0858eb552ddfa85b09132704afce70ba55672c598"),
+    ("C", "d", 50, 50, "csv", True,
+     "81f55c5fcac215fb44ffe8d58dcc6e86efab1ba2bb40eed3e5505037c6d14c04"),
+    ("C", "d", 300, 750, "json", False,
+     "909e4bed30fcd48120698300bcd837cf220d7507f8dc50645b4c89aa68335f74"),
+    ("C", "d", 300, 750, "json", True,
+     "80b0a28ba3e799920fa41cc59099ba25b34cf466a002840de0058a153218df56"),
+    ("C", "d", 300, 750, "csv", False,
+     "a9b48eba6937f4715554635bd4af085b3b81fb629026abe4325ab572b1543834"),
+    ("C", "d", 300, 750, "csv", True,
+     "8452f1b329c4bb3330f3b558733d9222b5d300b15ac77cf0bf5b14f4fcd62c44"),
+    ("C", "d", 13, 200, "json", False,
+     "814c77672436d5ad21016734973c261f0127672aeaa94a12c94b7c889c8eb468"),
+    ("C", "d", 13, 200, "json", True,
+     "4d999757d1e556302bb02d1d9348c3eda0595060d3b4bb15c284e0c4a63f5631"),
+    ("C", "d", 13, 200, "csv", False,
+     "7d66f8dec2c75aeb2fa442d5336418d51ace52e779f7a661ab8f8f102c4d33bd"),
+    ("C", "d", 13, 200, "csv", True,
+     "4197c242579e56634c7fc49b133cd6aaca5982de32efbc86bc12edce4eae0d26"),
+    ("C", "d", 2**20, 9, "json", False,
+     "047207ec30b4e3f95aa71a45976c100625adebbe7eb330153dcf0737d890a7b4"),
+    ("C", "d", 2**20, 9, "json", True,
+     "45781459e9355dc205f7bc77fe789e5c5cdc69bd6425e02a502e50f14cf12766"),
+    ("C", "d", 2**20, 9, "csv", False,
+     "312cd503c622dd7f49b2fb1299e3ce8527ad8ca45a4488107a5cd3cb9a5b21fb"),
+    ("C", "d", 2**20, 9, "csv", True,
+     "e0978eeb2063929e00cd8f7443f8928a40fb4b6f1e17bba30d1d39510c39575c"),
+    ("R", "d", 50, 50, "json", False,
+     "c98db34c538f7b2c3a7070c4c6673c9e9774b31581185807b37d5e327cc0931d"),
+    ("R", "d", 50, 50, "json", True,
+     "7bae8ced6769b6a547a07e640d0ce2b7a9b895fc36dd3e501612d9328e055780"),
+    ("R", "d", 50, 50, "csv", False,
+     "2ab1806319ad047e0014fc2e7997f985c064156f07f53b6704e44dd72e4137b9"),
+    ("R", "d", 50, 50, "csv", True,
+     "1bb754ea96e2cb692dbb00e8bcf6ff66ac32b8fe64bad8a3742d16f223b43496"),
+    ("R", "d", 300, 750, "json", False,
+     "cb6818193c582b0e04feb9c09bbb3e94a3645bab08b355ed235d1c344cf138e7"),
+    ("R", "d", 300, 750, "json", True,
+     "5d3900509f769c680d8aa6291cf6d78d30486c6a365229a451dd05973be10863"),
+    ("R", "d", 300, 750, "csv", False,
+     "34ed168afc7076d5e2ad8381481af572ba889f877cc7c34565b8d5383bac2cb7"),
+    ("R", "d", 300, 750, "csv", True,
+     "d982d59c29851d8acc2ed8f0d35cce505ba7482e7c9c80e6ef0edc7a44a69409"),
+    ("R", "d", 13, 200, "json", False,
+     "f0a53473f110b6479a36adddb362a3dbf04d3a181ef2c3bebdeebe1705120d96"),
+    ("R", "d", 13, 200, "json", True,
+     "c14ae1918cbde28fabfd6c1f63e138044b4e5063fb11d1f1b1d72a73ce2fa0d1"),
+    ("R", "d", 13, 200, "csv", False,
+     "43dc4f0295d922cdc76f95b7a8f43d90ef978857aef876df618b601e30c86a8d"),
+    ("R", "d", 13, 200, "csv", True,
+     "faa3b20303741ce9662a9e33e8296cfed1cc2934538aa444223f16b73b1a9c6d"),
+    ("R", "d", 2**20, 9, "json", False,
+     "f668dd3e2a63205a2db82ccb00561ab6065eef10d640a2e2fdfbe53da98a00b8"),
+    ("R", "d", 2**20, 9, "json", True,
+     "0c9df165f5b3fc98b4180db1fa43d48a75ae1b6127e16273a4508c7f930ecf06"),
+    ("R", "d", 2**20, 9, "csv", False,
+     "b72b7e3b877d834d7acc627cb22019314871997baf01d504d23bbb7c78d1bb7f"),
+    ("R", "d", 2**20, 9, "csv", True,
+     "a9164a298febc0d4197f22e1fd841e48e57c6cbe7fdf00f09d7545135e0be361"),
+]
+
+
+@pytest.mark.parametrize(
+    "measure, stat, k, n, fmt, asym, digest",
+    PINNED_MOMENTS_BYTES,
+    ids=[f"{m}-{s}-{k}-{n}-{f}{'-asym' if a else ''}" for m, s, k, n, f, a, _ in PINNED_MOMENTS_BYTES],
+)
+def test_pinned_moments_bytes(capsys, measure, stat, k, n, fmt, asym, digest):
+    argv = ["moments", "--measure", measure, "--stat", stat, "--k", str(k), "--n", str(n),
+            "--format", fmt] + (["--asymptotic"] if asym else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSampleFitsOnce:
     @pytest.mark.parametrize(
         "argv",
@@ -439,18 +608,8 @@ class TestVerify:
         assert [s["name"] for s in failing] == ["transfer"]
         assert "transfer fails at k=" in failing[0]["detail"]
 
-    def test_env_var_sets_oracle_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ORACLE_MAX_ENV, "4")
-        code, out, _ = run_cli(capsys, "verify")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["oracle_max"] == 4
-
-    def test_flag_beats_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ORACLE_MAX_ENV, "4")
-        code, out, _ = run_cli(capsys, "verify", "--oracle-max", "3")
-        assert code == 0
-        assert json.loads(out)["oracle_max"] == 3
+    def test_oracle_cap_defaults_to_flag_default(self):
+        assert cli._build_parser().parse_args(["verify"]).oracle_max == DEFAULT_ORACLE_MAX == 7
 
     def test_oracle_cap_ceiling_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--oracle-max", "12")

@@ -8,7 +8,6 @@ import pytest
 from conftest import oracle_moment
 from shufflestats import (
     ALPHA_THRESHOLD,
-    AsymptoticSeries,
     UserInputError,
     asymptotic_mean_c,
     asymptotic_variance_c,
@@ -18,20 +17,14 @@ from shufflestats import (
     bernoulli_tail_bound,
     bernoulli_tail_exact,
     estimate0_deviation,
-    falling_factorial,
-    mean_c_bernoulli,
-    mean_c_exact,
-    mean_d_C,
     moments_c_C,
+    moments_d_C,
     moments_d_R,
     power_sum,
     power_sum_bernoulli,
-    second_moment_c_exact,
-    second_moment_d_C,
     use1_mean,
-    variance_c_exact,
-    variance_d_C,
 )
+from shufflestats import moments
 
 F = Fraction
 
@@ -40,10 +33,11 @@ class TestExactMoments:
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("k", range(1, 9))
     def test_cut_moments_vs_oracle(self, k, n):
-        assert mean_c_exact(k, n) == oracle_moment("C", k, n, "c", 1)
-        assert second_moment_c_exact(k, n) == oracle_moment("C", k, n, "c", 2)
-        assert mean_d_C(k, n) == oracle_moment("C", k, n, "d", 1)
-        assert second_moment_d_C(k, n) == oracle_moment("C", k, n, "d", 2)
+        c_rep, d_rep = moments_c_C(k, n), moments_d_C(k, n)
+        assert c_rep.mean_exact == oracle_moment("C", k, n, "c", 1)
+        assert c_rep.second_exact == oracle_moment("C", k, n, "c", 2)
+        assert d_rep.mean_exact == oracle_moment("C", k, n, "d", 1)
+        assert d_rep.second_exact == oracle_moment("C", k, n, "d", 2)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("k", range(1, 9))
@@ -68,16 +62,16 @@ class TestExactMoments:
         assert use1_mean(k, n) == (e_c2 - e_c1) / n
 
     def test_frozen_values(self):
-        assert mean_c_exact(2, 3) == F(5, 4)
-        assert mean_c_exact(1, 5) == 1
-        assert mean_c_exact(2, 2) == 1
-        assert second_moment_c_exact(2, 3) == F(7, 4)
-        assert second_moment_c_exact(1, 4) == 1
-        assert mean_d_C(2, 3) == F(5, 6)
-        assert mean_d_C(1, 7) == F(6, 7)
+        assert moments_c_C(2, 3).mean_exact == F(5, 4)
+        assert moments_c_C(1, 5).mean_exact == 1
+        assert moments_c_C(2, 2).mean_exact == 1
+        assert moments_c_C(2, 3).second_exact == F(7, 4)
+        assert moments_c_C(1, 4).second_exact == 1
+        assert moments_d_C(2, 3).mean_exact == F(5, 6)
+        assert moments_d_C(1, 7).mean_exact == F(6, 7)
         assert use1_mean(2, 3) == F(1, 6)
-        assert variance_c_exact(2, 3) == F(7, 4) - F(25, 16)
-        assert variance_d_C(2, 3) == second_moment_d_C(2, 3) - F(25, 36)
+        assert moments_c_C(2, 3).variance_exact == F(7, 4) - F(25, 16)
+        assert moments_d_C(2, 3).variance_exact == moments_d_C(2, 3).second_exact - F(25, 36)
 
     def test_shuffle_side_frozen_values(self):
         rep = moments_d_R(2, 2)
@@ -88,10 +82,24 @@ class TestExactMoments:
         assert degenerate.variance_exact == 0
 
     def test_validation(self):
-        with pytest.raises(UserInputError):
-            mean_c_exact(2, 1)
-        with pytest.raises(UserInputError):
-            mean_c_exact(0, 4)
+        for report in (moments_c_C, moments_d_C, use1_mean):
+            with pytest.raises(UserInputError):
+                report(2, 1)
+            with pytest.raises(UserInputError):
+                report(0, 4)
+
+    @pytest.mark.parametrize("report", [moments_c_C, moments_d_C, moments_d_R])
+    def test_each_report_sums_powers_twice(self, report, monkeypatch):
+        calls = []
+        real = moments.power_sum
+
+        def counted(p, a):
+            calls.append((p, a))
+            return real(p, a)
+
+        monkeypatch.setattr(moments, "power_sum", counted)
+        report(9, 6)
+        assert len(calls) == 2
 
 
 class TestBernoulli:
@@ -107,15 +115,13 @@ class TestBernoulli:
             assert bernoulli_number(t) == 0
 
     def test_shared_cache_grows(self):
-        cache = bernoulli_numbers(6)
-        assert cache.value(6) == F(1, 42)
-        assert bernoulli_numbers(80).value(6) == F(1, 42)
-
-    def test_falling_factorial(self):
-        for n in range(0, 9):
-            for t in range(0, n + 1):
-                assert falling_factorial(n, t) == math.perm(n, t)
-        assert falling_factorial(4, 6) == 0
+        values = bernoulli_numbers(6)
+        assert len(values) > 6
+        assert values[6] == F(1, 42)
+        grown = bernoulli_numbers(80)
+        assert len(grown) > 80
+        assert grown[:len(values)] == values
+        assert grown[6] == F(1, 42)
 
     @pytest.mark.parametrize("p", range(1, 13))
     def test_power_sum_routes_agree(self, p):
@@ -132,15 +138,9 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_series_route_matches_exact_mean(self, n):
+        # E(c) = k - n S(n-1, k) / k^(n-1), so the mean's power sum by series
         for k in (1, 2, 3, 7, n, 3 * n):
-            assert mean_c_bernoulli(k, n) == mean_c_exact(k, n)
-
-    def test_series_terms_structure(self):
-        series = AsymptoticSeries.build(4, 9)
-        assert len(series.terms) == 9
-        assert series.terms[0] == 1
-        assert all(series.terms[t] == 0 for t in range(3, 9, 2))
-        assert series.tail_sum(start=9) == 0
+            assert power_sum_bernoulli(n - 1, k) == power_sum(n - 1, k)
 
 
 class TestElementaryEstimates:
@@ -214,15 +214,15 @@ class TestAsymptotics:
         m, s = asymptotic_mean_c(1.0)
         gaps = []
         for n in (50, 100, 200, 400):
-            exact = float(mean_c_exact(n, n))
+            exact = float(moments_c_C(n, n).mean_exact)
             gaps.append(n * abs(exact - (n * float(m) + float(s))))
         # n * |error| stays bounded if the remainder is O(1/n)
         assert max(gaps) <= 2 * gaps[0]
 
     def test_variance_error_stays_bounded(self):
         v = float(asymptotic_variance_c(1.0))
-        first = abs(float(variance_c_exact(50, 50)) - 50 * v)
-        last = abs(float(variance_c_exact(800, 800)) - 800 * v)
+        first = abs(float(moments_c_C(50, 50).variance_exact) - 50 * v)
+        last = abs(float(moments_c_C(800, 800).variance_exact) - 800 * v)
         assert last <= first + 1
 
 

@@ -16,7 +16,7 @@ from shufflestats import (
     certification_sweep,
     d_pmf_C,
     d_pmf_R,
-    mean_c_exact,
+    moments_c_C,
     poisson_pmf,
     poisson_tail,
     solve_stein,
@@ -132,7 +132,7 @@ class TestPushforwards:
         assert pmf == ExactPmf.point_mass(0)
         assert lam == F(1, 10)
         pmf, _ = statistic_pushforward(2, 5, "Cc")
-        assert pmf.mean() == 2 - mean_c_exact(2, 5)
+        assert pmf.mean() == 2 - moments_c_C(2, 5).mean_exact
         assert all(v >= 0 for v in pmf.support)
         with pytest.raises(UserInputError):
             statistic_pushforward(1, 5, "Rd")

@@ -185,15 +185,17 @@ def _sample_report(args, head: dict, summary: SampleSummary) -> tuple:
 
 def _cmd_dist(args) -> tuple:
     pmf = exact_statistic_pmf(args.measure, args.k, args.n, args.stat)
+    header = ("value", "numerator", "denominator", "probability")
     # Only the asked-for format is built: both stringify every atom.
-    json_view = args.format == "json"
-    return (
-        pmf.to_json_dict() if json_view else None,
-        ("value", "numerator", "denominator", "probability"),
-        None if json_view else pmf.to_csv_rows(),
-        _params(args),
-        0,
-    )
+    if args.format == "json":
+        return pmf.to_json_dict(), header, None, _params(args), 0
+    # Atoms share a few reduced denominators: each is converted to text once.
+    texts: dict[int, str] = {}
+    rows = [
+        (v, a, texts.get(d) or texts.setdefault(d, str(d)), x)
+        for v, a, d, x in pmf.to_csv_rows()
+    ]
+    return None, header, rows, _params(args), 0
 
 
 def _cmd_moments(args) -> tuple:
@@ -276,11 +278,22 @@ def _cmd_verify(args) -> tuple:
     return payload, header, rows, _params(args), 0 if all_passed else 3
 
 
+def _palindrome_text(values) -> list[str]:
+    """str() of each entry of a palindromic row, converting only its first half."""
+    half = [str(v) for v in values[: (len(values) + 1) // 2]]
+    return half + half[: len(values) // 2][::-1]
+
+
 def _cmd_eulerian(args) -> tuple:
+    if args.cyclic:
+        # n * A(n-1, i) for i < n is a palindrome; the last count is 0.
+        values = cyclic_descent_counts(args.n)
+        texts = _palindrome_text(values[:-1]) + [str(values[-1])]
+    else:
+        texts = _palindrome_text(eulerian_row(args.n))
     kind = "cyclic" if args.cyclic else "row"
-    values = cyclic_descent_counts(args.n) if args.cyclic else eulerian_row(args.n)
-    payload = {"n": args.n, "kind": kind, "values": [str(v) for v in values]}
-    rows = list(enumerate(values, start=1))
+    payload = {"n": args.n, "kind": kind, "values": texts}
+    rows = list(enumerate(texts, start=1))
     return payload, ("index", "value"), rows, _params(args), 0
 
 

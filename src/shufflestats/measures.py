@@ -54,18 +54,28 @@ class ExactPmf:
     are distinct sorted nonnegative integers, zero atoms are dropped
     (prob() still answers 0 there), and sum(nums) == den exactly, so
     means, variances and pushforwards are integer sums. Fractions appear
-    only at the edge (mass, items, prob, JSON/CSV, repr); each atom is
-    reduced once, on first use, and kept.
+    only at the edge (mass, items, prob, repr); each atom is reduced once
+    by Fraction's gcd, on first use, and kept.
+
+    A law built from an Eulerian row also knows a base b whose powers
+    the denominator divides (k for d_pmf_R and c_pmf_C, n*k for d_pmf_C;
+    a pushforward keeps it). The JSON and CSV views reduce through it:
+    the gcd of a numerator with den is the gcd of den with the part of
+    the numerator made of b's primes, and that part is peeled off by
+    gcds with small divisors of b, so no gcd against the thousands-digit
+    den is taken. Without a base they fall back to one plain gcd per
+    atom. Neither view stores anything on the law.
 
     ExactPmf(pairs) takes (value, mass) pairs with rational masses and
     puts them over the lcm of their denominators.
     """
 
-    __slots__ = ("support", "nums", "den", "_mass")
+    __slots__ = ("support", "nums", "den", "base", "_mass")
 
     support: tuple[int, ...]
     nums: tuple[int, ...]
     den: int
+    base: Optional[int]
 
     def __init__(self, pairs: Iterable[tuple[int, Fraction]]):
         acc: dict[int, Fraction] = {}
@@ -83,14 +93,17 @@ class ExactPmf:
         den = lcm(*(m.denominator for m in acc.values()))
         support = tuple(sorted(acc))
         nums = tuple(acc[v].numerator * (den // acc[v].denominator) for v in support)
-        self._set(support, nums, den)
+        self._set(support, nums, den, None)
 
     @classmethod
-    def over(cls, den: int, atoms: Iterable[tuple[int, int]]) -> "ExactPmf":
+    def over(
+        cls, den: int, atoms: Iterable[tuple[int, int]], base: Optional[int] = None
+    ) -> "ExactPmf":
         """The law with mass num / den at each value of the (value, num) atoms.
 
         Numerators at a repeated value add up and must sum to den; the
-        checks and their messages are those of ExactPmf(pairs).
+        checks and their messages are those of ExactPmf(pairs). base, if
+        given, is an int with den dividing a power of it (see the class).
         """
         if den < 1:
             raise UserInputError(f"denominator {den} is not positive")
@@ -108,13 +121,16 @@ class ExactPmf:
         support = tuple(sorted(acc))
         nums = tuple(acc[v] for v in support)
         pmf = cls.__new__(cls)
-        pmf._set(support, nums, den)
+        pmf._set(support, nums, den, base)
         return pmf
 
-    def _set(self, support: tuple[int, ...], nums: tuple[int, ...], den: int) -> None:
+    def _set(
+        self, support: tuple[int, ...], nums: tuple[int, ...], den: int, base: Optional[int]
+    ) -> None:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "_mass", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -152,7 +168,8 @@ class ExactPmf:
         return Fraction(self.den * s2 - s1 * s1, self.den * self.den)
 
     def pushforward(self, fn: Callable[[int], int]) -> "ExactPmf":
-        return ExactPmf.over(self.den, ((fn(v), a) for v, a in zip(self.support, self.nums)))
+        atoms = ((fn(v), a) for v, a in zip(self.support, self.nums))
+        return ExactPmf.over(self.den, atoms, self.base)
 
     def l1_distance(self, other: "ExactPmf") -> Fraction:
         mine = dict(zip(self.support, self.nums))
@@ -182,13 +199,43 @@ class ExactPmf:
         inner = ", ".join(f"{v}: {m}" for v, m in self.items())
         return f"ExactPmf({{{inner}}})"
 
+    def _reduced(self) -> Iterable[tuple[int, int, int]]:
+        """(value, numerator, denominator) of each atom in lowest terms.
+
+        Equal reduced denominators are one int object.
+        """
+        den, base = self.den, self.base
+        dens: dict[int, int] = {}
+        for v, a in zip(self.support, self.nums):
+            if base is None:
+                g = gcd(a, den)
+            else:
+                # g collects the factors of a over b's primes; den has no others.
+                g, rest, t = 1, a, gcd(a, base)
+                while t > 1:
+                    rest //= t
+                    g *= t
+                    t = gcd(rest, t)
+                g = gcd(g, den)
+            d = dens.get(g)
+            if d is None:
+                d = dens[g] = den // g
+            yield v, a // g, d
+
     def to_json_dict(self) -> dict[str, str]:
         """Value -> reduced rational string, e.g. {"0": "3/4", "1": "1/4"}."""
-        return {str(v): str(m) for v, m in self.items()}
+        texts: dict[int, str] = {1: ""}  # "/den" per reduced den; none for 1
+        out = {}
+        for v, a, d in self._reduced():
+            d_text = texts.get(d)
+            if d_text is None:
+                d_text = texts[d] = "/" + str(d)
+            out[str(v)] = str(a) + d_text
+        return out
 
     def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
         """Rows of (value, numerator, denominator, float mass), reduced."""
-        return [(v, m.numerator, m.denominator, float(m)) for v, m in self.items()]
+        return [(v, a, d, a / d) for v, a, d in self._reduced()]
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, Fraction]) -> "ExactPmf":
@@ -221,7 +268,9 @@ def c_prob(spec: MeasureSpec, p: Permutation) -> Fraction:
     return Fraction(comb(n + k - c - 1, n - 1), n * k ** (n - 1))
 
 
-def _row_law(row: tuple[int, ...], first: int, top: int, m: int, den: int) -> ExactPmf:
+def _row_law(
+    row: tuple[int, ...], first: int, top: int, m: int, den: int, base: Optional[int] = None
+) -> ExactPmf:
     """Mass row[j] * C(top - j, m) / den at first + j: an Eulerian row law.
 
     The binomials step down by the exact ratio C(t-1, m) = C(t, m) (t-m)/t,
@@ -236,7 +285,7 @@ def _row_law(row: tuple[int, ...], first: int, top: int, m: int, den: int) -> Ex
             t = top - j
             w = w * (t - m) // t
 
-    return ExactPmf.over(den, atoms())
+    return ExactPmf.over(den, atoms(), base)
 
 
 def d_pmf_R(k: int, n: int) -> ExactPmf:
@@ -247,7 +296,7 @@ def d_pmf_R(k: int, n: int) -> ExactPmf:
     """
     if k < 1 or n < 1:
         raise UserInputError("need k >= 1 and n >= 1")
-    return _row_law(eulerian_row(n)[:k], 0, n + k - 1, n, k**n)
+    return _row_law(eulerian_row(n)[:k], 0, n + k - 1, n, k**n, k)
 
 
 def c_pmf_C(k: int, n: int) -> ExactPmf:
@@ -259,7 +308,7 @@ def c_pmf_C(k: int, n: int) -> ExactPmf:
         raise UserInputError("need k >= 1")
     if n < 2:
         raise UserInputError("family C requires n >= 2")
-    return _row_law(eulerian_row(n - 1)[:k], 1, n + k - 2, n - 1, k ** (n - 1))
+    return _row_law(eulerian_row(n - 1)[:k], 1, n + k - 2, n - 1, k ** (n - 1), k)
 
 
 def d_pmf_C(k: int, n: int) -> ExactPmf:
@@ -275,6 +324,7 @@ def d_pmf_C(k: int, n: int) -> ExactPmf:
     return ExactPmf.over(
         n * cp.den,
         ((l, num.get(l, 0) * (n - l) + num.get(l + 1, 0) * (l + 1)) for l in range(n)),
+        n * k,
     )
 
 

@@ -44,6 +44,10 @@ from .sampler import decision_tree_distribution, insertion_normalization
 FAULT_MODES = ("transfer",)
 ORACLE_MAX_LIMIT = 9
 DEFAULT_ORACLE_MAX = 7
+# Cap on k_max * n_max. On a 2-vCPU machine, with oracle_max 9, the
+# largest grids it allows, (100, 2) and (1, 200), ran in about 7 s, and
+# (100, 100) took 10 s; --k-max 100000 ran past 15 s.
+GRID_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -292,7 +296,8 @@ def run_all(
     """Run every verification suite and report per-suite outcomes.
 
     oracle_max caps the enumeration suites (hard limit 9); n_max and
-    k_max bound the closed-form grids, which need no enumeration.
+    k_max bound the closed-form grids, which need no enumeration, and
+    their product may not pass GRID_LIMIT.
     """
     if not 1 <= oracle_max <= ORACLE_MAX_LIMIT:
         raise UserInputError(
@@ -300,6 +305,11 @@ def run_all(
         )
     if k_max < 1 or n_max < 2:
         raise UserInputError(f"need k_max >= 1 and n_max >= 2, got {k_max}, {n_max}")
+    if k_max * n_max > GRID_LIMIT:
+        raise UserInputError(
+            f"--k-max times --n-max must be at most {GRID_LIMIT}, "
+            f"got {k_max} * {n_max} = {k_max * n_max}"
+        )
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise UserInputError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
     suites = (

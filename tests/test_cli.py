@@ -11,7 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from shufflestats import cli, d_pmf_R, measures, sampler
+from shufflestats import (
+    cli,
+    cyclic_descent_counts,
+    d_pmf_R,
+    eulerian_row,
+    measures,
+    sampler,
+)
 from shufflestats.verify import DEFAULT_ORACLE_MAX
 
 
@@ -611,6 +618,19 @@ class TestVerify:
     def test_oracle_cap_defaults_to_flag_default(self):
         assert cli._build_parser().parse_args(["verify"]).oracle_max == DEFAULT_ORACLE_MAX == 7
 
+    @pytest.mark.parametrize(
+        "grid",
+        [("--k-max", "100000"), ("--n-max", "100000"), ("--k-max", "100", "--n-max", "100")],
+    )
+    def test_grid_past_the_limit_exits_2(self, capsys, grid):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", *grid)
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--k-max" in err and "--n-max" in err
+
     def test_oracle_cap_ceiling_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--oracle-max", "12")
         assert code == 2
@@ -638,6 +658,27 @@ class TestEulerian:
         assert code == 0
         rows = list(csv.reader(out.splitlines()))
         assert rows[1:] == [["1", "1"], ["2", "11"], ["3", "11"], ["4", "1"]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "n, cyclic",
+        [(n, False) for n in (1, 2, 3, 4, 5, 50, 51)]
+        + [(n, True) for n in (2, 3, 4, 5, 50, 51)],
+    )
+    def test_every_entry_renders_as_its_str(self, capsys, n, cyclic, fmt):
+        # Only half of a palindromic row is converted to text and mirrored.
+        row = cyclic_descent_counts(n) if cyclic else eulerian_row(n)
+        want = [str(v) for v in row]
+        argv = ["eulerian", "--n", str(n), "--format", fmt] + ["--cyclic"] * cyclic
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["values"] == want
+        else:
+            rows = list(csv.reader(out.splitlines()))
+            assert rows == [["index", "value"]] + [
+                [str(i), v] for i, v in enumerate(want, start=1)
+            ]
 
     @pytest.mark.parametrize(
         "argv", [("--n", "0"), ("--n", "-3"), ("--cyclic", "--n", "1")]

@@ -4,14 +4,15 @@ Every law is held as int numerators over one denominator; these tests
 hold that representation to the enumeration oracle in conftest and to
 the Fraction-built ExactPmf, and hold the two k >> n shortcuts (power
 sums by Bernoulli numbers, the TV sum over the pmf's range only) to the
-direct computations they replace.
+direct computations they replace. The JSON and CSV views, which reduce
+through the denominator's base, are held to Fraction's gcd.
 """
 
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_law
@@ -21,6 +22,8 @@ from shufflestats import (
     CertificationError,
     ExactPmf,
     UserInputError,
+    c_pmf_uniform,
+    d_pmf_uniform,
     moments,
     power_sum,
     statistic_pushforward,
@@ -99,6 +102,97 @@ def test_over_checks_like_the_constructor():
         ExactPmf.over(1, [(0, 2), (1, -1)])
     with pytest.raises(UserInputError, match="negative support value -1"):
         ExactPmf.over(1, [(-1, 1)])
+
+
+# -- output reduction ---------------------------------------------------------
+
+
+def assert_views_reduce_like_fractions(pmf):
+    """JSON and CSV views against Fraction(a, den), the gcd route of `mass`."""
+    masses = [F(a, pmf.den) for a in pmf.nums]
+    assert list(pmf.mass) == masses
+    rows = pmf.to_csv_rows()
+    assert [(v, a, d) for v, a, d, _ in rows] == [
+        (v, m.numerator, m.denominator) for v, m in zip(pmf.support, masses)
+    ]
+    assert [x for *_, x in rows] == [float(m) for m in masses]
+    assert pmf.to_json_dict() == {str(v): str(m) for v, m in zip(pmf.support, masses)}
+
+
+piles = st.one_of(
+    st.just(1),
+    st.integers(2, 60),
+    st.builds(pow, st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 5)),
+    st.integers(0, 40).map(lambda r: 2**r),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=law_keys, k=piles, n=st.integers(2, 40))
+def test_law_views_reduce_through_the_base(key, k, n):
+    pmf = STATISTIC_LAWS[key].pmf(k, n)
+    assert pmf.base in (k, n * k)
+    assert_views_reduce_like_fractions(pmf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 40), m=st.integers(1, 30), e=st.integers(1, 3))
+def test_d_pmf_C_views_when_k_shares_primes_with_n(n, m, e):
+    pmf = STATISTIC_LAWS[("C", "d")].pmf(m * n**e, n)
+    assert pmf.base == m * n ** (e + 1)
+    assert_views_reduce_like_fractions(pmf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=st.sampled_from(STATISTIC_CODES), k=piles, n=st.integers(2, 30))
+def test_stein_pushforward_views_reduce_through_the_base(code, k, n):
+    pmf, _ = statistic_pushforward(k, n, code)
+    assert pmf.base is not None
+    assert_views_reduce_like_fractions(pmf)
+
+
+def _smallest_prime(b):
+    return next(p for p in range(2, b + 1) if b % p == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), base=st.integers(2, 60), power=st.integers(1, 8))
+def test_views_cap_a_numerator_richer_in_a_base_prime_than_den(data, base, power):
+    den = base**power
+    p = _smallest_prime(base)
+    top = 0
+    while p ** (top + 1) < den:
+        top += 1
+    a = p ** data.draw(st.integers(0, top)) * data.draw(st.integers(1, 6))
+    assume(a < den)
+    pmf = ExactPmf.over(den, [(0, a), (1, den - a)], base)
+    assert_views_reduce_like_fractions(pmf)
+
+
+def test_views_cap_at_the_power_den_holds():
+    # 2^7 holds more 2s than 6^3 = 216 does: 128/216 = 16/27.
+    pmf = ExactPmf.over(216, [(0, 128), (1, 88)], 6)
+    assert pmf.to_json_dict() == {"0": "16/27", "1": "11/27"}
+    assert_views_reduce_like_fractions(pmf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nums=atoms, scale=st.integers(1, 1000))
+def test_views_without_a_base_fall_back_to_gcd(nums, scale):
+    den = sum(nums.values())
+    by_fractions = ExactPmf((v, F(a * scale, den * scale)) for v, a in nums.items())
+    by_ints = ExactPmf.over(den * scale, ((v, a * scale) for v, a in nums.items()))
+    for pmf in (by_fractions, by_ints):
+        assert pmf.base is None
+        assert_views_reduce_like_fractions(pmf)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_uniform_law_views_fall_back_to_gcd(n):
+    laws = [d_pmf_uniform(n)] + ([c_pmf_uniform(n)] if n >= 2 else [])
+    for pmf in laws:
+        assert pmf.base is None
+        assert_views_reduce_like_fractions(pmf)
 
 
 # -- power sums ------------------------------------------------------------

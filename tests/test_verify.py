@@ -3,6 +3,7 @@
 import pytest
 
 from shufflestats import SuiteResult, UserInputError, run_all
+from shufflestats.verify import GRID_LIMIT
 
 EXPECTED_SUITES = {
     "eulerian",
@@ -52,3 +53,12 @@ def test_grid_arguments_are_validated():
         run_all(oracle_max=3, k_max=0)
     with pytest.raises(UserInputError):
         run_all(oracle_max=3, n_max=1)
+
+
+def test_grid_product_is_capped():
+    assert 12 * 8 <= GRID_LIMIT  # the default grid
+    for k_max, n_max in ((GRID_LIMIT // 2, 2), (1, GRID_LIMIT)):
+        assert all(r.passed for r in run_all(oracle_max=2, k_max=k_max, n_max=n_max))
+    for k_max, n_max in ((GRID_LIMIT // 2 + 1, 2), (1, GRID_LIMIT + 1), (100, 100)):
+        with pytest.raises(UserInputError, match=f"at most {GRID_LIMIT}"):
+            run_all(oracle_max=2, k_max=k_max, n_max=n_max)

@@ -5,198 +5,8 @@ descent and cyclic-descent counts under iterated riffle shuffles and
 cut-then-riffle shuffles, their moments and asymptotics, certified
 Poisson approximation error bounds, and exchangeable-pair diagnostics.
 A seeded sampler and a chi-square harness tie the formulas back to
-simulation, and a CLI exposes the lot.
+simulation, and a CLI exposes the lot. Each name is imported from its
+own module, e.g. ``from shufflestats.measures import d_pmf_R``.
 """
 
 __version__ = "0.1.0"
-
-from .errors import CertificationError, UserInputError
-from .eulerian import cyclic_descent_counts, eulerian_row, eulerian_value
-from .measures import (
-    STATISTIC_LAWS,
-    ExactPmf,
-    MeasureSpec,
-    c_pmf_C,
-    c_pmf_uniform,
-    c_prob,
-    d_pmf_C,
-    d_pmf_R,
-    d_pmf_uniform,
-    parsimony_distance,
-    parsimony_pmf,
-    r_prob,
-    transfer_R_to_C,
-)
-from .moments import (
-    ALPHA_THRESHOLD,
-    MomentReport,
-    asymptotic_mean_c,
-    asymptotic_variance_c,
-    bernoulli_closed_forms,
-    bernoulli_number,
-    bernoulli_numbers,
-    bernoulli_series_partial,
-    bernoulli_tail_bound,
-    bernoulli_tail_exact,
-    estimate0_deviation,
-    moments_c_C,
-    moments_d_C,
-    moments_d_R,
-    power_sum,
-    power_sum_bernoulli,
-    use1_mean,
-)
-from .pair import (
-    NewtonRecord,
-    NogoodRow,
-    NormalizedPair,
-    PairLaw,
-    central_eulerian_ratio,
-    conditional_drift_given_d,
-    drift,
-    g_remainder,
-    mean_abs_deviation_uniform_d,
-    newton_check,
-    nogood_diagnostic,
-    rotation_conditional_law,
-)
-from .permutations import (
-    DEFAULT_ENUMERATION_CAP,
-    Permutation,
-    cyclic_descent_count,
-    cyclic_rotate,
-    descent_count,
-    descent_positions,
-    enumerate_sn,
-    insert_symbol,
-)
-from .sampler import (
-    MAX_RIFFLE_ROUNDS,
-    SampleSummary,
-    SamplerConfig,
-    decision_tree_distribution,
-    exact_statistic_pmf,
-    goodness_of_fit,
-    gsr_iterate,
-    gsr_shuffle,
-    insertion_normalization,
-    per_bin_z,
-    riffle_summary,
-    sample_C,
-    sample_R,
-    sample_from_pmf,
-    sample_parsimony,
-    sample_statistic,
-    summarize_values,
-)
-from .stein import (
-    STATISTIC_CODES,
-    SteinSolution,
-    TvReport,
-    bound_C_kc_exact,
-    bound_C_kd_exact,
-    bound_R_exact,
-    certification_sweep,
-    poisson_pmf,
-    poisson_tail,
-    solve_stein,
-    statistic_pushforward,
-    sweep_k_values,
-    tv_exact_vs_poisson,
-    tv_report,
-    tv_sandwich,
-)
-from .verify import SuiteResult, run_all
-
-__all__ = [
-    "ALPHA_THRESHOLD",
-    "CertificationError",
-    "DEFAULT_ENUMERATION_CAP",
-    "ExactPmf",
-    "MAX_RIFFLE_ROUNDS",
-    "MeasureSpec",
-    "MomentReport",
-    "NewtonRecord",
-    "NogoodRow",
-    "NormalizedPair",
-    "PairLaw",
-    "Permutation",
-    "STATISTIC_CODES",
-    "STATISTIC_LAWS",
-    "SampleSummary",
-    "SamplerConfig",
-    "SteinSolution",
-    "SuiteResult",
-    "TvReport",
-    "UserInputError",
-    "asymptotic_mean_c",
-    "asymptotic_variance_c",
-    "bernoulli_closed_forms",
-    "bernoulli_number",
-    "bernoulli_numbers",
-    "bernoulli_series_partial",
-    "bernoulli_tail_bound",
-    "bernoulli_tail_exact",
-    "bound_C_kc_exact",
-    "bound_C_kd_exact",
-    "bound_R_exact",
-    "c_pmf_C",
-    "c_pmf_uniform",
-    "c_prob",
-    "central_eulerian_ratio",
-    "certification_sweep",
-    "conditional_drift_given_d",
-    "cyclic_descent_count",
-    "cyclic_descent_counts",
-    "cyclic_rotate",
-    "d_pmf_C",
-    "d_pmf_R",
-    "d_pmf_uniform",
-    "decision_tree_distribution",
-    "descent_count",
-    "descent_positions",
-    "drift",
-    "enumerate_sn",
-    "estimate0_deviation",
-    "eulerian_row",
-    "eulerian_value",
-    "exact_statistic_pmf",
-    "g_remainder",
-    "goodness_of_fit",
-    "gsr_iterate",
-    "gsr_shuffle",
-    "insert_symbol",
-    "insertion_normalization",
-    "mean_abs_deviation_uniform_d",
-    "moments_c_C",
-    "moments_d_C",
-    "moments_d_R",
-    "newton_check",
-    "nogood_diagnostic",
-    "parsimony_distance",
-    "parsimony_pmf",
-    "per_bin_z",
-    "poisson_pmf",
-    "poisson_tail",
-    "power_sum",
-    "power_sum_bernoulli",
-    "r_prob",
-    "riffle_summary",
-    "rotation_conditional_law",
-    "run_all",
-    "sample_C",
-    "sample_R",
-    "sample_from_pmf",
-    "sample_parsimony",
-    "sample_statistic",
-    "solve_stein",
-    "statistic_pushforward",
-    "summarize_values",
-    "sweep_k_values",
-    "transfer_R_to_C",
-    "tv_exact_vs_poisson",
-    "tv_report",
-    "tv_sandwich",
-    "use1_mean",
-    "__version__",
-]

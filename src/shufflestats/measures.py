@@ -16,34 +16,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import CertificationError, UserInputError
 from .eulerian import eulerian_row
 from .moments import MomentReport, moments_c_C, moments_d_C, moments_d_R
-from .permutations import Permutation, cyclic_descent_count, descent_count
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class MeasureSpec:
-    """Which measure: family "R" or "C", with pile count k and deck size n."""
-
-    family: str
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.family not in ("R", "C"):
-            raise UserInputError(f"unknown family {self.family!r}, want 'R' or 'C'")
-        if self.k < 1:
-            raise UserInputError("k must be >= 1")
-        if self.n < 1:
-            raise UserInputError("n must be >= 1")
-        if self.family == "C" and self.n < 2:
-            raise UserInputError("family C requires n >= 2")
 
 
 class ExactPmf:
@@ -238,33 +218,17 @@ class ExactPmf:
         return [(v, a, d, a / d) for v, a, d in self._reduced()]
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[int, Fraction]) -> "ExactPmf":
-        return cls(mapping.items())
-
-    @classmethod
     def point_mass(cls, value: int) -> "ExactPmf":
         return cls([(value, _ONE)])
 
 
-def r_prob(spec: MeasureSpec, p: Permutation) -> Fraction:
-    """Probability of the single permutation p under R(k, n)."""
-    if spec.family != "R":
-        raise UserInputError("r_prob needs a family-R spec")
-    if p.n != spec.n:
-        raise UserInputError(f"permutation size {p.n} != spec n {spec.n}")
-    k, n = spec.k, spec.n
-    d = descent_count(p)
+def r_weight(k: int, n: int, d: int) -> Fraction:
+    """Mass under R(k, n) of any one permutation with d descents."""
     return Fraction(comb(n + k - d - 1, n), k**n)
 
 
-def c_prob(spec: MeasureSpec, p: Permutation) -> Fraction:
-    """Probability of the single permutation p under C(k, n)."""
-    if spec.family != "C":
-        raise UserInputError("c_prob needs a family-C spec")
-    if p.n != spec.n:
-        raise UserInputError(f"permutation size {p.n} != spec n {spec.n}")
-    k, n = spec.k, spec.n
-    c = cyclic_descent_count(p)
+def c_weight(k: int, n: int, c: int) -> Fraction:
+    """Mass under C(k, n) of any one permutation with c cyclic descents."""
     return Fraction(comb(n + k - c - 1, n - 1), n * k ** (n - 1))
 
 

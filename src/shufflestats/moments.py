@@ -59,10 +59,6 @@ def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
     return _bern
 
 
-def bernoulli_number(t: int) -> Fraction:
-    return bernoulli_numbers(t)[t]
-
-
 # ---------------------------------------------------------------------------
 # Exact power sums, two ways
 

@@ -9,7 +9,7 @@ by the test suite to anchor every exact formula in the package.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import UserInputError
 
@@ -59,15 +59,6 @@ class Permutation:
         if n < 1:
             raise UserInputError("n must be >= 1")
         return cls._from_trusted(tuple(range(1, n + 1)))
-
-    @classmethod
-    def parse(cls, text: str) -> "Permutation":
-        """Parse a whitespace-separated one-line word like ``"3 1 4 2 5"``."""
-        try:
-            word = tuple(int(tok) for tok in text.split())
-        except ValueError as exc:
-            raise UserInputError(f"cannot parse permutation from {text!r}") from exc
-        return cls(word)
 
     @property
     def n(self) -> int:
@@ -183,17 +174,8 @@ def cyclic_rotate(p: Permutation, shift: int) -> Permutation:
     return Permutation._from_trusted(w[shift:] + w[:shift])
 
 
-def enumerate_sn(
-    n: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    part: tuple[int, int] | None = None,
-) -> Iterator[Permutation]:
-    """Yield every element of S_n exactly once.
-
-    ``part=(i, parts)`` restricts the stream to words whose first symbol
-    is congruent to i mod parts, so concurrent oracle checks can split
-    the work; the union over i in range(parts) is all of S_n, disjointly.
-    """
+def enumerate_sn(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Permutation]:
+    """Yield every element of S_n exactly once."""
     if n < 1:
         raise UserInputError("n must be >= 1")
     if n > cap:
@@ -201,15 +183,5 @@ def enumerate_sn(
             f"enumeration of S_{n} exceeds the oracle cap {cap}; "
             "raise the cap explicitly if you really mean it"
         )
-    symbols = range(1, n + 1)
-    if part is None:
-        firsts: Iterable[int] = symbols
-    else:
-        idx, parts = part
-        if parts < 1 or not 0 <= idx < parts:
-            raise UserInputError(f"bad partition selector {part!r}")
-        firsts = (s for s in symbols if s % parts == idx % parts)
-    for first in firsts:
-        rest = [s for s in symbols if s != first]
-        for tail in itertools.permutations(rest):
-            yield Permutation._from_trusted((first,) + tail)
+    for word in itertools.permutations(range(1, n + 1)):
+        yield Permutation._from_trusted(word)

@@ -5,11 +5,10 @@ batch of words. The first grows a permutation one symbol at a time
 through weighted insertions; after n-1 steps the result carries the
 k-shuffle law exactly, with no rejection and no enumeration. The second
 simulates the physical riffle (binomial cut, uniformly random
-interleave) and exists to cross-validate the first. The single-draw
-functions are row 0 of a one-row batch. Empirical output is summarized
-against the exact pmfs from :mod:`shufflestats.measures` via a Pearson
-chi-square test with tail-bin merging plus per-bin binomial z-scores,
-computed once and kept on the summary.
+interleave) and exists to cross-validate the first. Empirical output is
+summarized against the exact pmfs from :mod:`shufflestats.measures` via
+a Pearson chi-square test with tail-bin merging plus per-bin binomial
+z-scores, computed once and kept on the summary.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``. Each stream draws a fixed, precomputed number of
@@ -33,8 +32,7 @@ from typing import Callable, Mapping
 import mpmath as mp
 
 from .errors import CertificationError, UserInputError
-from .measures import (  # MAX_RIFFLE_ROUNDS is re-exported here
-    MAX_RIFFLE_ROUNDS,
+from .measures import (
     ExactPmf,
     d_pmf_R,
     parsimony_distance,
@@ -42,7 +40,7 @@ from .measures import (  # MAX_RIFFLE_ROUNDS is re-exported here
     riffle_piles,
     statistic_law,
 )
-from .permutations import Permutation, cyclic_rotate, descent_count, insert_symbol
+from .permutations import Permutation, descent_count, insert_symbol
 
 
 class _LazyNumpy:
@@ -123,7 +121,9 @@ class SampleSummary:
 
 def _stream_generator(seed: int, stream_id: int) -> np.random.Generator:
     """Philox generator for one stream, keyed by (seed, stream_id)."""
-    return np.random.Generator(np.random.Philox(key=[seed, stream_id]))
+    # A uint64 array: numpy reads a plain list of ints >= 2**63 as float64.
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _stream_counts(count: int, streams: int) -> list[int]:
@@ -186,56 +186,6 @@ def _insertion_words(k: int, n: int, count: int, rng: np.random.Generator) -> np
     for m in range(1, n):
         words = _insertion_step(k, m, words, rng)
     return words
-
-
-def sample_R(k: int, n: int, rng: np.random.Generator) -> Permutation:
-    """Draw one permutation of n symbols from the k-shuffle measure.
-
-    Starts from the one-symbol identity and performs n-1 weighted
-    insertions; the output is exact, not approximate.
-    """
-    if k < 1:
-        raise UserInputError(f"k must be a positive integer, got {k}")
-    if n < 1:
-        raise UserInputError(f"n must be a positive integer, got {n}")
-    word = _insertion_words(k, n, 1, rng)[0]
-    return Permutation._from_trusted(tuple(int(s) for s in word))
-
-
-def sample_C(k: int, n: int, rng: np.random.Generator) -> Permutation:
-    """Draw one permutation from the cut-then-shuffle measure.
-
-    A k-shuffle draw followed by a uniformly random cyclic rotation.
-    """
-    if n < 2:
-        raise UserInputError(f"the cut measure needs n >= 2, got n={n}")
-    p = sample_R(k, n, rng)
-    return cyclic_rotate(p, int(rng.integers(0, n)))
-
-
-def gsr_shuffle(p: Permutation, rng: np.random.Generator) -> Permutation:
-    """One physical riffle applied to a deck in the order given by p.
-
-    One riffle of a sorted deck (a one-row _gsr_words batch) names, for
-    each position, the card of p that lands there.
-    """
-    row = _gsr_words(p.n, 1, 1, rng)[0]
-    return Permutation._from_trusted(tuple(p.word[w - 1] for w in row))
-
-
-def gsr_iterate(n: int, rounds: int, rng: np.random.Generator) -> Permutation:
-    """Riffle a sorted n-card deck `rounds` times (row 0 of a _gsr_words batch).
-
-    The INVERSE of the returned permutation has descent count distributed
-    as d_pmf_R(2**rounds, n); callers comparing against the closed-form
-    pmf must invert first.
-    """
-    if n < 1:
-        raise UserInputError(f"n must be a positive integer, got {n}")
-    if rounds < 0:
-        raise UserInputError(f"rounds must be nonnegative, got {rounds}")
-    row = _gsr_words(n, rounds, 1, rng)[0]
-    return Permutation._from_trusted(tuple(int(s) for s in row))
 
 
 def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.ndarray:

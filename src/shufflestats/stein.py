@@ -226,7 +226,7 @@ def tv_exact_vs_poisson(pmf: ExactPmf, lam: Rational) -> float:
 # Certified bounds
 
 
-def _certified_bound(k: int, n: int, statistic: str) -> Fraction:
+def certified_bound(k: int, n: int, statistic: str) -> Fraction:
     """(k/m)^2 [+ 2k/m] + k(m+1)(1-1/k)^m, m = n + shift of the coded row."""
     if k < 1 or n < 1:
         raise UserInputError("need k >= 1 and n >= 1")
@@ -235,21 +235,6 @@ def _certified_bound(k: int, n: int, statistic: str) -> Fraction:
     lam = Fraction(k, m)
     bound = lam**2 + k * (m + 1) * Fraction(k - 1, k) ** m
     return bound + 2 * lam if law.linear else bound
-
-
-def bound_C_kd_exact(k: int, n: int) -> Fraction:
-    """Certified bound for k-d under C(k, n)."""
-    return _certified_bound(k, n, "Cd")
-
-
-def bound_C_kc_exact(k: int, n: int) -> Fraction:
-    """Certified bound for k-c under C(k, n)."""
-    return _certified_bound(k, n, "Cc")
-
-
-def bound_R_exact(k: int, n: int) -> Fraction:
-    """Certified bound for k-1-d under R(k, n): the k-c bound at n+1."""
-    return _certified_bound(k, n, "R")
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +291,7 @@ def tv_report(k: int, n: int, statistic: str) -> TvReport:
     """
     pmf, lam = statistic_pushforward(k, n, statistic)
     tv = tv_exact_vs_poisson(pmf, lam)
-    bound = _certified_bound(k, n, statistic)
+    bound = certified_bound(k, n, statistic)
     slack = float(bound) - tv
     if slack < 0:
         raise CertificationError(

@@ -21,19 +21,11 @@ from math import comb, factorial
 
 from .errors import CertificationError, UserInputError
 from .eulerian import cyclic_descent_counts, eulerian_value
-from .measures import (
-    MeasureSpec,
-    c_pmf_C,
-    c_prob,
-    d_pmf_C,
-    d_pmf_R,
-    r_prob,
-    transfer_R_to_C,
-)
+from .measures import c_pmf_C, c_weight, d_pmf_C, d_pmf_R, r_weight, transfer_R_to_C
 from .moments import moments_c_C, moments_d_C, moments_d_R, use1_mean
 from .pair import PairLaw, drift, g_remainder, rotation_conditional_law
 from .permutations import (
-    Permutation,
+    DEFAULT_ENUMERATION_CAP,
     cyclic_descent_count,
     descent_count,
     enumerate_sn,
@@ -42,7 +34,6 @@ from .permutations import (
 from .sampler import decision_tree_distribution, insertion_normalization
 
 FAULT_MODES = ("transfer",)
-ORACLE_MAX_LIMIT = 9
 DEFAULT_ORACLE_MAX = 7
 # Cap on k_max * n_max. On a 2-vCPU machine, with oracle_max 9, the
 # largest grids it allows, (100, 2) and (1, 200), ran in about 7 s, and
@@ -61,17 +52,28 @@ class SuiteResult:
 
 
 def _joint_counts(n: int) -> Counter:
-    """Count permutations of S_n by their (descent, cyclic descent) pair."""
+    """Count permutations of S_n by their (descent, cyclic descent) pair.
+
+    S_1 has no cyclic descent count; its one permutation counts as (0, None).
+    """
     out: Counter = Counter()
     for p in enumerate_sn(n):
-        out[(descent_count(p), cyclic_descent_count(p))] += 1
+        out[(descent_count(p), cyclic_descent_count(p) if n > 1 else None)] += 1
     return out
 
 
-def _suite_eulerian(oracle_max: int) -> int:
+def _marginal(joint: Counter, axis: int) -> Counter:
+    """Counts of the descent (axis 0) or cyclic descent (axis 1) alone."""
+    out: Counter = Counter()
+    for pair, mult in joint.items():
+        out[pair[axis]] += mult
+    return out
+
+
+def _suite_eulerian(joints: dict[int, Counter]) -> int:
     checks = 0
-    for n in range(1, oracle_max + 1):
-        hist = Counter(descent_count(p) for p in enumerate_sn(n))
+    for n, joint in joints.items():
+        hist = _marginal(joint, 0)
         for i in range(1, n + 1):
             if eulerian_value(n, i) != hist.get(i - 1, 0):
                 raise CertificationError(
@@ -87,10 +89,10 @@ def _suite_eulerian(oracle_max: int) -> int:
     return checks
 
 
-def _suite_cyclic_counts(oracle_max: int) -> int:
+def _suite_cyclic_counts(joints: dict[int, Counter]) -> int:
     checks = 0
-    for n in range(2, oracle_max + 1):
-        hist = Counter(cyclic_descent_count(p) for p in enumerate_sn(n))
+    for n in range(2, max(joints) + 1):
+        hist = _marginal(joints[n], 1)
         counts = cyclic_descent_counts(n)
         for i in range(1, n + 1):
             if counts[i - 1] != hist.get(i, 0):
@@ -105,32 +107,22 @@ def _suite_cyclic_counts(oracle_max: int) -> int:
     return checks
 
 
-def _r_weight(k: int, n: int, d: int) -> Fraction:
-    """Definitional mass of any single permutation with d descents."""
-    return Fraction(comb(n + k - d - 1, n), k**n)
-
-
-def _c_weight(k: int, n: int, c: int) -> Fraction:
-    """Definitional mass of any single permutation with cyclic count c."""
-    return Fraction(comb(n + k - c - 1, n - 1), n * k ** (n - 1))
-
-
-def _suite_pmf_oracle(oracle_max: int, k_max: int) -> int:
+def _suite_pmf_oracle(joints: dict[int, Counter], k_max: int) -> int:
     checks = 0
     for k in range(1, k_max + 1):
         if d_pmf_R(k, 1).items() != ((0, Fraction(1)),):
             raise CertificationError(f"d pmf at (k={k}, n=1) is not a point mass at 0")
         checks += 1
-    for n in range(2, oracle_max + 1):
-        joint = _joint_counts(n)
+    for n in range(2, max(joints) + 1):
+        joint = joints[n]
         for k in range(1, k_max + 1):
             oracle_d_r: dict[int, Fraction] = {}
             oracle_c_c: dict[int, Fraction] = {}
             oracle_d_c: dict[int, Fraction] = {}
             for (d, c), mult in joint.items():
-                oracle_d_r[d] = oracle_d_r.get(d, Fraction(0)) + mult * _r_weight(k, n, d)
-                oracle_c_c[c] = oracle_c_c.get(c, Fraction(0)) + mult * _c_weight(k, n, c)
-                oracle_d_c[d] = oracle_d_c.get(d, Fraction(0)) + mult * _c_weight(k, n, c)
+                oracle_d_r[d] = oracle_d_r.get(d, Fraction(0)) + mult * r_weight(k, n, d)
+                oracle_c_c[c] = oracle_c_c.get(c, Fraction(0)) + mult * c_weight(k, n, c)
+                oracle_d_c[d] = oracle_d_c.get(d, Fraction(0)) + mult * c_weight(k, n, c)
             for name, closed, oracle in (
                 ("d_pmf_R", d_pmf_R(k, n), oracle_d_r),
                 ("c_pmf_C", c_pmf_C(k, n), oracle_c_c),
@@ -147,22 +139,22 @@ def _suite_pmf_oracle(oracle_max: int, k_max: int) -> int:
     return checks
 
 
-def _suite_moments(oracle_max: int, k_max: int) -> int:
+def _suite_moments(joints: dict[int, Counter], k_max: int) -> int:
     checks = 0
-    for n in range(2, oracle_max + 1):
-        joint = _joint_counts(n)
+    for n in range(2, max(joints) + 1):
+        joint = joints[n]
         for k in range(1, k_max + 1):
             e_c = e_c2 = e_d = e_d2 = e_use1 = Fraction(0)
             e_d_r = e_d2_r = Fraction(0)
             for (d, c), mult in joint.items():
-                w_c = mult * _c_weight(k, n, c)
+                w_c = mult * c_weight(k, n, c)
                 e_c += w_c * c
                 e_c2 += w_c * c * c
                 e_d += w_c * d
                 e_d2 += w_c * d * d
                 if c == d + 1:
                     e_use1 += w_c * d
-                w_r = mult * _r_weight(k, n, d)
+                w_r = mult * r_weight(k, n, d)
                 e_d_r += w_r * d
                 e_d2_r += w_r * d * d
             c_c, d_c, d_r = moments_c_C(k, n), moments_d_C(k, n), moments_d_R(k, n)
@@ -243,8 +235,7 @@ def _suite_pair(oracle_max: int) -> int:
             rotation_conditional_law(p)  # self-certifying dual computation
             checks += 1
         for k in (1, 2, 3):
-            spec = MeasureSpec("C", k, n)
-            total = sum(c_prob(spec, p) * drift(p) for p in perms)
+            total = sum(c_weight(k, n, cyclic_descent_count(p)) * drift(p) for p in perms)
             if total != 0:
                 raise CertificationError(
                     f"drift has nonzero mean {total} under the cut measure at k={k}, n={n}"
@@ -264,12 +255,12 @@ def _suite_insertion() -> int:
     for n in range(1, 6):
         for k in range(1, 5):
             tree = decision_tree_distribution(k, n)
-            spec = MeasureSpec("R", k, n)
             for p in enumerate_sn(n):
-                if tree.get(p, Fraction(0)) != r_prob(spec, p):
+                weight = r_weight(k, n, descent_count(p))
+                if tree.get(p, Fraction(0)) != weight:
                     raise CertificationError(
                         f"decision tree mass at k={k}, n={n}, pi={p}: "
-                        f"{tree.get(p, Fraction(0))} != {r_prob(spec, p)}"
+                        f"{tree.get(p, Fraction(0))} != {weight}"
                     )
                 checks += 1
     for n in range(2, 6):
@@ -299,9 +290,9 @@ def run_all(
     k_max bound the closed-form grids, which need no enumeration, and
     their product may not pass GRID_LIMIT.
     """
-    if not 1 <= oracle_max <= ORACLE_MAX_LIMIT:
+    if not 1 <= oracle_max <= DEFAULT_ENUMERATION_CAP:
         raise UserInputError(
-            f"oracle_max must lie in 1..{ORACLE_MAX_LIMIT}, got {oracle_max}"
+            f"oracle_max must lie in 1..{DEFAULT_ENUMERATION_CAP}, got {oracle_max}"
         )
     if k_max < 1 or n_max < 2:
         raise UserInputError(f"need k_max >= 1 and n_max >= 2, got {k_max}, {n_max}")
@@ -312,11 +303,13 @@ def run_all(
         )
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise UserInputError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
+    # The four enumeration suites share one pass over each S_n.
+    joints = {n: _joint_counts(n) for n in range(1, oracle_max + 1)}
     suites = (
-        ("eulerian", lambda: _suite_eulerian(oracle_max)),
-        ("cyclic-counts", lambda: _suite_cyclic_counts(oracle_max)),
-        ("pmf-oracle", lambda: _suite_pmf_oracle(oracle_max, k_max)),
-        ("moments", lambda: _suite_moments(oracle_max, k_max)),
+        ("eulerian", lambda: _suite_eulerian(joints)),
+        ("cyclic-counts", lambda: _suite_cyclic_counts(joints)),
+        ("pmf-oracle", lambda: _suite_pmf_oracle(joints, k_max)),
+        ("moments", lambda: _suite_moments(joints, k_max)),
         ("transfer", lambda: _suite_transfer(n_max, k_max, inject_fault)),
         ("generating-function", lambda: _suite_generating_function(n_max)),
         ("pair", lambda: _suite_pair(oracle_max)),

@@ -15,29 +15,29 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_descents, oracle_moment, oracle_pmf, pmf_as_dict, stat_pairs
-from shufflestats import (
-    Permutation,
-    SamplerConfig,
-    bound_C_kd_exact,
-    c_pmf_C,
-    central_eulerian_ratio,
-    certification_sweep,
-    d_pmf_C,
-    d_pmf_R,
-    decision_tree_distribution,
-    insertion_normalization,
-    moments_c_C,
-    moments_d_C,
-    newton_check,
-    nogood_diagnostic,
+from shufflestats.measures import c_pmf_C, d_pmf_C, d_pmf_R
+from shufflestats.moments import (
     asymptotic_mean_c,
     asymptotic_variance_c,
+    moments_c_C,
+    moments_d_C,
+    use1_mean,
+)
+from shufflestats.pair import central_eulerian_ratio, newton_check, nogood_diagnostic
+from shufflestats.permutations import Permutation
+from shufflestats.sampler import (
+    SamplerConfig,
+    decision_tree_distribution,
+    insertion_normalization,
     riffle_summary,
     sample_statistic,
+)
+from shufflestats.stein import (
+    certification_sweep,
+    certified_bound,
     solve_stein,
     sweep_k_values,
     tv_report,
-    use1_mean,
 )
 
 F = Fraction
@@ -95,7 +95,7 @@ def test_c04_poisson_bounds_certify_across_the_sweep():
     pinned = tv_report(5, 200, "Cd")
     assert pinned.bound == pytest.approx(6.25e-4, rel=1e-9)
     assert pinned.tv_exact < pinned.bound
-    assert float(bound_C_kd_exact(5, 200)) == pytest.approx(6.25e-4, rel=1e-9)
+    assert float(certified_bound(5, 200, "Cd")) == pytest.approx(6.25e-4, rel=1e-9)
     assert time.monotonic() - started < 300
 
 

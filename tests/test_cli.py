@@ -11,14 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from shufflestats import (
-    cli,
-    cyclic_descent_counts,
-    d_pmf_R,
-    eulerian_row,
-    measures,
-    sampler,
-)
+from shufflestats import cli, measures, sampler
+from shufflestats.eulerian import cyclic_descent_counts, eulerian_row
+from shufflestats.measures import d_pmf_R
 from shufflestats.verify import DEFAULT_ORACLE_MAX
 
 

@@ -4,15 +4,7 @@ import doctest
 
 import pytest
 
-from shufflestats import (
-    eulerian,
-    measures,
-    moments,
-    pair,
-    permutations,
-    sampler,
-    stein,
-)
+from shufflestats import eulerian, measures, moments, pair, permutations, sampler, stein
 
 MODULES = [permutations, eulerian, measures, moments, stein, pair, sampler]
 

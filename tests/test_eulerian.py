@@ -9,13 +9,9 @@ from collections import Counter
 import pytest
 
 from conftest import stat_pairs
-from shufflestats import (
-    UserInputError,
-    cyclic_descent_counts,
-    eulerian_row,
-    eulerian_value,
-)
 from shufflestats import eulerian
+from shufflestats.errors import UserInputError
+from shufflestats.eulerian import cyclic_descent_counts, eulerian_row, eulerian_value
 
 
 def reference_triangle(n_max):

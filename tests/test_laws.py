@@ -5,17 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_law
-from shufflestats import (
-    STATISTIC_CODES,
-    STATISTIC_LAWS,
-    ExactPmf,
-    UserInputError,
-    bound_C_kc_exact,
-    bound_C_kd_exact,
-    bound_R_exact,
-    exact_statistic_pmf,
-    statistic_pushforward,
-)
+from shufflestats.errors import UserInputError
+from shufflestats.measures import STATISTIC_LAWS, ExactPmf
+from shufflestats.sampler import exact_statistic_pmf
+from shufflestats.stein import STATISTIC_CODES, certified_bound, statistic_pushforward
 
 F = Fraction
 GRID = [(k, n) for n in range(2, 7) for k in range(1, 6)]
@@ -49,9 +42,9 @@ def test_table_covers_the_five_pairs():
 @pytest.mark.parametrize("k, n", GRID)
 def test_bounds_match_their_closed_forms(k, n):
     tail = k * (n + 1) * F(k - 1, k) ** n
-    assert bound_C_kd_exact(k, n) == F(k, n) ** 2 + tail
-    assert bound_C_kc_exact(k, n) == F(k, n) ** 2 + F(2 * k, n) + tail
-    assert bound_R_exact(k, n) == (
+    assert certified_bound(k, n, "Cd") == F(k, n) ** 2 + tail
+    assert certified_bound(k, n, "Cc") == F(k, n) ** 2 + F(2 * k, n) + tail
+    assert certified_bound(k, n, "R") == (
         F(k, n + 1) ** 2 + F(2 * k, n + 1) + k * (n + 2) * F(k - 1, k) ** (n + 1)
     )
 

@@ -13,21 +13,25 @@ from conftest import (
     pmf_as_dict,
     stat_pairs,
 )
-from shufflestats import (
+from shufflestats.errors import UserInputError
+from shufflestats.measures import (
     ExactPmf,
-    MeasureSpec,
-    Permutation,
-    UserInputError,
     c_pmf_C,
     c_pmf_uniform,
-    c_prob,
-    cyclic_rotate,
+    c_weight,
     d_pmf_C,
     d_pmf_R,
     d_pmf_uniform,
     parsimony_pmf,
-    r_prob,
+    r_weight,
+    statistic_law,
     transfer_R_to_C,
+)
+from shufflestats.permutations import (
+    Permutation,
+    cyclic_descent_count,
+    cyclic_rotate,
+    descent_count,
 )
 
 F = Fraction
@@ -89,14 +93,12 @@ class TestExactPmf:
         assert pmf.variance() == 0
 
     def test_from_mapping(self):
-        pmf = ExactPmf.from_mapping({1: F(1, 3), 2: F(2, 3)})
+        pmf = ExactPmf({1: F(1, 3), 2: F(2, 3)}.items())
         assert pmf.prob(2) == F(2, 3)
 
 
 class TestMeasureSpec:
-    def test_valid(self):
-        spec = MeasureSpec("R", 3, 5)
-        assert (spec.family, spec.k, spec.n) == ("R", 3, 5)
+    """A measure (family, k, n): its per-permutation weights and its checks."""
 
     @pytest.mark.parametrize(
         "family,k,n",
@@ -104,36 +106,23 @@ class TestMeasureSpec:
     )
     def test_invalid(self, family, k, n):
         with pytest.raises(UserInputError):
-            MeasureSpec(family, k, n)
+            statistic_law(family, "d").pmf(k, n)
 
     def test_per_permutation_weights(self):
-        spec_r = MeasureSpec("R", 2, 3)
-        spec_c = MeasureSpec("C", 2, 3)
         for (d, c), word in zip(
             stat_pairs(3), itertools.permutations((1, 2, 3))
         ):
             p = Permutation(word)
-            assert r_prob(spec_r, p) == oracle_shuffle_weight(2, 3, d)
-            assert c_prob(spec_c, p) == oracle_cut_weight(2, 3, c)
-
-    def test_weight_family_mismatch(self):
-        p = Permutation((1, 2))
-        with pytest.raises(UserInputError):
-            r_prob(MeasureSpec("C", 2, 2), p)
-        with pytest.raises(UserInputError):
-            c_prob(MeasureSpec("R", 2, 2), p)
-
-    def test_weight_size_mismatch(self):
-        with pytest.raises(UserInputError):
-            r_prob(MeasureSpec("R", 2, 3), Permutation((1, 2)))
+            assert r_weight(2, 3, descent_count(p)) == oracle_shuffle_weight(2, 3, d)
+            assert c_weight(2, 3, cyclic_descent_count(p)) == oracle_cut_weight(2, 3, c)
 
     def test_cut_weight_is_rotation_invariant(self):
-        spec = MeasureSpec("C", 3, 5)
         for word in itertools.permutations(range(1, 6)):
             p = Permutation(word)
-            w = c_prob(spec, p)
+            w = c_weight(3, 5, cyclic_descent_count(p))
             assert all(
-                c_prob(spec, cyclic_rotate(p, s)) == w for s in range(1, 5)
+                c_weight(3, 5, cyclic_descent_count(cyclic_rotate(p, s))) == w
+                for s in range(1, 5)
             )
 
 

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_moment
-from shufflestats import (
+from shufflestats import moments
+from shufflestats.errors import UserInputError
+from shufflestats.moments import (
     ALPHA_THRESHOLD,
-    UserInputError,
     asymptotic_mean_c,
     asymptotic_variance_c,
     bernoulli_closed_forms,
-    bernoulli_number,
     bernoulli_numbers,
     bernoulli_tail_bound,
     bernoulli_tail_exact,
@@ -24,7 +24,6 @@ from shufflestats import (
     power_sum_bernoulli,
     use1_mean,
 )
-from shufflestats import moments
 
 F = Fraction
 
@@ -104,15 +103,15 @@ class TestExactMoments:
 
 class TestBernoulli:
     def test_small_values(self):
-        assert bernoulli_number(0) == 1
-        assert bernoulli_number(1) == F(-1, 2)
-        assert bernoulli_number(2) == F(1, 6)
-        assert bernoulli_number(4) == F(-1, 30)
-        assert bernoulli_number(12) == F(-691, 2730)
+        assert bernoulli_numbers(0)[0] == 1
+        assert bernoulli_numbers(1)[1] == F(-1, 2)
+        assert bernoulli_numbers(2)[2] == F(1, 6)
+        assert bernoulli_numbers(4)[4] == F(-1, 30)
+        assert bernoulli_numbers(12)[12] == F(-691, 2730)
 
     def test_odd_values_vanish(self):
         for t in range(3, 32, 2):
-            assert bernoulli_number(t) == 0
+            assert bernoulli_numbers(t)[t] == 0
 
     def test_shared_cache_grows(self):
         values = bernoulli_numbers(6)

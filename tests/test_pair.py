@@ -8,20 +8,20 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_cut_weight, oracle_cyclic_descents, oracle_descents
-from shufflestats import (
+from shufflestats.errors import UserInputError
+from shufflestats.eulerian import eulerian_value
+from shufflestats.pair import (
     PairLaw,
-    Permutation,
-    UserInputError,
     central_eulerian_ratio,
     conditional_drift_given_d,
     drift,
-    eulerian_value,
     g_remainder,
     mean_abs_deviation_uniform_d,
     newton_check,
     nogood_diagnostic,
     rotation_conditional_law,
 )
+from shufflestats.permutations import Permutation
 
 F = Fraction
 

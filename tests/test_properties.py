@@ -16,19 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_law
-from shufflestats import (
-    STATISTIC_CODES,
-    STATISTIC_LAWS,
-    CertificationError,
-    ExactPmf,
-    UserInputError,
-    c_pmf_uniform,
-    d_pmf_uniform,
-    moments,
-    power_sum,
-    statistic_pushforward,
-    tv_sandwich,
-)
+from shufflestats import moments
+from shufflestats.errors import CertificationError, UserInputError
+from shufflestats.measures import STATISTIC_LAWS, ExactPmf, c_pmf_uniform, d_pmf_uniform
+from shufflestats.moments import power_sum
+from shufflestats.stein import STATISTIC_CODES, statistic_pushforward, tv_sandwich
 
 F = Fraction
 

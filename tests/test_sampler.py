@@ -3,41 +3,31 @@
 import itertools
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import oracle_descents, oracle_shuffle_weight
-from shufflestats import (
-    MAX_RIFFLE_ROUNDS,
-    CertificationError,
-    ExactPmf,
-    Permutation,
-    SamplerConfig,
+from shufflestats import measures, sampler
+from shufflestats.errors import CertificationError, UserInputError
+from shufflestats.measures import MAX_RIFFLE_ROUNDS, ExactPmf, c_pmf_C, d_pmf_R, parsimony_pmf
+from shufflestats.permutations import Permutation, descent_count, insert_symbol
+from shufflestats.sampler import (
     SampleSummary,
-    UserInputError,
-    c_pmf_C,
-    d_pmf_R,
+    SamplerConfig,
     decision_tree_distribution,
-    descent_count,
     exact_statistic_pmf,
     goodness_of_fit,
-    gsr_iterate,
-    gsr_shuffle,
-    insert_symbol,
     insertion_normalization,
-    parsimony_pmf,
     per_bin_z,
     riffle_summary,
-    sample_C,
-    sample_R,
     sample_from_pmf,
     sample_parsimony,
     sample_statistic,
     summarize_values,
 )
-from shufflestats import measures, sampler
 
 F = Fraction
 
@@ -110,52 +100,65 @@ class TestInsertionCases:
             assert case1_slots == d + 1
 
 
+class TestSeeds:
+    def test_seeds_at_and_above_2_63_get_their_own_streams(self):
+        # numpy reads a plain list key [seed, id] with seed >= 2**63 as
+        # float64: 2**64 - 1 and 2**64 - 2 then collide with seed 0.
+        histograms = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (0, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1):
+                config = SamplerConfig(k=4, n=6, count=2000, seed=seed, streams=2)
+                summary = sample_statistic("R", "d", config)
+                histograms.add(tuple(summary.histogram.items()))
+        assert len(histograms) == 5
+
+
 class TestScalarSamplers:
+    # One draw is row 0 of a one-row batch; a C draw rotates that row
+    # left by rng.integers(0, n).
     def test_single_pile_is_identity(self):
         rng = _rng()
         for _ in range(5):
-            assert sample_R(1, 6, rng) == Permutation.identity(6)
+            assert sampler._insertion_words(1, 6, 1, rng)[0].tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_single_card(self):
-        assert sample_R(3, 1, _rng()) == Permutation((1,))
+        assert sampler._insertion_words(3, 1, 1, _rng())[0].tolist() == [1]
 
     def test_samples_are_permutations(self):
         rng = _rng(9)
         for _ in range(50):
-            p = sample_R(3, 5, rng)
-            assert sorted(p.word) == [1, 2, 3, 4, 5]
-            q = sample_C(3, 5, rng)
-            assert sorted(q.word) == [1, 2, 3, 4, 5]
+            p = sampler._insertion_words(3, 5, 1, rng)[0]
+            assert sorted(p.tolist()) == [1, 2, 3, 4, 5]
+            q = np.roll(sampler._insertion_words(3, 5, 1, rng)[0], -int(rng.integers(0, 5)))
+            assert sorted(q.tolist()) == [1, 2, 3, 4, 5]
 
     def test_cut_measure_needs_two_cards(self):
+        config = SamplerConfig(k=2, n=1, count=10, seed=0)
         with pytest.raises(UserInputError):
-            sample_C(2, 1, _rng())
+            sample_statistic("C", "c", config)
 
     def test_identity_frequency_matches_exact_mass(self):
         # P(identity) under R(3, 2) is 2/3
         rng = _rng(42)
-        hits = sum(sample_R(3, 2, rng) == Permutation.identity(2) for _ in range(3000))
+        hits = sum(
+            sampler._insertion_words(3, 2, 1, rng)[0].tolist() == [1, 2] for _ in range(3000)
+        )
         assert abs(hits / 3000 - 2 / 3) < 4 * np.sqrt((2 / 3) * (1 / 3) / 3000)
 
 
 class TestGsr:
+    # One riffle run is row 0 of a one-row _gsr_words batch; riffling a
+    # deck p reads p through one round of a sorted deck.
     def test_zero_rounds_is_identity(self):
-        assert gsr_iterate(7, 0, _rng()) == Permutation.identity(7)
+        assert sampler._gsr_words(7, 0, 1, _rng())[0].tolist() == list(range(1, 8))
 
     def test_shuffle_outputs_permutations(self):
         rng = _rng(3)
         p = Permutation.identity(8)
         for _ in range(20):
-            p = gsr_shuffle(p, rng)
+            p = Permutation(tuple(p.word[w - 1] for w in sampler._gsr_words(p.n, 1, 1, rng)[0]))
             assert sorted(p.word) == list(range(1, 9))
-
-    def test_shuffle_is_deck_composed_with_one_riffle(self):
-        # same key, same draws: gsr_shuffle(p) reads p through one riffle
-        p = Permutation((3, 1, 4, 2, 5, 7, 6))
-        for seed in range(6):
-            riffle = gsr_iterate(7, 1, _rng(seed))
-            want = Permutation(tuple(p(i) for i in riffle.word))
-            assert gsr_shuffle(p, _rng(seed)) == want
 
     def test_one_riffle_matches_permutation_law(self):
         # the inverse of one riffle is R(2, n)-distributed, word by word
@@ -167,13 +170,15 @@ class TestGsr:
             for i, w in enumerate(words)
         )
         rng = _rng(77)
-        values = np.array([index[gsr_iterate(n, 1, rng).word] for _ in range(reps)])
+        values = np.array(
+            [index[tuple(sampler._gsr_words(n, 1, 1, rng)[0].tolist())] for _ in range(reps)]
+        )
         assert summarize_values(values, law).p_value > 0.001
 
     def test_many_rounds_allowed_without_exact_reference(self):
         # iterating the physical shuffle never touches 2^rounds, so no cap
-        p = gsr_iterate(5, 70, _rng())
-        assert sorted(p.word) == [1, 2, 3, 4, 5]
+        row = sampler._gsr_words(5, 70, 1, _rng())[0]
+        assert sorted(row.tolist()) == [1, 2, 3, 4, 5]
 
     def test_round_cap_where_exact_pmf_is_needed(self):
         with pytest.raises(UserInputError):
@@ -185,7 +190,7 @@ class TestGsr:
         n, rounds, reps = 5, 2, 4000
         values = np.empty(reps, dtype=np.int64)
         for i in range(reps):
-            p = gsr_iterate(n, rounds, rng)
+            p = Permutation(tuple(sampler._gsr_words(n, rounds, 1, rng)[0].tolist()))
             values[i] = descent_count(p.inverse())
         summary = summarize_values(values, d_pmf_R(4, n))
         assert summary.p_value > 0.001
@@ -379,7 +384,6 @@ class TestParsimonyAndRiffle:
 
 class TestRoundGuard:
     def test_one_cap_shared_by_every_entry(self):
-        assert sampler.MAX_RIFFLE_ROUNDS is measures.MAX_RIFFLE_ROUNDS
         assert MAX_RIFFLE_ROUNDS == 62
         assert measures.riffle_piles(MAX_RIFFLE_ROUNDS) == 2**62
         assert parsimony_pmf(5, MAX_RIFFLE_ROUNDS, "riffle").support[-1] == 3

@@ -6,17 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from shufflestats import (
-    CertificationError,
-    ExactPmf,
-    UserInputError,
-    bound_C_kc_exact,
-    bound_C_kd_exact,
-    bound_R_exact,
+from shufflestats.errors import UserInputError
+from shufflestats.measures import ExactPmf, d_pmf_C, d_pmf_R
+from shufflestats.moments import moments_c_C
+from shufflestats.stein import (
     certification_sweep,
-    d_pmf_C,
-    d_pmf_R,
-    moments_c_C,
+    certified_bound,
     poisson_pmf,
     poisson_tail,
     solve_stein,
@@ -106,10 +101,10 @@ class TestExactTv:
 
 class TestBounds:
     def test_exact_bound_values(self):
-        assert bound_C_kd_exact(1, 7) == F(1, 49)
-        assert bound_C_kc_exact(1, 7) == F(1, 49) + F(2, 7)
-        assert bound_R_exact(1, 9) == F(21, 100)
-        assert float(bound_C_kd_exact(5, 200)) == pytest.approx(6.25e-4, rel=1e-9)
+        assert certified_bound(1, 7, "Cd") == F(1, 49)
+        assert certified_bound(1, 7, "Cc") == F(1, 49) + F(2, 7)
+        assert certified_bound(1, 9, "R") == F(21, 100)
+        assert float(certified_bound(5, 200, "Cd")) == pytest.approx(6.25e-4, rel=1e-9)
 
     def test_deterministic_regime_floor(self):
         # at k = 1 the R-side statistic is identically zero, so the gap

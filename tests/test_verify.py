@@ -1,9 +1,12 @@
 """Cross-module identity suites and their fault injection."""
 
+from collections import Counter
+
 import pytest
 
-from shufflestats import SuiteResult, UserInputError, run_all
-from shufflestats.verify import GRID_LIMIT
+from shufflestats import verify
+from shufflestats.errors import UserInputError
+from shufflestats.verify import GRID_LIMIT, SuiteResult, run_all
 
 EXPECTED_SUITES = {
     "eulerian",
@@ -23,6 +26,25 @@ def test_default_run_passes():
     assert all(isinstance(r, SuiteResult) for r in results)
     assert all(r.passed for r in results)
     assert all(r.checks > 0 for r in results)
+
+
+def test_enumeration_suites_share_one_pass_per_n(monkeypatch):
+    # eulerian, cyclic-counts, pmf-oracle and moments read one (d, c)
+    # histogram of each S_n; pair and insertion enumerate on their own.
+    calls = Counter()
+    real = verify.enumerate_sn
+
+    def counted(n, *args, **kwargs):
+        calls[n] += 1
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_sn", counted)
+    monkeypatch.setattr(verify, "_suite_pair", lambda oracle_max: 1)
+    monkeypatch.setattr(verify, "_suite_insertion", lambda: 1)
+    results = run_all(oracle_max=6, k_max=3, n_max=3)
+    assert all(r.passed for r in results)
+    assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+    assert max(calls.values()) == 1
 
 
 def test_fault_injection_trips_exactly_the_transfer_suite():

@@ -95,10 +95,21 @@ def _render_csv(header, rows) -> str:
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell_text(cell) for cell in row])
-    return buffer.getvalue()
+    lines = []
+    for row in [header, *rows]:
+        texts = [cell_text(cell) for cell in row]
+        line = ",".join(texts)
+        # A plain join is what csv.writer writes when no cell needs quoting;
+        # any other row (and a lone cell, which it may quote) goes through it.
+        plain = line.count(",") == len(texts) - 1 and not any(c in line for c in '"\r\n')
+        if len(texts) > 1 and plain:
+            lines.append(line + "\n")
+        else:
+            writer.writerow(texts)
+            lines.append(buffer.getvalue())
+            buffer.seek(0)
+            buffer.truncate()
+    return "".join(lines)
 
 
 def _write(path: str, data: bytes) -> None:

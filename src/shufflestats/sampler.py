@@ -5,10 +5,19 @@ batch of words. The first grows a permutation one symbol at a time
 through weighted insertions; after n-1 steps the result carries the
 k-shuffle law exactly, with no rejection and no enumeration. The second
 simulates the physical riffle (binomial cut, uniformly random
-interleave) and exists to cross-validate the first. Empirical output is
-summarized against the exact pmfs from :mod:`shufflestats.measures` via
-a Pearson chi-square test with tail-bin merging plus per-bin binomial
-z-scores, computed once and kept on the summary.
+interleave) and exists to cross-validate the first.
+
+Most rows never need the words. R/d, C/c and both parsimony rows read
+only the descent count d and whether the last symbol exceeds the first
+(c = d + [last > first]), so they walk those two per row, O(n) per
+draw, drawing the very random numbers the word sampler draws. C/d keeps
+the words: its rotation is drawn after them, and the d of a rotated
+word depends on where its descents sit, not just on how many there are.
+
+Empirical output is summarized against the exact pmfs from
+:mod:`shufflestats.measures` via a Pearson chi-square test with
+tail-bin merging plus per-bin binomial z-scores, computed once and kept
+on the summary.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``. Each stream draws a fixed, precomputed number of
@@ -143,14 +152,27 @@ def _case_thresholds(k: int, m: int) -> np.ndarray:
     probability for a permutation of m symbols with d descents. States
     with d >= k are unreachable and get the always-accept threshold.
     """
-    out = np.empty(m, dtype=np.uint64)
-    for d in range(m):
-        if d >= k:
-            out[d] = _SCALE
-            continue
-        p1 = Fraction((d + 1) * (m + k - d), k * (m + 1))
-        out[d] = min((p1.numerator * _SCALE) // p1.denominator, _SCALE)
+    out = np.full(m, _SCALE, dtype=np.uint64)
+    den = k * (m + 1)
+    for d in range(min(m, k)):
+        out[d] = min(((d + 1) * (m + k - d) << _THRESHOLD_BITS) // den, _SCALE)
     return out
+
+
+def _insertion_case(
+    k: int, m: int, d: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw each row's insertion case and its slot rank at deck size m.
+
+    d holds the rows' descent counts (int64). Returns (case1, t): case1
+    is True where the case keeps d, and t is a uniform rank among the
+    d+1 (case 1) or m-d (case 2) qualifying slots. Both samplers draw
+    through here, so they read the stream identically.
+    """
+    u = rng.integers(0, _SCALE, size=d.shape[0], dtype=np.uint64)
+    case1 = u < _case_thresholds(k, m)[d]
+    t = rng.integers(0, np.where(case1, d + 1, m - d))
+    return case1, t
 
 
 def _insertion_step(k: int, m: int, words: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -163,10 +185,7 @@ def _insertion_step(k: int, m: int, words: np.ndarray, rng: np.random.Generator)
     """
     count = words.shape[0]
     desc = words[:, :-1] > words[:, 1:]
-    d = desc.sum(axis=1)
-    u = rng.integers(0, _SCALE, size=count, dtype=np.uint64)
-    case1 = u < _case_thresholds(k, m)[d]
-    t = rng.integers(0, np.where(case1, d + 1, m - d))
+    case1, t = _insertion_case(k, m, desc.sum(axis=1), rng)
     qualifies = np.empty((count, m + 1), dtype=bool)
     qualifies[:, 0] = ~case1
     if m > 1:
@@ -186,6 +205,27 @@ def _insertion_words(k: int, n: int, count: int, rng: np.random.Generator) -> np
     for m in range(1, n):
         words = _insertion_step(k, m, words, rng)
     return words
+
+
+def _insertion_walk(
+    k: int, n: int, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d, last > first) of `count` insertion words, without the words.
+
+    Draws exactly what _insertion_words(k, n, count, rng) draws. Slot 0
+    is taken exactly when the case is 2 and t == 0, which puts the new
+    maximum first; slot m exactly when the case is 1 and t == d, which
+    puts it last. So the descent count and whether the last symbol
+    exceeds the first follow in O(n) per row.
+    """
+    d = np.zeros(count, dtype=np.int64)
+    wrap = np.zeros(count, dtype=bool)
+    for m in range(1, n):
+        case1, t = _insertion_case(k, m, d, rng)
+        wrap[~case1 & (t == 0)] = False
+        wrap[case1 & (t == d)] = True
+        d += ~case1
+    return d, wrap
 
 
 def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -383,14 +423,18 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
         )
 
     def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
-        words = _insertion_words(k, n, chunk, rng)
-        if measure == "C":
+        if measure == "C" and law.reads == "d":
+            # d of a cut depends on where the cut falls, drawn after the word.
+            words = _insertion_words(k, n, chunk, rng)
             shift = rng.integers(0, n, size=chunk)
             cols = (np.arange(n, dtype=np.int64)[None, :] + shift[:, None]) % n
-            words = np.take_along_axis(words, cols, axis=1)
-        values = _descents_per_row(words)
-        if law.reads == "c":
-            values += words[:, -1] > words[:, 0]
+            values = _descents_per_row(np.take_along_axis(words, cols, axis=1))
+        else:
+            # c is rotation invariant and the cut is the stream's last draw,
+            # so the cut is left undrawn and c = d + [last > first].
+            values, wrap = _insertion_walk(k, n, chunk, rng)
+            if law.reads == "c":
+                values += wrap
         return values if law.flavor is None else distance[values]
 
     return _summarize(_run_streams(config, exact.support[-1] + 1, draw), exact, config.count)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflestats import cli, measures, sampler
 from shufflestats.eulerian import cyclic_descent_counts, eulerian_row
@@ -347,6 +350,31 @@ PINNED_SAMPLE_BYTES = [
 ]
 RIFFLE_ARGV = ("riffle", "--n", "13", "--rounds", "3", "--count", "10000", "--seed", "7")
 RIFFLE_SHA256 = "e07a228896150ef1823db152f786b02a5133c7a84c0fcda2c8d523490e8d8935"
+# Rows drawn by the descent-count walk, recorded before they stopped
+# building words: (measure, stat, k, n, count, format, digest).
+PINNED_WALK_BYTES = [
+    ("C", "c", 50, 200, 2000, "json",
+     "6f136536fce38c8566e73cd37349f0d54cdfc0dc4e0375f10fa967c92f71417b"),
+    ("C", "c", 50, 200, 2000, "csv",
+     "4fc04912bc7e88bf5b88e9fdf64b93bc7aa23c06aa4b0965cc638abb79066d7d"),
+    # d >= k is unreachable.
+    ("R", "d", 3, 24, 10000, "json",
+     "aa081d51836ee7f68035afefb2813c0f671f0e556d1b626b0e492b08653f7298"),
+    ("R", "d", 3, 24, 10000, "csv",
+     "da699e42db11b591d141c7ecbd7c91706290b3ac7c9236fa358b63a61c0502cc"),
+    ("R", "d", 1, 12, 10000, "json",
+     "0fb78c5b8d69e68a8e8a72e1298e0e1248fd1d01915b3c57f4655251817440d1"),
+    ("R", "d", 1, 12, 10000, "csv",
+     "70adb991843f6e671ea48037076415534f6915ae0f82183fb0b134fb4b872e56"),
+    ("R", "parsimony", 2**40, 30, 10000, "json",
+     "152951e64aa5c4df91cf3b18ad2870a0542d2598e9250cc063644d87f8a60579"),
+    ("R", "parsimony", 2**40, 30, 10000, "csv",
+     "626b07e8a50fd3c3d7197d0809f69d304188ae6687aff9cbe57df855d2770e79"),
+    ("C", "parsimony", 2**40, 30, 10000, "json",
+     "c82cef829c40b3c8471be9f4751eebcb814f74028648a8255f1b32094892edd6"),
+    ("C", "parsimony", 2**40, 30, 10000, "csv",
+     "ce58e59aaec5c84c3e95afcf568fc74f52ae1f9101aad5230202be7e932f3fb6"),
+]
 
 
 def _sample_argv(measure, stat, k, n, fmt):
@@ -362,6 +390,18 @@ class TestPinnedSampleBytes:
     )
     def test_sample(self, capsys, measure, stat, k, n, fmt, digest):
         code, out, err = run_cli(capsys, *_sample_argv(measure, stat, k, n, fmt))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "measure, stat, k, n, count, fmt, digest",
+        PINNED_WALK_BYTES,
+        ids=[f"{m}-{s}-k{k}-n{n}-{f}" for m, s, k, n, _, f, _ in PINNED_WALK_BYTES],
+    )
+    def test_walk_rows(self, capsys, measure, stat, k, n, count, fmt, digest):
+        # The later --count overrides the one in SAMPLE_ARGS.
+        argv = [*_sample_argv(measure, stat, k, n, fmt), "--count", str(count)]
+        code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -718,6 +758,34 @@ class TestDiagnostic:
             [1.1618950038622251, 0.89566858950296013, 1.2911225172296217],
             abs=1e-12,
         )
+
+
+_CSV_CELLS = st.one_of(
+    st.none(),
+    st.floats(),
+    st.integers(),
+    st.text(alphabet=',"\r\n 0123456789', max_size=6),
+)
+
+
+class TestCsvRendering:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(alphabet=',"\r\n ab', max_size=4), max_size=4),
+        st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=5),
+    )
+    def test_matches_csv_writer(self, header, rows):
+        def text(cell):
+            if cell is None:
+                return ""
+            return cli._fmt_float(cell) if isinstance(cell, float) else str(cell)
+
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([text(cell) for cell in row])
+        assert cli._render_csv(header, rows) == buffer.getvalue()
 
 
 class TestFloatRendering:

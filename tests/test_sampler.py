@@ -100,6 +100,33 @@ class TestInsertionCases:
             assert case1_slots == d + 1
 
 
+class TestInsertionWalk:
+    # The walk keeps (d, last > first) per row and must read the stream
+    # exactly as the word sampler does.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 30, 200])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 50, 10**6, 2**40])
+    def test_walk_matches_the_words_from_the_same_stream(self, k, n):
+        for seed in (0, 1, 20261018):
+            word_rng, walk_rng = _rng(seed), _rng(seed)
+            words = sampler._insertion_words(k, n, 300, word_rng)
+            d, wrap = sampler._insertion_walk(k, n, 300, walk_rng)
+            assert d.tolist() == sampler._descents_per_row(words).tolist()
+            assert wrap.tolist() == (words[:, -1] > words[:, 0]).tolist()
+            np.testing.assert_equal(word_rng.bit_generator.state, walk_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 60, 200])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 50, 1000, 2**40])
+    def test_thresholds_match_the_fraction_formula(self, k, m):
+        want = []
+        for d in range(m):
+            if d >= k:
+                want.append(sampler._SCALE)
+                continue
+            p1 = F((d + 1) * (m + k - d), k * (m + 1))
+            want.append(min((p1.numerator * sampler._SCALE) // p1.denominator, sampler._SCALE))
+        assert sampler._case_thresholds(k, m).tolist() == want
+
+
 class TestSeeds:
     def test_seeds_at_and_above_2_63_get_their_own_streams(self):
         # numpy reads a plain list key [seed, id] with seed >= 2**63 as

@@ -65,15 +65,13 @@ def rotation_conditional_law(p: Permutation) -> ExactPmf:
     for s in range(n):
         dv = descent_count(cyclic_rotate(p, s))
         counts[dv] = counts.get(dv, 0) + 1
-    enumerated = ExactPmf((v, Fraction(c, n)) for v, c in counts.items())
+    enumerated = ExactPmf.over(n, counts.items())
 
     d = descent_count(p)
     if _wraps_down(p):
-        closed = ExactPmf(
-            [(d, Fraction(d + 1, n)), (d + 1, Fraction(n - 1 - d, n))]
-        )
+        closed = ExactPmf.over(n, [(d, d + 1), (d + 1, n - 1 - d)])
     else:
-        closed = ExactPmf([(d - 1, Fraction(d, n)), (d, Fraction(n - d, n))])
+        closed = ExactPmf.over(n, [(d - 1, d), (d, n - d)])
     if enumerated != closed:
         raise CertificationError(
             f"rotation law mismatch for {p}: {enumerated!r} vs {closed!r}"

@@ -536,7 +536,7 @@ def decision_tree_distribution(k: int, n: int) -> dict[Permutation, Fraction]:
 def insertion_normalization(n_max: int = 50, k_max: int = 50) -> int:
     """Verify the two-case probabilities sum to one over reachable states.
 
-    Checks (d+1)(n+k-d) + (n-d)(k-d-1) = k(n+1) in exact rationals for
+    Checks (d+1)(n+k-d) + (n-d)(k-d-1) = k(n+1) in exact integers for
     every state with d <= min(n-1, k-1), n <= n_max, k <= k_max. Returns
     the number of states verified; raises CertificationError on failure.
     """
@@ -546,12 +546,11 @@ def insertion_normalization(n_max: int = 50, k_max: int = 50) -> int:
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
             for d in range(min(n - 1, k - 1) + 1):
-                total = Fraction((d + 1) * (n + k - d), k * (n + 1)) + Fraction(
-                    (n - d) * (k - d - 1), k * (n + 1)
-                )
-                if total != 1:
+                total = (d + 1) * (n + k - d) + (n - d) * (k - d - 1)
+                if total != k * (n + 1):
                     raise CertificationError(
-                        f"insertion probabilities sum to {total} at n={n}, k={k}, d={d}"
+                        f"insertion probabilities sum to {Fraction(total, k * (n + 1))} "
+                        f"at n={n}, k={k}, d={d}"
                     )
                 checked += 1
     return checked

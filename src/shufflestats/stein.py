@@ -157,9 +157,9 @@ def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
     dps = 30 + max(0, ceil(amplification / log(10.0)))
     with mp.workdps(dps):
         lam_mp = _mpf_of(lam)
-        p_a = mp.mpf(0)
+        p_a, q_0 = mp.mpf(0), mp.e ** (-lam_mp)
         for a in sorted(target):
-            p_a += mp.e ** (-lam_mp) * lam_mp**a / mp.factorial(a)
+            p_a += q_0 * lam_mp**a / mp.factorial(a)
         g = [mp.mpf(0)]
         for j in range(j_max):
             ind = 1 if j in target else 0

@@ -23,7 +23,7 @@ from .errors import CertificationError, UserInputError
 from .eulerian import cyclic_descent_counts, eulerian_value
 from .measures import c_pmf_C, c_weight, d_pmf_C, d_pmf_R, r_weight, transfer_R_to_C
 from .moments import moments_c_C, moments_d_C, moments_d_R, use1_mean
-from .pair import PairLaw, drift, g_remainder, rotation_conditional_law
+from .pair import PairLaw, drift, g_remainder
 from .permutations import (
     DEFAULT_ENUMERATION_CAP,
     cyclic_descent_count,
@@ -36,8 +36,9 @@ from .sampler import decision_tree_distribution, insertion_normalization
 FAULT_MODES = ("transfer",)
 DEFAULT_ORACLE_MAX = 7
 # Cap on k_max * n_max. On a 2-vCPU machine, with oracle_max 9, the
-# largest grids it allows, (100, 2) and (1, 200), ran in about 7 s, and
-# (100, 100) took 10 s; --k-max 100000 ran past 15 s.
+# largest grids it allows, (100, 2) and (1, 200), run in about 3.5 s and
+# 2.5 s as CLI processes; (100, 100) took about 12 s in process with the
+# cap lifted, and --k-max 100000 ran past 15 s before there was a cap.
 GRID_LIMIT = 200
 
 
@@ -230,12 +231,12 @@ def _suite_generating_function(n_max: int, order: int = 12) -> int:
 def _suite_pair(oracle_max: int) -> int:
     checks = 0
     for n in range(3, min(oracle_max, 6) + 1):
-        perms = list(enumerate_sn(n))
-        for p in perms:
-            rotation_conditional_law(p)  # self-certifying dual computation
-            checks += 1
+        # drift(p) builds the self-certifying rotation law of p and checks
+        # its mean; one call per permutation serves all three k.
+        drifts = [(cyclic_descent_count(p), drift(p)) for p in enumerate_sn(n)]
+        checks += len(drifts)
         for k in (1, 2, 3):
-            total = sum(c_weight(k, n, cyclic_descent_count(p)) * drift(p) for p in perms)
+            total = sum(c_weight(k, n, c) * dr for c, dr in drifts)
             if total != 0:
                 raise CertificationError(
                     f"drift has nonzero mean {total} under the cut measure at k={k}, n={n}"

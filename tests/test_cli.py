@@ -650,6 +650,25 @@ class TestVerify:
         assert [s["name"] for s in failing] == ["transfer"]
         assert "transfer fails at k=" in failing[0]["detail"]
 
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            ((), 0, "0bc79f22b26e5044c7efa92e26b5ddd300319c959bc6c43b397501e3107f9b54"),
+            (("--format", "csv"), 0,
+             "f1a872fbeed7ae248a72c8ad3e9f762aad3edeeb41aaa8d854b3f15dcc9be837"),
+            (("--oracle-max", "5"), 0,
+             "5d631263a9e3c208999a0cdcdd242130649ab4fbe6fb71fb622592b6cf53966d"),
+            (("--oracle-max", "4", "--inject-fault", "transfer"), 3,
+             "f8d51d761f644f472cee8664c69d2e9b4904d45ea6d9d05561b789632a803d2d"),
+        ],
+        ids=["json", "csv", "oracle-5", "oracle-4-fault"],
+    )
+    def test_pinned_bytes(self, capsys, argv, code, digest):
+        # The output carries every suite's check count.
+        got, out, err = run_cli(capsys, "verify", *argv)
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_oracle_cap_defaults_to_flag_default(self):
         assert cli._build_parser().parse_args(["verify"]).oracle_max == DEFAULT_ORACLE_MAX == 7
 

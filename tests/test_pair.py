@@ -10,6 +10,7 @@ import pytest
 from conftest import oracle_cut_weight, oracle_cyclic_descents, oracle_descents
 from shufflestats.errors import UserInputError
 from shufflestats.eulerian import eulerian_value
+from shufflestats.measures import ExactPmf
 from shufflestats.pair import (
     PairLaw,
     central_eulerian_ratio,
@@ -38,6 +39,18 @@ class TestRotationLaw:
             counts = Counter(oracle_descents(rotate(word, s)) for s in range(n))
             want = {v: F(m, n) for v, m in sorted(counts.items())}
             assert dict(law.items()) == want
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_int_built_law_equals_and_hashes_like_the_fraction_built_one(self, n):
+        # The law is held over the denominator n; built from reduced
+        # Fraction(c, n) masses it sits over their lcm instead.
+        for word in itertools.permutations(range(1, n + 1)):
+            law = rotation_conditional_law(Permutation(word))
+            counts = Counter(oracle_descents(rotate(word, s)) for s in range(n))
+            ref = ExactPmf((v, F(c, n)) for v, c in counts.items())
+            assert law == ref and ref == law
+            assert hash(law) == hash(ref)
+            assert law.items() == ref.items()
 
     def test_rejects_singleton(self):
         with pytest.raises(UserInputError):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from shufflestats.errors import UserInputError
@@ -71,6 +72,29 @@ class TestSolver:
             assert sol.sup_g() <= 1.0
             assert sol.sup_delta_g() <= 1.0
             assert sol.max_residual() < 1e-12
+
+    def test_g_is_bit_identical_to_the_per_element_exponential(self):
+        # The reference evaluates e^(-lambda) once per target element, the
+        # solver once per call; the mpf expression is the same, so the
+        # floats must agree exactly.
+        def reference_g(lam, target, j_max):
+            amplification = math.lgamma(j_max + 1) - j_max * math.log(lam)
+            with mp.workdps(30 + max(0, math.ceil(amplification / math.log(10.0)))):
+                lam_mp = mp.mpf(lam)
+                p_a = mp.mpf(0)
+                for a in sorted(target):
+                    p_a += mp.e ** (-lam_mp) * lam_mp**a / mp.factorial(a)
+                g = [mp.mpf(0)]
+                for j in range(j_max):
+                    g.append(((1 if j in target else 0) - p_a + j * g[j]) / lam_mp)
+                return tuple(float(v) for v in g)
+
+        rng = random.Random(12345)  # drawn as in the c05 acceptance test
+        for _ in range(300):
+            lam = 10 ** rng.uniform(-2.0, 1.5)
+            j_max = rng.randint(5, 40)
+            target = {j for j in range(j_max + 1) if rng.random() < 0.35}
+            assert solve_stein(lam, target, j_max).g == reference_g(lam, target, j_max)
 
     def test_validation(self):
         with pytest.raises(UserInputError):

@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
-from shufflestats import verify
+from shufflestats import pair, verify
 from shufflestats.errors import UserInputError
+from shufflestats.sampler import insertion_normalization
 from shufflestats.verify import GRID_LIMIT, SuiteResult, run_all
 
 EXPECTED_SUITES = {
@@ -45,6 +46,37 @@ def test_enumeration_suites_share_one_pass_per_n(monkeypatch):
     assert all(r.passed for r in results)
     assert sorted(calls) == [1, 2, 3, 4, 5, 6]
     assert max(calls.values()) == 1
+
+
+def test_pair_suite_builds_each_rotation_law_once(monkeypatch):
+    # One drift per permutation of S_3..S_6 serves k = 1, 2 and 3, and
+    # drift builds the permutation's rotation law: 6 + 24 + 120 + 720.
+    calls = Counter()
+    real = pair.rotation_conditional_law
+
+    def counted(p):
+        calls[p.n] += 1
+        return real(p)
+
+    monkeypatch.setattr(pair, "rotation_conditional_law", counted)
+    results = run_all()
+    assert all(r.passed for r in results)
+    assert calls == {3: 6, 4: 24, 5: 120, 6: 720}
+
+
+def test_a_wrong_wrap_trips_exactly_the_pair_suite(monkeypatch):
+    flipped = (2, 1, 3)
+    real = pair._wraps_down
+    monkeypatch.setattr(pair, "_wraps_down", lambda p: real(p) != (p.word == flipped))
+    by_name = {r.name: r for r in run_all()}
+    assert not by_name["pair"].passed
+    assert by_name["pair"].detail.startswith("rotation law mismatch for 2 1 3")
+    assert all(r.passed for name, r in by_name.items() if name != "pair")
+
+
+def test_insertion_normalization_covers_every_state_at_50_by_50():
+    # sum over n, k <= 50 of min(n, k) states
+    assert insertion_normalization(50, 50) == 42_925
 
 
 def test_fault_injection_trips_exactly_the_transfer_suite():

@@ -7,12 +7,12 @@ k-shuffle law exactly, with no rejection and no enumeration. The second
 simulates the physical riffle (binomial cut, uniformly random
 interleave) and exists to cross-validate the first.
 
-Most rows never need the words. R/d, C/c and both parsimony rows read
-only the descent count d and whether the last symbol exceeds the first
-(c = d + [last > first]), so they walk those two per row, O(n) per
-draw, drawing the very random numbers the word sampler draws. C/d keeps
-the words: its rotation is drawn after them, and the d of a rotated
-word depends on where its descents sit, not just on how many there are.
+No row builds the insertion words. R/d, C/c and both parsimony rows
+read only the descent count d and whether the last symbol exceeds the
+first (c = d + [last > first]), so they walk those two per row, O(n)
+per draw, drawing the very random numbers the word sampler draws. The
+d of a C/d word cut after it is drawn depends on where its descents
+sit, so that walk also keeps a descent bitmap, O(n) per row and step.
 
 Empirical output is summarized against the exact pmfs from
 :mod:`shufflestats.measures` via a Pearson chi-square test with
@@ -45,7 +45,6 @@ from .measures import (
     ExactPmf,
     d_pmf_R,
     parsimony_distance,
-    parsimony_measure,
     riffle_piles,
     statistic_law,
 )
@@ -175,40 +174,38 @@ def _insertion_case(
     return case1, t
 
 
-def _insertion_step(k: int, m: int, words: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Insert symbol m+1 into every row of an (count, m) array of words.
-
-    Case 1 inserts after slot m or after a descent slot and keeps the
-    descent count; case 2 inserts after slot 0 or after an ascent slot
-    and raises it by one. The case is drawn first, then a slot uniformly
-    among the d+1 (case 1) or m-d (case 2) qualifying slots.
-    """
-    count = words.shape[0]
-    desc = words[:, :-1] > words[:, 1:]
-    case1, t = _insertion_case(k, m, desc.sum(axis=1), rng)
-    qualifies = np.empty((count, m + 1), dtype=bool)
-    qualifies[:, 0] = ~case1
-    if m > 1:
-        qualifies[:, 1:m] = desc == case1[:, None]
-    qualifies[:, m] = case1
-    j = np.argmax(qualifies.cumsum(axis=1) > t[:, None], axis=1)
-    idx = np.arange(m + 1, dtype=np.int64)[None, :]
-    src = np.clip(idx - (idx > j[:, None]), 0, m - 1)
-    out = np.take_along_axis(words, src, axis=1)
-    out[np.arange(count), j] = m + 1
-    return out
-
-
 def _insertion_words(k: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of `count` words drawn from the k-shuffle measure on n symbols."""
+    """Batch of `count` words drawn from the k-shuffle measure on n symbols.
+
+    Step m inserts symbol m+1 into every row. Case 1 inserts after slot m
+    or after a descent slot and keeps the descent count; case 2 inserts
+    after slot 0 or after an ascent slot and raises it by one. The case
+    is drawn first, then a slot uniformly among the d+1 (case 1) or m-d
+    (case 2) qualifying slots.
+    """
     words = np.ones((count, 1), dtype=np.int32)
+    rows = np.arange(count)
     for m in range(1, n):
-        words = _insertion_step(k, m, words, rng)
+        desc = words[:, :-1] > words[:, 1:]
+        case1, t = _insertion_case(k, m, desc.sum(axis=1), rng)
+        qualifies = np.empty((count, m + 1), dtype=bool)
+        qualifies[:, 0] = ~case1
+        qualifies[:, 1:m] = desc == case1[:, None]
+        qualifies[:, m] = case1
+        j = np.argmax(qualifies.cumsum(axis=1) > t[:, None], axis=1)
+        idx = np.arange(m + 1, dtype=np.int64)[None, :]
+        src = np.clip(idx - (idx > j[:, None]), 0, m - 1)
+        words = np.take_along_axis(words, src, axis=1)
+        words[rows, j] = m + 1
     return words
 
 
+def _slot_count_dtype(n: int) -> np.dtype:
+    return np.min_scalar_type(n + 1)  # holds a running count of up to n+1 slots
+
+
 def _insertion_walk(
-    k: int, n: int, count: int, rng: np.random.Generator
+    k: int, n: int, count: int, rng: np.random.Generator, desc: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d, last > first) of `count` insertion words, without the words.
 
@@ -217,15 +214,50 @@ def _insertion_walk(
     maximum first; slot m exactly when the case is 1 and t == d, which
     puts it last. So the descent count and whether the last symbol
     exceeds the first follow in O(n) per row.
+
+    A zeroed (n+1, count) bool `desc` gets desc[s, row] = word[s-1] > word[s]
+    for each inner slot s, with slot 0 an ascent and slot m a descent, so
+    case 1 takes a descent slot and case 2 an ascent slot. Taking slot j
+    moves the slots past j down one row; then j ascends and j+1 descends.
     """
     d = np.zeros(count, dtype=np.int64)
     wrap = np.zeros(count, dtype=bool)
+    if desc is not None:
+        desc[1] = True
+        flat, cols = desc.reshape(-1), np.arange(count)
+        slots = np.empty((n, count), dtype=_slot_count_dtype(n))
     for m in range(1, n):
         case1, t = _insertion_case(k, m, d, rng)
         wrap[~case1 & (t == 0)] = False
         wrap[case1 & (t == d)] = True
         d += ~case1
+        if desc is None:
+            continue
+        # Running count of qualifying slots, row by row: a cumsum along
+        # axis 0 is many times slower. Slot j is the (t+1)-th to qualify.
+        q = np.equal(desc[: m + 1], case1, out=slots[: m + 1])
+        for i in range(1, m + 1):
+            np.add(q[i], q[i - 1], out=q[i])
+        before = q <= t.astype(q.dtype)
+        moved = desc[1 : m + 2] ^ desc[: m + 1]
+        np.greater(moved, before, out=moved)
+        desc[1 : m + 2] ^= moved
+        at = np.count_nonzero(before, axis=0) * count + cols
+        flat[at] = False
+        flat[at + count] = True
     return d, wrap
+
+
+def _cut_descents(k: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """d of `count` insertion words, each cut before a uniform position s drawn after it.
+
+    The cut turns the pair across slot s into the wrap (at s = 0, the wrap itself).
+    """
+    desc = np.zeros((n + 1, count), dtype=bool)
+    d, wrap = _insertion_walk(k, n, count, rng, desc)
+    shift = rng.integers(0, n, size=count)
+    desc[0] = wrap
+    return d + wrap - desc[shift, np.arange(count)]
 
 
 def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -240,18 +272,21 @@ def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.
     top packet's cards at a uniformly random size-`cut` subset of
     positions and fills both packets in order.
     """
-    words = np.tile(np.arange(1, n + 1, dtype=np.int32), (count, 1))
+    words = np.tile(np.arange(1, n + 1, dtype=np.int32), count)
+    in_top = np.empty(count * n, dtype=bool)
+    rows = np.arange(0, count * n, n)[:, None]
     for _ in range(rounds):
         cut = rng.binomial(n, 0.5, size=count)
-        ranks = np.argsort(np.argsort(rng.random((count, n)), axis=1), axis=1)
-        in_top = ranks < cut[:, None]
-        src = np.where(
-            in_top,
-            in_top.cumsum(axis=1) - 1,
-            cut[:, None] + (~in_top).cumsum(axis=1) - 1,
-        )
-        words = np.take_along_axis(words, src, axis=1)
-    return words
+        # The cut lowest uniforms of a row mark its top-packet positions.
+        order = np.argsort(rng.random((count, n)), axis=1) + rows
+        first = np.arange(n) < cut[:, None]
+        in_top[order] = first
+        # Each packet's cards fill its positions in order, deck by deck.
+        out = np.empty_like(words)
+        out[np.flatnonzero(in_top)] = words[np.flatnonzero(first)]
+        out[np.flatnonzero(~in_top)] = words[np.flatnonzero(~first)]
+        words = out
+    return words.reshape(count, n)
 
 
 def _descents_per_row(words: np.ndarray) -> np.ndarray:
@@ -375,20 +410,6 @@ def _summarize(bin_counts: np.ndarray, exact: ExactPmf, count: int) -> SampleSum
     )
 
 
-def goodness_of_fit(summary: SampleSummary, exact: ExactPmf) -> tuple[float, float, float]:
-    """Recompute (chi_square, p_value, max_bin_z) against a reference pmf.
-
-    Unlike the internal path, the reference here may differ from the pmf
-    the summary was built against; observations outside its support are
-    impossible under the reference and force p_value to 0.
-    """
-    observed, stray = _on_support(summary.histogram, exact)
-    if stray:
-        return math.inf, 0.0, math.inf
-    chi_square, p_value, z = _fit(observed, exact, summary.count)
-    return chi_square, p_value, max(abs(value) for value in z.values())
-
-
 def per_bin_z(histogram: Mapping[int, int], exact: ExactPmf, count: int) -> dict[int, float]:
     """Binomial z-score of each support bin, keyed by statistic value.
 
@@ -424,11 +445,7 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
 
     def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
         if measure == "C" and law.reads == "d":
-            # d of a cut depends on where the cut falls, drawn after the word.
-            words = _insertion_words(k, n, chunk, rng)
-            shift = rng.integers(0, n, size=chunk)
-            cols = (np.arange(n, dtype=np.int64)[None, :] + shift[:, None]) % n
-            values = _descents_per_row(np.take_along_axis(words, cols, axis=1))
+            values = _cut_descents(k, n, chunk, rng)
         else:
             # c is rotation invariant and the cut is the stream's last draw,
             # so the cut is left undrawn and c = d + [last > first].
@@ -438,20 +455,6 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
         return values if law.flavor is None else distance[values]
 
     return _summarize(_run_streams(config, exact.support[-1] + 1, draw), exact, config.count)
-
-
-def sample_parsimony(
-    n: int, r: int, flavor: str, count: int, seed: int, streams: int = 8
-) -> SampleSummary:
-    """Empirical parsimony-distance distribution after r shuffle rounds.
-
-    Flavor "riffle" samples the k-shuffle measure at k = 2**r and maps
-    the descent count; "cut_riffle" samples the cut measure and maps the
-    cyclic descent count.
-    """
-    measure = parsimony_measure(flavor)
-    config = SamplerConfig(k=riffle_piles(r), n=n, count=count, seed=seed, streams=streams)
-    return sample_statistic(measure, "parsimony", config)
 
 
 def riffle_summary(

@@ -7,6 +7,7 @@ loops, and the weights come straight from the two binomial formulas.
 Expected values frozen into the tests were produced by these helpers.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
@@ -38,16 +39,26 @@ def oracle_cut_weight(k: int, n: int, c: int) -> Fraction:
     return Fraction(comb(n + k - c - 1, n - 1), n * k ** (n - 1))
 
 
+@lru_cache(maxsize=None)
+def stat_pair_counts(n: int) -> Counter:
+    """How many words of S_n have each (descents, cyclic descents) pair."""
+    return Counter(stat_pairs(n))
+
+
 def oracle_pmf(family: str, k: int, n: int, statistic: str) -> dict[int, Fraction]:
-    """Exact law of d or c under the (family, k, n) measure, by enumeration."""
+    """Exact law of d or c under the (family, k, n) measure, by enumeration.
+
+    Every word with the same (d, c) pair has the same weight, so each
+    distinct pair is weighted once and multiplied by its word count.
+    """
     masses: dict[int, Fraction] = {}
-    for d, c in stat_pairs(n):
+    for (d, c), words in stat_pair_counts(n).items():
         if family == "R":
             weight = oracle_shuffle_weight(k, n, d)
         else:
             weight = oracle_cut_weight(k, n, c)
         value = d if statistic == "d" else c
-        masses[value] = masses.get(value, Fraction(0)) + weight
+        masses[value] = masses.get(value, Fraction(0)) + words * weight
     return {v: m for v, m in sorted(masses.items()) if m}
 
 

@@ -374,7 +374,19 @@ PINNED_WALK_BYTES = [
      "c82cef829c40b3c8471be9f4751eebcb814f74028648a8255f1b32094892edd6"),
     ("C", "parsimony", 2**40, 30, 10000, "csv",
      "ce58e59aaec5c84c3e95afcf568fc74f52ae1f9101aad5230202be7e932f3fb6"),
+    # C/d, recorded while it still built and rotated whole words.
+    ("C", "d", 10, 52, 2000, "json",
+     "f980988d6fdf25347cd61212cf0de39b5811bee17d8b6c8dbe6f4b20c9f71266"),
+    ("C", "d", 10, 52, 2000, "csv",
+     "84a87875220b368ff623e023de81c1140b1d4bc44698b48c65c7c7f4f60d7b25"),
+    ("C", "d", 50, 200, 500, "json",
+     "2b1e5a622c555b6ffdcecbae5274fbd55456b1ff066364b6093bf0b566c5105f"),
+    ("C", "d", 50, 200, 500, "csv",
+     "5992b09669e03894334dc599502cb4831ff02c65581b6bd708045b855b446a30"),
 ]
+# A full deck, recorded while each round took two argsorts.
+RIFFLE_52_ARGV = ("riffle", "--n", "52", "--rounds", "7", "--count", "5000", "--seed", "7")
+RIFFLE_52_SHA256 = "b64232138d6edb44320213a694074d17c86614830ae35fdf3cf0f1e0865f75f3"
 
 
 def _sample_argv(measure, stat, k, n, fmt):
@@ -409,6 +421,11 @@ class TestPinnedSampleBytes:
         code, out, err = run_cli(capsys, *RIFFLE_ARGV)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == RIFFLE_SHA256
+
+    def test_riffle_full_deck(self, capsys):
+        code, out, err = run_cli(capsys, *RIFFLE_52_ARGV)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == RIFFLE_52_SHA256
 
 
 # Stdout SHA-256 of `dist` at n = 250 for the five (measure, statistic)

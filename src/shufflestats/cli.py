@@ -29,8 +29,7 @@ import json
 import secrets
 import sys
 import time
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
+from dataclasses import asdict
 
 from . import __version__
 from .errors import CertificationError, UserInputError
@@ -50,30 +49,14 @@ from .verify import DEFAULT_ORACLE_MAX, FAULT_MODES, run_all
 _SAMPLE_CSV_HEADER = ("value", "count", "empirical", "exact_num", "exact_den", "z")
 
 
-@dataclass
-class RunManifest:
-    """Sidecar record written next to every file the CLI produces."""
-
-    tool: str
-    version: str
-    subcommand: str
-    parameters: dict
-    wall_time_seconds: float
-    outputs: list = field(default_factory=list)
-
-
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
 def _stringify(obj):
     """Render floats as 17-significant-digit strings, recursively."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {key: _stringify(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -126,21 +109,21 @@ def _emit(text: str, args, params: dict, started: float) -> None:
         return
     data = text.encode("utf-8")
     _write(args.out, data)
-    manifest = RunManifest(
-        tool="shufflestats",
-        version=__version__,
-        subcommand=args.subcommand,
-        parameters=_stringify(params),
-        wall_time_seconds=round(time.perf_counter() - started, 6),
-        outputs=[
+    manifest = {
+        "tool": "shufflestats",
+        "version": __version__,
+        "subcommand": args.subcommand,
+        "parameters": _stringify(params),
+        "wall_time_seconds": round(time.perf_counter() - started, 6),
+        "outputs": [
             {
                 "path": args.out,
                 "bytes": len(data),
                 "sha256": hashlib.sha256(data).hexdigest(),
             }
         ],
-    )
-    record = json.dumps(asdict(manifest), indent=2) + "\n"
+    }
+    record = json.dumps(manifest, indent=2) + "\n"
     _write(f"{args.out}.manifest.json", record.encode("utf-8"))
 
 

@@ -15,15 +15,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from typing import Callable, Iterable, Optional
 
-from .errors import CertificationError, UserInputError
+from .errors import UserInputError
 from .eulerian import eulerian_row
 from .moments import MomentReport, moments_c_C, moments_d_C, moments_d_R
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ExactPmf:
@@ -46,8 +45,10 @@ class ExactPmf:
     den is taken. Without a base they fall back to one plain gcd per
     atom. Neither view stores anything on the law.
 
-    ExactPmf(pairs) takes (value, mass) pairs with rational masses and
-    puts them over the lcm of their denominators.
+    ExactPmf(den, atoms, base) is the one constructor: mass num / den at
+    each value of the (value, num) atoms. Numerators at a repeated value
+    add up and must sum to den; base, if given, is an int with den
+    dividing a power of it.
     """
 
     __slots__ = ("support", "nums", "den", "base", "_mass")
@@ -57,34 +58,9 @@ class ExactPmf:
     den: int
     base: Optional[int]
 
-    def __init__(self, pairs: Iterable[tuple[int, Fraction]]):
-        acc: dict[int, Fraction] = {}
-        for value, m in pairs:
-            if value < 0:
-                raise UserInputError(f"negative support value {value}")
-            m = Fraction(m)
-            if m < 0:
-                raise UserInputError(f"negative mass at {value}")
-            if m:
-                acc[value] = acc.get(value, _ZERO) + m
-        total = sum(acc.values(), _ZERO)
-        if total != 1:
-            raise UserInputError(f"masses sum to {total}, not 1")
-        den = lcm(*(m.denominator for m in acc.values()))
-        support = tuple(sorted(acc))
-        nums = tuple(acc[v].numerator * (den // acc[v].denominator) for v in support)
-        self._set(support, nums, den, None)
-
-    @classmethod
-    def over(
-        cls, den: int, atoms: Iterable[tuple[int, int]], base: Optional[int] = None
-    ) -> "ExactPmf":
-        """The law with mass num / den at each value of the (value, num) atoms.
-
-        Numerators at a repeated value add up and must sum to den; the
-        checks and their messages are those of ExactPmf(pairs). base, if
-        given, is an int with den dividing a power of it (see the class).
-        """
+    def __init__(
+        self, den: int, atoms: Iterable[tuple[int, int]], base: Optional[int] = None
+    ):
         if den < 1:
             raise UserInputError(f"denominator {den} is not positive")
         acc: dict[int, int] = {}
@@ -99,16 +75,8 @@ class ExactPmf:
         if total != den:
             raise UserInputError(f"masses sum to {Fraction(total, den)}, not 1")
         support = tuple(sorted(acc))
-        nums = tuple(acc[v] for v in support)
-        pmf = cls.__new__(cls)
-        pmf._set(support, nums, den, base)
-        return pmf
-
-    def _set(
-        self, support: tuple[int, ...], nums: tuple[int, ...], den: int, base: Optional[int]
-    ) -> None:
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "nums", tuple(acc[v] for v in support))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "_mass", None)
@@ -137,9 +105,6 @@ class ExactPmf:
     def mean(self) -> Fraction:
         return Fraction(sum(v * a for v, a in zip(self.support, self.nums)), self.den)
 
-    def second_moment(self) -> Fraction:
-        return Fraction(sum(v * v * a for v, a in zip(self.support, self.nums)), self.den)
-
     def variance(self) -> Fraction:
         s1 = s2 = 0
         for v, a in zip(self.support, self.nums):
@@ -149,7 +114,7 @@ class ExactPmf:
 
     def pushforward(self, fn: Callable[[int], int]) -> "ExactPmf":
         atoms = ((fn(v), a) for v, a in zip(self.support, self.nums))
-        return ExactPmf.over(self.den, atoms, self.base)
+        return ExactPmf(self.den, atoms, self.base)
 
     def l1_distance(self, other: "ExactPmf") -> Fraction:
         mine = dict(zip(self.support, self.nums))
@@ -217,10 +182,6 @@ class ExactPmf:
         """Rows of (value, numerator, denominator, float mass), reduced."""
         return [(v, a, d, a / d) for v, a, d in self._reduced()]
 
-    @classmethod
-    def point_mass(cls, value: int) -> "ExactPmf":
-        return cls([(value, _ONE)])
-
 
 def r_weight(k: int, n: int, d: int) -> Fraction:
     """Mass under R(k, n) of any one permutation with d descents."""
@@ -249,7 +210,7 @@ def _row_law(
             t = top - j
             w = w * (t - m) // t
 
-    return ExactPmf.over(den, atoms(), base)
+    return ExactPmf(den, atoms(), base)
 
 
 def d_pmf_R(k: int, n: int) -> ExactPmf:
@@ -285,7 +246,7 @@ def d_pmf_C(k: int, n: int) -> ExactPmf:
     """
     cp = c_pmf_C(k, n)
     num = dict(zip(cp.support, cp.nums))
-    return ExactPmf.over(
+    return ExactPmf(
         n * cp.den,
         ((l, num.get(l, 0) * (n - l) + num.get(l + 1, 0) * (l + 1)) for l in range(n)),
         n * k,
@@ -304,26 +265,6 @@ def c_pmf_uniform(n: int) -> ExactPmf:
     if n < 2:
         raise UserInputError("need n >= 2")
     return _row_law(eulerian_row(n - 1), 1, n, 0, factorial(n - 1))
-
-
-def transfer_R_to_C(k: int, n: int) -> ExactPmf:
-    """Certify P_R(k,n)(d = r) == P_C(k,n+1)(c = r+1) and return the pmf.
-
-    The returned pmf is indexed by r (the descent count on the R side).
-    A mismatch can only mean an implementation bug, so it raises
-    CertificationError rather than returning a flag.
-    """
-    dp = d_pmf_R(k, n)
-    cp = c_pmf_C(k, n + 1)
-    lhs = dict(zip(dp.support, dp.nums))
-    rhs = {i - 1: a for i, a in zip(cp.support, cp.nums)}
-    for r in sorted(lhs.keys() | rhs.keys()):
-        if lhs.get(r, 0) * cp.den != rhs.get(r, 0) * dp.den:
-            raise CertificationError(
-                f"transfer identity broken at k={k} n={n} r={r}: "
-                f"{dp.prob(r)} != {cp.prob(r + 1)}"
-            )
-    return dp
 
 
 def parsimony_distance(stat: int, flavor: str) -> int:
@@ -357,15 +298,6 @@ def riffle_piles(rounds: int) -> int:
     if rounds > MAX_RIFFLE_ROUNDS:
         raise UserInputError(f"rounds {rounds} exceeds the {MAX_RIFFLE_ROUNDS}-round guard")
     return 1 << rounds
-
-
-def parsimony_pmf(n: int, r: int, flavor: str) -> ExactPmf:
-    """Pmf of the minimum parsimony distance after r shuffles of n cards.
-
-    Exact pushforward of the relevant statistic's pmf at k = 2^r.
-    """
-    k = riffle_piles(r)
-    return statistic_law(parsimony_measure(flavor), "parsimony").pmf(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +361,3 @@ def statistic_law(measure: str, statistic: str) -> StatisticLaw:
         f"statistic {statistic!r} under measure {measure!r} has no closed-form law; "
         f"use measure {' or '.join(map(repr, others))} or another statistic"
     )
-
-
-def parsimony_measure(flavor: str) -> str:
-    """The measure whose parsimony row has this flavor."""
-    for (measure, _), law in STATISTIC_LAWS.items():
-        if law.flavor is not None and law.flavor == flavor:
-            return measure
-    raise UserInputError(f"unknown flavor {flavor!r}")

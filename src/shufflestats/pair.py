@@ -65,13 +65,13 @@ def rotation_conditional_law(p: Permutation) -> ExactPmf:
     for s in range(n):
         dv = descent_count(cyclic_rotate(p, s))
         counts[dv] = counts.get(dv, 0) + 1
-    enumerated = ExactPmf.over(n, counts.items())
+    enumerated = ExactPmf(n, counts.items())
 
     d = descent_count(p)
     if _wraps_down(p):
-        closed = ExactPmf.over(n, [(d, d + 1), (d + 1, n - 1 - d)])
+        closed = ExactPmf(n, [(d, d + 1), (d + 1, n - 1 - d)])
     else:
-        closed = ExactPmf.over(n, [(d - 1, d), (d, n - d)])
+        closed = ExactPmf(n, [(d - 1, d), (d, n - d)])
     if enumerated != closed:
         raise CertificationError(
             f"rotation law mismatch for {p}: {enumerated!r} vs {closed!r}"
@@ -190,25 +190,12 @@ def _g_numerator(
     return c_pmf.prob(r + 1) * Fraction((r + 1) * (n - 1), n) / p_r - mean_d
 
 
-def conditional_drift_given_d(k: int, n: int, r: int) -> float:
-    """E(W' - W | d = r) under C(k, n).
-
-    Equals -W(r)/n + G(r), assembled from exact pmfs and moments; only
-    the final square root is floating point.
-    """
-    d_pmf, c_pmf, mean_d, var_d = _pmfs_and_moments(n, k)
-    w_num = r - mean_d
-    g_num = _g_numerator(c_pmf, d_pmf, mean_d, n, r)
-    exact_part = (-w_num + g_num) / n
-    return float(exact_part) / math.sqrt(float(var_d))
-
-
 @dataclass(frozen=True)
 class NormalizedPair:
     """W-normalized pair data: exact moments, lambda = 1/n, and G per r.
 
     G_values pairs each descent value r with the float G(r). The exact
-    aggregate E|G(W)| is available as abs_g_scaled / sqrt(var_d).
+    aggregate E|G(W)| is abs_g_scaled / sqrt(var_d).
     """
 
     mean_d: Fraction
@@ -216,9 +203,6 @@ class NormalizedPair:
     lam: Fraction
     G_values: tuple[tuple[int, float], ...]
     abs_g_scaled: Fraction
-
-    def expected_abs_g(self) -> float:
-        return float(self.abs_g_scaled) / math.sqrt(float(self.var_d))
 
 
 def g_remainder(n: int, k: Optional[int] = None) -> NormalizedPair:

@@ -92,16 +92,6 @@ class Permutation:
         return " ".join(str(v) for v in self.word)
 
 
-def descent_positions(p: Permutation) -> tuple[int, ...]:
-    """1-based positions i with pi(i) > pi(i+1).
-
-    >>> descent_positions(Permutation((3, 1, 4, 2, 5)))
-    (1, 3)
-    """
-    w = p.word
-    return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
-
-
 def descent_count(p: Permutation) -> int:
     """Number of descents d(pi).
 

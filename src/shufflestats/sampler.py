@@ -475,35 +475,6 @@ def riffle_summary(
     return _summarize(_run_streams(config, exact.support[-1] + 1, draw), exact, config.count)
 
 
-def sample_from_pmf(pmf: ExactPmf, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw integers from an exact pmf by inverse transform.
-
-    Cumulative masses become integer thresholds out of 2**53, so every
-    atom's realized probability is within 2**-53 of its exact value.
-    """
-    if count < 1:
-        raise UserInputError(f"count must be positive, got {count}")
-    thresholds = []
-    cum = Fraction(0)
-    for _, mass in pmf.items():
-        cum += mass
-        thresholds.append((cum.numerator * _SCALE) // cum.denominator)
-    u = rng.integers(0, _SCALE, size=count, dtype=np.uint64)
-    idx = np.searchsorted(np.array(thresholds, dtype=np.uint64), u, side="right")
-    return np.array(pmf.support, dtype=np.int64)[idx]
-
-
-def summarize_values(values: np.ndarray, exact: ExactPmf) -> SampleSummary:
-    """Histogram an array of sampled values and fit it against a pmf."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size == 0:
-        raise UserInputError("cannot summarize an empty sample")
-    if arr.min() < 0:
-        raise CertificationError("sampled statistic values must be nonnegative")
-    counts = np.bincount(arr, minlength=exact.support[-1] + 1)
-    return _summarize(counts, exact, arr.size)
-
-
 def decision_tree_distribution(k: int, n: int) -> dict[Permutation, Fraction]:
     """Exhaustive expansion of the insertion chain, no randomness involved.
 

@@ -34,7 +34,7 @@ sandwich, whose width stays far below 1e-13.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import ceil, exp, lgamma, log
 from typing import Iterable, Union
@@ -60,28 +60,6 @@ def poisson_pmf(lam: float, j: int) -> float:
     if j < 0:
         raise UserInputError("j must be >= 0")
     return exp(-lam + j * log(lam) - lgamma(j + 1))
-
-
-def poisson_tail(lam: float, j: int) -> float:
-    """P(Poisson(lam) > j) by upward summation of pmf terms.
-
-    Terms are added from j+1 upward and the sum is truncated once the
-    running term falls below 1e-18 of the accumulated tail past the
-    mode, so the relative truncation error is far below 1e-15.
-    """
-    if lam <= 0:
-        raise UserInputError("lambda must be positive")
-    if j < 0:
-        raise UserInputError("j must be >= 0")
-    i = j + 1
-    term = poisson_pmf(lam, i)
-    total = 0.0
-    while True:
-        total += term
-        i += 1
-        term = term * lam / i
-        if i > lam and (total == 0.0 or term < 1e-18 * total):
-            return total + term
 
 
 def _mpf_of(x: Rational) -> mp.mpf:
@@ -256,15 +234,7 @@ class TvReport:
     CSV_HEADER = ("k", "n", "statistic", "lambda", "tv_exact", "bound", "slack")
 
     def csv_row(self) -> tuple:
-        return (
-            self.k,
-            self.n,
-            self.statistic,
-            self.lam,
-            self.tv_exact,
-            self.bound,
-            self.slack,
-        )
+        return astuple(self)
 
 
 def _poisson_law(statistic: str) -> StatisticLaw:
@@ -316,6 +286,9 @@ def sweep_k_values(n: int, points: int = 20) -> list[int]:
     if points < 1:
         raise UserInputError(f"sweep needs at least one k point, got {points}")
     k_top = n // 4
+    if points >= k_top:
+        # The rounding step below is at most 1, so every k is hit.
+        return list(range(1, k_top + 1))
     raw = {1 + round(i * (k_top - 1) / max(1, points - 1)) for i in range(points)}
     return sorted(min(v, k_top) for v in raw)
 

@@ -21,7 +21,7 @@ from math import comb, factorial
 
 from .errors import CertificationError, UserInputError
 from .eulerian import cyclic_descent_counts, eulerian_value
-from .measures import c_pmf_C, c_weight, d_pmf_C, d_pmf_R, r_weight, transfer_R_to_C
+from .measures import c_pmf_C, c_weight, d_pmf_C, d_pmf_R, r_weight
 from .moments import moments_c_C, moments_d_C, moments_d_R, use1_mean
 from .pair import PairLaw, drift, g_remainder
 from .permutations import (
@@ -195,7 +195,8 @@ def _suite_transfer(n_max: int, k_max: int, inject_fault: str | None) -> int:
                         f"shuffle side {lhs}, cut side {rhs}"
                     )
                 checks += 1
-            transfer_R_to_C(k, n)
+            if d_pmf_R(k, n) != c_side.pushforward(lambda c: c - 1):
+                raise CertificationError(f"transfer identity broken at k={k} n={n}")
             checks += 1
     for n in range(2, n_max + 1):
         for k in range(1, k_max + 1):

@@ -5,13 +5,17 @@ principles, independently of the package internals: permutations are
 plain tuples out of itertools, the statistics are counted with explicit
 loops, and the weights come straight from the two binomial formulas.
 Expected values frozen into the tests were produced by these helpers.
+Two law builders use the package: fraction_pmf puts rational masses
+over their lcm, and parsimony_law reads the law table.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
-from math import comb
+from math import comb, lcm
+
+from shufflestats.measures import ExactPmf, riffle_piles, statistic_law
 
 
 def oracle_descents(word) -> int:
@@ -86,6 +90,18 @@ def oracle_law(measure: str, statistic: str, k: int, n: int) -> dict[int, Fracti
 def oracle_moment(family, k, n, statistic, power) -> Fraction:
     pmf = oracle_pmf(family, k, n, statistic)
     return sum((m * v**power for v, m in pmf.items()), Fraction(0))
+
+
+def fraction_pmf(pairs) -> ExactPmf:
+    """The law of (value, rational mass) pairs, over the lcm of their denominators."""
+    pairs = [(v, Fraction(m)) for v, m in pairs]
+    den = lcm(*(m.denominator for _, m in pairs))
+    return ExactPmf(den, ((v, m.numerator * (den // m.denominator)) for v, m in pairs))
+
+
+def parsimony_law(measure: str, rounds: int, n: int) -> ExactPmf:
+    """Law of the parsimony distance after `rounds` shuffles of n cards."""
+    return statistic_law(measure, "parsimony").pmf(riffle_piles(rounds), n)
 
 
 def pmf_as_dict(pmf) -> dict:

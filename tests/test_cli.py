@@ -219,6 +219,15 @@ class TestTv:
         keys = [(row[2], int(row[1]), int(row[0])) for row in body]
         assert keys == sorted(keys)
 
+    def test_grid_with_huge_k_points_is_fast_and_unchanged(self, capsys):
+        # At n = 20 every k-points value >= 5 sweeps all of k = 1..5.
+        grid = ("tv", "--grid", "--n-list", "20", "--statistic", "R", "--k-points")
+        _, want, _ = run_cli(capsys, *grid, "5")
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *grid, "1000000000")
+        assert time.perf_counter() - started < 2.0
+        assert (code, err, out) == (0, "", want)
+
 
 class TestSample:
     def test_json_payload_shape(self, capsys):

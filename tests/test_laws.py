@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_law
+from conftest import fraction_pmf, oracle_law
 from shufflestats.errors import UserInputError
-from shufflestats.measures import STATISTIC_LAWS, ExactPmf
+from shufflestats.measures import STATISTIC_LAWS
 from shufflestats.sampler import exact_statistic_pmf
 from shufflestats.stein import STATISTIC_CODES, certified_bound, statistic_pushforward
 
@@ -27,7 +27,7 @@ def test_row(key):
             assert law.moments(k, n).mean_exact == got.mean(), (k, n)
         if law.poisson is not None:
             pushed, lam = statistic_pushforward(k, n, law.poisson)
-            want_pushed = ExactPmf((k - law.offset - s, m) for s, m in want.items())
+            want_pushed = fraction_pmf((k - law.offset - s, m) for s, m in want.items())
             assert pushed == want_pushed, (k, n)
             assert lam == F(k, n + law.shift)
 

@@ -7,14 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_cut_weight, oracle_cyclic_descents, oracle_descents
+from conftest import fraction_pmf, oracle_cut_weight, oracle_cyclic_descents, oracle_descents
 from shufflestats.errors import UserInputError
 from shufflestats.eulerian import eulerian_value
-from shufflestats.measures import ExactPmf
 from shufflestats.pair import (
     PairLaw,
     central_eulerian_ratio,
-    conditional_drift_given_d,
     drift,
     g_remainder,
     mean_abs_deviation_uniform_d,
@@ -47,7 +45,7 @@ class TestRotationLaw:
         for word in itertools.permutations(range(1, n + 1)):
             law = rotation_conditional_law(Permutation(word))
             counts = Counter(oracle_descents(rotate(word, s)) for s in range(n))
-            ref = ExactPmf((v, F(c, n)) for v, c in counts.items())
+            ref = fraction_pmf((v, F(c, n)) for v, c in counts.items())
             assert law == ref and ref == law
             assert hash(law) == hash(ref)
             assert law.items() == ref.items()
@@ -121,20 +119,24 @@ class TestPairLaw:
         mean = sum(F(r) * m for r, m in den.items())
         second = sum(F(r * r) * m for r, m in den.items())
         var = second - mean * mean
+        # E(W' - W | d = r) = G(r) - W(r)/n
+        pair = g_remainder(n, k)
+        sqrt_var = math.sqrt(float(pair.var_d))
+        g_values = dict(pair.G_values)
         for r, total in den.items():
             if not total:
                 continue  # value unreachable at this k, conditional undefined
             want = float(num[r] / total) / math.sqrt(float(var))
-            assert conditional_drift_given_d(k, n, r) == pytest.approx(
-                want, rel=1e-12, abs=1e-15
-            )
+            w = float(r - pair.mean_d) / sqrt_var
+            assert g_values[r] - w / n == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestRemainder:
     def test_frozen_single_pile_case(self):
         pair = g_remainder(5, k=1)
         assert pair.abs_g_scaled == F(32, 125)
-        assert pair.expected_abs_g() == pytest.approx(0.64, abs=1e-13)
+        expected_abs_g = float(pair.abs_g_scaled) / math.sqrt(float(pair.var_d))
+        assert expected_abs_g == pytest.approx(0.64, abs=1e-13)
         values = dict(pair.G_values)
         assert values[0] == pytest.approx(1.6, abs=1e-12)
         assert values[1] == pytest.approx(-0.4, abs=1e-12)
@@ -143,7 +145,7 @@ class TestRemainder:
         # uniform mode recomputes the aggregate through two independent
         # simplifications and raises CertificationError on mismatch
         pair = g_remainder(6, k=None)
-        assert pair.expected_abs_g() > 0
+        assert pair.abs_g_scaled > 0
         assert pair.lam == F(1, 6)
 
     def test_mean_abs_deviation(self):

@@ -2,7 +2,7 @@
 
 Every law is held as int numerators over one denominator; these tests
 hold that representation to the enumeration oracle in conftest and to
-the Fraction-built ExactPmf, and hold the two k >> n shortcuts (power
+the law built from reduced Fraction masses, and hold the two k >> n shortcuts (power
 sums by Bernoulli numbers, the TV sum over the pmf's range only) to the
 direct computations they replace. The JSON and CSV views, which reduce
 through the denominator's base, are held to Fraction's gcd.
@@ -15,12 +15,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_law
+from conftest import fraction_pmf, oracle_law
 from shufflestats import moments
 from shufflestats.errors import CertificationError, UserInputError
 from shufflestats.measures import STATISTIC_LAWS, ExactPmf, c_pmf_uniform, d_pmf_uniform
 from shufflestats.moments import power_sum
-from shufflestats.stein import STATISTIC_CODES, statistic_pushforward, tv_sandwich
+from shufflestats.stein import STATISTIC_CODES, statistic_pushforward, sweep_k_values, tv_sandwich
 
 F = Fraction
 
@@ -45,8 +45,8 @@ def test_law_rows_match_the_oracle(key, k, n):
 @given(key=law_keys, k=st.integers(1, 40), n=st.integers(2, 30), scale=st.integers(2, 50))
 def test_int_and_fraction_built_laws_are_one_law(key, k, n, scale):
     pmf = STATISTIC_LAWS[key].pmf(k, n)
-    from_fractions = ExactPmf(pmf.items())
-    scaled = ExactPmf.over(
+    from_fractions = fraction_pmf(pmf.items())
+    scaled = ExactPmf(
         pmf.den * scale, ((v, a * scale) for v, a in zip(pmf.support, pmf.nums))
     )
     for other in (from_fractions, scaled):
@@ -62,10 +62,10 @@ atoms = st.dictionaries(st.integers(0, 30), st.integers(0, 10**6), min_size=1).f
 
 @settings(max_examples=200, deadline=None)
 @given(nums=atoms, scale=st.integers(1, 1000))
-def test_over_equals_the_fraction_constructor(nums, scale):
+def test_int_built_law_equals_the_fraction_built_one(nums, scale):
     den = sum(nums.values())
-    by_ints = ExactPmf.over(den * scale, ((v, a * scale) for v, a in nums.items()))
-    by_fractions = ExactPmf((v, F(a, den)) for v, a in nums.items())
+    by_ints = ExactPmf(den * scale, ((v, a * scale) for v, a in nums.items()))
+    by_fractions = fraction_pmf((v, F(a, den)) for v, a in nums.items())
     assert by_ints == by_fractions
     assert hash(by_ints) == hash(by_fractions)
     assert by_ints.items() == by_fractions.items()
@@ -80,20 +80,22 @@ def test_over_equals_the_fraction_constructor(nums, scale):
 @settings(max_examples=100, deadline=None)
 @given(a=atoms, b=atoms)
 def test_l1_distance_and_inequality(a, b):
-    pa = ExactPmf.over(sum(a.values()), a.items())
-    pb = ExactPmf.over(sum(b.values()), b.items())
+    pa = ExactPmf(sum(a.values()), a.items())
+    pb = ExactPmf(sum(b.values()), b.items())
     want = sum(abs(pa.prob(v) - pb.prob(v)) for v in set(pa.support) | set(pb.support))
     assert pa.l1_distance(pb) == want
     assert (pa == pb) == (want == 0)
 
 
-def test_over_checks_like_the_constructor():
+def test_constructor_checks_and_their_messages():
     with pytest.raises(UserInputError, match="masses sum to 1/2, not 1"):
-        ExactPmf.over(4, [(0, 2)])
+        ExactPmf(4, [(0, 2)])
     with pytest.raises(UserInputError, match="negative mass at 1"):
-        ExactPmf.over(1, [(0, 2), (1, -1)])
+        ExactPmf(1, [(0, 2), (1, -1)])
     with pytest.raises(UserInputError, match="negative support value -1"):
-        ExactPmf.over(1, [(-1, 1)])
+        ExactPmf(1, [(-1, 1)])
+    with pytest.raises(UserInputError, match="denominator 0 is not positive"):
+        ExactPmf(0, [])
 
 
 # -- output reduction ---------------------------------------------------------
@@ -157,13 +159,13 @@ def test_views_cap_a_numerator_richer_in_a_base_prime_than_den(data, base, power
         top += 1
     a = p ** data.draw(st.integers(0, top)) * data.draw(st.integers(1, 6))
     assume(a < den)
-    pmf = ExactPmf.over(den, [(0, a), (1, den - a)], base)
+    pmf = ExactPmf(den, [(0, a), (1, den - a)], base)
     assert_views_reduce_like_fractions(pmf)
 
 
 def test_views_cap_at_the_power_den_holds():
     # 2^7 holds more 2s than 6^3 = 216 does: 128/216 = 16/27.
-    pmf = ExactPmf.over(216, [(0, 128), (1, 88)], 6)
+    pmf = ExactPmf(216, [(0, 128), (1, 88)], 6)
     assert pmf.to_json_dict() == {"0": "16/27", "1": "11/27"}
     assert_views_reduce_like_fractions(pmf)
 
@@ -172,11 +174,21 @@ def test_views_cap_at_the_power_den_holds():
 @given(nums=atoms, scale=st.integers(1, 1000))
 def test_views_without_a_base_fall_back_to_gcd(nums, scale):
     den = sum(nums.values())
-    by_fractions = ExactPmf((v, F(a * scale, den * scale)) for v, a in nums.items())
-    by_ints = ExactPmf.over(den * scale, ((v, a * scale) for v, a in nums.items()))
+    by_fractions = fraction_pmf((v, F(a * scale, den * scale)) for v, a in nums.items())
+    by_ints = ExactPmf(den * scale, ((v, a * scale) for v, a in nums.items()))
     for pmf in (by_fractions, by_ints):
         assert pmf.base is None
         assert_views_reduce_like_fractions(pmf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(4, 2000))
+def test_sweep_k_values_matches_the_rounding_loop(data, n):
+    k_top = n // 4
+    points = data.draw(st.integers(1, 2 * k_top))
+    step = max(1, points - 1)
+    raw = {1 + round(i * (k_top - 1) / step) for i in range(points)}
+    assert sweep_k_values(n, points) == sorted(min(v, k_top) for v in raw)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])

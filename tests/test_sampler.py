@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import oracle_descents, oracle_shuffle_weight
+from conftest import fraction_pmf, oracle_descents, oracle_shuffle_weight, parsimony_law
 from shufflestats import measures, sampler
 from shufflestats.errors import CertificationError, UserInputError
 from shufflestats.measures import (
@@ -17,8 +17,7 @@ from shufflestats.measures import (
     ExactPmf,
     c_pmf_C,
     d_pmf_R,
-    parsimony_measure,
-    parsimony_pmf,
+    parsimony_distance,
     riffle_piles,
 )
 from shufflestats.permutations import Permutation, descent_count, insert_symbol
@@ -30,9 +29,7 @@ from shufflestats.sampler import (
     insertion_normalization,
     per_bin_z,
     riffle_summary,
-    sample_from_pmf,
     sample_statistic,
-    summarize_values,
 )
 
 F = Fraction
@@ -40,6 +37,17 @@ F = Fraction
 
 def _rng(seed=1234):
     return np.random.Generator(np.random.Philox(key=[seed, 0]))
+
+
+def _summarize(values, exact):
+    """Histogram sampled values and fit them against exact, as the samplers do."""
+    counts = np.bincount(values, minlength=exact.support[-1] + 1)
+    return sampler._summarize(counts, exact, len(values))
+
+
+def _draw(pmf, count, rng):
+    """count values drawn from pmf's float masses."""
+    return rng.choice(pmf.support, size=count, p=[float(m) for m in pmf.mass])
 
 
 class TestConfig:
@@ -257,7 +265,7 @@ class TestGsr:
         n, reps = 4, 16_000
         words = list(itertools.permutations(range(1, n + 1)))
         index = {w: i for i, w in enumerate(words)}
-        law = ExactPmf(
+        law = fraction_pmf(
             (i, oracle_shuffle_weight(2, n, oracle_descents(Permutation(w).inverse().word)))
             for i, w in enumerate(words)
         )
@@ -265,7 +273,7 @@ class TestGsr:
         values = np.array(
             [index[tuple(sampler._gsr_words(n, 1, 1, rng)[0].tolist())] for _ in range(reps)]
         )
-        assert summarize_values(values, law).p_value > 0.001
+        assert _summarize(values, law).p_value > 0.001
 
     def test_many_rounds_allowed_without_exact_reference(self):
         # iterating the physical shuffle never touches 2^rounds, so no cap
@@ -284,70 +292,70 @@ class TestGsr:
         for i in range(reps):
             p = Permutation(tuple(sampler._gsr_words(n, rounds, 1, rng)[0].tolist()))
             values[i] = descent_count(p.inverse())
-        summary = summarize_values(values, d_pmf_R(4, n))
+        summary = _summarize(values, d_pmf_R(4, n))
         assert summary.p_value > 0.001
 
 
 class TestFitSummaries:
     def test_point_mass_summary(self):
         values = np.zeros(500, dtype=np.int64)
-        summary = summarize_values(values, ExactPmf.point_mass(0))
+        summary = _summarize(values, ExactPmf(1, [(0, 1)]))
         assert summary.chi_square == 0.0
         assert summary.p_value == 1.0
         assert summary.max_bin_z == 0.0
 
     def test_null_fit_accepts(self):
-        pmf = ExactPmf([(0, F(1, 4)), (1, F(1, 2)), (3, F(1, 4))])
-        values = sample_from_pmf(pmf, 100_000, _rng(5))
-        summary = summarize_values(values, pmf)
+        pmf = ExactPmf(4, [(0, 1), (1, 2), (3, 1)])
+        values = _draw(pmf, 100_000, _rng(5))
+        summary = _summarize(values, pmf)
         assert summary.p_value > 0.001
         assert summary.max_bin_z < 4
         assert summary.count == 100_000
         assert summary.empirical_pmf[1] == pytest.approx(0.5, abs=0.01)
 
     def test_shifted_pmf_is_rejected_with_power(self):
-        pmf = ExactPmf([(0, F(1, 4)), (1, F(1, 2)), (3, F(1, 4))])
-        shifted = ExactPmf([(0, F(3, 10)), (1, F(9, 20)), (3, F(1, 4))])
-        summary = summarize_values(sample_from_pmf(pmf, 100_000, _rng(6)), shifted)
+        pmf = ExactPmf(4, [(0, 1), (1, 2), (3, 1)])
+        shifted = ExactPmf(20, [(0, 6), (1, 9), (3, 5)])
+        summary = _summarize(_draw(pmf, 100_000, _rng(6)), shifted)
         assert summary.p_value < 1e-6
         assert summary.chi_square > 100
 
     def test_stray_value_breaks_certification(self):
         values = np.array([0, 0, 1, 7] + [0] * 96)
         with pytest.raises(CertificationError):
-            summarize_values(values, ExactPmf([(0, F(1, 2)), (1, F(1, 2))]))
+            _summarize(values, ExactPmf(2, [(0, 1), (1, 1)]))
 
     def test_undersized_sample_is_rejected(self):
-        pmf = ExactPmf([(0, F(1, 2)), (1, F(1, 2))])
-        values = sample_from_pmf(pmf, 4, _rng(8))
+        pmf = ExactPmf(2, [(0, 1), (1, 1)])
+        values = np.array([0, 1, 1, 0])
         with pytest.raises(UserInputError):
-            summarize_values(values, pmf)
+            _summarize(values, pmf)
 
     def test_p_value_with_two_degrees_of_freedom(self):
         # chi-square with df = 2 has survival function exp(-x/2)
-        pmf = ExactPmf([(0, F(1, 4)), (1, F(1, 2)), (2, F(1, 4))])
+        pmf = ExactPmf(4, [(0, 1), (1, 2), (2, 1)])
         values = np.repeat([0, 1, 2], [30, 45, 25])
-        summary = summarize_values(values, pmf)
+        summary = _summarize(values, pmf)
         assert summary.chi_square == 1.5
         assert summary.p_value == pytest.approx(math.exp(-0.75), rel=1e-15, abs=0)
 
     def test_p_value_with_one_degree_of_freedom(self):
         # chi-square with df = 1 has survival function erfc(sqrt(x/2))
-        pmf = ExactPmf([(0, F(1, 2)), (1, F(1, 2))])
+        pmf = ExactPmf(2, [(0, 1), (1, 1)])
         values = np.repeat([0, 1], [55, 45])
-        summary = summarize_values(values, pmf)
+        summary = _summarize(values, pmf)
         assert summary.chi_square == 1.0
         assert summary.p_value == pytest.approx(math.erfc(math.sqrt(0.5)), rel=1e-15, abs=0)
 
     def test_max_bin_z_is_largest_per_bin_z(self):
-        pmf = ExactPmf([(0, F(1, 4)), (1, F(1, 2)), (2, F(1, 4))])
+        pmf = ExactPmf(4, [(0, 1), (1, 2), (2, 1)])
         values = np.repeat([0, 1, 2], [30, 45, 25])
-        summary = summarize_values(values, pmf)
+        summary = _summarize(values, pmf)
         z = per_bin_z(summary.histogram, pmf, 100)
         assert summary.max_bin_z == max(abs(v) for v in z.values())
 
     def test_per_bin_z_covers_support(self):
-        pmf = ExactPmf([(0, F(1, 2)), (1, F(1, 2))])
+        pmf = ExactPmf(2, [(0, 1), (1, 1)])
         z = per_bin_z({0: 260, 1: 240}, pmf, 500)
         assert set(z) == {0, 1}
         assert z[0] == pytest.approx(-z[1], abs=1e-12)
@@ -356,7 +364,7 @@ class TestFitSummaries:
         # P(d = 199) = 200^-200 is 0.0 as a float
         pmf = d_pmf_R(200, 200)
         assert float(pmf.prob(199)) == 0.0
-        summary = summarize_values(sample_from_pmf(pmf, 10**5, _rng(5)), pmf)
+        summary = _summarize(_draw(pmf, 10**5, _rng(5)), pmf)
         assert math.isfinite(summary.chi_square)
         assert math.isfinite(summary.max_bin_z)
         assert 0.0 < summary.p_value <= 1.0
@@ -366,17 +374,10 @@ class TestFitSummaries:
         assert all(math.isfinite(z) for z in summary.bin_z.values())
 
     def test_per_bin_z_keeps_float_expression_for_normal_masses(self):
-        pmf = ExactPmf([(0, F(1, 3)), (1, F(2, 3))])
+        pmf = ExactPmf(3, [(0, 1), (1, 2)])
         p = float(F(1, 3))
         expected = (40 - 100 * p) / math.sqrt(100 * p * (1.0 - p))
         assert per_bin_z({0: 40, 1: 60}, pmf, 100)[0] == expected
-
-    def test_sample_from_pmf_is_deterministic(self):
-        pmf = ExactPmf([(0, F(1, 3)), (2, F(2, 3))])
-        a = sample_from_pmf(pmf, 1000, _rng(99))
-        b = sample_from_pmf(pmf, 1000, _rng(99))
-        assert np.array_equal(a, b)
-        assert set(np.unique(a)) <= {0, 2}
 
 
 class TestStreamedSampling:
@@ -430,30 +431,25 @@ class TestStreamedSampling:
 class TestParsimonyAndRiffle:
     def test_exact_pushforward_agreement(self):
         for r in (0, 1, 2):
-            assert exact_statistic_pmf("R", 2**r, 5, "parsimony") == parsimony_pmf(
-                5, r, "riffle"
-            )
-        assert exact_statistic_pmf("C", 4, 5, "parsimony") == parsimony_pmf(
-            5, 2, "cut_riffle"
-        )
+            assert exact_statistic_pmf("R", 2**r, 5, "parsimony") == parsimony_law("R", r, 5)
+        assert exact_statistic_pmf("C", 4, 5, "parsimony") == parsimony_law("C", 2, 5)
 
-    # A flavor names its measure and r rounds give k = 2^r piles.
+    # r rounds give k = 2^r piles.
     def test_zero_rounds_collapses(self):
         config = SamplerConfig(k=riffle_piles(0), n=5, count=200, seed=1)
-        summary = sample_statistic(parsimony_measure("riffle"), "parsimony", config)
+        summary = sample_statistic("R", "parsimony", config)
         assert summary.histogram == {0: 200}
         assert summary.p_value == 1.0
 
     def test_small_riffle_distribution(self):
         config = SamplerConfig(k=riffle_piles(1), n=2, count=40_000, seed=4)
-        summary = sample_statistic(parsimony_measure("riffle"), "parsimony", config)
+        summary = sample_statistic("R", "parsimony", config)
         assert summary.p_value > 0.001
         assert set(summary.histogram) == {0, 1}
 
     def test_bad_flavor(self):
-        config = SamplerConfig(k=riffle_piles(1), n=4, count=100, seed=0)
         with pytest.raises(UserInputError, match="flavor"):
-            sample_statistic(parsimony_measure("zigzag"), "parsimony", config)
+            parsimony_distance(3, "zigzag")
 
     def test_riffle_summary_matches_shuffle_law(self):
         summary = riffle_summary(6, 2, count=30_000, seed=7)
@@ -470,15 +466,15 @@ class TestRoundGuard:
     def test_one_cap_shared_by_every_entry(self):
         assert MAX_RIFFLE_ROUNDS == 62
         assert measures.riffle_piles(MAX_RIFFLE_ROUNDS) == 2**62
-        assert parsimony_pmf(5, MAX_RIFFLE_ROUNDS, "riffle").support[-1] == 3
+        assert parsimony_law("R", MAX_RIFFLE_ROUNDS, 5).support[-1] == 3
 
     @pytest.mark.parametrize("rounds", [-1, MAX_RIFFLE_ROUNDS + 1])
     def test_out_of_range_rounds_rejected(self, rounds):
         with pytest.raises(UserInputError, match="rounds"):
-            parsimony_pmf(5, rounds, "riffle")
+            parsimony_law("R", rounds, 5)
         with pytest.raises(UserInputError, match="rounds"):
             config = SamplerConfig(k=riffle_piles(rounds), n=5, count=100, seed=0)
-            sample_statistic(parsimony_measure("riffle"), "parsimony", config)
+            sample_statistic("R", "parsimony", config)
         with pytest.raises(UserInputError, match="rounds"):
             riffle_summary(5, rounds, count=100, seed=0)
 

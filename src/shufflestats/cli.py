@@ -36,13 +36,7 @@ from .errors import CertificationError, UserInputError
 from .eulerian import cyclic_descent_counts, eulerian_row
 from .measures import statistic_law
 from .pair import NogoodRow, nogood_diagnostic
-from .sampler import (
-    SamplerConfig,
-    SampleSummary,
-    exact_statistic_pmf,
-    riffle_summary,
-    sample_statistic,
-)
+from .sampler import SamplerConfig, SampleSummary, riffle_summary, sample_statistic
 from .stein import STATISTIC_CODES, TvReport, certification_sweep, tv_report
 from .verify import DEFAULT_ORACLE_MAX, FAULT_MODES, run_all
 
@@ -164,21 +158,14 @@ def _sample_report(args, head: dict, summary: SampleSummary) -> tuple:
         max_bin_z=summary.max_bin_z,
     )
     rows = [
-        (
-            value,
-            summary.histogram[value],
-            float(summary.empirical_pmf[value]),
-            mass.numerator,
-            mass.denominator,
-            float(z[value]),
-        )
-        for value, mass in exact.items()
+        (v, summary.histogram[v], float(summary.empirical_pmf[v]), a, d, float(z[v]))
+        for v, a, d, _ in exact.to_csv_rows()
     ]
     return payload, _SAMPLE_CSV_HEADER, rows, _params(args, seed=head["seed"]), 0
 
 
 def _cmd_dist(args) -> tuple:
-    pmf = exact_statistic_pmf(args.measure, args.k, args.n, args.stat)
+    pmf = statistic_law(args.measure, args.stat).pmf(args.k, args.n)
     header = ("value", "numerator", "denominator", "probability")
     # Only the asked-for format is built: both stringify every atom.
     if args.format == "json":
@@ -193,10 +180,7 @@ def _cmd_dist(args) -> tuple:
 
 
 def _cmd_moments(args) -> tuple:
-    law = statistic_law(args.measure, args.stat)
-    if law.moments is None:
-        raise UserInputError(f"no moment formulas for ({args.measure}, {args.stat})")
-    report = law.moments(args.k, args.n)
+    report = statistic_law(args.measure, args.stat).moments(args.k, args.n)
     payload = report.to_json_dict(include_asym=args.asymptotic)
     header = tuple(payload)
     return payload, header, [tuple(payload.values())], _params(args), 0

@@ -42,8 +42,9 @@ class ExactPmf:
     the gcd of a numerator with den is the gcd of den with the part of
     the numerator made of b's primes, and that part is peeled off by
     gcds with small divisors of b, so no gcd against the thousands-digit
-    den is taken. Without a base they fall back to one plain gcd per
-    atom. Neither view stores anything on the law.
+    den is taken. A law without a base reduces through its own
+    denominator, which divides the first power of itself. Neither view
+    stores anything on the law.
 
     ExactPmf(den, atoms, base) is the one constructor: mass num / den at
     each value of the (value, num) atoms. Numerators at a repeated value
@@ -149,19 +150,17 @@ class ExactPmf:
 
         Equal reduced denominators are one int object.
         """
-        den, base = self.den, self.base
+        # Without a base, den itself serves: it divides den**1.
+        den, base = self.den, self.base or self.den
         dens: dict[int, int] = {}
         for v, a in zip(self.support, self.nums):
-            if base is None:
-                g = gcd(a, den)
-            else:
-                # g collects the factors of a over b's primes; den has no others.
-                g, rest, t = 1, a, gcd(a, base)
-                while t > 1:
-                    rest //= t
-                    g *= t
-                    t = gcd(rest, t)
-                g = gcd(g, den)
+            # g collects the factors of a over b's primes; den has no others.
+            g, rest, t = 1, a, gcd(a, base)
+            while t > 1:
+                rest //= t
+                g *= t
+                t = gcd(rest, t)
+            g = gcd(g, den)
             d = dens.get(g)
             if d is None:
                 d = dens[g] = den // g

@@ -30,6 +30,9 @@ from .errors import CertificationError, UserInputError
 ALPHA_THRESHOLD = 1.0 / (2.0 * pi)
 
 _WORK_DPS = 100
+# Terms summed by the closed-form self-check, and by the tail reference.
+_SERIES_TERMS = 200
+_TAIL_TERMS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +199,13 @@ def bernoulli_tail_bound(alpha: float, l: int, start: int) -> float:
         return float(4 * _geometric_power_tail(q, l, start))
 
 
-def bernoulli_tail_exact(alpha: float, l: int, start: int, t_max: int = 400) -> float:
-    """Numerical value of sum_{t=start}^{t_max} |B_t| t^l / (alpha^t t!)."""
-    bern = bernoulli_numbers(t_max)
+def bernoulli_tail_exact(alpha: float, l: int, start: int) -> float:
+    """Numerical value of sum_{t=start}^{_TAIL_TERMS} |B_t| t^l / (alpha^t t!), to t = 400."""
+    bern = bernoulli_numbers(_TAIL_TERMS)
     with mp.workdps(_WORK_DPS):
         a = mp.mpf(alpha)
         total = mp.mpf(0)
-        for t in range(start, t_max + 1):
+        for t in range(start, _TAIL_TERMS + 1):
             b = bern[t]
             if not b:
                 continue
@@ -236,8 +239,8 @@ def _closed_forms(alpha: mp.mpf) -> tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
     return p1, p2, p3, p4
 
 
-def bernoulli_series_partial(alpha: float, part: int, t_max: int = 200) -> mp.mpf:
-    """Truncated sum of series part 1..4 at 100-digit precision.
+def bernoulli_series_partial(alpha: float, part: int) -> mp.mpf:
+    """Sum over t <= _SERIES_TERMS (200) of series part 1..4, at 100-digit precision.
 
     1: sum B_t / (t! alpha^t)
     2: sum B_t C(t,2) / (t! alpha^t)
@@ -246,11 +249,11 @@ def bernoulli_series_partial(alpha: float, part: int, t_max: int = 200) -> mp.mp
     """
     if part not in (1, 2, 3, 4):
         raise UserInputError(f"part must be 1..4, got {part}")
-    bern = bernoulli_numbers(t_max + 1)
+    bern = bernoulli_numbers(_SERIES_TERMS + 1)
     with mp.workdps(_WORK_DPS):
         a = mp.mpf(alpha)
         total = mp.mpf(0)
-        for t in range(t_max + 1):
+        for t in range(_SERIES_TERMS + 1):
             b = bern[t + 1] if part in (3, 4) else bern[t]
             if part in (2, 4):
                 w = comb(t, 2)
@@ -268,19 +271,19 @@ def bernoulli_series_partial(alpha: float, part: int, t_max: int = 200) -> mp.mp
 def bernoulli_closed_forms(alpha: float) -> tuple[float, float, float, float]:
     """The four series closed forms, self-checked against truncation.
 
-    Each value is verified to agree with its 200-term partial sum to
-    within a computable tail bound before being returned; disagreement
-    raises CertificationError since it can only mean a broken formula.
+    Each value is verified to agree with its partial sum over
+    t <= _SERIES_TERMS (200) to within a computable tail bound before
+    being returned; disagreement raises CertificationError since it can
+    only mean a broken formula.
     """
     if alpha <= ALPHA_THRESHOLD:
         raise UserInputError(
             f"series diverge for alpha <= 1/(2*pi) ~ {ALPHA_THRESHOLD:.6f}"
         )
-    t_max = 200
     with mp.workdps(_WORK_DPS):
         closed = _closed_forms(mp.mpf(alpha))
         q = 1 / (2 * mp.pi * mp.mpf(alpha))
-        start = t_max + 1
+        start = _SERIES_TERMS + 1
         # Majorants for the dropped tails; see bernoulli_tail_bound for
         # the |B_t|/t! <= 4 (2 pi)^{-t} ingredient. Parts 3 and 4 shift
         # the Bernoulli index by one, giving the extra (t+1) factor.
@@ -291,7 +294,7 @@ def bernoulli_closed_forms(alpha: float) -> tuple[float, float, float, float]:
             mp.mpf(2) / mp.pi * _geometric_power_tail(q, 3, start),
         )
         for part in (1, 2, 3, 4):
-            partial = bernoulli_series_partial(alpha, part, t_max)
+            partial = bernoulli_series_partial(alpha, part)
             gap = abs(closed[part - 1] - partial)
             # Guard against precision loss in the comparison itself.
             slack = tails[part - 1] + mp.mpf(10) ** (-(_WORK_DPS - 20))

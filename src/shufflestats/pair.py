@@ -192,7 +192,7 @@ def _g_numerator(
 
 @dataclass(frozen=True)
 class NormalizedPair:
-    """W-normalized pair data: exact moments, lambda = 1/n, and G per r.
+    """W-normalized pair data: exact moments and G per r.
 
     G_values pairs each descent value r with the float G(r). The exact
     aggregate E|G(W)| is abs_g_scaled / sqrt(var_d).
@@ -200,7 +200,6 @@ class NormalizedPair:
 
     mean_d: Fraction
     var_d: Fraction
-    lam: Fraction
     G_values: tuple[tuple[int, float], ...]
     abs_g_scaled: Fraction
 
@@ -243,7 +242,6 @@ def g_remainder(n: int, k: Optional[int] = None) -> NormalizedPair:
     return NormalizedPair(
         mean_d=mean_d,
         var_d=var_d,
-        lam=Fraction(1, n),
         G_values=tuple(g_vals),
         abs_g_scaled=abs_g_scaled,
     )

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 from .errors import UserInputError
 
 # Full enumeration of S_9 (362,880 elements) with statistics stays under
-# a second; S_10 starts to hurt. Callers can raise the cap explicitly.
+# a second; S_10 starts to hurt.
 DEFAULT_ENUMERATION_CAP = 9
 
 
@@ -69,12 +69,6 @@ class Permutation:
         if not 1 <= i <= len(self.word):
             raise UserInputError(f"position {i} out of range 1..{len(self.word)}")
         return self.word[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.word)
-        for pos, val in enumerate(self.word, start=1):
-            inv[val - 1] = pos
-        return Permutation._from_trusted(tuple(inv))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Permutation is immutable")
@@ -164,14 +158,13 @@ def cyclic_rotate(p: Permutation, shift: int) -> Permutation:
     return Permutation._from_trusted(w[shift:] + w[:shift])
 
 
-def enumerate_sn(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Permutation]:
-    """Yield every element of S_n exactly once."""
+def enumerate_sn(n: int) -> Iterator[Permutation]:
+    """Yield every element of S_n exactly once, for n up to the cap."""
     if n < 1:
         raise UserInputError("n must be >= 1")
-    if n > cap:
+    if n > DEFAULT_ENUMERATION_CAP:
         raise UserInputError(
-            f"enumeration of S_{n} exceeds the oracle cap {cap}; "
-            "raise the cap explicitly if you really mean it"
+            f"enumeration of S_{n} exceeds the oracle cap {DEFAULT_ENUMERATION_CAP}"
         )
     for word in itertools.permutations(range(1, n + 1)):
         yield Permutation._from_trusted(word)

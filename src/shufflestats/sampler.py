@@ -71,6 +71,7 @@ _THRESHOLD_BITS = 53
 _SCALE = 1 << _THRESHOLD_BITS
 _MIN_EXPECTED = 5.0
 _TREE_CAP = 8
+_NORMALIZATION_MAX = 50  # largest n and k of the insertion normalization sweep
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,6 @@ class SampleSummary:
     p_value: float
     exact_pmf: ExactPmf
     bin_z: dict[int, float]
-
-    @property
-    def count(self) -> int:
-        return sum(self.histogram.values())
 
     @property
     def max_bin_z(self) -> float:
@@ -302,12 +299,7 @@ def _inverse_descents(words: np.ndarray) -> np.ndarray:
 
 
 def exact_statistic_pmf(measure: str, k: int, n: int, statistic: str) -> ExactPmf:
-    """Exact reference distribution for a sampled statistic.
-
-    Under measure "R" the parsimony statistic is the pushforward of the
-    descent count; under "C" it is the pushforward of the cyclic descent
-    count. The pair (measure "R", statistic "c") is rejected.
-    """
+    """statistic_law(measure, statistic).pmf(k, n), kept as the benchmark's entry point."""
     return statistic_law(measure, statistic).pmf(k, n)
 
 
@@ -457,16 +449,15 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
     return _summarize(_run_streams(config, exact.support[-1] + 1, draw), exact, config.count)
 
 
-def riffle_summary(
-    n: int, rounds: int, count: int, seed: int, streams: int = 8
-) -> SampleSummary:
+def riffle_summary(n: int, rounds: int, count: int, seed: int) -> SampleSummary:
     """Riffle sorted decks `rounds` times and fit inverse descent counts.
 
     This is the physical-simulation counterpart of sample_statistic: the
     decks are riffled, each result is inverted, and the inverse descent
-    histogram is tested against d_pmf_R(2**rounds, n).
+    histogram is tested against d_pmf_R(2**rounds, n). The draws run in
+    SamplerConfig's default 8 streams, so the seed alone fixes them.
     """
-    config = SamplerConfig(k=riffle_piles(rounds), n=n, count=count, seed=seed, streams=streams)
+    config = SamplerConfig(k=riffle_piles(rounds), n=n, count=count, seed=seed)
     exact = d_pmf_R(config.k, n)
 
     def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
@@ -507,18 +498,17 @@ def decision_tree_distribution(k: int, n: int) -> dict[Permutation, Fraction]:
     return dist
 
 
-def insertion_normalization(n_max: int = 50, k_max: int = 50) -> int:
+def insertion_normalization() -> int:
     """Verify the two-case probabilities sum to one over reachable states.
 
     Checks (d+1)(n+k-d) + (n-d)(k-d-1) = k(n+1) in exact integers for
-    every state with d <= min(n-1, k-1), n <= n_max, k <= k_max. Returns
-    the number of states verified; raises CertificationError on failure.
+    every state with d <= min(n-1, k-1) and n, k <= _NORMALIZATION_MAX
+    (50). Returns the number of states verified; raises
+    CertificationError on failure.
     """
-    if n_max < 1 or k_max < 1:
-        raise UserInputError("normalization sweep needs n_max >= 1 and k_max >= 1")
     checked = 0
-    for n in range(1, n_max + 1):
-        for k in range(1, k_max + 1):
+    for n in range(1, _NORMALIZATION_MAX + 1):
+        for k in range(1, _NORMALIZATION_MAX + 1):
             for d in range(min(n - 1, k - 1) + 1):
                 total = (d + 1) * (n + k - d) + (n - d) * (k - d - 1)
                 if total != k * (n + 1):

@@ -286,9 +286,8 @@ def sweep_k_values(n: int, points: int = 20) -> list[int]:
     if points < 1:
         raise UserInputError(f"sweep needs at least one k point, got {points}")
     k_top = n // 4
-    if points >= k_top:
-        # The rounding step below is at most 1, so every k is hit.
-        return list(range(1, k_top + 1))
+    # At points == k_top the rounding step is 1 and every k is hit.
+    points = min(points, k_top)
     raw = {1 + round(i * (k_top - 1) / max(1, points - 1)) for i in range(points)}
     return sorted(min(v, k_top) for v in raw)
 

@@ -22,6 +22,11 @@ def oracle_descents(word) -> int:
     return sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
 
 
+def oracle_inverse(word) -> tuple[int, ...]:
+    """One-line word of the inverse permutation."""
+    return tuple(sorted(range(1, len(word) + 1), key=lambda i: word[i - 1]))
+
+
 def oracle_cyclic_descents(word) -> int:
     return oracle_descents(word) + (1 if word[-1] > word[0] else 0)
 

@@ -157,7 +157,7 @@ def test_c10_decision_tree_expands_to_the_shuffle_measure():
                 d = oracle_descents(word)
                 want = F(math.comb(n + k - d - 1, n), k**n)
                 assert tree.get(Permutation(word), F(0)) == want
-    assert insertion_normalization(50, 50) > 0
+    assert insertion_normalization() > 0
 
 
 def test_c11_sampler_and_physical_riffle_pass_goodness_of_fit():
@@ -169,7 +169,7 @@ def test_c11_sampler_and_physical_riffle_pass_goodness_of_fit():
     first = time.monotonic()
     assert first - started < 60
 
-    riffled = riffle_summary(6, 2, count=100_000, seed=7, streams=8)
+    riffled = riffle_summary(6, 2, count=100_000, seed=7)
     assert riffled.p_value > 0.001
     assert riffled.max_bin_z < 4
     assert time.monotonic() - first < 60

@@ -146,7 +146,6 @@ class TestRemainder:
         # simplifications and raises CertificationError on mismatch
         pair = g_remainder(6, k=None)
         assert pair.abs_g_scaled > 0
-        assert pair.lam == F(1, 6)
 
     def test_mean_abs_deviation(self):
         assert mean_abs_deviation_uniform_d(3) == F(1, 3)

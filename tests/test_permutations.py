@@ -29,12 +29,6 @@ class TestConstruction:
         with pytest.raises(UserInputError):
             p(4)
 
-    def test_inverse(self):
-        for word in itertools.permutations(range(1, 6)):
-            p = Permutation(word)
-            q = p.inverse()
-            assert all(q(p(i)) == i for i in range(1, 6))
-
     @pytest.mark.parametrize(
         "word",
         [(), (0, 1), (1, 1), (1, 3), (2,), (1, 2, 4)],
@@ -144,6 +138,3 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(UserInputError):
             list(enumerate_sn(11))
-        # explicit cap raise is honored
-        stream = enumerate_sn(11, cap=11)
-        assert next(stream).word == tuple(range(1, 12))

@@ -76,7 +76,7 @@ def test_a_wrong_wrap_trips_exactly_the_pair_suite(monkeypatch):
 
 def test_insertion_normalization_covers_every_state_at_50_by_50():
     # sum over n, k <= 50 of min(n, k) states
-    assert insertion_normalization(50, 50) == 42_925
+    assert insertion_normalization() == 42_925
 
 
 def test_fault_injection_trips_exactly_the_transfer_suite():

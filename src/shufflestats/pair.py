@@ -108,7 +108,7 @@ class PairLaw:
     up: tuple[Fraction, ...]
 
     @classmethod
-    def build(cls, n: int, k: Optional[int] = None) -> "PairLaw":
+    def build(cls, n: int, k: Optional[int]) -> "PairLaw":
         """Step law under C(k, n), or under the uniform measure if k is None."""
         d_pmf, c_pmf = _d_and_c_pmfs(n, k)
         down, stay, up = [], [], []

@@ -155,19 +155,33 @@ def _case_thresholds(k: int, m: int) -> np.ndarray:
     return out
 
 
+def _threshold_table(k: int, n: int) -> list[np.ndarray]:
+    """_case_thresholds(k, m) at every deck size m < n, at index m - 1.
+
+    Each is cut, as a copy so the full row is freed, to the states
+    d < min(m, k) that a walk reaches: at d = k - 1 the threshold always
+    accepts case 1, so d never reaches k.
+    """
+    return [_case_thresholds(k, m)[: min(m, k)].copy() for m in range(1, n)]
+
+
 def _insertion_case(
-    k: int, m: int, d: np.ndarray, rng: np.random.Generator
+    thresholds: np.ndarray, m: int, d: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw each row's insertion case and its slot rank at deck size m.
 
-    d holds the rows' descent counts (int64). Returns (case1, t): case1
-    is True where the case keeps d, and t is a uniform rank among the
-    d+1 (case 1) or m-d (case 2) qualifying slots. Both samplers draw
-    through here, so they read the stream identically.
+    thresholds are the case thresholds at m and d holds the rows'
+    descent counts (int64). Returns (case1, t): case1 is True where the
+    case keeps d, and t is a uniform rank among the d+1 (case 1) or m-d
+    (case 2) qualifying slots. Both samplers draw through here, so they
+    read the stream identically.
     """
     u = rng.integers(0, _SCALE, size=d.shape[0], dtype=np.uint64)
-    case1 = u < _case_thresholds(k, m)[d]
-    t = rng.integers(0, np.where(case1, d + 1, m - d))
+    case1 = u < thresholds[d]
+    # int64 bounds: their dtype picks numpy's bounded-draw algorithm.
+    hi = m - d
+    np.copyto(hi, d + 1, where=case1)
+    t = rng.integers(0, hi)
     return case1, t
 
 
@@ -184,7 +198,7 @@ def _insertion_words(k: int, n: int, count: int, rng: np.random.Generator) -> np
     rows = np.arange(count)
     for m in range(1, n):
         desc = words[:, :-1] > words[:, 1:]
-        case1, t = _insertion_case(k, m, desc.sum(axis=1), rng)
+        case1, t = _insertion_case(_case_thresholds(k, m), m, desc.sum(axis=1), rng)
         qualifies = np.empty((count, m + 1), dtype=bool)
         qualifies[:, 0] = ~case1
         qualifies[:, 1:m] = desc == case1[:, None]
@@ -202,21 +216,27 @@ def _slot_count_dtype(n: int) -> np.dtype:
 
 
 def _insertion_walk(
-    k: int, n: int, count: int, rng: np.random.Generator, desc: np.ndarray | None = None
+    k: int | list[np.ndarray],
+    n: int,
+    count: int,
+    rng: np.random.Generator,
+    desc: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d, last > first) of `count` insertion words, without the words.
 
-    Draws exactly what _insertion_words(k, n, count, rng) draws. Slot 0
-    is taken exactly when the case is 2 and t == 0, which puts the new
-    maximum first; slot m exactly when the case is 1 and t == d, which
-    puts it last. So the descent count and whether the last symbol
-    exceeds the first follow in O(n) per row.
+    k is the pile count, or its _threshold_table(k, n) when many streams
+    share one. Draws exactly what _insertion_words(k, n, count, rng)
+    draws. Slot 0 is taken exactly when the case is 2 and t == 0, which
+    puts the new maximum first; slot m exactly when the case is 1 and
+    t == d, which puts it last. So the descent count and whether the
+    last symbol exceeds the first follow in O(n) per row.
 
     A zeroed (n+1, count) bool `desc` gets desc[s, row] = word[s-1] > word[s]
     for each inner slot s, with slot 0 an ascent and slot m a descent, so
     case 1 takes a descent slot and case 2 an ascent slot. Taking slot j
     moves the slots past j down one row; then j ascends and j+1 descends.
     """
+    table = k if isinstance(k, list) else _threshold_table(k, n)
     d = np.zeros(count, dtype=np.int64)
     wrap = np.zeros(count, dtype=bool)
     if desc is not None:
@@ -224,9 +244,9 @@ def _insertion_walk(
         flat, cols = desc.reshape(-1), np.arange(count)
         slots = np.empty((n, count), dtype=_slot_count_dtype(n))
     for m in range(1, n):
-        case1, t = _insertion_case(k, m, d, rng)
-        wrap[~case1 & (t == 0)] = False
-        wrap[case1 & (t == d)] = True
+        case1, t = _insertion_case(table[m - 1], m, d, rng)
+        wrap &= case1 | (t != 0)
+        wrap |= case1 & (t == d)
         d += ~case1
         if desc is None:
             continue
@@ -239,16 +259,20 @@ def _insertion_walk(
         moved = desc[1 : m + 2] ^ desc[: m + 1]
         np.greater(moved, before, out=moved)
         desc[1 : m + 2] ^= moved
-        at = np.count_nonzero(before, axis=0) * count + cols
+        # Summed in the slot dtype; count_nonzero accumulates in intp, several times slower.
+        at = np.add.reduce(before, axis=0, dtype=q.dtype).astype(np.int64) * count + cols
         flat[at] = False
         flat[at + count] = True
     return d, wrap
 
 
-def _cut_descents(k: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def _cut_descents(
+    k: int | list[np.ndarray], n: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
     """d of `count` insertion words, each cut before a uniform position s drawn after it.
 
-    The cut turns the pair across slot s into the wrap (at s = 0, the wrap itself).
+    k is as in _insertion_walk. The cut turns the pair across slot s
+    into the wrap (at s = 0, the wrap itself).
     """
     desc = np.zeros((n + 1, count), dtype=bool)
     d, wrap = _insertion_walk(k, n, count, rng, desc)
@@ -268,20 +292,31 @@ def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.
     likely (Bayer and Diaconis 1992). Each round therefore places the
     top packet's cards at a uniformly random size-`cut` subset of
     positions and fills both packets in order.
+
+    The top positions are those of a row's `cut` lowest uniforms in
+    argsort order. Unless the cut-th and next-lowest uniforms tie, they
+    are exactly the uniforms at or below the cut-th lowest, so only a
+    tied row needs the argsort to break its tie.
     """
     words = np.tile(np.arange(1, n + 1, dtype=np.int32), count)
-    in_top = np.empty(count * n, dtype=bool)
-    rows = np.arange(0, count * n, n)[:, None]
+    rows = np.arange(count)
     for _ in range(rounds):
         cut = rng.binomial(n, 0.5, size=count)
-        # The cut lowest uniforms of a row mark its top-packet positions.
-        order = np.argsort(rng.random((count, n)), axis=1) + rows
+        u = rng.random((count, n))
+        s = np.sort(u, axis=1)
+        # Uniforms lie in [0, 1), so a cut of 0 takes no position.
+        lo = np.where(cut > 0, s[rows, cut - 1], -1.0)
+        top = u <= lo[:, None]
         first = np.arange(n) < cut[:, None]
-        in_top[order] = first
+        tied = np.flatnonzero((cut < n) & (lo == s[rows, np.minimum(cut, n - 1)]))
+        if tied.size:
+            ranked = np.empty((tied.size, n), dtype=bool)
+            np.put_along_axis(ranked, np.argsort(u[tied], axis=1), first[tied], axis=1)
+            top[tied] = ranked
         # Each packet's cards fill its positions in order, deck by deck.
         out = np.empty_like(words)
-        out[np.flatnonzero(in_top)] = words[np.flatnonzero(first)]
-        out[np.flatnonzero(~in_top)] = words[np.flatnonzero(~first)]
+        out[np.flatnonzero(top)] = words[np.flatnonzero(first)]
+        out[np.flatnonzero(~top)] = words[np.flatnonzero(~first)]
         words = out
     return words.reshape(count, n)
 
@@ -303,6 +338,13 @@ def exact_statistic_pmf(measure: str, k: int, n: int, statistic: str) -> ExactPm
     return statistic_law(measure, statistic).pmf(k, n)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_streams(
     config: SamplerConfig, width: int, draw: Callable[[np.random.Generator, int], np.ndarray]
 ) -> np.ndarray:
@@ -319,7 +361,7 @@ def _run_streams(
         values = draw(_stream_generator(config.seed, sid), chunks[sid])
         return np.bincount(values, minlength=width)
 
-    workers = min(config.streams, os.cpu_count() or 1)
+    workers = min(config.streams, _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(run, range(config.streams)))
     merged = np.zeros(max(part.shape[0] for part in parts), dtype=np.int64)
@@ -434,14 +476,15 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
             [parsimony_distance(s, law.flavor) if s else 0 for s in range(n)],
             dtype=np.int64,
         )
+    table = _threshold_table(k, n)  # one per call, shared by the streams
 
     def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
         if measure == "C" and law.reads == "d":
-            values = _cut_descents(k, n, chunk, rng)
+            values = _cut_descents(table, n, chunk, rng)
         else:
             # c is rotation invariant and the cut is the stream's last draw,
             # so the cut is left undrawn and c = d + [last > first].
-            values, wrap = _insertion_walk(k, n, chunk, rng)
+            values, wrap = _insertion_walk(table, n, chunk, rng)
             if law.reads == "c":
                 values += wrap
         return values if law.flavor is None else distance[values]

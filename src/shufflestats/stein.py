@@ -279,7 +279,7 @@ def tv_report(k: int, n: int, statistic: str) -> TvReport:
     )
 
 
-def sweep_k_values(n: int, points: int = 20) -> list[int]:
+def sweep_k_values(n: int, points: int) -> list[int]:
     """Up to ``points`` integers evenly spread over 1..floor(n/4)."""
     if n < 4:
         raise UserInputError("sweep needs n >= 4 so that floor(n/4) >= 1")
@@ -293,9 +293,7 @@ def sweep_k_values(n: int, points: int = 20) -> list[int]:
 
 
 def certification_sweep(
-    n_list: Iterable[int] = (20, 50, 100, 200, 400),
-    k_points: int = 20,
-    statistics: Iterable[str] = STATISTIC_CODES,
+    n_list: Iterable[int], k_points: int, statistics: Iterable[str]
 ) -> list[TvReport]:
     """tv_report over the full certification grid; raises on any failure."""
     reports = []

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_descents, oracle_moment, oracle_pmf, pmf_as_dict, stat_pairs
+from shufflestats import cli
 from shufflestats.measures import c_pmf_C, d_pmf_C, d_pmf_R
 from shufflestats.moments import (
     asymptotic_mean_c,
@@ -33,6 +34,7 @@ from shufflestats.sampler import (
     sample_statistic,
 )
 from shufflestats.stein import (
+    STATISTIC_CODES,
     certification_sweep,
     certified_bound,
     solve_stein,
@@ -86,7 +88,8 @@ def test_c03_transfer_identity_and_statistic_proximity():
 
 def test_c04_poisson_bounds_certify_across_the_sweep():
     started = time.monotonic()
-    reports = certification_sweep()  # 3 statistics x n in {20,...,400} x 20 ks
+    grid = cli._build_parser().parse_args(["tv", "--grid"])  # the CLI's default grid
+    reports = certification_sweep(grid.n_list, grid.k_points, STATISTIC_CODES)
     want_rows = 3 * sum(
         len(sweep_k_values(n, 20)) for n in (20, 50, 100, 200, 400)
     )

@@ -7,9 +7,10 @@ it, as code or as a "module.attr" target string. The names below stay
 although only tests call them, each for the reason given.
 
 A parameter with a default is a setting, so some call outside tests
-must pass it, by keyword or by position. Calls are matched by the name
-of the function they call, so a name shared by two functions can hide
-an unused default but never flag a used one.
+must pass it, by keyword or by position, and some call outside tests
+must rely on the default. Calls are matched by the name of the function
+they call, so a name shared by two functions can hide an unused or an
+always-overridden default but never flag a used or a relied-on one.
 """
 
 import ast
@@ -131,8 +132,12 @@ def _call_sites(paths):
     return sites
 
 
-def _unpassed_defaults():
-    """function.parameter of each default that no call outside tests passes."""
+def _defaulted_calls():
+    """(function.parameter, [(may pass, surely passes)] per call outside tests) of each default.
+
+    A call with *args or **kwargs may pass the parameter but does not
+    surely pass it.
+    """
     sites = _call_sites(CALLERS)
     out = []
     for qualname, called, implicit, node in _functions():
@@ -142,10 +147,22 @@ def _unpassed_defaults():
         defaulted = [(i - implicit, arg.arg) for i, arg in enumerate(positional) if i >= first]
         defaulted += [(_ALL - 1, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
         for index, param in defaulted:
-            calls = sites.get(called, [])
-            if not any(param in keywords or count > index for count, keywords in calls):
-                out.append(f"{qualname}.{param}")
+            calls = [
+                (param in keywords or count > index, param in keywords or _ALL > count > index)
+                for count, keywords in sites.get(called, [])
+            ]
+            out.append((f"{qualname}.{param}", calls))
     return out
+
+
+def _unpassed_defaults():
+    """function.parameter of each default that no call outside tests passes."""
+    return [name for name, calls in _defaulted_calls() if not any(may for may, _ in calls)]
+
+
+def _always_passed_defaults():
+    """function.parameter of each default that every call outside tests passes."""
+    return [name for name, calls in _defaulted_calls() if calls and all(sure for _, sure in calls)]
 
 
 def test_every_public_name_has_a_caller_outside_tests():
@@ -170,6 +187,13 @@ def test_every_parameter_default_is_passed_outside_tests():
     knobs = [name for name in unpassed if name not in UNPASSED_DEFAULT_ALLOWED]
     assert knobs == [], f"defaults no call outside tests passes: {knobs}"
     assert set(UNPASSED_DEFAULT_ALLOWED) <= set(unpassed)
+
+
+def test_every_parameter_default_is_relied_on_outside_tests():
+    # A default that every call outside tests overrides serves only tests,
+    # and any copy of it elsewhere (a CLI flag's default) can drift apart.
+    served = _always_passed_defaults()
+    assert served == [], f"defaults that only tests rely on: {served}"
 
 
 def test_every_public_method_and_property_is_named_outside_tests():

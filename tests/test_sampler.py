@@ -253,6 +253,35 @@ class TestGsr:
             assert sampler._gsr_words(n, rounds, 500, rng).tolist() == want.tolist()
             np.testing.assert_equal(ref_rng.bit_generator.state, rng.bit_generator.state)
 
+    class _CoarseUniforms:
+        """A real generator whose uniforms are rounded down to multiples of 1/16, so rows tie."""
+
+        def __init__(self, seed):
+            self.real = _rng(seed)
+            self.cuts, self.uniforms = [], []
+
+        def binomial(self, n, p, size):
+            self.cuts.append(self.real.binomial(n, p, size=size))
+            return self.cuts[-1]
+
+        def random(self, size):
+            self.uniforms.append(np.floor(self.real.random(size) * 16) / 16)
+            return self.uniforms[-1]
+
+    def test_rows_tied_at_the_cut_match_the_double_argsort_round(self):
+        n, rounds = 13, 3
+        ref, stub = self._CoarseUniforms(11), self._CoarseUniforms(11)
+        want = self._double_argsort_words(n, rounds, 400, ref)
+        assert sampler._gsr_words(n, rounds, 400, stub).tolist() == want.tolist()
+        np.testing.assert_equal(ref.real.bit_generator.state, stub.real.bit_generator.state)
+        # Rows whose cut-th and next-lowest uniforms tie take the argsort fallback.
+        tied = 0
+        for cut, u in zip(stub.cuts, stub.uniforms):
+            s = np.sort(u, axis=1)
+            inner = np.flatnonzero((cut > 0) & (cut < n))
+            tied += np.count_nonzero(s[inner, cut[inner] - 1] == s[inner, cut[inner]])
+        assert tied > 0
+
     def test_shuffle_outputs_permutations(self):
         rng = _rng(3)
         p = Permutation.identity(8)
@@ -500,13 +529,23 @@ class TestThreadCap:
         assert max(requested) <= (os.cpu_count() or 1)
 
     def test_worker_count_changes_no_draw(self, requested, monkeypatch):
+        # Without an affinity set the cap falls back to the CPU count.
         cfg = SamplerConfig(k=3, n=5, count=6400, seed=1, streams=64)
         wide = sample_statistic("R", "d", cfg)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         narrow = sample_statistic("R", "d", cfg)
         assert requested[-1] == 1
         assert narrow.histogram == wide.histogram
         assert narrow.chi_square == wide.chi_square
+
+    def test_cap_counts_the_cpus_the_process_may_use(self, requested, monkeypatch):
+        cfg = SamplerConfig(k=3, n=5, count=6400, seed=1, streams=64)
+        wide = sample_statistic("R", "d", cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pinned = sample_statistic("R", "d", cfg)
+        assert requested[-1] == 1
+        assert pinned.histogram == wide.histogram
 
 
 class TestSummaryType:

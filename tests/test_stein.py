@@ -11,6 +11,7 @@ from shufflestats.errors import UserInputError
 from shufflestats.measures import ExactPmf, d_pmf_C, d_pmf_R
 from shufflestats.moments import moments_c_C
 from shufflestats.stein import (
+    STATISTIC_CODES,
     certification_sweep,
     certified_bound,
     poisson_pmf,
@@ -165,13 +166,13 @@ class TestReportsAndSweep:
         assert rep.slack == pytest.approx(0.11483741803595957, abs=1e-13)
 
     def test_sweep_grid_shape(self):
-        ks = sweep_k_values(200)
+        ks = sweep_k_values(200, 20)
         assert len(ks) == 20
         assert ks[0] == 1 and ks[-1] == 50
         assert ks == sorted(set(ks))
-        assert sweep_k_values(4) == [1]
+        assert sweep_k_values(4, 20) == [1]
         with pytest.raises(UserInputError):
-            sweep_k_values(3)
+            sweep_k_values(3, 20)
 
     @pytest.mark.parametrize("points", [0, -1])
     def test_sweep_rejects_nonpositive_points(self, points):
@@ -179,7 +180,7 @@ class TestReportsAndSweep:
             sweep_k_values(20, points)
 
     def test_small_sweep_certifies(self):
-        reports = certification_sweep(n_list=(20,), k_points=5)
+        reports = certification_sweep((20,), 5, STATISTIC_CODES)
         assert len(reports) == 3 * len(sweep_k_values(20, 5))
         assert all(r.slack >= 0 for r in reports)
         assert all(r.tv_exact <= r.bound for r in reports)

@@ -155,29 +155,18 @@ def _case_thresholds(k: int, m: int) -> np.ndarray:
     return out
 
 
-def _threshold_table(k: int, n: int) -> list[np.ndarray]:
-    """_case_thresholds(k, m) at every deck size m < n, at index m - 1.
-
-    Each is cut, as a copy so the full row is freed, to the states
-    d < min(m, k) that a walk reaches: at d = k - 1 the threshold always
-    accepts case 1, so d never reaches k.
-    """
-    return [_case_thresholds(k, m)[: min(m, k)].copy() for m in range(1, n)]
-
-
 def _insertion_case(
-    thresholds: np.ndarray, m: int, d: np.ndarray, rng: np.random.Generator
+    k: int, m: int, d: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw each row's insertion case and its slot rank at deck size m.
 
-    thresholds are the case thresholds at m and d holds the rows'
-    descent counts (int64). Returns (case1, t): case1 is True where the
-    case keeps d, and t is a uniform rank among the d+1 (case 1) or m-d
-    (case 2) qualifying slots. Both samplers draw through here, so they
-    read the stream identically.
+    d holds the rows' descent counts (int64). Returns (case1, t): case1
+    is True where the case keeps d, and t is a uniform rank among the
+    d+1 (case 1) or m-d (case 2) qualifying slots. Both samplers draw
+    through here, so they read the stream identically.
     """
     u = rng.integers(0, _SCALE, size=d.shape[0], dtype=np.uint64)
-    case1 = u < thresholds[d]
+    case1 = u < _case_thresholds(k, m)[d]
     # int64 bounds: their dtype picks numpy's bounded-draw algorithm.
     hi = m - d
     np.copyto(hi, d + 1, where=case1)
@@ -198,7 +187,7 @@ def _insertion_words(k: int, n: int, count: int, rng: np.random.Generator) -> np
     rows = np.arange(count)
     for m in range(1, n):
         desc = words[:, :-1] > words[:, 1:]
-        case1, t = _insertion_case(_case_thresholds(k, m), m, desc.sum(axis=1), rng)
+        case1, t = _insertion_case(k, m, desc.sum(axis=1), rng)
         qualifies = np.empty((count, m + 1), dtype=bool)
         qualifies[:, 0] = ~case1
         qualifies[:, 1:m] = desc == case1[:, None]
@@ -216,27 +205,21 @@ def _slot_count_dtype(n: int) -> np.dtype:
 
 
 def _insertion_walk(
-    k: int | list[np.ndarray],
-    n: int,
-    count: int,
-    rng: np.random.Generator,
-    desc: np.ndarray | None = None,
+    k: int, n: int, count: int, rng: np.random.Generator, desc: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d, last > first) of `count` insertion words, without the words.
 
-    k is the pile count, or its _threshold_table(k, n) when many streams
-    share one. Draws exactly what _insertion_words(k, n, count, rng)
-    draws. Slot 0 is taken exactly when the case is 2 and t == 0, which
-    puts the new maximum first; slot m exactly when the case is 1 and
-    t == d, which puts it last. So the descent count and whether the
-    last symbol exceeds the first follow in O(n) per row.
+    Draws exactly what _insertion_words(k, n, count, rng) draws. Slot 0
+    is taken exactly when the case is 2 and t == 0, which puts the new
+    maximum first; slot m exactly when the case is 1 and t == d, which
+    puts it last. So the descent count and whether the last symbol
+    exceeds the first follow in O(n) per row.
 
     A zeroed (n+1, count) bool `desc` gets desc[s, row] = word[s-1] > word[s]
     for each inner slot s, with slot 0 an ascent and slot m a descent, so
     case 1 takes a descent slot and case 2 an ascent slot. Taking slot j
     moves the slots past j down one row; then j ascends and j+1 descends.
     """
-    table = k if isinstance(k, list) else _threshold_table(k, n)
     d = np.zeros(count, dtype=np.int64)
     wrap = np.zeros(count, dtype=bool)
     if desc is not None:
@@ -244,7 +227,7 @@ def _insertion_walk(
         flat, cols = desc.reshape(-1), np.arange(count)
         slots = np.empty((n, count), dtype=_slot_count_dtype(n))
     for m in range(1, n):
-        case1, t = _insertion_case(table[m - 1], m, d, rng)
+        case1, t = _insertion_case(k, m, d, rng)
         wrap &= case1 | (t != 0)
         wrap |= case1 & (t == d)
         d += ~case1
@@ -266,13 +249,10 @@ def _insertion_walk(
     return d, wrap
 
 
-def _cut_descents(
-    k: int | list[np.ndarray], n: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
+def _cut_descents(k: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """d of `count` insertion words, each cut before a uniform position s drawn after it.
 
-    k is as in _insertion_walk. The cut turns the pair across slot s
-    into the wrap (at s = 0, the wrap itself).
+    The cut turns the pair across slot s into the wrap (at s = 0, the wrap itself).
     """
     desc = np.zeros((n + 1, count), dtype=bool)
     d, wrap = _insertion_walk(k, n, count, rng, desc)
@@ -476,15 +456,14 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
             [parsimony_distance(s, law.flavor) if s else 0 for s in range(n)],
             dtype=np.int64,
         )
-    table = _threshold_table(k, n)  # one per call, shared by the streams
 
     def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
         if measure == "C" and law.reads == "d":
-            values = _cut_descents(table, n, chunk, rng)
+            values = _cut_descents(k, n, chunk, rng)
         else:
             # c is rotation invariant and the cut is the stream's last draw,
             # so the cut is left undrawn and c = d + [last > first].
-            values, wrap = _insertion_walk(table, n, chunk, rng)
+            values, wrap = _insertion_walk(k, n, chunk, rng)
             if law.reads == "c":
                 values += wrap
         return values if law.flavor is None else distance[values]

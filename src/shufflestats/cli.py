@@ -7,7 +7,9 @@ samplers with goodness-of-fit summaries), `diagnostic` (the regression
 remainder table), `verify` (the cross-module identity suites), and
 `eulerian` (raw Eulerian rows).
 
-Output conventions, applied uniformly: exact rationals are reduced
+This is the package's one text layer: the library returns exact values
+(ints, Fractions, floats) and only the handlers here turn them into
+text. Output conventions, applied uniformly: exact rationals are reduced
 "num/den" strings, floats carry 17 significant digits and are emitted as
 strings in JSON so no consumer re-rounds them, rows are sorted, and the
 same invocation always produces the same bytes. When `--out PATH` is
@@ -29,18 +31,29 @@ import json
 import secrets
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple
+from typing import Iterator
 
 from . import __version__
 from .errors import CertificationError, UserInputError
 from .eulerian import cyclic_descent_counts, eulerian_row
-from .measures import statistic_law
-from .pair import NogoodRow, nogood_diagnostic
-from .sampler import SamplerConfig, SampleSummary, riffle_summary, sample_statistic
-from .stein import STATISTIC_CODES, TvReport, certification_sweep, tv_report
-from .verify import DEFAULT_ORACLE_MAX, FAULT_MODES, run_all
+from .measures import ExactPmf, statistic_law
+from .pair import nogood_diagnostic
+from .sampler import (
+    DEFAULT_STREAMS,
+    SamplerConfig,
+    SampleSummary,
+    riffle_summary,
+    sample_statistic,
+)
+from .stein import STATISTIC_CODES, certification_sweep, tv_report
+from .verify import DEFAULT_K_MAX, DEFAULT_N_MAX, DEFAULT_ORACLE_MAX, FAULT_MODES, run_all
 
 _SAMPLE_CSV_HEADER = ("value", "count", "empirical", "exact_num", "exact_den", "z")
+# The columns of a TvReport, in field order.
+_TV_HEADER = ("k", "n", "statistic", "lambda", "tv_exact", "bound", "slack")
+_DIAGNOSTIC_HEADER = ("n", "value_num", "value_den_sqrt_form", "float_value", "lower_bound_float")
+_ASYMPTOTIC_FIELDS = ("mean_asym", "variance_asym", "error_mean", "error_variance")
 
 
 def _fmt_float(x: float) -> str:
@@ -97,12 +110,13 @@ def _write(path: str, data: bytes) -> None:
         raise UserInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit(text: str, args, params: dict, started: float) -> None:
+def _emit(text: str, args, started: float) -> None:
     if args.out is None:
         sys.stdout.write(text)
         return
     data = text.encode("utf-8")
     _write(args.out, data)
+    params = {key: value for key, value in vars(args).items() if key != "handler"}
     manifest = {
         "tool": "shufflestats",
         "version": __version__,
@@ -121,47 +135,56 @@ def _emit(text: str, args, params: dict, started: float) -> None:
     _write(f"{args.out}.manifest.json", record.encode("utf-8"))
 
 
-def _params(args, **overrides) -> dict:
-    skip = {"handler"}
-    out = {key: value for key, value in vars(args).items() if key not in skip}
-    out.update(overrides)
-    return out
-
-
-def _resolve_seed(args) -> int:
-    """Parse --seed; "auto" draws 64 fresh bits, announced on stderr without --out."""
+def _resolve_seed(args) -> None:
+    """Parse --seed into args.seed; "auto" draws 64 fresh bits, shown on stderr without --out."""
     if args.seed == "auto":
-        seed = secrets.randbits(64)
+        args.seed = secrets.randbits(64)
         if args.out is None:
-            print(f"drawn seed: {seed}", file=sys.stderr)
-        return seed
+            print(f"drawn seed: {args.seed}", file=sys.stderr)
+        return
     try:
         seed = int(args.seed)
     except ValueError as exc:
         raise UserInputError(f"seed must be an integer or 'auto', got {args.seed!r}") from exc
     if not 0 <= seed < 2**64:
         raise UserInputError("seed must fit in an unsigned 64-bit integer")
-    return seed
+    args.seed = seed
+
+
+def _reduced_atoms(pmf: ExactPmf) -> Iterator[tuple[int, int, int, str]]:
+    """(value, numerator, denominator, denominator text) of each atom in lowest terms.
+
+    Atoms share a few reduced denominators: each is converted to text once.
+    """
+    texts: dict[int, str] = {}
+    for v, a, d in pmf.reduced():
+        text = texts.get(d)
+        if text is None:
+            text = texts[d] = str(d)
+        yield v, a, d, text
+
+
+def _pmf_json(atoms) -> dict[str, str]:
+    """Value -> reduced rational text of _reduced_atoms rows, e.g. {"0": "3/4", "1": "1/4"}."""
+    return {str(v): f"{a}/{text}" if d != 1 else str(a) for v, a, d, text in atoms}
 
 
 def _sample_report(args, head: dict, summary: SampleSummary) -> tuple:
     """Payload and CSV rows of `sample` and `riffle`: the run's head plus its summary."""
-    exact, z = summary.exact_pmf, summary.bin_z
+    atoms = list(_reduced_atoms(summary.exact_pmf))
+    counts, z = summary.histogram, summary.bin_z
     payload = dict(head)
     payload.update(
-        histogram={str(v): c for v, c in summary.histogram.items()},
-        empirical_pmf={str(v): p for v, p in summary.empirical_pmf.items()},
-        exact_pmf=exact.to_json_dict(),
+        histogram={str(v): c for v, c in counts.items()},
+        empirical_pmf={str(v): c / args.count for v, c in counts.items()},
+        exact_pmf=_pmf_json(atoms),
         per_bin_z={str(v): value for v, value in z.items()},
         chi_square=summary.chi_square,
         p_value=summary.p_value,
         max_bin_z=summary.max_bin_z,
     )
-    rows = [
-        (v, summary.histogram[v], float(summary.empirical_pmf[v]), a, d, float(z[v]))
-        for v, a, d, _ in exact.to_csv_rows()
-    ]
-    return payload, _SAMPLE_CSV_HEADER, rows, _params(args, seed=head["seed"]), 0
+    rows = [(v, counts[v], counts[v] / args.count, a, text, z[v]) for v, a, _, text in atoms]
+    return payload, _SAMPLE_CSV_HEADER, rows, 0
 
 
 def _cmd_dist(args) -> tuple:
@@ -169,21 +192,25 @@ def _cmd_dist(args) -> tuple:
     header = ("value", "numerator", "denominator", "probability")
     # Only the asked-for format is built: both stringify every atom.
     if args.format == "json":
-        return pmf.to_json_dict(), header, None, _params(args), 0
-    # Atoms share a few reduced denominators: each is converted to text once.
-    texts: dict[int, str] = {}
-    rows = [
-        (v, a, texts.get(d) or texts.setdefault(d, str(d)), x)
-        for v, a, d, x in pmf.to_csv_rows()
-    ]
-    return None, header, rows, _params(args), 0
+        return _pmf_json(_reduced_atoms(pmf)), header, None, 0
+    rows = [(v, a, text, a / d) for v, a, d, text in _reduced_atoms(pmf)]
+    return None, header, rows, 0
 
 
 def _cmd_moments(args) -> tuple:
     report = statistic_law(args.measure, args.stat).moments(args.k, args.n)
-    payload = report.to_json_dict(include_asym=args.asymptotic)
-    header = tuple(payload)
-    return payload, header, [tuple(payload.values())], _params(args), 0
+    payload = {
+        "k": report.k,
+        "n": report.n,
+        "mean_exact": str(report.mean_exact),
+        "second_exact": str(report.second_exact),
+        "variance_exact": str(report.variance_exact),
+        "mean_float": float(report.mean_exact),
+        "variance_float": float(report.variance_exact),
+    }
+    if args.asymptotic:
+        payload.update((name, getattr(report, name)) for name in _ASYMPTOTIC_FIELDS)
+    return payload, tuple(payload), [tuple(payload.values())], 0
 
 
 def _cmd_tv(args) -> tuple:
@@ -194,22 +221,21 @@ def _cmd_tv(args) -> tuple:
         stats = STATISTIC_CODES if args.statistic == "all" else (args.statistic,)
         reports = certification_sweep(n_list, args.k_points, stats)
         reports.sort(key=lambda r: (r.statistic, r.n, r.k))
-        payload = [dict(zip(TvReport.CSV_HEADER, r.csv_row())) for r in reports]
-        rows = [r.csv_row() for r in reports]
-        return payload, TvReport.CSV_HEADER, rows, _params(args), 0
+        rows = [astuple(r) for r in reports]
+        payload = [dict(zip(_TV_HEADER, row)) for row in rows]
+        return payload, _TV_HEADER, rows, 0
     if args.statistic == "all":
         raise UserInputError("single-point tv needs --statistic Cd, Cc, or R")
     if args.k is None or args.n is None:
         raise UserInputError("single-point tv needs --k and --n (or use --grid)")
-    report = tv_report(args.k, args.n, args.statistic)
-    payload = dict(zip(TvReport.CSV_HEADER, report.csv_row()))
-    return payload, TvReport.CSV_HEADER, [report.csv_row()], _params(args), 0
+    row = astuple(tv_report(args.k, args.n, args.statistic))
+    return dict(zip(_TV_HEADER, row)), _TV_HEADER, [row], 0
 
 
 def _cmd_sample(args) -> tuple:
-    seed = _resolve_seed(args)
+    _resolve_seed(args)
     config = SamplerConfig(
-        k=args.k, n=args.n, count=args.count, seed=seed, streams=args.streams
+        k=args.k, n=args.n, count=args.count, seed=args.seed, streams=args.streams
     )
     head = {
         "measure": args.measure,
@@ -217,22 +243,25 @@ def _cmd_sample(args) -> tuple:
         "k": args.k,
         "n": args.n,
         "count": args.count,
-        "seed": seed,
+        "seed": args.seed,
         "streams": args.streams,
     }
     return _sample_report(args, head, sample_statistic(args.measure, args.stat, config))
 
 
 def _cmd_riffle(args) -> tuple:
-    seed = _resolve_seed(args)
-    head = {"n": args.n, "rounds": args.rounds, "count": args.count, "seed": seed}
-    return _sample_report(args, head, riffle_summary(args.n, args.rounds, args.count, seed))
+    _resolve_seed(args)
+    head = {"n": args.n, "rounds": args.rounds, "count": args.count, "seed": args.seed}
+    return _sample_report(args, head, riffle_summary(args.n, args.rounds, args.count, args.seed))
 
 
 def _cmd_diagnostic(args) -> tuple:
-    rows = [row.csv_row() for row in nogood_diagnostic(args.n_lo, args.n_hi)]
-    payload = [dict(zip(NogoodRow.CSV_HEADER, row)) for row in rows]
-    return payload, NogoodRow.CSV_HEADER, rows, _params(args), 0
+    rows = [
+        (r.n, str(r.value_scaled), f"sqrt({r.var_d})", r.value_float, r.lower_bound_float)
+        for r in nogood_diagnostic(args.n_lo, args.n_hi)
+    ]
+    payload = [dict(zip(_DIAGNOSTIC_HEADER, row)) for row in rows]
+    return payload, _DIAGNOSTIC_HEADER, rows, 0
 
 
 def _cmd_verify(args) -> tuple:
@@ -253,7 +282,7 @@ def _cmd_verify(args) -> tuple:
     }
     rows = [(r.name, r.passed, r.checks, r.detail) for r in results]
     header = ("name", "passed", "checks", "detail")
-    return payload, header, rows, _params(args), 0 if all_passed else 3
+    return payload, header, rows, 0 if all_passed else 3
 
 
 def _palindrome_text(values) -> list[str]:
@@ -272,7 +301,7 @@ def _cmd_eulerian(args) -> tuple:
     kind = "cyclic" if args.cyclic else "row"
     payload = {"n": args.n, "kind": kind, "values": texts}
     rows = list(enumerate(texts, start=1))
-    return payload, ("index", "value"), rows, _params(args), 0
+    return payload, ("index", "value"), rows, 0
 
 
 def _add_output_flags(sub) -> None:
@@ -328,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--n", type=int, required=True)
     sample.add_argument("--count", type=int, required=True)
     sample.add_argument("--seed", required=True, help="64-bit integer or 'auto'")
-    sample.add_argument("--streams", type=int, default=8)
+    sample.add_argument("--streams", type=int, default=DEFAULT_STREAMS)
     sample.add_argument("--stat", choices=("d", "c", "parsimony"), default="d")
     _add_output_flags(sample)
     sample.set_defaults(handler=_cmd_sample)
@@ -356,8 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ORACLE_MAX,
         help="enumeration cap (default: %(default)s)",
     )
-    verify.add_argument("--k-max", type=int, default=12)
-    verify.add_argument("--n-max", type=int, default=8)
+    verify.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
+    verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     verify.add_argument("--inject-fault", choices=FAULT_MODES, default=None)
     _add_output_flags(verify)
     verify.set_defaults(handler=_cmd_verify)
@@ -377,12 +406,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        payload, header, rows, params, code = args.handler(args)
+        payload, header, rows, code = args.handler(args)
         if args.format == "json":
             text = _render_json(payload)
         else:
             text = _render_csv(header, rows)
-        _emit(text, args, params, started)
+        _emit(text, args, started)
         return code
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

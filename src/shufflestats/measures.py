@@ -38,13 +38,13 @@ class ExactPmf:
 
     A law built from an Eulerian row also knows a base b whose powers
     the denominator divides (k for d_pmf_R and c_pmf_C, n*k for d_pmf_C;
-    a pushforward keeps it). The JSON and CSV views reduce through it:
-    the gcd of a numerator with den is the gcd of den with the part of
-    the numerator made of b's primes, and that part is peeled off by
-    gcds with small divisors of b, so no gcd against the thousands-digit
-    den is taken. A law without a base reduces through its own
-    denominator, which divides the first power of itself. Neither view
-    stores anything on the law.
+    a pushforward keeps it). reduced() puts each atom in lowest terms
+    through it: the gcd of a numerator with den is the gcd of den with
+    the part of the numerator made of b's primes, and that part is
+    peeled off by gcds with small divisors of b, so no gcd against the
+    thousands-digit den is taken. A law without a base reduces through
+    its own denominator, which divides the first power of itself.
+    reduced() stores nothing on the law.
 
     ExactPmf(den, atoms, base) is the one constructor: mass num / den at
     each value of the (value, num) atoms. Numerators at a repeated value
@@ -145,7 +145,7 @@ class ExactPmf:
         inner = ", ".join(f"{v}: {m}" for v, m in self.items())
         return f"ExactPmf({{{inner}}})"
 
-    def _reduced(self) -> Iterable[tuple[int, int, int]]:
+    def reduced(self) -> Iterable[tuple[int, int, int]]:
         """(value, numerator, denominator) of each atom in lowest terms.
 
         Equal reduced denominators are one int object.
@@ -165,21 +165,6 @@ class ExactPmf:
             if d is None:
                 d = dens[g] = den // g
             yield v, a // g, d
-
-    def to_json_dict(self) -> dict[str, str]:
-        """Value -> reduced rational string, e.g. {"0": "3/4", "1": "1/4"}."""
-        texts: dict[int, str] = {1: ""}  # "/den" per reduced den; none for 1
-        out = {}
-        for v, a, d in self._reduced():
-            d_text = texts.get(d)
-            if d_text is None:
-                d_text = texts[d] = "/" + str(d)
-            out[str(v)] = str(a) + d_text
-        return out
-
-    def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
-        """Rows of (value, numerator, denominator, float mass), reduced."""
-        return [(v, a, d, a / d) for v, a, d in self._reduced()]
 
 
 def r_weight(k: int, n: int, d: int) -> Fraction:

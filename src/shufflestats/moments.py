@@ -363,23 +363,6 @@ class MomentReport:
     error_mean: Optional[float]
     error_variance: Optional[float]
 
-    def to_json_dict(self, include_asym: bool = True) -> dict:
-        out: dict = {
-            "k": self.k,
-            "n": self.n,
-            "mean_exact": str(self.mean_exact),
-            "second_exact": str(self.second_exact),
-            "variance_exact": str(self.variance_exact),
-            "mean_float": float(self.mean_exact),
-            "variance_float": float(self.variance_exact),
-        }
-        if include_asym:
-            out["mean_asym"] = self.mean_asym
-            out["variance_asym"] = self.variance_asym
-            out["error_mean"] = self.error_mean
-            out["error_variance"] = self.error_variance
-        return out
-
 
 def _report(
     k: int, n: int, mean: Fraction, second: Fraction, scale: Optional[int] = None, shift: int = 0

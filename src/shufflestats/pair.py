@@ -316,23 +316,6 @@ class NogoodRow:
     value_float: float
     lower_bound_float: float
 
-    def csv_row(self) -> tuple:
-        return (
-            self.n,
-            str(self.value_scaled),
-            f"sqrt({self.var_d})",
-            self.value_float,
-            self.lower_bound_float,
-        )
-
-    CSV_HEADER = (
-        "n",
-        "value_num",
-        "value_den_sqrt_form",
-        "float_value",
-        "lower_bound_float",
-    )
-
 
 def nogood_diagnostic(n_lo: int, n_hi: int) -> list[NogoodRow]:
     """Tabulate n * E|G(W)| under U_n against its proven lower bound.

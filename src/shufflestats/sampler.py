@@ -72,6 +72,7 @@ _SCALE = 1 << _THRESHOLD_BITS
 _MIN_EXPECTED = 5.0
 _TREE_CAP = 8
 _NORMALIZATION_MAX = 50  # largest n and k of the insertion normalization sweep
+DEFAULT_STREAMS = 8
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class SamplerConfig:
     n: int
     count: int
     seed: int
-    streams: int = 8
+    streams: int = DEFAULT_STREAMS
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -105,14 +106,13 @@ class SamplerConfig:
 class SampleSummary:
     """Histogram of a sampled statistic plus its fit against the exact pmf.
 
-    The histogram and empirical pmf are keyed by the support of
-    exact_pmf, the reference law of the fit (bins with zero observations
-    are present). chi_square and p_value come from the merged-bin Pearson
-    test; bin_z holds the per-bin binomial z-scores before any merging.
+    The histogram is keyed by the support of exact_pmf, the reference
+    law of the fit (bins with zero observations are present).
+    chi_square and p_value come from the merged-bin Pearson test; bin_z
+    holds the per-bin binomial z-scores before any merging.
     """
 
     histogram: dict[int, int]
-    empirical_pmf: dict[int, float]
     chi_square: float
     p_value: float
     exact_pmf: ExactPmf
@@ -416,7 +416,6 @@ def _summarize(bin_counts: np.ndarray, exact: ExactPmf, count: int) -> SampleSum
     chi_square, p_value, z = _fit(observed, exact, count)
     return SampleSummary(
         histogram=observed,
-        empirical_pmf={v: c / count for v, c in observed.items()},
         chi_square=chi_square,
         p_value=p_value,
         exact_pmf=exact,

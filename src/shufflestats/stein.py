@@ -34,7 +34,7 @@ sandwich, whose width stays far below 1e-13.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, exp, lgamma, log
 from typing import Iterable, Union
@@ -230,11 +230,6 @@ class TvReport:
     tv_exact: float
     bound: float
     slack: float
-
-    CSV_HEADER = ("k", "n", "statistic", "lambda", "tv_exact", "bound", "slack")
-
-    def csv_row(self) -> tuple:
-        return astuple(self)
 
 
 def _poisson_law(statistic: str) -> StatisticLaw:

@@ -35,6 +35,8 @@ from .sampler import decision_tree_distribution, insertion_normalization
 
 FAULT_MODES = ("transfer",)
 DEFAULT_ORACLE_MAX = 7
+DEFAULT_K_MAX = 12
+DEFAULT_N_MAX = 8
 # Cap on k_max * n_max. On a 2-vCPU machine, with oracle_max 9, the
 # largest grids it allows, (100, 2) and (1, 200), run in about 3.5 s and
 # 2.5 s as CLI processes; (100, 100) took about 12 s in process with the
@@ -284,8 +286,8 @@ def _suite_insertion() -> int:
 
 def run_all(
     oracle_max: int = DEFAULT_ORACLE_MAX,
-    k_max: int = 12,
-    n_max: int = 8,
+    k_max: int = DEFAULT_K_MAX,
+    n_max: int = DEFAULT_N_MAX,
     inject_fault: str | None = None,
 ) -> list[SuiteResult]:
     """Run every verification suite and report per-suite outcomes.

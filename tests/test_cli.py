@@ -17,13 +17,19 @@ from hypothesis import strategies as st
 from shufflestats import cli, measures, sampler
 from shufflestats.eulerian import cyclic_descent_counts, eulerian_row
 from shufflestats.measures import d_pmf_R
-from shufflestats.verify import DEFAULT_ORACLE_MAX
+from shufflestats.sampler import DEFAULT_STREAMS
+from shufflestats.verify import DEFAULT_K_MAX, DEFAULT_N_MAX, DEFAULT_ORACLE_MAX
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exact_law(payload):
+    """The exact_pmf of a sample or riffle payload, as value -> Fraction."""
+    return {int(v): Fraction(text) for v, text in payload["exact_pmf"].items()}
 
 
 class TestDist:
@@ -248,7 +254,7 @@ class TestSample:
             "max_bin_z",
         }
         assert sum(payload["histogram"].values()) == 20000
-        assert payload["exact_pmf"] == d_pmf_R(4, 6).to_json_dict()
+        assert exact_law(payload) == dict(d_pmf_R(4, 6).items())
         assert float(payload["p_value"]) > 0.001
 
     def test_csv_and_manifest(self, tmp_path, capsys):
@@ -303,6 +309,11 @@ class TestSample:
         assert isinstance(drawn, int)
         assert 0 <= drawn < 2**64
 
+    def test_streams_default_to_flag_default(self):
+        argv = ["sample", "--measure", "R", "--k", "2", "--n", "3", "--count", "1", "--seed", "1"]
+        streams = cli._build_parser().parse_args(argv).streams
+        assert streams == DEFAULT_STREAMS == 8
+
     def test_bad_seed_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -334,7 +345,7 @@ class TestRiffle:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["exact_pmf"] == d_pmf_R(4, 6).to_json_dict()
+        assert exact_law(payload) == dict(d_pmf_R(4, 6).items())
         assert float(payload["p_value"]) > 0.001
 
 
@@ -475,17 +486,18 @@ def test_pinned_dist_bytes(capsys, measure, stat, k, fmt, digest):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_dist_renders_only_the_asked_format(capsys, monkeypatch, fmt):
     calls = Counter()
-    for name in ("to_json_dict", "to_csv_rows"):
-        original = getattr(measures.ExactPmf, name)
+    for name in ("_reduced_atoms", "_pmf_json"):
+        original = getattr(cli, name)
 
-        def counted(self, _name=name, _original=original):
+        def counted(arg, _name=name, _original=original):
             calls[_name] += 1
-            return _original(self)
+            return _original(arg)
 
-        monkeypatch.setattr(measures.ExactPmf, name, counted)
+        monkeypatch.setattr(cli, name, counted)
     code, _, _ = run_cli(capsys, "dist", "--measure", "C", "--k", "3", "--n", "5", "--format", fmt)
     assert code == 0
-    assert calls == {"to_json_dict" if fmt == "json" else "to_csv_rows": 1}
+    want = {"_reduced_atoms": 1, "_pmf_json": 1} if fmt == "json" else {"_reduced_atoms": 1}
+    assert calls == want
 
 
 # Two commands at k far above n whose loops ran over k: the power sums
@@ -631,6 +643,33 @@ def test_pinned_moments_bytes(capsys, measure, stat, k, n, fmt, asym, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Stdout SHA-256 of `tv` and `diagnostic`, recorded while the library
+# still built their rows: a single tv point, a tv grid and the default
+# diagnostic table, each in both formats.
+TV_R_ARGV = ("tv", "--statistic", "R", "--k", "1", "--n", "9")
+TV_GRID_ARGV = ("tv", "--grid", "--n-list", "20,50", "--k-points", "4")
+PINNED_TABLE_BYTES = [
+    (TV_R_ARGV, "json", "8f571e545baef141ec015467353d1371e6f6b38425e368425aa12c867e2e984c"),
+    (TV_R_ARGV, "csv", "07dd26c53054b34feb3d82ef2c84d2d461ec3e22e036cb36194372ff0fb44083"),
+    (TV_GRID_ARGV, "json", "a63b1ddd5328a4b617a03bc905360d2dde64096af5d781ef330e2cdb56ddd6c1"),
+    (TV_GRID_ARGV, "csv", "01e112d494d6d7cfea9058cf27a0b9cbf9e2b48f323684637992ecda477e37e0"),
+    (("diagnostic",), "json", "f6f21e79d9bf3ee3ef97197fef932c1053cc0d7e7e890192a561ac3a9bffb253"),
+    (("diagnostic",), "csv", "0024e691e505480fa8a1c2bf17ffdc0967c345c7d113ac1d25e19283c5f8ea1e"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    PINNED_TABLE_BYTES,
+    ids=["tv-R-json", "tv-R-csv", "tv-grid-json", "tv-grid-csv", "diagnostic-json",
+         "diagnostic-csv"],
+)
+def test_pinned_table_bytes(capsys, argv, fmt, digest):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSampleFitsOnce:
     @pytest.mark.parametrize(
         "argv",
@@ -697,6 +736,10 @@ class TestVerify:
 
     def test_oracle_cap_defaults_to_flag_default(self):
         assert cli._build_parser().parse_args(["verify"]).oracle_max == DEFAULT_ORACLE_MAX == 7
+
+    def test_grid_defaults_to_flag_defaults(self):
+        args = cli._build_parser().parse_args(["verify"])
+        assert (args.k_max, args.n_max) == (DEFAULT_K_MAX, DEFAULT_N_MAX) == (12, 8)
 
     @pytest.mark.parametrize(
         "grid",

@@ -14,6 +14,7 @@ from conftest import (
     pmf_as_dict,
     stat_pairs,
 )
+from shufflestats import cli
 from shufflestats.errors import UserInputError
 from shufflestats.measures import (
     ExactPmf,
@@ -82,8 +83,10 @@ class TestExactPmf:
 
     def test_serialization(self):
         pmf = ExactPmf(4, [(0, 3), (1, 1)])
-        assert pmf.to_json_dict() == {"0": "3/4", "1": "1/4"}
-        assert pmf.to_csv_rows() == [(0, 3, 4, 0.75), (1, 1, 4, 0.25)]
+        assert list(pmf.reduced()) == [(0, 3, 4), (1, 1, 4)]
+        atoms = list(cli._reduced_atoms(pmf))
+        assert atoms == [(0, 3, 4, "4"), (1, 1, 4, "4")]
+        assert cli._pmf_json(atoms) == {"0": "3/4", "1": "1/4"}
 
     def test_point_mass(self):
         pmf = ExactPmf(1, [(5, 1)])

@@ -1,12 +1,13 @@
 """Exact moment formulas, Bernoulli machinery, asymptotic regime."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import oracle_moment
-from shufflestats import moments
+from shufflestats import cli, moments
 from shufflestats.errors import UserInputError
 from shufflestats.moments import (
     ALPHA_THRESHOLD,
@@ -226,15 +227,18 @@ class TestAsymptotics:
 
 
 class TestReports:
-    def test_report_with_asymptotics(self):
+    def test_report_with_asymptotics(self, capsys):
         rep = moments_c_C(50, 50)
         assert rep.mean_asym is not None
         assert rep.error_mean is not None
         assert abs(rep.error_mean) < 1e-3
-        payload = rep.to_json_dict()
+        argv = ["moments", "--measure", "C", "--stat", "c", "--k", "50", "--n", "50"]
+        assert cli.main(argv + ["--asymptotic"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["k"] == 50
         assert payload["mean_exact"] == str(rep.mean_exact)
-        assert isinstance(payload["mean_float"], float)
+        assert payload["mean_float"] == format(float(rep.mean_exact), ".17g")
+        assert payload["error_mean"] == format(rep.error_mean, ".17g")
 
     def test_report_below_threshold_has_no_asymptotics(self):
         rep = moments_c_C(2, 100)

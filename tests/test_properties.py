@@ -4,8 +4,9 @@ Every law is held as int numerators over one denominator; these tests
 hold that representation to the enumeration oracle in conftest and to
 the law built from reduced Fraction masses, and hold the two k >> n shortcuts (power
 sums by Bernoulli numbers, the TV sum over the pmf's range only) to the
-direct computations they replace. The JSON and CSV views, which reduce
-through the denominator's base, are held to Fraction's gcd.
+direct computations they replace. The reduction to lowest terms, which
+goes through the denominator's base, and the CLI's text of it are held
+to Fraction's gcd.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_pmf, oracle_law
-from shufflestats import moments
+from shufflestats import cli, moments
 from shufflestats.errors import CertificationError, UserInputError
 from shufflestats.measures import STATISTIC_LAWS, ExactPmf, c_pmf_uniform, d_pmf_uniform
 from shufflestats.moments import power_sum
@@ -52,7 +53,7 @@ def test_int_and_fraction_built_laws_are_one_law(key, k, n, scale):
     for other in (from_fractions, scaled):
         assert other == pmf
         assert hash(other) == hash(pmf)
-        assert other.to_json_dict() == pmf.to_json_dict()
+        assert list(other.reduced()) == list(pmf.reduced())
 
 
 atoms = st.dictionaries(st.integers(0, 30), st.integers(0, 10**6), min_size=1).filter(
@@ -102,15 +103,15 @@ def test_constructor_checks_and_their_messages():
 
 
 def assert_views_reduce_like_fractions(pmf):
-    """JSON and CSV views against Fraction(a, den), the gcd route of `mass`."""
+    """reduced() and the CLI's text of it against Fraction(a, den), the gcd route of `mass`."""
     masses = [F(a, pmf.den) for a in pmf.nums]
     assert list(pmf.mass) == masses
-    rows = pmf.to_csv_rows()
-    assert [(v, a, d) for v, a, d, _ in rows] == [
+    assert list(pmf.reduced()) == [
         (v, m.numerator, m.denominator) for v, m in zip(pmf.support, masses)
     ]
-    assert [x for *_, x in rows] == [float(m) for m in masses]
-    assert pmf.to_json_dict() == {str(v): str(m) for v, m in zip(pmf.support, masses)}
+    atoms = list(cli._reduced_atoms(pmf))
+    assert [text for *_, text in atoms] == [str(m.denominator) for m in masses]
+    assert cli._pmf_json(atoms) == {str(v): str(m) for v, m in zip(pmf.support, masses)}
 
 
 piles = st.one_of(
@@ -166,7 +167,7 @@ def test_views_cap_a_numerator_richer_in_a_base_prime_than_den(data, base, power
 def test_views_cap_at_the_power_den_holds():
     # 2^7 holds more 2s than 6^3 = 216 does: 128/216 = 16/27.
     pmf = ExactPmf(216, [(0, 128), (1, 88)], 6)
-    assert pmf.to_json_dict() == {"0": "16/27", "1": "11/27"}
+    assert list(pmf.reduced()) == [(0, 16, 27), (1, 11, 27)]
     assert_views_reduce_like_fractions(pmf)
 
 

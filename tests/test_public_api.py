@@ -10,10 +10,12 @@ A parameter with a default is a setting, so some call outside tests
 must pass it, by keyword or by position, and some call outside tests
 must rely on the default. Calls are matched by the name of the function
 they call, so a name shared by two functions can hide an unused or an
-always-overridden default but never flag a used or a relied-on one.
+always-overridden default but never flag a used or a relied-on one;
+hence no function with a default may share its called name.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,6 +196,23 @@ def test_every_parameter_default_is_relied_on_outside_tests():
     # and any copy of it elsewhere (a CLI flag's default) can drift apart.
     served = _always_passed_defaults()
     assert served == [], f"defaults that only tests rely on: {served}"
+
+
+def test_no_defaulted_function_shares_its_called_name():
+    # The two default checks above match calls by the called name, so a
+    # default of a function whose name another package function also
+    # bears could hide behind that function's calls. __init__ is called
+    # by its class's name and is left out.
+    functions = _functions()
+    counts = Counter(called for _, called, _, _ in functions)
+    shared = [
+        qualname
+        for qualname, called, _, node in functions
+        if node.name != "__init__"
+        and (node.args.defaults or any(node.args.kw_defaults))
+        and counts[called] > 1
+    ]
+    assert shared == [], f"defaulted functions whose called name is not unique: {shared}"
 
 
 def test_every_public_method_and_property_is_named_outside_tests():

@@ -340,7 +340,7 @@ class TestFitSummaries:
         assert summary.p_value > 0.001
         assert summary.max_bin_z < 4
         assert sum(summary.histogram.values()) == 100_000
-        assert summary.empirical_pmf[1] == pytest.approx(0.5, abs=0.01)
+        assert summary.histogram[1] / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_shifted_pmf_is_rejected_with_power(self):
         pmf = ExactPmf(4, [(0, 1), (1, 2), (3, 1)])
@@ -565,6 +565,6 @@ class TestSummaryType:
         summary = sample_statistic("R", "d", cfg)
         assert isinstance(summary, SampleSummary)
         assert isinstance(summary.histogram, dict)
-        assert isinstance(summary.empirical_pmf, dict)
+        assert isinstance(summary.bin_z, dict)
         assert sum(summary.histogram.values()) == 5_000
-        assert sum(summary.empirical_pmf.values()) == pytest.approx(1.0, abs=1e-12)
+        assert list(summary.histogram) == list(summary.bin_z) == list(summary.exact_pmf.support)

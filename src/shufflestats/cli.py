@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
-import secrets
 import sys
 import time
 from dataclasses import asdict, astuple
@@ -114,6 +112,8 @@ def _emit(text: str, args, started: float) -> None:
     if args.out is None:
         sys.stdout.write(text)
         return
+    import hashlib
+
     data = text.encode("utf-8")
     _write(args.out, data)
     params = {key: value for key, value in vars(args).items() if key != "handler"}
@@ -138,6 +138,8 @@ def _emit(text: str, args, started: float) -> None:
 def _resolve_seed(args) -> None:
     """Parse --seed into args.seed; "auto" draws 64 fresh bits, shown on stderr without --out."""
     if args.seed == "auto":
+        import secrets
+
         args.seed = secrets.randbits(64)
         if args.out is None:
             print(f"drawn seed: {args.seed}", file=sys.stderr)

@@ -21,18 +21,17 @@ from fractions import Fraction
 from math import comb, perm, pi
 from typing import Optional
 
-import mpmath as mp
+from .errors import CertificationError, UserInputError, _LazyModule
 
-from .errors import CertificationError, UserInputError
+mp = _LazyModule("mpmath", "mp", globals())
 
 # The Bernoulli generating function z/(e^z - 1) has poles at 2*pi*i, so
 # the series in 1/alpha converge exactly when alpha > 1/(2*pi).
 ALPHA_THRESHOLD = 1.0 / (2.0 * pi)
 
 _WORK_DPS = 100
-# Terms summed by the closed-form self-check, and by the tail reference.
+# Terms summed by the closed-form self-check.
 _SERIES_TERMS = 200
-_TAIL_TERMS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +196,6 @@ def bernoulli_tail_bound(alpha: float, l: int, start: int) -> float:
     with mp.workdps(_WORK_DPS):
         q = 1 / (2 * mp.pi * mp.mpf(alpha))
         return float(4 * _geometric_power_tail(q, l, start))
-
-
-def bernoulli_tail_exact(alpha: float, l: int, start: int) -> float:
-    """Numerical value of sum_{t=start}^{_TAIL_TERMS} |B_t| t^l / (alpha^t t!), to t = 400."""
-    bern = bernoulli_numbers(_TAIL_TERMS)
-    with mp.workdps(_WORK_DPS):
-        a = mp.mpf(alpha)
-        total = mp.mpf(0)
-        for t in range(start, _TAIL_TERMS + 1):
-            b = bern[t]
-            if not b:
-                continue
-            total += (
-                abs(mp.mpf(b.numerator)) / b.denominator * mp.mpf(t) ** l
-                / (a**t * mp.factorial(t))
-            )
-        return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ k-shuffle law exactly, with no rejection and no enumeration. The second
 simulates the physical riffle (binomial cut, uniformly random
 interleave) and exists to cross-validate the first.
 
-No row builds the insertion words. R/d, C/c and both parsimony rows
-read only the descent count d and whether the last symbol exceeds the
-first (c = d + [last > first]), so they walk those two per row, O(n)
-per draw, drawing the very random numbers the word sampler draws. The
-d of a C/d word cut after it is drawn depends on where its descents
+No row builds the insertion words; the word sampler that does is the
+walks' reference in tests/test_sampler.py. R/d, C/c and both parsimony
+rows read only the descent count d and whether the last symbol exceeds
+the first (c = d + [last > first]), so they walk those two per row,
+O(n) per draw, drawing the very random numbers the word sampler draws.
+The d of a C/d word cut after it is drawn depends on where its descents
 sit, so that walk also keeps a descent bitmap, O(n) per row and step.
 
 Empirical output is summarized against the exact pmfs from
@@ -27,20 +28,21 @@ or how many run (at most one per CPU).
 Where a draw must hit an exact rational probability, the rational is
 converted to an integer threshold out of 2**53 and compared against a
 uniform 53-bit integer; the per-draw bias is below 2**-53.
+
+numpy and mpmath are imported at their first use and the thread pool
+when the streams run, so importing this module loads none of them;
+only sampling does.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-import mpmath as mp
-
-from .errors import CertificationError, UserInputError
+from .errors import CertificationError, UserInputError, _LazyModule
 from .measures import (
     ExactPmf,
     d_pmf_R,
@@ -50,22 +52,8 @@ from .measures import (
 )
 from .permutations import Permutation, descent_count, insert_symbol
 
-
-class _LazyNumpy:
-    """numpy, imported at first use and then bound to `np` in its place.
-
-    Only the samplers need it; the exact commands (dist, tv, moments,
-    eulerian) then run without its import time and its ~13 MB.
-    """
-
-    def __getattr__(self, name: str):
-        import numpy
-
-        globals()["np"] = numpy
-        return getattr(numpy, name)
-
-
-np = _LazyNumpy()
+np = _LazyModule("numpy", "np", globals())
+mp = _LazyModule("mpmath", "mp", globals())
 
 _THRESHOLD_BITS = 53
 _SCALE = 1 << _THRESHOLD_BITS
@@ -174,32 +162,6 @@ def _insertion_case(
     return case1, t
 
 
-def _insertion_words(k: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of `count` words drawn from the k-shuffle measure on n symbols.
-
-    Step m inserts symbol m+1 into every row. Case 1 inserts after slot m
-    or after a descent slot and keeps the descent count; case 2 inserts
-    after slot 0 or after an ascent slot and raises it by one. The case
-    is drawn first, then a slot uniformly among the d+1 (case 1) or m-d
-    (case 2) qualifying slots.
-    """
-    words = np.ones((count, 1), dtype=np.int32)
-    rows = np.arange(count)
-    for m in range(1, n):
-        desc = words[:, :-1] > words[:, 1:]
-        case1, t = _insertion_case(k, m, desc.sum(axis=1), rng)
-        qualifies = np.empty((count, m + 1), dtype=bool)
-        qualifies[:, 0] = ~case1
-        qualifies[:, 1:m] = desc == case1[:, None]
-        qualifies[:, m] = case1
-        j = np.argmax(qualifies.cumsum(axis=1) > t[:, None], axis=1)
-        idx = np.arange(m + 1, dtype=np.int64)[None, :]
-        src = np.clip(idx - (idx > j[:, None]), 0, m - 1)
-        words = np.take_along_axis(words, src, axis=1)
-        words[rows, j] = m + 1
-    return words
-
-
 def _slot_count_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(n + 1)  # holds a running count of up to n+1 slots
 
@@ -209,7 +171,8 @@ def _insertion_walk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d, last > first) of `count` insertion words, without the words.
 
-    Draws exactly what _insertion_words(k, n, count, rng) draws. Slot 0
+    Draws exactly what the word sampler _insertion_words(k, n, count, rng)
+    in tests/test_sampler.py draws, and the tests hold the two to it. Slot 0
     is taken exactly when the case is 2 and t == 0, which puts the new
     maximum first; slot m exactly when the case is 1 and t == d, which
     puts it last. So the descent count and whether the last symbol
@@ -340,6 +303,8 @@ def _run_streams(
             return np.zeros(width, dtype=np.int64)
         values = draw(_stream_generator(config.seed, sid), chunks[sid])
         return np.bincount(values, minlength=width)
+
+    from concurrent.futures import ThreadPoolExecutor
 
     workers = min(config.streams, _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, exp, lgamma, log
+from math import ceil, exp, expm1, lgamma, log
 from typing import Iterable, Union
 
-import mpmath as mp
-
-from .errors import CertificationError, UserInputError
+from .errors import CertificationError, UserInputError, _LazyModule
 from .measures import STATISTIC_LAWS, ExactPmf, StatisticLaw
+
+mp = _LazyModule("mpmath", "mp", globals())
 
 Rational = Union[Fraction, float]
 
@@ -51,6 +51,7 @@ STATISTIC_CODES = tuple(_POISSON_LAWS)
 
 _TV_DPS = 40
 _SANDWICH_LIMIT = 1e-13
+_STEIN_BOUND_ALLOWANCE = 1e-12
 
 
 def poisson_pmf(lam: float, j: int) -> float:
@@ -84,7 +85,8 @@ class SteinSolution:
     """Solution g of lambda*g(j+1) - j*g(j) = 1{j in A} - P_lambda(A).
 
     g is tabulated on 0..j_max with g(0) = 0. The classical bounds
-    sup|g| <= 1 and sup|g(j+1) - g(j)| <= 1 hold for every instance.
+    sup|g| <= min(1, lambda^-1/2) and sup|g(j+1) - g(j)| <= (1 - e^-lambda)/lambda
+    hold for every instance.
     """
 
     lam: Rational
@@ -148,10 +150,15 @@ def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
             f"Stein residual {sol.max_residual():.3e} at lambda={lam_f}, "
             f"j_max={j_max}"
         )
-    if sol.sup_g() > 1.0 or sol.sup_delta_g() > 1.0:
+    # Barbour, Holst and Janson (1992), Lemma 1.1.1; the Delta g bound is
+    # reached to within rounding, hence the relative allowance.
+    g_bound = min(1.0, lam_f**-0.5 * (1 + _STEIN_BOUND_ALLOWANCE))
+    dg_bound = min(1.0, -expm1(-lam_f) / lam_f * (1 + _STEIN_BOUND_ALLOWANCE))
+    if sol.sup_g() > g_bound or sol.sup_delta_g() > dg_bound:
         raise CertificationError(
-            f"Stein solution bound violated: sup|g|={sol.sup_g():.6f}, "
-            f"sup|dg|={sol.sup_delta_g():.6f}"
+            f"Stein solution bound violated: sup|g|={sol.sup_g():.6f} "
+            f"(bound {g_bound:.6f}), sup|dg|={sol.sup_delta_g():.6f} "
+            f"(bound {dg_bound:.6f}) at lambda={lam_f}"
         )
     return sol
 

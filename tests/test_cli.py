@@ -915,6 +915,41 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[0, 0, 0, 0] False\n"
 
+    def test_import_defers_every_heavy_module(self):
+        # Each is loaded by the first command that uses it: mpmath by the
+        # Stein side and the asymptotics, numpy and the thread pool (which
+        # imports logging) by the samplers, hashlib by --out and secrets by
+        # --seed auto. The package modules stay eager: the benchmark looks
+        # them up in sys.modules.
+        script = (
+            "import sys, shufflestats.cli\n"
+            "heavy = ('mpmath', 'numpy', 'concurrent.futures', 'logging', 'hashlib', 'secrets')\n"
+            "print([name for name in heavy if name in sys.modules])\n"
+            "ours = ('measures', 'moments', 'stein', 'sampler', 'pair', 'verify')\n"
+            "print([name for name in ours if 'shufflestats.' + name not in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n[]\n"
+
+    def test_integer_commands_leave_mpmath_unloaded(self):
+        # The generating-function side needs only integer arithmetic.
+        script = (
+            "import contextlib, io, sys\n"
+            "from shufflestats.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in (\n"
+            "        ['dist', '--measure', 'C', '--stat', 'parsimony', '--k', '4', '--n', '6'],\n"
+            "        ['dist', '--measure', 'R', '--k', '3', '--n', '5', '--format', 'csv'],\n"
+            "        ['eulerian', '--n', '9'],\n"
+            "        ['eulerian', '--n', '6', '--cyclic'],\n"
+            "        ['diagnostic'])]\n"
+            "print(codes, 'mpmath' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0, 0] False\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "shufflestats.cli",

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from conftest import oracle_moment
@@ -16,7 +17,6 @@ from shufflestats.moments import (
     bernoulli_closed_forms,
     bernoulli_numbers,
     bernoulli_tail_bound,
-    bernoulli_tail_exact,
     estimate0_deviation,
     moments_c_C,
     moments_d_C,
@@ -27,6 +27,28 @@ from shufflestats.moments import (
 )
 
 F = Fraction
+
+_TAIL_TERMS = 400
+
+
+def bernoulli_tail_exact(alpha: float, l: int, start: int) -> float:
+    """Numerical value of sum_{t=start}^{_TAIL_TERMS} |B_t| t^l / (alpha^t t!).
+
+    The reference that the tail majorant bernoulli_tail_bound must dominate.
+    """
+    bern = bernoulli_numbers(_TAIL_TERMS)
+    with mp.workdps(100):
+        a = mp.mpf(alpha)
+        total = mp.mpf(0)
+        for t in range(start, _TAIL_TERMS + 1):
+            b = bern[t]
+            if not b:
+                continue
+            total += (
+                abs(mp.mpf(b.numerator)) / b.denominator * mp.mpf(t) ** l
+                / (a**t * mp.factorial(t))
+            )
+        return float(total)
 
 
 class TestExactMoments:

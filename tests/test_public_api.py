@@ -27,7 +27,6 @@ TEST_ONLY_ALLOWED = {
     "estimate0_deviation": "the only statement of the paper's estimate-zero deviation bound",
     "bernoulli_closed_forms": "the only statement of the paper's Bernoulli closed forms",
     "bernoulli_tail_bound": "the only statement of the |B_t|/t! <= 4 (2 pi)^-t tail majorant",
-    "bernoulli_tail_exact": "the exact reference the tail-bound test compares against",
     "newton_check": "backs acceptance check c08 (the Newton inequalities on Eulerian rows)",
     "central_eulerian_ratio": "backs acceptance check c09 (the central Eulerian mass)",
 }

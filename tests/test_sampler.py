@@ -1,5 +1,6 @@
 """Monte Carlo machinery: insertion sampler, GSR shuffles, fit summaries."""
 
+import concurrent.futures
 import itertools
 import math
 import os
@@ -42,6 +43,33 @@ F = Fraction
 
 def _rng(seed=1234):
     return np.random.Generator(np.random.Philox(key=[seed, 0]))
+
+
+def _insertion_words(k, n, count, rng):
+    """Batch of `count` words drawn from the k-shuffle measure on n symbols.
+
+    Step m inserts symbol m+1 into every row. Case 1 inserts after slot m
+    or after a descent slot and keeps the descent count; case 2 inserts
+    after slot 0 or after an ascent slot and raises it by one. The case
+    is drawn first, then a slot uniformly among the d+1 (case 1) or m-d
+    (case 2) qualifying slots. This is the reference the walks of
+    sampler._insertion_walk must reproduce draw for draw.
+    """
+    words = np.ones((count, 1), dtype=np.int32)
+    rows = np.arange(count)
+    for m in range(1, n):
+        desc = words[:, :-1] > words[:, 1:]
+        case1, t = sampler._insertion_case(k, m, desc.sum(axis=1), rng)
+        qualifies = np.empty((count, m + 1), dtype=bool)
+        qualifies[:, 0] = ~case1
+        qualifies[:, 1:m] = desc == case1[:, None]
+        qualifies[:, m] = case1
+        j = np.argmax(qualifies.cumsum(axis=1) > t[:, None], axis=1)
+        idx = np.arange(m + 1, dtype=np.int64)[None, :]
+        src = np.clip(idx - (idx > j[:, None]), 0, m - 1)
+        words = np.take_along_axis(words, src, axis=1)
+        words[rows, j] = m + 1
+    return words
 
 
 def _summarize(values, exact):
@@ -122,7 +150,7 @@ class TestInsertionWalk:
     def test_walk_matches_the_words_from_the_same_stream(self, k, n):
         for seed in (0, 1, 20261018):
             word_rng, walk_rng = _rng(seed), _rng(seed)
-            words = sampler._insertion_words(k, n, 300, word_rng)
+            words = _insertion_words(k, n, 300, word_rng)
             d, wrap = sampler._insertion_walk(k, n, 300, walk_rng)
             assert d.tolist() == sampler._descents_per_row(words).tolist()
             assert wrap.tolist() == (words[:, -1] > words[:, 0]).tolist()
@@ -134,7 +162,7 @@ class TestInsertionWalk:
         k = n if k == "n" else k
         for seed in (0, 1, 20261018):
             word_rng, walk_rng, desc_rng = _rng(seed), _rng(seed), _rng(seed)
-            words = sampler._insertion_words(k, n, 300, word_rng)
+            words = _insertion_words(k, n, 300, word_rng)
             shift = word_rng.integers(0, n, size=300)
             cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
             d = sampler._cut_descents(k, n, 300, walk_rng)
@@ -149,7 +177,7 @@ class TestInsertionWalk:
     def test_cut_descents_past_a_byte_of_slot_counts(self):
         # n = 300 takes the running slot counts past uint8.
         word_rng, walk_rng = _rng(5), _rng(5)
-        words = sampler._insertion_words(2**40, 300, 40, word_rng)
+        words = _insertion_words(2**40, 300, 40, word_rng)
         shift = word_rng.integers(0, 300, size=40)
         cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
         assert sampler._cut_descents(2**40, 300, 40, walk_rng).tolist() == (
@@ -194,17 +222,17 @@ class TestScalarSamplers:
     def test_single_pile_is_identity(self):
         rng = _rng()
         for _ in range(5):
-            assert sampler._insertion_words(1, 6, 1, rng)[0].tolist() == [1, 2, 3, 4, 5, 6]
+            assert _insertion_words(1, 6, 1, rng)[0].tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_single_card(self):
-        assert sampler._insertion_words(3, 1, 1, _rng())[0].tolist() == [1]
+        assert _insertion_words(3, 1, 1, _rng())[0].tolist() == [1]
 
     def test_samples_are_permutations(self):
         rng = _rng(9)
         for _ in range(50):
-            p = sampler._insertion_words(3, 5, 1, rng)[0]
+            p = _insertion_words(3, 5, 1, rng)[0]
             assert sorted(p.tolist()) == [1, 2, 3, 4, 5]
-            q = np.roll(sampler._insertion_words(3, 5, 1, rng)[0], -int(rng.integers(0, 5)))
+            q = np.roll(_insertion_words(3, 5, 1, rng)[0], -int(rng.integers(0, 5)))
             assert sorted(q.tolist()) == [1, 2, 3, 4, 5]
 
     def test_cut_measure_needs_two_cards(self):
@@ -216,7 +244,7 @@ class TestScalarSamplers:
         # P(identity) under R(3, 2) is 2/3
         rng = _rng(42)
         hits = sum(
-            sampler._insertion_words(3, 2, 1, rng)[0].tolist() == [1, 2] for _ in range(3000)
+            _insertion_words(3, 2, 1, rng)[0].tolist() == [1, 2] for _ in range(3000)
         )
         assert abs(hits / 3000 - 2 / 3) < 4 * np.sqrt((2 / 3) * (1 / 3) / 3000)
 
@@ -512,13 +540,13 @@ class TestThreadCap:
     @pytest.fixture
     def requested(self, monkeypatch):
         seen = []
-        real = sampler.ThreadPoolExecutor
+        real = concurrent.futures.ThreadPoolExecutor
 
         def recording(max_workers=None):
             seen.append(max_workers)
             return real(max_workers=max_workers)
 
-        monkeypatch.setattr(sampler, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
         return seen
 
     def test_streams_beyond_cpu_count_share_the_workers(self, requested):

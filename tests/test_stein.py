@@ -7,11 +7,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from shufflestats.errors import UserInputError
+from shufflestats.errors import CertificationError, UserInputError
 from shufflestats.measures import ExactPmf, d_pmf_C, d_pmf_R
 from shufflestats.moments import moments_c_C
 from shufflestats.stein import (
     STATISTIC_CODES,
+    SteinSolution,
     certification_sweep,
     certified_bound,
     poisson_pmf,
@@ -90,6 +91,22 @@ class TestSolver:
             j_max = rng.randint(5, 40)
             target = {j for j in range(j_max + 1) if rng.random() < 0.35}
             assert solve_stein(lam, target, j_max).g == reference_g(lam, target, j_max)
+
+    def test_delta_g_bound_is_reached_by_the_point_set(self):
+        # For A = {0}, g(1) = (1 - e^-lambda)/lambda, the bound itself: the
+        # certificate must pass it, rounding included.
+        for lam in (0.01, 0.3, 2.5, 31.0):
+            sol = solve_stein(lam, {0}, 20)
+            assert sol.sup_delta_g() == pytest.approx(-math.expm1(-lam) / lam, rel=1e-14)
+            assert sol.sup_g() <= min(1.0, lam**-0.5)
+
+    @pytest.mark.parametrize("measured", ["sup_g", "sup_delta_g"])
+    def test_bounds_are_the_classical_ones(self, monkeypatch, measured):
+        # At lambda = 9 the bounds are 1/3 and (1 - e^-9)/9, so a sup of 0.5,
+        # below the cruder bound 1, must fail.
+        monkeypatch.setattr(SteinSolution, measured, lambda self: 0.5)
+        with pytest.raises(CertificationError, match="^Stein solution bound violated"):
+            solve_stein(9.0, {0, 3}, 20)
 
     def test_validation(self):
         with pytest.raises(UserInputError):

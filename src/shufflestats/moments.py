@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, perm, pi
 from typing import Optional
@@ -328,11 +329,12 @@ def asymptotic_variance_c(alpha: float) -> mp.mpf:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Exact moments with optional asymptotic companions.
+    """Exact moments, with asymptotic companions evaluated on first read.
 
-    The asymptotic fields are None when alpha = k/n does not clear the
-    1/(2*pi) convergence threshold. error_* fields are exact minus
-    asymptotic, as floats.
+    The asymptotics are those of c under C(k, scale), shifted by shift.
+    The asymptotic fields are None without a scale, or when alpha =
+    k/scale does not clear the 1/(2*pi) convergence threshold. error_*
+    fields are exact minus asymptotic, as floats.
     """
 
     k: int
@@ -340,48 +342,41 @@ class MomentReport:
     mean_exact: Fraction
     second_exact: Fraction
     variance_exact: Fraction
-    mean_asym: Optional[float]
-    variance_asym: Optional[float]
-    error_mean: Optional[float]
-    error_variance: Optional[float]
+    scale: Optional[int] = None
+    shift: int = 0
+
+    @cached_property
+    def _asymptotics(self) -> tuple[Optional[float], ...]:
+        """(mean_asym, variance_asym, error_mean, error_variance)."""
+        if self.scale is None or self.k / self.scale <= ALPHA_THRESHOLD:
+            return (None, None, None, None)
+        alpha = self.k / self.scale
+        mean, variance = self.mean_exact, self.variance_exact
+        with mp.workdps(_WORK_DPS):
+            m, s = asymptotic_mean_c(alpha)
+            ma = self.scale * m + s + self.shift
+            va = self.scale * asymptotic_variance_c(alpha)
+            return (
+                float(ma),
+                float(va),
+                float(mp.mpf(mean.numerator) / mean.denominator - ma),
+                float(mp.mpf(variance.numerator) / variance.denominator - va),
+            )
+
+    mean_asym = property(lambda self: self._asymptotics[0])
+    variance_asym = property(lambda self: self._asymptotics[1])
+    error_mean = property(lambda self: self._asymptotics[2])
+    error_variance = property(lambda self: self._asymptotics[3])
 
 
 def _report(
     k: int, n: int, mean: Fraction, second: Fraction, scale: Optional[int] = None, shift: int = 0
 ) -> MomentReport:
-    """Exact fields, plus the asymptotic ones of c under C(k, scale) shifted by shift.
-
-    The asymptotic fields stay None without a scale, or when k/scale
-    does not clear the convergence threshold.
-    """
+    """Exact fields; scale and shift fix the asymptotics (see MomentReport)."""
     variance = second - mean * mean
     if variance < 0:
         raise CertificationError(f"negative variance at k={k} n={n}: {variance}")
-    mean_asym = variance_asym = err_m = err_v = None
-    if scale is not None and k / scale > ALPHA_THRESHOLD:
-        alpha = k / scale
-        with mp.workdps(_WORK_DPS):
-            m, s = asymptotic_mean_c(alpha)
-            v = asymptotic_variance_c(alpha)
-            ma = scale * m + s + shift
-            va = scale * v
-            mean_asym = float(ma)
-            variance_asym = float(va)
-            err_m = float(mp.mpf(mean.numerator) / mean.denominator - ma)
-            err_v = float(
-                mp.mpf(variance.numerator) / variance.denominator - va
-            )
-    return MomentReport(
-        k=k,
-        n=n,
-        mean_exact=mean,
-        second_exact=second,
-        variance_exact=variance,
-        mean_asym=mean_asym,
-        variance_asym=variance_asym,
-        error_mean=err_m,
-        error_variance=err_v,
-    )
+    return MomentReport(k, n, mean, second, variance, scale, shift)
 
 
 def moments_c_C(k: int, n: int) -> MomentReport:

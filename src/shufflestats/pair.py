@@ -32,9 +32,12 @@ from .measures import (
     d_pmf_uniform,
 )
 from .moments import moments_d_C
-from .permutations import Permutation, cyclic_rotate, descent_count
+from .permutations import cyclic_rotate, descent_count
 
 _ZERO = Fraction(0)
+# Highest n_hi of nogood_diagnostic. On a 2-vCPU machine `diagnostic`
+# over 4..200 runs in about 2.7 s as one CLI process; 4..400 took 19.7 s.
+DIAGNOSTIC_N_MAX = 200
 
 
 def _d_and_c_pmfs(n: int, k: Optional[int]) -> tuple[ExactPmf, ExactPmf]:
@@ -44,12 +47,12 @@ def _d_and_c_pmfs(n: int, k: Optional[int]) -> tuple[ExactPmf, ExactPmf]:
     return d_pmf_C(k, n), c_pmf_C(k, n)
 
 
-def _wraps_down(p: Permutation) -> bool:
+def _wraps_down(p: tuple[int, ...]) -> bool:
     """chi_n(pi): position n is a cyclic descent, i.e. pi(n) > pi(1)."""
-    return p.word[-1] > p.word[0]
+    return p[-1] > p[0]
 
 
-def rotation_conditional_law(p: Permutation) -> ExactPmf:
+def rotation_conditional_law(p: tuple[int, ...]) -> ExactPmf:
     """Exact law of d' = d(rotation of p), uniform over the n rotations.
 
     Computed two ways and cross-checked on every call: by enumerating
@@ -58,7 +61,7 @@ def rotation_conditional_law(p: Permutation) -> ExactPmf:
     when it does not). The measure on pi never enters; rotation is
     uniform regardless, which is why this takes no k.
     """
-    n = p.n
+    n = len(p)
     if n < 2:
         raise UserInputError("the rotation pair needs n >= 2")
     counts: dict[int, int] = {}
@@ -74,14 +77,14 @@ def rotation_conditional_law(p: Permutation) -> ExactPmf:
         closed = ExactPmf(n, [(d - 1, d), (d, n - d)])
     if enumerated != closed:
         raise CertificationError(
-            f"rotation law mismatch for {p}: {enumerated!r} vs {closed!r}"
+            f"rotation law mismatch for {' '.join(map(str, p))}: {enumerated!r} vs {closed!r}"
         )
     return enumerated
 
 
-def drift(p: Permutation) -> Fraction:
+def drift(p: tuple[int, ...]) -> Fraction:
     """E(d' - d | pi) = -d/n + (n-1)/n * [position n wraps down]."""
-    n = p.n
+    n = len(p)
     if n < 2:
         raise UserInputError("the rotation pair needs n >= 2")
     d = descent_count(p)
@@ -90,7 +93,7 @@ def drift(p: Permutation) -> Fraction:
         out += Fraction(n - 1, n)
     law = rotation_conditional_law(p)
     if law.mean() - d != out:
-        raise CertificationError(f"drift mismatch for {p}")
+        raise CertificationError(f"drift mismatch for {' '.join(map(str, p))}")
     return out
 
 
@@ -330,6 +333,8 @@ def nogood_diagnostic(n_lo: int, n_hi: int) -> list[NogoodRow]:
     """
     if n_lo < 3 or n_hi < n_lo:
         raise UserInputError("need 3 <= n_lo <= n_hi")
+    if n_hi > DIAGNOSTIC_N_MAX:
+        raise UserInputError(f"--n-hi must be at most {DIAGNOSTIC_N_MAX}, got {n_hi}")
     rows = []
     for n in range(n_lo, n_hi + 1):
         pair = g_remainder(n, k=None)

@@ -50,7 +50,7 @@ from .measures import (
     riffle_piles,
     statistic_law,
 )
-from .permutations import Permutation, descent_count, insert_symbol
+from .permutations import descent_count, insert_symbol
 
 np = _LazyModule("numpy", "np", globals())
 mp = _LazyModule("mpmath", "mp", globals())
@@ -452,27 +452,26 @@ def riffle_summary(n: int, rounds: int, count: int, seed: int) -> SampleSummary:
     return _summarize(_run_streams(config, exact.support[-1] + 1, draw), exact, config.count)
 
 
-def decision_tree_distribution(k: int, n: int) -> dict[Permutation, Fraction]:
+def decision_tree_distribution(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
     """Exhaustive expansion of the insertion chain, no randomness involved.
 
     Returns the exact law on permutations of n symbols after n-1
-    insertion steps, as a dict of rational masses. Intended for small n;
-    the expansion is capped at n = 8.
+    insertion steps, as a dict from one-line tuples to rational masses.
+    Intended for small n; the expansion is capped at n = 8.
     """
     if k < 1 or n < 1:
         raise UserInputError(f"k and n must be positive, got k={k}, n={n}")
     if n > _TREE_CAP:
         raise UserInputError(f"decision-tree expansion is capped at n = {_TREE_CAP}")
-    dist = {Permutation.identity(1): Fraction(1)}
+    dist = {(1,): Fraction(1)}
     for m in range(1, n):
-        grown: dict[Permutation, Fraction] = {}
+        grown: dict[tuple[int, ...], Fraction] = {}
         for p, mass in dist.items():
             d = descent_count(p)
-            word = p.word
             case1 = Fraction(m + k - d, k * (m + 1))
             case2 = Fraction(k - d - 1, k * (m + 1))
             for j in range(m + 1):
-                if j == m or (j > 0 and word[j - 1] > word[j]):
+                if j == m or (j > 0 and p[j - 1] > p[j]):
                     step = case1
                 else:
                     step = case2

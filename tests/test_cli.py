@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from shufflestats import cli, measures, sampler
 from shufflestats.eulerian import cyclic_descent_counts, eulerian_row
 from shufflestats.measures import d_pmf_R
+from shufflestats.pair import DIAGNOSTIC_N_MAX
 from shufflestats.sampler import DEFAULT_STREAMS
 from shufflestats.verify import DEFAULT_K_MAX, DEFAULT_N_MAX, DEFAULT_ORACLE_MAX
 
@@ -847,6 +848,16 @@ class TestDiagnostic:
             abs=1e-12,
         )
 
+    @pytest.mark.parametrize("n_hi", [DIAGNOSTIC_N_MAX + 1, 400, 100000])
+    def test_range_past_the_limit_exits_2(self, capsys, n_hi):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "diagnostic", "--n-hi", str(n_hi))
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--n-hi" in err
+
 
 _CSV_CELLS = st.one_of(
     st.none(),
@@ -933,7 +944,8 @@ class TestConsoleEntry:
         assert proc.stdout == "[]\n[]\n"
 
     def test_integer_commands_leave_mpmath_unloaded(self):
-        # The generating-function side needs only integer arithmetic.
+        # The generating-function side needs only integer arithmetic, and
+        # exact moments leave the asymptotic series unevaluated.
         script = (
             "import contextlib, io, sys\n"
             "from shufflestats.cli import main\n"
@@ -943,12 +955,14 @@ class TestConsoleEntry:
             "        ['dist', '--measure', 'R', '--k', '3', '--n', '5', '--format', 'csv'],\n"
             "        ['eulerian', '--n', '9'],\n"
             "        ['eulerian', '--n', '6', '--cyclic'],\n"
-            "        ['diagnostic'])]\n"
+            "        ['diagnostic'],\n"
+            "        ['moments', '--measure', 'C', '--stat', 'c', '--k', '50', '--n', '50'],\n"
+            "        ['verify', '--oracle-max', '4'])]\n"
             "print(codes, 'mpmath' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[0, 0, 0, 0, 0] False\n"
+        assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0] False\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

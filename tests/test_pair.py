@@ -20,7 +20,6 @@ from shufflestats.pair import (
     nogood_diagnostic,
     rotation_conditional_law,
 )
-from shufflestats.permutations import Permutation
 
 F = Fraction
 
@@ -33,7 +32,7 @@ class TestRotationLaw:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_orbit_enumeration(self, n):
         for word in itertools.permutations(range(1, n + 1)):
-            law = rotation_conditional_law(Permutation(word))
+            law = rotation_conditional_law(word)
             counts = Counter(oracle_descents(rotate(word, s)) for s in range(n))
             want = {v: F(m, n) for v, m in sorted(counts.items())}
             assert dict(law.items()) == want
@@ -43,7 +42,7 @@ class TestRotationLaw:
         # The law is held over the denominator n; built from reduced
         # Fraction(c, n) masses it sits over their lcm instead.
         for word in itertools.permutations(range(1, n + 1)):
-            law = rotation_conditional_law(Permutation(word))
+            law = rotation_conditional_law(word)
             counts = Counter(oracle_descents(rotate(word, s)) for s in range(n))
             ref = fraction_pmf((v, F(c, n)) for v, c in counts.items())
             assert law == ref and ref == law
@@ -52,20 +51,19 @@ class TestRotationLaw:
 
     def test_rejects_singleton(self):
         with pytest.raises(UserInputError):
-            rotation_conditional_law(Permutation((1,)))
+            rotation_conditional_law((1,))
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_drift_is_mean_shift(self, n):
         for word in itertools.permutations(range(1, n + 1)):
-            p = Permutation(word)
-            law = rotation_conditional_law(p)
-            assert drift(p) == law.mean() - oracle_descents(word)
+            law = rotation_conditional_law(word)
+            assert drift(word) == law.mean() - oracle_descents(word)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_drift_has_zero_mean_under_cut_measure(self, k, n):
         total = sum(
-            oracle_cut_weight(k, n, oracle_cyclic_descents(w)) * drift(Permutation(w))
+            oracle_cut_weight(k, n, oracle_cyclic_descents(w)) * drift(w)
             for w in itertools.permutations(range(1, n + 1))
         )
         assert total == 0

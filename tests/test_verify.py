@@ -33,13 +33,13 @@ def test_enumeration_suites_share_one_pass_per_n(monkeypatch):
     # eulerian, cyclic-counts, pmf-oracle and moments read one (d, c)
     # histogram of each S_n; pair and insertion enumerate on their own.
     calls = Counter()
-    real = verify.enumerate_sn
+    real = verify.permutations
 
-    def counted(n, *args, **kwargs):
-        calls[n] += 1
-        return real(n, *args, **kwargs)
+    def counted(symbols):
+        calls[len(symbols)] += 1
+        return real(symbols)
 
-    monkeypatch.setattr(verify, "enumerate_sn", counted)
+    monkeypatch.setattr(verify, "permutations", counted)
     monkeypatch.setattr(verify, "_suite_pair", lambda oracle_max: 1)
     monkeypatch.setattr(verify, "_suite_insertion", lambda: 1)
     results = run_all(oracle_max=6, k_max=3, n_max=3)
@@ -55,7 +55,7 @@ def test_pair_suite_builds_each_rotation_law_once(monkeypatch):
     real = pair.rotation_conditional_law
 
     def counted(p):
-        calls[p.n] += 1
+        calls[len(p)] += 1
         return real(p)
 
     monkeypatch.setattr(pair, "rotation_conditional_law", counted)
@@ -67,7 +67,7 @@ def test_pair_suite_builds_each_rotation_law_once(monkeypatch):
 def test_a_wrong_wrap_trips_exactly_the_pair_suite(monkeypatch):
     flipped = (2, 1, 3)
     real = pair._wraps_down
-    monkeypatch.setattr(pair, "_wraps_down", lambda p: real(p) != (p.word == flipped))
+    monkeypatch.setattr(pair, "_wraps_down", lambda p: real(p) != (p == flipped))
     by_name = {r.name: r for r in run_all()}
     assert not by_name["pair"].passed
     assert by_name["pair"].detail.startswith("rotation law mismatch for 2 1 3")

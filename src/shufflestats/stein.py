@@ -29,7 +29,11 @@ at 40-digit precision over the pmf's range only: the Poisson masses sum
 to 1, so everything outside the range is one minus the Poisson mass
 inside it, and the loop costs n terms even when k, and with it the
 range's offset, is far above n. The rounding error goes into a reported
-sandwich, whose width stays far below 1e-13.
+sandwich, whose width stays far below 1e-13. Both loops call mpmath's
+libmp functions on raw values, the ones that mpf's operators call, at
+the same precision and with round-to-nearest, so every step rounds as
+mpf arithmetic would and the returned doubles are the same; they skip
+the allocation of an mpf object and the context lookup per operation.
 """
 
 from __future__ import annotations
@@ -69,15 +73,16 @@ def _mpf_of(x: Rational) -> mp.mpf:
     return mp.mpf(x)
 
 
-def _mpf_ratio(num: int, den: int) -> mp.mpf:
-    """num / den at working precision, from one short integer division.
+def _mpf_ratio(num: int, den: int, prec: int) -> tuple:
+    """num / den rounded to nearest at prec bits, as a libmp value, from
+    one short integer division.
 
     The truncated quotient keeps 20 bits beyond the precision before it
     is rounded; converting a big num and den to mpf first cost about 17x
     more per atom at 2000 digits.
     """
-    shift = max(0, den.bit_length() - num.bit_length()) + mp.mp.prec + 20
-    return mp.mpf(((num << shift) // den, -shift))
+    shift = max(0, den.bit_length() - num.bit_length()) + prec + 20
+    return mp.libmp.from_man_exp((num << shift) // den, -shift, prec, "n")
 
 
 @dataclass(frozen=True)
@@ -135,29 +140,38 @@ def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
         raise UserInputError("lambda must be positive")
     amplification = lgamma(j_max + 1) - j_max * log(lam_f)
     dps = 30 + max(0, ceil(amplification / log(10.0)))
+    lib = mp.libmp
+    add, sub, mul, div = lib.mpf_add, lib.mpf_sub, lib.mpf_mul, lib.mpf_div
+    mul_int, to_float, rnd = lib.mpf_mul_int, lib.to_float, lib.round_nearest
     with mp.workdps(dps):
-        lam_mp = _mpf_of(lam)
-        p_a, q_0 = mp.mpf(0), mp.e ** (-lam_mp)
+        prec, lam_mp = mp.mp.prec, _mpf_of(lam)
+        q_0, lam_v = (mp.e ** (-lam_mp))._mpf_, lam_mp._mpf_
+        p_a = lib.fzero
         for a in sorted(target):
-            p_a += q_0 * lam_mp**a / mp.factorial(a)
-        g = [mp.mpf(0)]
+            term = mul(q_0, lib.mpf_pow_int(lam_v, a, prec, rnd), prec, rnd)
+            fac = lib.mpf_factorial(lib.from_int(a), prec, rnd)
+            p_a = add(p_a, div(term, fac, prec, rnd), prec, rnd)
+        # 1{j in A} - P(A), indexed by the indicator
+        rhs = (sub(lib.fzero, p_a, prec, rnd), sub(lib.fone, p_a, prec, rnd))
+        g = [lib.fzero]
         for j in range(j_max):
-            ind = 1 if j in target else 0
-            g.append((ind - p_a + j * g[j]) / lam_mp)
-        sol = SteinSolution(lam, target, tuple(float(v) for v in g))
-    if sol.max_residual() >= 1e-12:
+            step = add(rhs[j in target], mul_int(g[j], j, prec, rnd), prec, rnd)
+            g.append(div(step, lam_v, prec, rnd))
+    sol = SteinSolution(lam, target, tuple(to_float(v, rnd=rnd) for v in g))
+    residual = sol.max_residual()
+    if residual >= 1e-12:
         raise CertificationError(
-            f"Stein residual {sol.max_residual():.3e} at lambda={lam_f}, "
-            f"j_max={j_max}"
+            f"Stein residual {residual:.3e} at lambda={lam_f}, j_max={j_max}"
         )
     # Barbour, Holst and Janson (1992), Lemma 1.1.1; the Delta g bound is
     # reached to within rounding, hence the relative allowance.
     g_bound = min(1.0, lam_f**-0.5 * (1 + _STEIN_BOUND_ALLOWANCE))
     dg_bound = min(1.0, -expm1(-lam_f) / lam_f * (1 + _STEIN_BOUND_ALLOWANCE))
-    if sol.sup_g() > g_bound or sol.sup_delta_g() > dg_bound:
+    sup_g, sup_dg = sol.sup_g(), sol.sup_delta_g()
+    if sup_g > g_bound or sup_dg > dg_bound:
         raise CertificationError(
-            f"Stein solution bound violated: sup|g|={sol.sup_g():.6f} "
-            f"(bound {g_bound:.6f}), sup|dg|={sol.sup_delta_g():.6f} "
+            f"Stein solution bound violated: sup|g|={sup_g:.6f} "
+            f"(bound {g_bound:.6f}), sup|dg|={sup_dg:.6f} "
             f"(bound {dg_bound:.6f}) at lambda={lam_f}"
         )
     return sol
@@ -179,20 +193,25 @@ def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
     lam_f = float(lam)
     if lam_f <= 0:
         raise UserInputError("lambda must be positive")
+    lib = mp.libmp
+    add, sub, mul, div = lib.mpf_add, lib.mpf_sub, lib.mpf_mul, lib.mpf_div
+    absolute, from_int, rnd = lib.mpf_abs, lib.from_int, lib.round_nearest
     with mp.workdps(_TV_DPS):
-        lam_mp = _mpf_of(lam)
+        prec, lam_mp = mp.mp.prec, _mpf_of(lam)
         s = pmf.support[0]
-        q = mp.exp(-lam_mp + s * mp.log(lam_mp) - mp.loggamma(s + 1))
+        q = mp.exp(-lam_mp + s * mp.log(lam_mp) - mp.loggamma(s + 1))._mpf_
+        lam_v = lam_mp._mpf_
         num = dict(zip(pmf.support, pmf.nums))
         den = pmf.den
-        acc = mp.mpf(1)
+        acc = lib.fone
         for j in range(s, pmf.support[-1] + 1):
             a = num.get(j)
-            p = _mpf_ratio(a, den) if a else 0
-            acc += abs(p - q) - q
-            q = q * lam_mp / (j + 1)
+            p = _mpf_ratio(a, den, prec) if a else lib.fzero
+            gap = absolute(sub(p, q, prec, rnd), prec, rnd)
+            acc = add(acc, sub(gap, q, prec, rnd), prec, rnd)
+            q = div(mul(q, lam_v, prec, rnd), from_int(j + 1), prec, rnd)
         slop = mp.mpf(10) ** (-(_TV_DPS - 12))
-        lo = acc / 2
+        lo = mp.mpf(acc) / 2
         hi = lo + slop
         return float(lo), float(hi)
 

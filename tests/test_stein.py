@@ -71,12 +71,17 @@ class TestSolver:
 
     def test_g_is_bit_identical_to_the_per_element_exponential(self):
         # The reference evaluates e^(-lambda) once per target element, the
-        # solver once per call; the mpf expression is the same, so the
-        # floats must agree exactly.
+        # solver once per call, and the reference runs on mpf objects where
+        # the solver calls libmp; every rounding is the same, so the floats
+        # must agree exactly.
         def reference_g(lam, target, j_max):
-            amplification = math.lgamma(j_max + 1) - j_max * math.log(lam)
+            lam_f = float(lam)
+            amplification = math.lgamma(j_max + 1) - j_max * math.log(lam_f)
             with mp.workdps(30 + max(0, math.ceil(amplification / math.log(10.0)))):
-                lam_mp = mp.mpf(lam)
+                if isinstance(lam, Fraction):
+                    lam_mp = mp.mpf(lam.numerator) / lam.denominator
+                else:
+                    lam_mp = mp.mpf(lam)
                 p_a = mp.mpf(0)
                 for a in sorted(target):
                     p_a += mp.e ** (-lam_mp) * lam_mp**a / mp.factorial(a)
@@ -91,6 +96,15 @@ class TestSolver:
             j_max = rng.randint(5, 40)
             target = {j for j in range(j_max + 1) if rng.random() < 0.35}
             assert solve_stein(lam, target, j_max).g == reference_g(lam, target, j_max)
+        # Rational rates take _mpf_of's Fraction path; deeper j_max raises
+        # the working precision to about 200 digits at lambda = 1/100.
+        rates = [F(1, 4), F(7, 3), F(1, 100), F(31, 2), F(2, 1), 0.37, 12.5]
+        for lam in rates:
+            for j_max in (1, 7, 25, 44, 60):
+                for _ in range(6):
+                    target = {j for j in range(j_max + 1) if rng.random() < 0.35}
+                    want = reference_g(lam, target, j_max)
+                    assert solve_stein(lam, target, j_max).g == want
 
     def test_delta_g_bound_is_reached_by_the_point_set(self):
         # For A = {0}, g(1) = (1 - e^-lambda)/lambda, the bound itself: the
@@ -133,6 +147,73 @@ class TestExactTv:
         assert tv_exact_vs_poisson(pmf, F(1, 4)) == pytest.approx(
             0.05529980423214878, abs=1e-14
         )
+
+
+def _mpf_object_ratio(num, den):
+    shift = max(0, den.bit_length() - num.bit_length()) + mp.mp.prec + 20
+    return mp.mpf(((num << shift) // den, -shift))
+
+
+def mpf_object_tv_sandwich(pmf, lam):
+    """tv_sandwich as it ran on mpf objects, before its loop called libmp."""
+    with mp.workdps(40):
+        if isinstance(lam, Fraction):
+            lam_mp = mp.mpf(lam.numerator) / lam.denominator
+        else:
+            lam_mp = mp.mpf(lam)
+        s = pmf.support[0]
+        q = mp.exp(-lam_mp + s * mp.log(lam_mp) - mp.loggamma(s + 1))
+        num = dict(zip(pmf.support, pmf.nums))
+        den = pmf.den
+        acc = mp.mpf(1)
+        for j in range(s, pmf.support[-1] + 1):
+            a = num.get(j)
+            p = _mpf_object_ratio(a, den) if a else 0
+            acc += abs(p - q) - q
+            q = q * lam_mp / (j + 1)
+        slop = mp.mpf(10) ** (-(40 - 12))
+        lo = acc / 2
+        hi = lo + slop
+        return float(lo), float(hi)
+
+
+def _default_grid():
+    for n in (20, 50, 100, 200, 400):  # tv --grid's default --n-list
+        for k in sweep_k_values(n, 20):
+            for code in STATISTIC_CODES:
+                yield k, n, code
+
+
+class TestSandwichBitIdentity:
+    """The libmp loop rounds every step as the mpf-object loop did."""
+
+    def test_default_grid(self):
+        rows = list(_default_grid())
+        assert len(rows) == 231
+        for k, n, code in rows:
+            pmf, lam = statistic_pushforward(k, n, code)
+            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (k, n, code)
+
+    @pytest.mark.parametrize("n", [250, 500, 1000])
+    def test_large_n(self, n):
+        for k in (13, 100, 400, n):
+            for code in STATISTIC_CODES:
+                pmf, lam = statistic_pushforward(k, n, code)
+                assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (k, code)
+
+    def test_k_far_above_n(self):
+        for n in range(8, 13):
+            for code in STATISTIC_CODES:
+                pmf, lam = statistic_pushforward(2**17, n, code)
+                assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (n, code)
+
+    def test_interior_zero_atom(self):
+        # The zero atom at 2 is dropped from the support, so the loop meets
+        # a missing numerator inside the range.
+        pmf = ExactPmf(10, [(1, 3), (2, 0), (3, 5), (6, 2)])
+        assert pmf.support == (1, 3, 6)
+        for lam in (F(1, 3), F(5, 2), 0.7, 12.0):
+            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), lam
 
 
 class TestBounds:

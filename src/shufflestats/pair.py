@@ -7,12 +7,13 @@ Normalizing W = (d - E(d)) / sqrt(Var(d)) gives a pair satisfying
 
     E(W' | W) = (1 - 1/n) W + G(W)
 
-and this module computes G exactly. The headline diagnostic: under the
-uniform measure, n * E|G(W)| stays bounded away from zero, which is
-exactly the failure mode for the standard regression hypothesis of
-exchangeable-pair normal approximation. Everything here is exact
-rational arithmetic times at most one square root, carried symbolically
-until the final float rendering.
+PairLaw holds the exact step law of the pair under C(k, n) or the
+uniform measure U_n, and g_remainder computes G exactly under U_n. The
+headline diagnostic: under U_n, n * E|G(W)| stays bounded away from
+zero, which is exactly the failure mode for the standard regression
+hypothesis of exchangeable-pair normal approximation. Everything here
+is exact rational arithmetic times at most one square root, carried
+symbolically until the final float rendering.
 """
 
 from __future__ import annotations
@@ -24,27 +25,13 @@ from typing import Optional
 
 from .errors import CertificationError, UserInputError
 from .eulerian import eulerian_row, eulerian_value
-from .measures import (
-    ExactPmf,
-    c_pmf_C,
-    c_pmf_uniform,
-    d_pmf_C,
-    d_pmf_uniform,
-)
-from .moments import moments_d_C
+from .measures import ExactPmf, c_pmf_C, c_pmf_uniform, d_pmf_C, d_pmf_uniform
 from .permutations import cyclic_rotate, descent_count
 
 _ZERO = Fraction(0)
 # Highest n_hi of nogood_diagnostic. On a 2-vCPU machine `diagnostic`
 # over 4..200 runs in about 2.7 s as one CLI process; 4..400 took 19.7 s.
 DIAGNOSTIC_N_MAX = 200
-
-
-def _d_and_c_pmfs(n: int, k: Optional[int]) -> tuple[ExactPmf, ExactPmf]:
-    """Laws of d and c under C(k, n), or under the uniform measure if k is None."""
-    if k is None:
-        return d_pmf_uniform(n), c_pmf_uniform(n)
-    return d_pmf_C(k, n), c_pmf_C(k, n)
 
 
 def _wraps_down(p: tuple[int, ...]) -> bool:
@@ -102,8 +89,6 @@ class PairLaw:
     """Exact step law of the pair: per conditioning value r, P(d = r)
     and the probabilities of d' - d = -1, 0, +1."""
 
-    k: Optional[int]
-    n: int
     support: tuple[int, ...]
     d_mass: tuple[Fraction, ...]
     down: tuple[Fraction, ...]
@@ -113,7 +98,10 @@ class PairLaw:
     @classmethod
     def build(cls, n: int, k: Optional[int]) -> "PairLaw":
         """Step law under C(k, n), or under the uniform measure if k is None."""
-        d_pmf, c_pmf = _d_and_c_pmfs(n, k)
+        if k is None:
+            d_pmf, c_pmf = d_pmf_uniform(n), c_pmf_uniform(n)
+        else:
+            d_pmf, c_pmf = d_pmf_C(k, n), c_pmf_C(k, n)
         down, stay, up = [], [], []
         for r, p_r in d_pmf.items():
             # P(d = r and the wrap is a cyclic descent) = P(c = r+1)(r+1)/n
@@ -124,7 +112,7 @@ class PairLaw:
             down.append(dn)
             stay.append(1 - u - dn)
             up.append(u)
-        law = cls(k, n, d_pmf.support, d_pmf.mass, tuple(down), tuple(stay), tuple(up))
+        law = cls(d_pmf.support, d_pmf.mass, tuple(down), tuple(stay), tuple(up))
         law._check_exchangeable()
         return law
 
@@ -160,94 +148,54 @@ class PairLaw:
 
 
 # ---------------------------------------------------------------------------
-# Conditional drift of the normalized pair and the G remainder
-
-
-def _pmfs_and_moments(
-    n: int, k: Optional[int]
-) -> tuple[ExactPmf, ExactPmf, Fraction, Fraction]:
-    if n < 2:
-        raise UserInputError("need n >= 2")
-    d_pmf, c_pmf = _d_and_c_pmfs(n, k)
-    if k is None:
-        mean_d = Fraction(n - 1, 2)
-        var_d = Fraction(n + 1, 12)
-    else:
-        report = moments_d_C(k, n)
-        mean_d, var_d = report.mean_exact, report.variance_exact
-    # Downstream trusts E(W) = 0 and E(W^2) = 1; this check makes them exact.
-    if d_pmf.mean() != mean_d or d_pmf.variance() != var_d:
-        raise CertificationError(
-            f"moment/pmf disagreement at n={n}, k={k}"
-        )
-    return d_pmf, c_pmf, mean_d, var_d
-
-
-def _g_numerator(
-    c_pmf: ExactPmf, d_pmf: ExactPmf, mean_d: Fraction, n: int, r: int
-) -> Fraction:
-    """G(r) * n * sqrt(Var(d)), an exact rational."""
-    p_r = d_pmf.prob(r)
-    if not p_r:
-        raise UserInputError(f"conditioning on zero-probability d={r}")
-    return c_pmf.prob(r + 1) * Fraction((r + 1) * (n - 1), n) / p_r - mean_d
+# The G remainder of the normalized pair under the uniform measure
 
 
 @dataclass(frozen=True)
 class NormalizedPair:
-    """W-normalized pair data: exact moments and G per r.
+    """Exact Var(d) and E|G(W)| = abs_g_scaled / sqrt(var_d) under U_n."""
 
-    G_values pairs each descent value r with the float G(r). The exact
-    aggregate E|G(W)| is abs_g_scaled / sqrt(var_d).
-    """
-
-    mean_d: Fraction
     var_d: Fraction
-    G_values: tuple[tuple[int, float], ...]
     abs_g_scaled: Fraction
 
 
-def g_remainder(n: int, k: Optional[int] = None) -> NormalizedPair:
-    """G(W) data under C(k, n), or under the uniform measure for k=None.
+def g_remainder(n: int) -> NormalizedPair:
+    """The aggregate E|G(W)| under the uniform measure U_n, exact.
 
-    G(r) = E(W' - W | d = r) + W(r)/n; the aggregate E|G(W)| is carried
-    exactly as abs_g_scaled * Var(d)^(-1/2). In uniform mode the two
-    displayed simplifications of the aggregate (through P(d = r) and
-    through the cyclic pmf alone) are both evaluated and must agree.
+    G(r) = E(W' - W | d = r) + W(r)/n, and with E(d) = (n-1)/2,
+    n sqrt(Var(d)) G(r) = P(c=r+1)(r+1)(n-1) / (n P(d=r)) - (n-1)/2.
+    The aggregate is carried as abs_g_scaled * Var(d)^(-1/2), where
+    abs_g_scaled = sum_r |P(c=r+1)(r+1)(n-1)/n - P(d=r)(n-1)/2| / n.
+    A second simplification, through the cyclic pmf alone, must agree.
+    (Under C(k, n), sqrt(Var(d)) G(r) = up_r - down_r + (r - E d)/n on
+    the PairLaw step law.)
     """
-    d_pmf, c_pmf, mean_d, var_d = _pmfs_and_moments(n, k)
-    sqrt_v = math.sqrt(float(var_d))
-    g_vals = []
-    agg = _ZERO
-    for r in d_pmf.support:
-        num = _g_numerator(c_pmf, d_pmf, mean_d, n, r)
-        g_vals.append((r, float(num) / (n * sqrt_v)))
-        agg += d_pmf.prob(r) * abs(num)
-    abs_g_scaled = agg / n
-
-    if k is None:
-        # Uniform-measure simplification: E(d) = (n-1)/2 collapses the
-        # aggregate to ((n-1)/(2 n^2)) sum_r |(r+1)P(c=r+1)-(n-r)P(c=r)|.
-        alt = sum(
-            (
-                abs(
-                    (r + 1) * c_pmf.prob(r + 1) - (n - r) * c_pmf.prob(r)
-                )
-                for r in d_pmf.support
-            ),
-            _ZERO,
-        ) * Fraction(n - 1, 2 * n * n)
-        if alt != abs_g_scaled:
-            raise CertificationError(
-                f"uniform G aggregate simplification mismatch at n={n}: "
-                f"{abs_g_scaled} vs {alt}"
-            )
-    return NormalizedPair(
-        mean_d=mean_d,
-        var_d=var_d,
-        G_values=tuple(g_vals),
-        abs_g_scaled=abs_g_scaled,
-    )
+    if n < 2:
+        raise UserInputError("need n >= 2")
+    d_pmf, c_pmf = d_pmf_uniform(n), c_pmf_uniform(n)
+    mean_d, var_d = Fraction(n - 1, 2), Fraction(n + 1, 12)
+    # Downstream trusts E(W) = 0 and E(W^2) = 1; this check makes them exact.
+    if d_pmf.mean() != mean_d or d_pmf.variance() != var_d:
+        raise CertificationError(f"moment/pmf disagreement at n={n}")
+    abs_g_scaled = sum(
+        (
+            abs(c_pmf.prob(r + 1) * Fraction((r + 1) * (n - 1), n) - p_r * mean_d)
+            for r, p_r in d_pmf.items()
+        ),
+        _ZERO,
+    ) / n
+    # E(d) = (n-1)/2 also collapses the aggregate to
+    # ((n-1)/(2 n^2)) sum_r |(r+1)P(c=r+1)-(n-r)P(c=r)|.
+    alt = sum(
+        (abs((r + 1) * c_pmf.prob(r + 1) - (n - r) * c_pmf.prob(r)) for r in d_pmf.support),
+        _ZERO,
+    ) * Fraction(n - 1, 2 * n * n)
+    if alt != abs_g_scaled:
+        raise CertificationError(
+            f"uniform G aggregate simplification mismatch at n={n}: "
+            f"{abs_g_scaled} vs {alt}"
+        )
+    return NormalizedPair(var_d, abs_g_scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +285,14 @@ def nogood_diagnostic(n_lo: int, n_hi: int) -> list[NogoodRow]:
         raise UserInputError(f"--n-hi must be at most {DIAGNOSTIC_N_MAX}, got {n_hi}")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        pair = g_remainder(n, k=None)
+        pair = g_remainder(n)
         var_n = pair.var_d
         if var_n != Fraction(n + 1, 12):
             raise CertificationError(f"Var under U_{n} is {var_n}, not (n+1)/12")
         q_scaled = n * pair.abs_g_scaled  # n*E|G| = q_scaled / sqrt(var_n)
 
         if n % 2:
-            b_term = Fraction(n + 1, 2) * Fraction(
-                eulerian_value(n - 1, (n - 1) // 2), 2 * math.factorial(n - 1)
-            )
+            b_term = Fraction(n + 1, 4) * central_eulerian_ratio(n)
             # Exact identity from the proof chain, odd n only:
             # E|G| = (n-1)/(n^2 sqrt(var)) ((n+1)/2 A/(n-1)! - MAD(n-1))
             mad = mean_abs_deviation_uniform_d(n - 1)
@@ -357,9 +303,7 @@ def nogood_diagnostic(n_lo: int, n_hi: int) -> list[NogoodRow]:
                     f"{pair.abs_g_scaled} vs {ident}"
                 )
         else:
-            b_term = Fraction(
-                n * eulerian_value(n - 1, n // 2), 2 * math.factorial(n - 1)
-            )
+            b_term = Fraction(n, 2) * central_eulerian_ratio(n)
         var_prev = Fraction(n, 12)  # Var under U_{n-1}
         # Dominance: q_scaled/sqrt(var_n) >= ((n-1)/(n sqrt(var_n)))
         #            * (b_term - sqrt(var_prev))

@@ -294,21 +294,20 @@ def _run_streams(
     """Bincount each stream's drawn statistic values and merge them in id order.
 
     Streams are the logical split of the sample; at most one thread per
-    CPU runs them, which changes no draw.
+    CPU runs them, which changes no draw. Streams with id >= count get
+    no draws, so they are not run.
     """
-    chunks = _stream_counts(config.count, config.streams)
+    chunks = _stream_counts(config.count, min(config.streams, config.count))
 
     def run(sid: int) -> np.ndarray:
-        if chunks[sid] == 0:
-            return np.zeros(width, dtype=np.int64)
         values = draw(_stream_generator(config.seed, sid), chunks[sid])
         return np.bincount(values, minlength=width)
 
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = min(config.streams, _usable_cpus())
+    workers = min(len(chunks), _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, range(config.streams)))
+        parts = list(pool.map(run, range(len(chunks))))
     merged = np.zeros(max(part.shape[0] for part in parts), dtype=np.int64)
     for part in parts:
         merged[: part.shape[0]] += part

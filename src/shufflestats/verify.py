@@ -252,7 +252,7 @@ def _suite_pair(oracle_max: int) -> int:
         for k in (None, 1, 2, 3):
             PairLaw.build(n, k)  # exchangeability is validated on build
             checks += 1
-        g_remainder(n)  # uniform mode cross-checks its own closed form
+        g_remainder(n)  # cross-checks its own closed form
         checks += 1
     return checks
 

@@ -315,6 +315,24 @@ class TestSample:
         streams = cli._build_parser().parse_args(argv).streams
         assert streams == DEFAULT_STREAMS == 8
 
+    def test_streams_beyond_count_cost_nothing(self, capsys):
+        # Streams with id >= count draw nothing, so they are not run, and
+        # the payload is that of one stream per draw apart from the echo.
+        payloads = []
+        for streams in ("100000", "100"):
+            started = time.perf_counter()
+            code, out, _ = run_cli(
+                capsys,
+                "sample", "--measure", "R", "--k", "4", "--n", "6",
+                "--count", "100", "--seed", "1", "--streams", streams,
+            )
+            assert time.perf_counter() - started < 3
+            assert code == 0
+            payload = json.loads(out)
+            assert payload.pop("streams") == int(streams)
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
     def test_bad_seed_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -646,7 +664,8 @@ def test_pinned_moments_bytes(capsys, measure, stat, k, n, fmt, asym, digest):
 
 # Stdout SHA-256 of `tv` and `diagnostic`, recorded while the library
 # still built their rows: a single tv point, a tv grid and the default
-# diagnostic table, each in both formats.
+# diagnostic table, each in both formats; and two wider diagnostic
+# ranges, recorded while the G remainder still had a C(k, n) mode.
 TV_R_ARGV = ("tv", "--statistic", "R", "--k", "1", "--n", "9")
 TV_GRID_ARGV = ("tv", "--grid", "--n-list", "20,50", "--k-points", "4")
 PINNED_TABLE_BYTES = [
@@ -656,6 +675,10 @@ PINNED_TABLE_BYTES = [
     (TV_GRID_ARGV, "csv", "01e112d494d6d7cfea9058cf27a0b9cbf9e2b48f323684637992ecda477e37e0"),
     (("diagnostic",), "json", "f6f21e79d9bf3ee3ef97197fef932c1053cc0d7e7e890192a561ac3a9bffb253"),
     (("diagnostic",), "csv", "0024e691e505480fa8a1c2bf17ffdc0967c345c7d113ac1d25e19283c5f8ea1e"),
+    (("diagnostic", "--n-lo", "4", "--n-hi", "60"), "json",
+     "3061261ca4a4c748e7e8563406f8804bb58f12c91d828b691aefbb98d898b1cc"),
+    (("diagnostic", "--n-lo", "3", "--n-hi", "60"), "csv",
+     "fbb352278a4caba1184f7897432bd76a8b6c970250035132b87e215e1bb32114"),
 ]
 
 
@@ -663,7 +686,7 @@ PINNED_TABLE_BYTES = [
     "argv, fmt, digest",
     PINNED_TABLE_BYTES,
     ids=["tv-R-json", "tv-R-csv", "tv-grid-json", "tv-grid-csv", "diagnostic-json",
-         "diagnostic-csv"],
+         "diagnostic-csv", "diagnostic-4-60-json", "diagnostic-3-60-csv"],
 )
 def test_pinned_table_bytes(capsys, argv, fmt, digest):
     code, out, err = run_cli(capsys, *argv, "--format", fmt)

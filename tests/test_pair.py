@@ -1,5 +1,6 @@
 """Exchangeable rotation pair: conditional laws, drift, diagnostics."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -8,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import fraction_pmf, oracle_cut_weight, oracle_cyclic_descents, oracle_descents
-from shufflestats.errors import UserInputError
+from shufflestats import pair as pair_module
+from shufflestats.errors import CertificationError, UserInputError
 from shufflestats.eulerian import eulerian_value
+from shufflestats.measures import ExactPmf
 from shufflestats.pair import (
     PairLaw,
     central_eulerian_ratio,
@@ -104,6 +107,7 @@ class TestPairLaw:
             assert min(law.down[i], law.stay[i], law.up[i]) >= 0
 
     def test_conditional_drift_matches_enumeration(self):
+        # E(d' - d | d = r) = up_r - down_r, exactly
         k, n = 2, 5
         num: dict[int, Fraction] = {}
         den: dict[int, Fraction] = {}
@@ -114,35 +118,34 @@ class TestPairLaw:
                 step = oracle_descents(rotate(word, s)) - r
                 num[r] = num.get(r, F(0)) + w * F(step, n)
             den[r] = den.get(r, F(0)) + w
-        mean = sum(F(r) * m for r, m in den.items())
-        second = sum(F(r * r) * m for r, m in den.items())
-        var = second - mean * mean
-        # E(W' - W | d = r) = G(r) - W(r)/n
-        pair = g_remainder(n, k)
-        sqrt_var = math.sqrt(float(pair.var_d))
-        g_values = dict(pair.G_values)
-        for r, total in den.items():
-            if not total:
-                continue  # value unreachable at this k, conditional undefined
-            want = float(num[r] / total) / math.sqrt(float(var))
-            w = float(r - pair.mean_d) / sqrt_var
-            assert g_values[r] - w / n == pytest.approx(want, rel=1e-12, abs=1e-15)
+        law = PairLaw.build(n, k)
+        reachable = {r: total for r, total in den.items() if total}
+        assert dict(zip(law.support, law.d_mass)) == reachable
+        for i, r in enumerate(law.support):
+            assert law.up[i] - law.down[i] == num[r] / den[r]
 
 
 class TestRemainder:
     def test_frozen_single_pile_case(self):
-        pair = g_remainder(5, k=1)
-        assert pair.abs_g_scaled == F(32, 125)
-        expected_abs_g = float(pair.abs_g_scaled) / math.sqrt(float(pair.var_d))
-        assert expected_abs_g == pytest.approx(0.64, abs=1e-13)
-        values = dict(pair.G_values)
-        assert values[0] == pytest.approx(1.6, abs=1e-12)
-        assert values[1] == pytest.approx(-0.4, abs=1e-12)
+        # Under C(1, 5), sqrt(Var d) G(r) = up_r - down_r + (r - E d)/n
+        n = 5
+        law = PairLaw.build(n, 1)
+        mean = sum(r * p for r, p in zip(law.support, law.d_mass))
+        var = sum(r * r * p for r, p in zip(law.support, law.d_mass)) - mean * mean
+        scaled = {
+            r: law.up[i] - law.down[i] + (r - mean) / n for i, r in enumerate(law.support)
+        }
+        abs_g_scaled = sum(p * abs(scaled[r]) for r, p in zip(law.support, law.d_mass))
+        assert abs_g_scaled == F(32, 125)
+        sqrt_var = math.sqrt(float(var))
+        assert float(abs_g_scaled) / sqrt_var == pytest.approx(0.64, abs=1e-13)
+        assert float(scaled[0]) / sqrt_var == pytest.approx(1.6, abs=1e-12)
+        assert float(scaled[1]) / sqrt_var == pytest.approx(-0.4, abs=1e-12)
 
     def test_uniform_mode_runs_identity_cross_check(self):
-        # uniform mode recomputes the aggregate through two independent
-        # simplifications and raises CertificationError on mismatch
-        pair = g_remainder(6, k=None)
+        # the aggregate is recomputed through two independent
+        # simplifications, which raises CertificationError on mismatch
+        pair = g_remainder(6)
         assert pair.abs_g_scaled > 0
 
     def test_mean_abs_deviation(self):
@@ -215,3 +218,104 @@ class TestCentralRatio:
     def test_smallest_cases(self):
         assert central_eulerian_ratio(2) == 1
         assert central_eulerian_ratio(3) == F(1, 2)
+
+
+def _tilted(law_of):
+    """law_of with mass 1/(2 den) moved from its lowest value to its highest."""
+
+    def tilted(*args):
+        law = law_of(*args)
+        lo, hi = law.support[0], law.support[-1]
+        atoms = [(v, 2 * a - (v == lo) + (v == hi)) for v, a in zip(law.support, law.nums)]
+        return ExactPmf(2 * law.den, atoms)
+
+    return tilted
+
+
+def _with_fields(fn, **changes):
+    """fn with the given fields of its dataclass result replaced."""
+    return lambda *args, **kwargs: dataclasses.replace(fn(*args, **kwargs), **changes)
+
+
+class TestCertificates:
+    """Each CertificationError check in pair trips, with its own message, on one wrong input.
+
+    build's formulas make every step law sum to one and the joint law
+    symmetric, so those two checks trip only on an altered PairLaw.
+    """
+
+    def test_rotation_law_closed_form(self, monkeypatch):
+        monkeypatch.setattr(pair_module, "cyclic_rotate", lambda p, s: p)
+        with pytest.raises(CertificationError, match="rotation law mismatch for 2 1 3"):
+            rotation_conditional_law((2, 1, 3))
+
+    def test_drift_against_the_rotation_law(self, monkeypatch):
+        point_mass = ExactPmf(1, [(0, 1)])
+        monkeypatch.setattr(pair_module, "rotation_conditional_law", lambda p: point_mass)
+        with pytest.raises(CertificationError, match="drift mismatch for 2 1 3"):
+            drift((2, 1, 3))
+
+    def test_step_laws_sum_to_one(self):
+        law = PairLaw.build(5, 2)
+        stay = (law.stay[0] + F(1, 7),) + law.stay[1:]
+        with pytest.raises(CertificationError, match="conditional law at r=0 sums to 8/7"):
+            dataclasses.replace(law, stay=stay)._check_exchangeable()
+
+    def test_step_probabilities_are_nonnegative(self, monkeypatch):
+        # d mass tilted off d = 0, where the c law puts more weight: the
+        # up-step probability out of d = 0 exceeds one
+        monkeypatch.setattr(pair_module, "d_pmf_uniform", _tilted(pair_module.d_pmf_uniform))
+        with pytest.raises(CertificationError, match="negative step probability at r=0"):
+            PairLaw.build(4, None)
+
+    def test_joint_law_is_exchangeable(self):
+        law = PairLaw.build(5, 2)
+        d_mass = (law.d_mass[0] * 2,) + law.d_mass[1:]
+        with pytest.raises(CertificationError, match=r"joint law not exchangeable at \(0, 1\)"):
+            dataclasses.replace(law, d_mass=d_mass)._check_exchangeable()
+
+    def test_remainder_moments_match_the_pmf(self, monkeypatch):
+        monkeypatch.setattr(pair_module, "d_pmf_uniform", _tilted(pair_module.d_pmf_uniform))
+        with pytest.raises(CertificationError, match="moment/pmf disagreement at n=6"):
+            g_remainder(6)
+
+    def test_remainder_aggregate_routes_agree(self, monkeypatch):
+        monkeypatch.setattr(pair_module, "c_pmf_uniform", _tilted(pair_module.c_pmf_uniform))
+        message = "uniform G aggregate simplification mismatch at n=6"
+        with pytest.raises(CertificationError, match=message):
+            g_remainder(6)
+
+    def test_newton_criterion(self, monkeypatch):
+        monkeypatch.setattr(pair_module, "eulerian_row", lambda m: (5, 1) if m == 2 else ())
+        with pytest.raises(CertificationError, match="Newton criterion wrong at n=3, r=1"):
+            newton_check(3)
+
+    def test_diagnostic_variance(self, monkeypatch):
+        wrong = _with_fields(pair_module.g_remainder, var_d=F(1, 3))
+        monkeypatch.setattr(pair_module, "g_remainder", wrong)
+        with pytest.raises(CertificationError, match=r"Var under U_5 is 1/3, not \(n\+1\)/12"):
+            nogood_diagnostic(5, 5)
+
+    def test_diagnostic_odd_n_identity(self, monkeypatch):
+        exact = pair_module.mean_abs_deviation_uniform_d
+
+        def off_by_a_little(n):
+            return exact(n) + F(1, 10**6)
+
+        monkeypatch.setattr(pair_module, "mean_abs_deviation_uniform_d", off_by_a_little)
+        with pytest.raises(CertificationError, match="odd-n aggregate identity failed at n=5"):
+            nogood_diagnostic(5, 5)
+
+    def test_diagnostic_dominance(self, monkeypatch):
+        exact = pair_module.eulerian_value
+        monkeypatch.setattr(pair_module, "eulerian_value", lambda m, i: 2 * exact(m, i))
+        message = "diagnostic fell below the proven lower bound at n=6"
+        with pytest.raises(CertificationError, match=message):
+            nogood_diagnostic(6, 6)
+
+    def test_diagnostic_positive(self, monkeypatch):
+        wrong = _with_fields(pair_module.g_remainder, abs_g_scaled=F(0))
+        monkeypatch.setattr(pair_module, "g_remainder", wrong)
+        monkeypatch.setattr(pair_module, "eulerian_value", lambda m, i: 0)
+        with pytest.raises(CertificationError, match="diagnostic not positive at n=4"):
+            nogood_diagnostic(4, 4)

@@ -8,10 +8,15 @@ although only tests call them, each for the reason given.
 
 A parameter with a default is a setting, so some call outside tests
 must pass it, by keyword or by position, and some call outside tests
-must rely on the default. Calls are matched by the name of the function
-they call, so a name shared by two functions can hide an unused or an
-always-overridden default but never flag a used or a relied-on one;
-hence no function with a default may share its called name.
+must rely on the default. A literal argument equal to the literal
+default relies on the default. Calls are matched by the name of the
+function they call, so a name shared by two functions can hide an
+unused or an always-overridden default but never flag a used or a
+relied-on one; hence no function with a default may share its called
+name.
+
+Every field of a dataclass is read as an attribute outside tests,
+matched by name; the fields allowed below are read only otherwise.
 """
 
 import ast
@@ -28,12 +33,17 @@ TEST_ONLY_ALLOWED = {
     "bernoulli_closed_forms": "the only statement of the paper's Bernoulli closed forms",
     "bernoulli_tail_bound": "the only statement of the |B_t|/t! <= 4 (2 pi)^-t tail majorant",
     "newton_check": "backs acceptance check c08 (the Newton inequalities on Eulerian rows)",
-    "central_eulerian_ratio": "backs acceptance check c09 (the central Eulerian mass)",
 }
 
 UNPASSED_DEFAULT_ALLOWED = {
     "main.argv": "the console script calls main() and the benchmark calls main(argv) "
     "through a resolved name, which no call site shows",
+}
+
+UNREAD_FIELD_ALLOWED = {
+    "TvReport.slack": "cli renders every TvReport field through astuple",
+    "NewtonRecord.cases": "a result of the allowed newton_check",
+    "NewtonRecord.equality_points": "a result of the allowed newton_check",
 }
 
 # The argument count of a call with *args or **kwargs, which may pass
@@ -108,7 +118,7 @@ def _functions():
 
 
 def _call_sites(paths):
-    """Called name -> [(positional count, keyword names)] over every call in paths.
+    """Called name -> [(positional count, {position or keyword: argument})] over every call in paths.
 
     A call with *args or **kwargs passes every argument. An
     Op(label, "module.attr", args) entry of the benchmark is a positional
@@ -120,24 +130,39 @@ def _call_sites(paths):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            keywords = {kw.arg for kw in node.keywords}
-            spread = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
-            sites.setdefault(name, []).append((_ALL if spread else len(node.args), keywords))
+            passed = {kw.arg: kw.value for kw in node.keywords}
+            spread = None in passed or any(isinstance(a, ast.Starred) for a in node.args)
+            if not spread:
+                passed.update(enumerate(node.args))
+            sites.setdefault(name, []).append((_ALL if spread else len(node.args), passed))
             target = node.args[1] if name == "Op" and len(node.args) > 1 else None
             if isinstance(target, ast.Constant) and isinstance(target.value, str):
                 op_args = [kw.value for kw in node.keywords if kw.arg == "args"] + node.args[2:3]
-                count = len(op_args[0].elts) if op_args else 0
-                if op_args and not isinstance(op_args[0], ast.Tuple):
+                count, passed = 0, {}
+                if op_args and isinstance(op_args[0], ast.Tuple):
+                    count, passed = len(op_args[0].elts), dict(enumerate(op_args[0].elts))
+                elif op_args:
                     count = _ALL
-                sites.setdefault(target.value.split(".")[-1], []).append((count, set()))
+                sites.setdefault(target.value.split(".")[-1], []).append((count, passed))
     return sites
+
+
+def _is_literal(arg, default):
+    """Whether arg and default are one literal: same type, equal value."""
+    return (
+        isinstance(arg, ast.Constant)
+        and isinstance(default, ast.Constant)
+        and type(arg.value) is type(default.value)
+        and arg.value == default.value
+    )
 
 
 def _defaulted_calls():
     """(function.parameter, [(may pass, surely passes)] per call outside tests) of each default.
 
     A call with *args or **kwargs may pass the parameter but does not
-    surely pass it.
+    surely pass it. A call that passes the default's own literal passes
+    nothing.
     """
     sites = _call_sites(CALLERS)
     out = []
@@ -145,13 +170,22 @@ def _defaulted_calls():
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
-        defaulted = [(i - implicit, arg.arg) for i, arg in enumerate(positional) if i >= first]
-        defaulted += [(_ALL - 1, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
-        for index, param in defaulted:
-            calls = [
-                (param in keywords or count > index, param in keywords or _ALL > count > index)
-                for count, keywords in sites.get(called, [])
-            ]
+        defaulted = [
+            (i - implicit, arg.arg, args.defaults[i - first])
+            for i, arg in enumerate(positional)
+            if i >= first
+        ]
+        defaulted += [
+            (_ALL - 1, a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d
+        ]
+        for index, param, default in defaulted:
+            calls = []
+            for count, passed in sites.get(called, []):
+                if _is_literal(passed.get(param, passed.get(index)), default):
+                    calls.append((False, False))
+                    continue
+                keyword = param in passed
+                calls.append((keyword or count > index, keyword or _ALL > count > index))
             out.append((f"{qualname}.{param}", calls))
     return out
 
@@ -223,3 +257,39 @@ def test_every_public_method_and_property_is_named_outside_tests():
         if not node.name.startswith("_") and node.name not in callers
     ]
     assert test_only == [], f"public members with no caller outside tests: {test_only}"
+
+
+def _dataclass_fields():
+    """Class.field of each annotated field of a @dataclass in the package."""
+    out = []
+    for path in SOURCE:
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = [getattr(d, "func", d) for d in cls.decorator_list]
+            if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                continue
+            out += [
+                f"{cls.name}.{node.target.id}"
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            ]
+    return out
+
+
+def _unread_fields():
+    """Class.field of each dataclass field no attribute read outside tests names."""
+    read = {
+        node.attr
+        for path in CALLERS
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [field for field in _dataclass_fields() if field.split(".")[1] not in read]
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    unread = _unread_fields()
+    extra = [field for field in unread if field not in UNREAD_FIELD_ALLOWED]
+    assert extra == [], f"dataclass fields no code outside tests reads: {extra}"
+    assert set(UNREAD_FIELD_ALLOWED) <= set(unread)

@@ -33,8 +33,8 @@ class ExactPmf:
     are distinct sorted nonnegative integers, zero atoms are dropped
     (prob() still answers 0 there), and sum(nums) == den exactly, so
     means, variances and pushforwards are integer sums. Fractions appear
-    only at the edge (mass, items, prob, repr); each atom is reduced once
-    by Fraction's gcd, on first use, and kept.
+    only at the edge (items, prob, repr), built by each call; the law
+    keeps none.
 
     A law built from an Eulerian row also knows a base b whose powers
     the denominator divides (k for d_pmf_R and c_pmf_C, n*k for d_pmf_C;
@@ -52,7 +52,7 @@ class ExactPmf:
     dividing a power of it.
     """
 
-    __slots__ = ("support", "nums", "den", "base", "_mass")
+    __slots__ = ("support", "nums", "den", "base")
 
     support: tuple[int, ...]
     nums: tuple[int, ...]
@@ -80,27 +80,20 @@ class ExactPmf:
         object.__setattr__(self, "nums", tuple(acc[v] for v in support))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_mass", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactPmf is immutable")
 
-    @property
-    def mass(self) -> tuple[Fraction, ...]:
-        """Reduced masses in support order, computed on first use."""
-        if self._mass is None:
-            den = self.den
-            object.__setattr__(self, "_mass", tuple(Fraction(a, den) for a in self.nums))
-        return self._mass
-
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(zip(self.support, self.mass))
+        """(value, reduced mass) of each atom, in support order."""
+        den = self.den
+        return tuple((v, Fraction(a, den)) for v, a in zip(self.support, self.nums))
 
     def prob(self, value: int) -> Fraction:
         """Exact mass at value; exact 0 off the support."""
         i = bisect_left(self.support, value)
         if i < len(self.support) and self.support[i] == value:
-            return self.mass[i]
+            return Fraction(self.nums[i], self.den)
         return _ZERO
 
     def mean(self) -> Fraction:
@@ -134,12 +127,6 @@ class ExactPmf:
         return all(
             a * other.den == b * self.den for a, b in zip(self.nums, other.nums)
         )
-
-    def __hash__(self) -> int:
-        # Equal laws have one fully reduced form: numerators and
-        # denominator divided by their common gcd.
-        g = gcd(*self.nums)
-        return hash((self.support, tuple(a // g for a in self.nums), self.den // g))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}: {m}" for v, m in self.items())

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, perm, pi
+from math import ceil, comb, log10, perm, pi
 from typing import Optional
 
 from .errors import CertificationError, UserInputError, _LazyModule
@@ -33,6 +33,11 @@ ALPHA_THRESHOLD = 1.0 / (2.0 * pi)
 _WORK_DPS = 100
 # Terms summed by the closed-form self-check.
 _SERIES_TERMS = 200
+
+
+def _guarded_dps(alpha: float) -> int:
+    """_WORK_DPS plus the 4 digits per decade of alpha that e^(1/alpha) - 1 cancels."""
+    return _WORK_DPS + 4 * max(0, ceil(log10(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +306,7 @@ def asymptotic_mean_c(alpha: float) -> tuple[mp.mpf, mp.mpf]:
     """
     if alpha <= ALPHA_THRESHOLD:
         raise UserInputError(f"need alpha > 1/(2*pi), got {alpha}")
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(_guarded_dps(alpha)):
         a = mp.mpf(alpha)
         p1, p2 = _mean_closed_forms(a, mp.exp(1 / a))
         return a * (1 - p1), a * p2
@@ -315,7 +320,7 @@ def asymptotic_variance_c(alpha: float) -> mp.mpf:
     """
     if alpha <= ALPHA_THRESHOLD:
         raise UserInputError(f"need alpha > 1/(2*pi), got {alpha}")
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(_guarded_dps(alpha)):
         a = mp.mpf(alpha)
         e = mp.exp(1 / a)
         return e * (a**2 * e**2 + a**2 - 2 * a**2 * e - e) / (
@@ -348,9 +353,14 @@ class MomentReport:
     @cached_property
     def _asymptotics(self) -> tuple[Optional[float], ...]:
         """(mean_asym, variance_asym, error_mean, error_variance)."""
-        if self.scale is None or self.k / self.scale <= ALPHA_THRESHOLD:
+        if self.scale is None:
             return (None, None, None, None)
-        alpha = self.k / self.scale
+        try:
+            alpha = self.k / self.scale
+        except OverflowError:
+            raise UserInputError("--k too large: k/n leaves the double range") from None
+        if alpha <= ALPHA_THRESHOLD:
+            return (None, None, None, None)
         mean, variance = self.mean_exact, self.variance_exact
         with mp.workdps(_WORK_DPS):
             m, s = asymptotic_mean_c(alpha)

@@ -337,8 +337,8 @@ def _fit(
     support = exact.support
     if len(support) == 1:
         return 0.0, 1.0, per_bin_z(observed, exact, count)
-    probs = {v: float(exact.prob(v)) for v in support}
-    bins = [[float(observed[v]), count * probs[v]] for v in support]
+    den = exact.den
+    bins = [[float(observed[v]), count * (a / den)] for v, a in zip(support, exact.nums)]
     while len(bins) > 1 and min(exp for _, exp in bins) < _MIN_EXPECTED:
         i = min(range(len(bins)), key=lambda idx: bins[idx][1])
         if i == 0:

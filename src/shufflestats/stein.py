@@ -279,15 +279,19 @@ def tv_report(k: int, n: int, statistic: str) -> TvReport:
 
     Raises CertificationError if the bound fails: the bound holds for
     every k and n, so a violation can only be an implementation fault.
+    A bound past the double range is refused before the law is built.
     """
+    try:
+        bound = float(certified_bound(k, n, statistic))
+    except OverflowError:
+        raise UserInputError("--k too large: the bound (k/m)^2 leaves the double range") from None
     pmf, lam = statistic_pushforward(k, n, statistic)
     tv = tv_exact_vs_poisson(pmf, lam)
-    bound = certified_bound(k, n, statistic)
-    slack = float(bound) - tv
+    slack = bound - tv
     if slack < 0:
         raise CertificationError(
             f"certified bound failed: statistic {statistic} k={k} n={n} "
-            f"tv={tv!r} bound={float(bound)!r}"
+            f"tv={tv!r} bound={bound!r}"
         )
     return TvReport(
         k=k,
@@ -295,7 +299,7 @@ def tv_report(k: int, n: int, statistic: str) -> TvReport:
         statistic=statistic,
         lam=float(lam),
         tv_exact=tv,
-        bound=float(bound),
+        bound=bound,
         slack=slack,
     )
 

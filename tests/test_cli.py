@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflestats import cli, measures, sampler
+from shufflestats import cli, measures, sampler, stein
 from shufflestats.eulerian import cyclic_descent_counts, eulerian_row
 from shufflestats.measures import d_pmf_R
 from shufflestats.pair import DIAGNOSTIC_N_MAX
@@ -143,6 +143,32 @@ class TestMoments:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("exponent", [30, 50, 150, 300])
+    def test_asymptotics_at_huge_k(self, capsys, exponent):
+        # At n = 3 and k >> n the law of c is uniform: mean 3/2, variance 1/4.
+        code, out, _ = run_cli(
+            capsys,
+            "moments", "--measure", "C", "--stat", "c", "--k", str(10**exponent), "--n", "3",
+            "--asymptotic",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["mean_asym"], payload["variance_asym"]) == ("1.5", "0.25")
+
+    @pytest.mark.parametrize("measure, stat", [("C", "c"), ("R", "d")])
+    def test_k_over_n_past_the_double_range_exits_2(self, capsys, measure, stat):
+        argv = ("moments", "--measure", measure, "--stat", stat, "--k", str(10**309), "--n", "3")
+        code, out, err = run_cli(capsys, *argv, "--asymptotic")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --k too large")
+        assert run_cli(capsys, *argv)[0] == 0  # without --asymptotic, k/n is not needed
+
+    def test_no_asymptotics_need_no_k_over_n(self, capsys):
+        argv = ("moments", "--measure", "C", "--stat", "d", "--k", str(10**309), "--n", "3")
+        code, out, _ = run_cli(capsys, *argv, "--asymptotic")
+        assert code == 0
+        assert json.loads(out)["mean_asym"] is None
+
 
 class TestOutPath:
     ARGV = ("dist", "--measure", "R", "--k", "2", "--n", "3")
@@ -183,6 +209,25 @@ class TestOutPath:
 
 
 class TestTv:
+    @pytest.mark.parametrize("exponent", [155, 309])
+    def test_bound_past_the_double_range_exits_2_before_the_law(
+        self, capsys, monkeypatch, exponent
+    ):
+        def unreachable(*args):
+            raise AssertionError("the law was built")
+
+        monkeypatch.setattr(stein, "statistic_pushforward", unreachable)
+        code, out, err = run_cli(
+            capsys, "tv", "--statistic", "Cc", "--k", str(10**exponent), "--n", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --k too large")
+
+    def test_bound_inside_the_double_range(self, capsys):
+        code, out, _ = run_cli(capsys, "tv", "--statistic", "Cc", "--k", str(10**150), "--n", "3")
+        assert code == 0
+        assert json.loads(out)["bound"] == "1.1111111111111112e+299"
+
     def test_single_point_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "tv", "--statistic", "R", "--k", "1", "--n", "9"
@@ -679,6 +724,10 @@ PINNED_TABLE_BYTES = [
      "3061261ca4a4c748e7e8563406f8804bb58f12c91d828b691aefbb98d898b1cc"),
     (("diagnostic", "--n-lo", "3", "--n-hi", "60"), "csv",
      "fbb352278a4caba1184f7897432bd76a8b6c970250035132b87e215e1bb32114"),
+    (("diagnostic", "--n-lo", "4", "--n-hi", "200"), "json",
+     "69882997102cfe183365061306e2015ac07b92611b2e25e48853c6e4e8ef978c"),
+    (("diagnostic", "--n-lo", "3", "--n-hi", "200"), "csv",
+     "07507f6621a07f4d1290940ffabfec0ae30d0aa3e2bdc748b1e303ade2c4c2c9"),
 ]
 
 
@@ -686,7 +735,8 @@ PINNED_TABLE_BYTES = [
     "argv, fmt, digest",
     PINNED_TABLE_BYTES,
     ids=["tv-R-json", "tv-R-csv", "tv-grid-json", "tv-grid-csv", "diagnostic-json",
-         "diagnostic-csv", "diagnostic-4-60-json", "diagnostic-3-60-csv"],
+         "diagnostic-csv", "diagnostic-4-60-json", "diagnostic-3-60-csv",
+         "diagnostic-4-200-json", "diagnostic-3-200-csv"],
 )
 def test_pinned_table_bytes(capsys, argv, fmt, digest):
     code, out, err = run_cli(capsys, *argv, "--format", fmt)

@@ -12,7 +12,7 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflestats import cli
@@ -32,6 +32,11 @@ INTS = {
     "k_points": (0, 4),
 }
 SKIP = {"help", "out"}  # --out writes files; stdout is what is captured here
+# --k also draws powers of ten, to 10^400, past the double range that the
+# asymptotic moments and the Poisson bound reach. moments prints its exact
+# moments with up to 18 log10(k) digits at n <= 10, and Python prints no
+# int past 4,300 digits, so there its powers stop at 10^238.
+K_EXPONENT_MAX = {"moments": 238}
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -43,7 +48,7 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
 SUBCOMMANDS = sorted(_subcommands().items())
 
 
-def _value(action: argparse.Action) -> st.SearchStrategy:
+def _value(name: str, action: argparse.Action) -> st.SearchStrategy:
     if action.choices is not None:
         return st.sampled_from(list(action.choices)).map(str)
     if action.dest == "seed":
@@ -53,7 +58,11 @@ def _value(action: argparse.Action) -> st.SearchStrategy:
             lambda vs: ",".join(map(str, vs))
         )
     lo, hi = INTS[action.dest]
-    return st.integers(lo, hi).map(str)
+    values = st.integers(lo, hi)
+    if action.dest == "k":
+        powers = st.integers(0, K_EXPONENT_MAX.get(name, 400)).map(lambda e: 10**e)
+        values = st.one_of(values, powers)
+    return values.map(str)
 
 
 @st.composite
@@ -71,7 +80,7 @@ def argvs(draw) -> list[str]:
         if action.nargs == 0:
             argv.append(flag)
         else:
-            argv += [flag, draw(_value(action))]
+            argv += [flag, draw(_value(name, action))]
     return argv
 
 
@@ -85,6 +94,10 @@ def _run(argv: list[str]) -> int:
 
 @settings(max_examples=150, deadline=None)
 @given(argv=argvs())
+# The first powers of ten whose (k/m)^2 and k/n leave the double range.
+@example(argv=["tv", "--statistic", "Cc", "--k", str(10**155), "--n", "3"])
+@example(argv=["moments", "--measure", "C", "--stat", "c", "--k", str(10**309), "--n", "3",
+               "--asymptotic"])
 def test_every_argv_exits_0_2_or_3(argv):
     started = time.perf_counter()
     with warnings.catch_warnings():

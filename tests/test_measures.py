@@ -73,8 +73,12 @@ class TestExactPmf:
     def test_equality_and_hash(self):
         a = ExactPmf(2, [(0, 1), (1, 1)])
         b = ExactPmf(4, [(1, 2), (0, 2)])
-        assert a == b
-        assert hash(a) == hash(b)
+        assert a == b and b == a
+        assert a != ExactPmf(3, [(0, 1), (1, 2)])
+        # A law is not hashable; its reduced items() are, alike for equal laws.
+        with pytest.raises(TypeError):
+            hash(a)
+        assert hash(a.items()) == hash(b.items())
 
     def test_serialization(self):
         pmf = ExactPmf(4, [(0, 3), (1, 1)])

@@ -49,7 +49,7 @@ class TestRotationLaw:
             counts = Counter(oracle_descents(rotate(word, s)) for s in range(n))
             ref = fraction_pmf((v, F(c, n)) for v, c in counts.items())
             assert law == ref and ref == law
-            assert hash(law) == hash(ref)
+            assert hash(law.items()) == hash(ref.items())
             assert law.items() == ref.items()
 
     def test_rejects_singleton(self):
@@ -90,15 +90,18 @@ class TestPairLaw:
             for s in range(n):
                 pair = (d, oracle_descents(rotate(word, s)))
                 joint[pair] = joint.get(pair, F(0)) + weight / n
-        values = range(n)
-        for a in values:
-            for b in values:
-                assert law.joint(a, b) == joint.get((a, b), F(0)), (a, b)
+        steps = {}
+        for r, p, down, stay, up in zip(law.support, law.d_mass, law.down, law.stay, law.up):
+            steps.update({(r, r - 1): p * down, (r, r): p * stay, (r, r + 1): p * up})
+        nonzero = {pair: m for pair, m in joint.items() if m}
+        assert {pair: m for pair, m in steps.items() if m} == nonzero
 
     def test_joint_is_exchangeable(self):
         law = PairLaw.build(7, 2)
-        for r in law.support:
-            assert law.joint(r, r + 1) == law.joint(r + 1, r)
+        flows = dict(zip(law.support, zip(law.d_mass, law.down, law.up)))
+        for r, (p, _, up) in flows.items():
+            p_next, down_next, _ = flows.get(r + 1, (0, 0, 0))
+            assert p * up == p_next * down_next
 
     def test_rows_are_conditional_laws(self):
         law = PairLaw.build(6, 3)
@@ -240,8 +243,10 @@ def _with_fields(fn, **changes):
 class TestCertificates:
     """Each CertificationError check in pair trips, with its own message, on one wrong input.
 
-    build's formulas make every step law sum to one and the joint law
-    symmetric, so those two checks trip only on an altered PairLaw.
+    build's step laws sum to one exactly when the d law is the rotation
+    pushforward of the c law; its joint law is symmetric by construction,
+    and its steps are nonnegative, so those two checks trip only on an
+    altered PairLaw.
     """
 
     def test_rotation_law_closed_form(self, monkeypatch):
@@ -261,12 +266,18 @@ class TestCertificates:
         with pytest.raises(CertificationError, match="conditional law at r=0 sums to 8/7"):
             dataclasses.replace(law, stay=stay)._check_exchangeable()
 
-    def test_step_probabilities_are_nonnegative(self, monkeypatch):
-        # d mass tilted off d = 0, where the c law puts more weight: the
-        # up-step probability out of d = 0 exceeds one
-        monkeypatch.setattr(pair_module, "d_pmf_uniform", _tilted(pair_module.d_pmf_uniform))
+    def test_step_laws_certify_the_rotation_pushforward(self, monkeypatch):
+        # A valid d law that is not the rotation pushforward of the c law.
+        monkeypatch.setattr(pair_module, "d_pmf_C", _tilted(pair_module.d_pmf_C))
+        with pytest.raises(CertificationError, match="conditional law at r=0 sums to 10/9"):
+            PairLaw.build(5, 2)
+
+    def test_step_probabilities_are_nonnegative(self):
+        law = PairLaw.build(5, 2)
+        stay = (law.stay[0] - 1,) + law.stay[1:]
+        up = (law.up[0] + 1,) + law.up[1:]
         with pytest.raises(CertificationError, match="negative step probability at r=0"):
-            PairLaw.build(4, None)
+            dataclasses.replace(law, stay=stay, up=up)._check_exchangeable()
 
     def test_joint_law_is_exchangeable(self):
         law = PairLaw.build(5, 2)

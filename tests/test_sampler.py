@@ -80,7 +80,7 @@ def _summarize(values, exact):
 
 def _draw(pmf, count, rng):
     """count values drawn from pmf's float masses."""
-    return rng.choice(pmf.support, size=count, p=[float(m) for m in pmf.mass])
+    return rng.choice(pmf.support, size=count, p=[float(m) for _, m in pmf.items()])
 
 
 class TestConfig:

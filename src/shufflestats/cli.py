@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import sys
@@ -156,13 +157,23 @@ def _resolve_seed(args) -> None:
 def _reduced_atoms(pmf: ExactPmf) -> Iterator[tuple[int, int, int, str]]:
     """(value, numerator, denominator, denominator text) of each atom in lowest terms.
 
-    Atoms share a few reduced denominators: each is converted to text once.
+    str() of an int is quadratic in its digits, and a law has up to
+    hundreds of distinct reduced denominators. So the law's denominator
+    becomes a Decimal once, and each reduced denominator den/g is one
+    exact divide_int of it, whose text is linear. A denominator past
+    the int-to-str digit limit still raises str()'s ValueError.
     """
+    den = pmf.den
+    whole = decimal.Decimal(den)
+    exact = decimal.Context(prec=whole.adjusted() + 1, Emax=decimal.MAX_EMAX)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     texts: dict[int, str] = {}
     for v, a, d in pmf.reduced():
         text = texts.get(d)
         if text is None:
-            text = texts[d] = str(d)
+            text = texts[d] = str(exact.divide_int(whole, den // d))
+            if 0 < limit < len(text):
+                str(d)
         yield v, a, d, text
 
 
@@ -192,9 +203,11 @@ def _sample_report(args, head: dict, summary: SampleSummary) -> tuple:
 def _cmd_dist(args) -> tuple:
     pmf = statistic_law(args.measure, args.stat).pmf(args.k, args.n)
     header = ("value", "numerator", "denominator", "probability")
-    # Only the asked-for format is built: both stringify every atom.
+    # Only the asked-for format is built: both stringify every atom. The
+    # JSON object is written as json.dumps would write it, in one join.
     if args.format == "json":
-        return _pmf_json(_reduced_atoms(pmf)), header, None, 0
+        masses = _pmf_json(_reduced_atoms(pmf))
+        return "{" + ", ".join(f'"{v}": "{m}"' for v, m in masses.items()) + "}", header, None, 0
     rows = [(v, a, text, a / d) for v, a, d, text in _reduced_atoms(pmf)]
     return None, header, rows, 0
 
@@ -410,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, header, rows, code = args.handler(args)
         if args.format == "json":
-            text = _render_json(payload)
+            # A handler may hand back its JSON text ready made.
+            text = payload + "\n" if isinstance(payload, str) else _render_json(payload)
         else:
             text = _render_csv(header, rows)
         _emit(text, args, started)

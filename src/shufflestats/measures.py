@@ -6,8 +6,10 @@ count. The cut-then-riffle family C(k, n) weights it by
 C(n+k-c-1, n-1) / (n * k^(n-1)) where c is its cyclic descent count;
 this family is invariant under cyclic rotation of the one-line word.
 
-All pmf computation goes through Eulerian rows so it scales to n in
-the hundreds; enumeration appears only in tests, as the oracle.
+All pmf computation goes through Eulerian rows, and the R and C laws
+ask only for the first min(n, k) columns, so at k << n a law costs a
+short prefix of the row rather than the whole of it; enumeration
+appears only in tests, as the oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ class ExactPmf:
     a pushforward keeps it). reduced() puts each atom in lowest terms
     through it: the gcd of a numerator with den is the gcd of den with
     the part of the numerator made of b's primes, and that part is
-    peeled off by gcds with small divisors of b, so no gcd against the
+    peeled off by gcds with the largest power of b within 60 bits (b
+    itself if wider) and its divisors, so no gcd against the
     thousands-digit den is taken. A law without a base reduces through
     its own denominator, which divides the first power of itself.
     reduced() stores nothing on the law.
@@ -139,10 +142,14 @@ class ExactPmf:
         """
         # Without a base, den itself serves: it divides den**1.
         den, base = self.den, self.base or self.den
+        # One gcd with this power takes most numerators' share of the base.
+        chunk = base
+        while 1 < base and chunk * base < 1 << 60:
+            chunk *= base
         dens: dict[int, int] = {}
         for v, a in zip(self.support, self.nums):
             # g collects the factors of a over b's primes; den has no others.
-            g, rest, t = 1, a, gcd(a, base)
+            g, rest, t = 1, a, gcd(a, chunk)
             while t > 1:
                 rest //= t
                 g *= t
@@ -192,7 +199,7 @@ def d_pmf_R(k: int, n: int) -> ExactPmf:
     """
     if k < 1 or n < 1:
         raise UserInputError("need k >= 1 and n >= 1")
-    return _row_law(eulerian_row(n)[:k], 0, n + k - 1, n, k**n, k)
+    return _row_law(eulerian_row(n, k), 0, n + k - 1, n, k**n, k)
 
 
 def c_pmf_C(k: int, n: int) -> ExactPmf:
@@ -204,7 +211,7 @@ def c_pmf_C(k: int, n: int) -> ExactPmf:
         raise UserInputError("need k >= 1")
     if n < 2:
         raise UserInputError("family C requires n >= 2")
-    return _row_law(eulerian_row(n - 1)[:k], 1, n + k - 2, n - 1, k ** (n - 1), k)
+    return _row_law(eulerian_row(n - 1, k), 1, n + k - 2, n - 1, k ** (n - 1), k)
 
 
 def d_pmf_C(k: int, n: int) -> ExactPmf:

@@ -9,8 +9,8 @@ also evaluates the sharp asymptotic coefficients
     mean:     E(c) ~ n*m(alpha) + s(alpha)
     variance: Var(c) ~ n*v(alpha)
 
-in 100-digit arithmetic, with computable tail bounds for the Bernoulli
-series they come from.
+in at least 100-digit arithmetic, with computable tail bounds for the
+Bernoulli series they come from.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from math import ceil, comb, log10, perm, pi
 from typing import Optional
 
 from .errors import CertificationError, UserInputError, _LazyModule
+from .eulerian import _powers
 
 mp = _LazyModule("mpmath", "mp", globals())
 
@@ -76,27 +77,51 @@ _BERNOULLI_MIN_A = 1024
 _BERNOULLI_P_MAX = 300
 
 
+def _bernoulli_route(p: int, a: int) -> bool:
+    return p <= _BERNOULLI_P_MAX and a >= max(_BERNOULLI_MIN_A, (p + 1) ** 2)
+
+
 def power_sum(p: int, a: int) -> int:
     """sum_{r=0}^{a-1} r^p exactly (0^0 counted as 1).
 
-    Direct summation costs a big-integer powers; the Bernoulli expansion
-    costs p rational terms once B_0..B_p are cached, and building those
-    costs O(p^2). On a 2-vCPU machine the two break even near a = 700
-    at p = 12, a = 1500 at p = 40 and a = 4000 at p = 160 (warm cache),
-    so a >= (p + 1)^2, and a >= 1024, is on the safe side; the cache
-    build alone takes 0.4 s at p = 300 and 1.5 s at p = 500, which caps
-    p. At p = 9, a = 2^20 the sum drops from about 1 s to 4 ms.
+    Direct summation costs a big-integer powers, each a pow only at a
+    prime r and one product elsewhere (eulerian._powers); the Bernoulli
+    expansion costs p rational terms once B_0..B_p are cached, and
+    building those costs O(p^2). On a 2-vCPU machine (Python 3.11) the
+    two break even, with B_0..B_p cached, near a = 500 at p = 12, 2,400
+    at p = 40, 4,500 at p = 160 and 8,000 at p = 300. Just below
+    a = (p + 1)^2 the direct sum costs about what building B_0..B_p
+    does (0.28 s against 0.30 s at p = 300, 0.03 s against 0.05 s at
+    p = 160), so the switch at a >= (p + 1)^2, and a >= 1024, keeps a
+    one-shot call from paying more for the Bernoulli route; the cache
+    build alone takes 1.5 s at p = 500, which caps p. At p = 9, a = 2^20
+    the sum drops from about 1 s to 4 ms.
     """
     if p < 0 or a < 0:
         raise UserInputError("need p >= 0 and a >= 0")
     if p == 0:
         return a
-    if p <= _BERNOULLI_P_MAX and a >= max(_BERNOULLI_MIN_A, (p + 1) ** 2):
+    if _bernoulli_route(p, a):
         total = power_sum_bernoulli(p, a)
         if total.denominator != 1:
             raise CertificationError(f"Bernoulli power sum at p={p} a={a} is not an integer")
         return total.numerator
-    return sum(r**p for r in range(1, a))
+    return sum(_powers(p, a))
+
+
+def _power_sum_pair(p: int, a: int) -> tuple[int, int]:
+    """(power_sum(p, a), power_sum(p + 1, a)) for p >= 1.
+
+    Off the Bernoulli route both sums come from one table of r^p, the
+    second as sum r * r^p.
+    """
+    if _bernoulli_route(p + 1, a):
+        return power_sum(p, a), power_sum(p + 1, a)
+    lower = upper = 0
+    for r, power in enumerate(_powers(p, a)):
+        lower += power
+        upper += r * power
+    return lower, upper
 
 
 def power_sum_bernoulli(p: int, a: int) -> Fraction:
@@ -134,8 +159,7 @@ def _c_moments(k: int, n: int) -> tuple[Fraction, Fraction]:
         raise UserInputError("cyclic descent moments need n >= 2")
     if k < 1:
         raise UserInputError("k must be >= 1")
-    s_nm1 = power_sum(n - 1, k)
-    s_n = power_sum(n, k)
+    s_nm1, s_n = _power_sum_pair(n - 1, k)
     den = k ** (n - 1)
     mean = k - Fraction(n * s_nm1, den)
     second = k * k - Fraction(n * (n + 1) * s_n - n * (n * k - n - k) * s_nm1, den)
@@ -303,10 +327,12 @@ def asymptotic_mean_c(alpha: float) -> tuple[mp.mpf, mp.mpf]:
 
     m(alpha) = alpha (1 - p1) = alpha - 1/(e^(1/alpha) - 1)
     s(alpha) = alpha p2, with p1, p2 the first two series closed forms.
+    Evaluated at _guarded_dps(alpha) digits, or more if the caller works
+    at more.
     """
     if alpha <= ALPHA_THRESHOLD:
         raise UserInputError(f"need alpha > 1/(2*pi), got {alpha}")
-    with mp.workdps(_guarded_dps(alpha)):
+    with mp.workdps(max(mp.mp.dps, _guarded_dps(alpha))):
         a = mp.mpf(alpha)
         p1, p2 = _mean_closed_forms(a, mp.exp(1 / a))
         return a * (1 - p1), a * p2
@@ -317,10 +343,11 @@ def asymptotic_variance_c(alpha: float) -> mp.mpf:
 
     v(alpha) = e^(1/a) (a^2 e^(2/a) + a^2 - 2 a^2 e^(1/a) - e^(1/a))
                / (a^2 (e^(1/a) - 1)^4)
+    at _guarded_dps(alpha) digits, or more if the caller works at more.
     """
     if alpha <= ALPHA_THRESHOLD:
         raise UserInputError(f"need alpha > 1/(2*pi), got {alpha}")
-    with mp.workdps(_guarded_dps(alpha)):
+    with mp.workdps(max(mp.mp.dps, _guarded_dps(alpha))):
         a = mp.mpf(alpha)
         e = mp.exp(1 / a)
         return e * (a**2 * e**2 + a**2 - 2 * a**2 * e - e) / (
@@ -339,7 +366,8 @@ class MomentReport:
     The asymptotics are those of c under C(k, scale), shifted by shift.
     The asymptotic fields are None without a scale, or when alpha =
     k/scale does not clear the 1/(2*pi) convergence threshold. error_*
-    fields are exact minus asymptotic, as floats.
+    fields are exact minus asymptotic, as floats, the difference taken
+    at enough digits that a double of it is not rounding noise.
     """
 
     k: int
@@ -362,16 +390,31 @@ class MomentReport:
         if alpha <= ALPHA_THRESHOLD:
             return (None, None, None, None)
         mean, variance = self.mean_exact, self.variance_exact
-        with mp.workdps(_WORK_DPS):
-            m, s = asymptotic_mean_c(alpha)
-            ma = self.scale * m + s + self.shift
-            va = self.scale * asymptotic_variance_c(alpha)
-            return (
-                float(ma),
-                float(va),
-                float(mp.mpf(mean.numerator) / mean.denominator - ma),
-                float(mp.mpf(variance.numerator) / variance.denominator - va),
-            )
+
+        def at(dps: int) -> tuple[float, ...]:
+            with mp.workdps(dps):
+                m, s = asymptotic_mean_c(alpha)
+                ma = self.scale * m + s + self.shift
+                va = self.scale * asymptotic_variance_c(alpha)
+                return (
+                    float(ma),
+                    float(va),
+                    float(mp.mpf(mean.numerator) / mean.denominator - ma),
+                    float(mp.mpf(variance.numerator) / variance.denominator - va),
+                )
+
+        # exact - asymptotic cancels the exact values' integer digits, and the
+        # coefficients cancel more as alpha grows, so the precision doubles
+        # until twice the digits round to the same doubles.
+        top = int(max(abs(mean), abs(variance)))
+        dps = _guarded_dps(alpha) + len(str(top)) + 17
+        values = at(dps)
+        while True:
+            dps *= 2
+            finer = at(dps)
+            if finer == values:
+                return values
+            values = finer
 
     mean_asym = property(lambda self: self._asymptotics[0])
     variance_asym = property(lambda self: self._asymptotics[1])

@@ -136,6 +136,72 @@ def test_threads_agree_with_one_thread(empty_cache, monkeypatch):
     assert kept_cells() <= 200
 
 
+
+# -- the power kernel and row prefixes ----------------------------------------
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+@pytest.mark.parametrize("p", [0, 1, 2, 7])
+def test_powers_on_the_smallest_ranges(p, a):
+    assert list(eulerian._powers(p, a)) == [r**p for r in range(a)]
+
+
+def test_powers_match_pow_on_random_ranges():
+    rng = random.Random(21)
+    for _ in range(60):
+        p, a = rng.randint(0, 400), rng.randint(0, 3000)
+        assert list(eulerian._powers(p, a)) == [r**p for r in range(a)], (p, a)
+
+
+def test_powers_past_the_kept_table(monkeypatch):
+    # A small budget keeps few cofactors; powers past them come from pow.
+    monkeypatch.setattr(eulerian, "_TABLE_BITS", 2000)
+    for p, a in [(5, 1000), (40, 500), (1, 3), (300, 200)]:
+        assert list(eulerian._powers(p, a)) == [r**p for r in range(a)], (p, a)
+
+
+def test_every_prefix_matches_its_row(empty_cache):
+    ref = reference_triangle(60)
+    for n in range(1, 61):
+        for width in range(1, n + 1):
+            assert eulerian._row_prefix(n, width) == ref[n][:width], (n, width)
+            eulerian._kept.clear()
+            assert eulerian_row(n, width) == ref[n][:width], (n, width)
+
+
+@pytest.mark.parametrize("n, width", [(1000, 50), (2000, 100)])
+def test_wide_row_prefixes(empty_cache, n, width):
+    prefix = eulerian_row(n, width)
+    # the explicit sum ran: only the prefix is kept
+    assert {m: len(row) for m, row in eulerian._kept.items()} == {n: width}
+    assert eulerian_row(n)[:width] == prefix
+
+
+def test_prefix_route_and_kept_rows(empty_cache, monkeypatch):
+    made = []
+    prefix = eulerian._row_prefix
+    monkeypatch.setattr(eulerian, "_row_prefix", lambda n, w: made.append((n, w)) or prefix(n, w))
+    ref = reference_triangle(80)
+    assert eulerian_row(80, 5) == ref[80][:5]
+    assert eulerian_row(80, 3) == ref[80][:3]  # sliced from the kept prefix
+    assert eulerian_row(80, 10) == ref[80][:10]  # wider: a new prefix replaces it
+    assert made == [(80, 5), (80, 10)]
+    assert eulerian_row(79, 2) == ref[79][:2]
+    # past n/8 the whole row is stepped up from row 1, not from a prefix
+    assert eulerian_row(80, 11) == ref[80][:11]
+    assert made == [(80, 5), (80, 10), (79, 2)]
+    assert eulerian._kept[79] == ref[79] and eulerian._kept[80] == ref[80]
+    assert eulerian_row(80, 9) == ref[80][:9]
+    assert eulerian_row(80, 200) == ref[80]
+    assert len(made) == 3
+
+
+def test_prefix_width_is_validated():
+    for width in (0, -2):
+        with pytest.raises(UserInputError, match=f"width >= 1, got {width}"):
+            eulerian_row(5, width)
+
+
 class TestCyclicCounts:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_match_enumeration(self, n):

@@ -14,7 +14,7 @@ from conftest import (
     pmf_as_dict,
     stat_pairs,
 )
-from shufflestats import cli
+from shufflestats import cli, eulerian
 from shufflestats.errors import UserInputError
 from shufflestats.measures import (
     ExactPmf,
@@ -136,6 +136,20 @@ class TestMeasurePmfs:
     def test_cut_laws_vs_oracle(self, k, n):
         assert pmf_as_dict(c_pmf_C(k, n)) == oracle_pmf("C", k, n, "c")
         assert pmf_as_dict(d_pmf_C(k, n)) == oracle_pmf("C", k, n, "d")
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_prefix_laws_vs_oracle(self, n, monkeypatch):
+        # Every row the laws read comes from the explicit sum here.
+        made = []
+        prefix = eulerian._row_prefix
+        monkeypatch.setattr(eulerian, "_PREFIX_DIVISOR", 1)
+        monkeypatch.setattr(eulerian, "_kept", {})
+        monkeypatch.setattr(eulerian, "_row_prefix", lambda m, w: made.append(w) or prefix(m, w))
+        for k in range(1, 13):
+            assert pmf_as_dict(d_pmf_R(k, n)) == oracle_pmf("R", k, n, "d"), k
+            assert pmf_as_dict(c_pmf_C(k, n)) == oracle_pmf("C", k, n, "c"), k
+            assert pmf_as_dict(d_pmf_C(k, n)) == oracle_pmf("C", k, n, "d"), k
+        assert made[:2] == [1, 1]
 
     def test_frozen_examples(self):
         assert pmf_as_dict(d_pmf_R(2, 2)) == {0: F(3, 4), 1: F(1, 4)}

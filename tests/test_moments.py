@@ -112,16 +112,26 @@ class TestExactMoments:
 
     @pytest.mark.parametrize("report", [moments_c_C, moments_d_C, moments_d_R])
     def test_each_report_sums_powers_twice(self, report, monkeypatch):
-        calls = []
-        real = moments.power_sum
+        # Off the Bernoulli route both sums come from one table of powers;
+        # on it, each is one power_sum call.
+        tables, calls = [], []
+        powers, power_sum_ = moments._powers, moments.power_sum
 
-        def counted(p, a):
+        def counted_table(p, a):
+            tables.append((p, a))
+            return powers(p, a)
+
+        def counted_sum(p, a):
             calls.append((p, a))
-            return real(p, a)
+            return power_sum_(p, a)
 
-        monkeypatch.setattr(moments, "power_sum", counted)
+        monkeypatch.setattr(moments, "_powers", counted_table)
+        monkeypatch.setattr(moments, "power_sum", counted_sum)
         report(9, 6)
-        assert len(calls) == 2
+        assert (len(tables), calls) == (1, [])
+        tables.clear()
+        report(2**20, 6)
+        assert (tables, len(calls)) == ([], 2)
 
 
 class TestBernoulli:
@@ -261,6 +271,43 @@ class TestReports:
         assert payload["mean_exact"] == str(rep.mean_exact)
         assert payload["mean_float"] == format(float(rep.mean_exact), ".17g")
         assert payload["error_mean"] == format(rep.error_mean, ".17g")
+
+    @pytest.mark.parametrize(
+        "report, k, n",
+        [
+            (moments_c_C, 10**308, 3),
+            (moments_d_R, 10**308, 3),
+            (moments_c_C, 10**300, 40),
+            (moments_c_C, 10**100, 5),
+            (moments_c_C, 10**30, 7),
+            (moments_c_C, 2**20, 9),
+            (moments_c_C, 50, 50),
+            (moments_d_R, 700, 20),
+        ],
+        ids=["Cc-1e308-3", "Rd-1e308-3", "Cc-1e300-40", "Cc-1e100-5", "Cc-1e30-7", "Cc-2^20-9",
+             "Cc-50-50", "Rd-700-20"],
+    )
+    def test_asymptotic_columns_match_a_high_precision_evaluation(self, report, k, n):
+        # The closed forms at 4,000 digits, at the report's double alpha.
+        rep = report(k, n)
+        with mp.workdps(4000):
+            a = mp.mpf(rep.k / rep.scale)
+            e = mp.exp(1 / a)
+            m = a - 1 / (e - 1)
+            s = e * (-2 * a * e + 2 * a + e + 1) / (2 * a**2 * (e - 1) ** 3)
+            v = e * (a**2 * (e - 1) ** 2 - e) / (a**2 * (e - 1) ** 4)
+            mean_asym = rep.scale * m + s + rep.shift
+            variance_asym = rep.scale * v
+            mean, variance = rep.mean_exact, rep.variance_exact
+            want = [
+                float(mean_asym),
+                float(variance_asym),
+                float(mp.mpf(mean.numerator) / mean.denominator - mean_asym),
+                float(mp.mpf(variance.numerator) / variance.denominator - variance_asym),
+            ]
+        got = [rep.mean_asym, rep.variance_asym, rep.error_mean, rep.error_variance]
+        for g, w in zip(got, want):
+            assert math.isclose(g, w, rel_tol=1e-14, abs_tol=1e-323), (got, want)
 
     def test_report_below_threshold_has_no_asymptotics(self):
         rep = moments_c_C(2, 100)

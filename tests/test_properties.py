@@ -9,6 +9,7 @@ goes through the denominator's base, and the CLI's text of it are held
 to Fraction's gcd.
 """
 
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -122,6 +123,42 @@ piles = st.one_of(
 )
 
 
+@pytest.mark.parametrize(
+    "pmf",
+    [
+        STATISTIC_LAWS[("R", "d")].pmf(1, 9),  # base 1
+        STATISTIC_LAWS[("C", "c")].pmf(1, 9),
+        STATISTIC_LAWS[("R", "d")].pmf(2**37, 30),  # a base over 30 bits
+        STATISTIC_LAWS[("C", "c")].pmf(3**25, 30),
+        STATISTIC_LAWS[("C", "d")].pmf(2**37, 30),  # base n * k
+        STATISTIC_LAWS[("C", "d")].pmf(12, 30),
+        d_pmf_uniform(30),  # no base
+        c_pmf_uniform(30),
+        # numerators holding more of the base than its 60-bit power does
+        ExactPmf(2**300, [(0, 2**250), (1, 2**299), (2, 2**299 - 2**250)], 2),
+        ExactPmf(6**200, [(0, 5 * 6**130), (1, 6**200 - 5 * 6**130)], 6),
+        ExactPmf(10**80, [(0, 10**79), (1, 9 * 10**79)]),
+    ],
+    ids=lambda pmf: f"den{pmf.den.bit_length()}b-base{pmf.base}",
+)
+def test_views_reduce_at_the_edges_of_the_base(pmf):
+    assert_views_reduce_like_fractions(pmf)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+def test_a_denominator_past_the_digit_limit_raises_like_str():
+    limit = sys.get_int_max_str_digits()
+    fits = 10 ** (limit - 1)
+    atoms = list(cli._reduced_atoms(ExactPmf(fits, [(0, 1), (1, fits - 1)], 10)))
+    assert atoms[0][3] == str(fits)
+    den = 10**limit
+    with pytest.raises(ValueError) as want:
+        str(den)
+    with pytest.raises(ValueError) as got:
+        list(cli._reduced_atoms(ExactPmf(den, [(0, 1), (1, den - 1)], 10)))
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(key=law_keys, k=piles, n=st.integers(2, 40))
 def test_law_views_reduce_through_the_base(key, k, n):
@@ -215,6 +252,24 @@ def test_power_sum_matches_direct_summation(p, a):
 
 def _threshold(p):
     return max(moments._BERNOULLI_MIN_A, (p + 1) ** 2)
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_power_sum_on_the_smallest_ranges(a):
+    for p in range(6):
+        assert power_sum(p, a) == sum(r**p for r in range(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(301, 700), a=st.integers(0, 800))
+def test_power_sum_matches_direct_summation_past_the_bernoulli_cap(p, a):
+    assert power_sum(p, a) == _direct(p, a)
+
+
+@pytest.mark.parametrize("p", [1, 9, 31, 60])
+def test_power_sum_pair_on_both_sides_of_the_switch(p):
+    for a in (_threshold(p + 1) - 1, _threshold(p + 1), 2):
+        assert moments._power_sum_pair(p, a) == (_direct(p, a), _direct(p + 1, a))
 
 
 @pytest.mark.parametrize("p", [1, 2, 9, 31, 32, 60])

@@ -84,13 +84,16 @@ def _row_prefix(n: int, width: int) -> tuple[int, ...]:
 
     The explicit sum needs no earlier row: width columns cost about
     width^2 / 2 big products, against about n^2 / 4 for the whole row.
+    Columns of row n already kept are reused, so a rising sweep of
+    widths sums each column once. Called with _lock held.
     """
+    head = _kept.get(n, ())[:width]
     powers = list(_powers(n, width + 1))
     signed = [1]
     for j in range(1, width):
         signed.append(-signed[-1] * (n + 2 - j) // j)
-    return tuple(
-        sum(map(mul, signed[:m], powers[m:0:-1])) for m in range(1, width + 1)
+    return head + tuple(
+        sum(map(mul, signed[:m], powers[m:0:-1])) for m in range(len(head) + 1, width + 1)
     )
 
 
@@ -98,8 +101,9 @@ def eulerian_row(n: int, width: Optional[int] = None) -> tuple[int, ...]:
     """Row n of the Eulerian triangle, (A(n, 1), ..., A(n, n)), or its first width entries.
 
     A kept row at least width wide is sliced. Otherwise a prefix with
-    width <= n / _PREFIX_DIVISOR comes from the explicit sum (_row_prefix)
-    and is kept; any wider request builds the whole row, stepped up
+    width <= n / _PREFIX_DIVISOR comes from the explicit sum (_row_prefix),
+    extending a narrower kept prefix, and is kept; any wider request
+    builds the whole row, stepped up
     from the nearest whole row kept below it (row 1 if none), and row
     n-1 is kept along with it, so a rising sweep costs one recurrence
     step per row.
@@ -118,7 +122,7 @@ def eulerian_row(n: int, width: Optional[int] = None) -> tuple[int, ...]:
     elif width < 1:
         raise UserInputError(f"Eulerian row prefixes need width >= 1, got {width}")
     with _lock:
-        row = _kept.pop(n, ())
+        row = _kept.get(n, ())
         if len(row) < width:
             if width * _PREFIX_DIVISOR <= n:
                 row = _row_prefix(n, width)
@@ -130,8 +134,11 @@ def eulerian_row(n: int, width: Optional[int] = None) -> tuple[int, ...]:
                 if n > 1:
                     below = _kept.pop(n - 1, ())
                     _kept[n - 1] = below if len(below) == n - 1 else prev
+            _kept.pop(n, None)
             while len(_kept) > 1 and sum(map(len, _kept.values())) + len(row) > _KEEP_CELLS:
                 del _kept[next(iter(_kept))]
+        else:
+            del _kept[n]  # re-entered below as the most recently used
         _kept[n] = row
     return row if len(row) == width else row[:width]
 

@@ -20,7 +20,7 @@ when the certificate fails (which would mean a bug, not a near miss).
 
 Numerics policy. The Stein equation is solved by the forward recurrence
 g(j+1) = (1{j in A} - P(A) + j g(j)) / lambda exactly as constructed,
-but in mpmath working precision sized to the instance: the recurrence's
+but at a working precision sized to the instance: the recurrence's
 homogeneous mode grows like j!/lambda^j, so double precision loses the
 bounded solution entirely well before j = 20 at lambda = 1. Extending
 the mantissa by log10(j_max!/lambda^j_max) digits keeps the returned
@@ -29,18 +29,33 @@ at 40-digit precision over the pmf's range only: the Poisson masses sum
 to 1, so everything outside the range is one minus the Poisson mass
 inside it, and the loop costs n terms even when k, and with it the
 range's offset, is far above n. The rounding error goes into a reported
-sandwich, whose width stays far below 1e-13. Both loops call mpmath's
-libmp functions on raw values, the ones that mpf's operators call, at
-the same precision and with round-to-nearest, so every step rounds as
-mpf arithmetic would and the returned doubles are the same; they skip
-the allocation of an mpf object and the context lookup per operation.
+sandwich, whose width stays far below 1e-13.
+
+Both loops run on a small integer kernel (_round, _add, _div and
+products of ints): a value is a signed int mantissa and an exponent,
+and each addition, product or quotient forms its exact result, or a
+quotient with a sticky bit, then rounds it once, half to even at the
+working precision. mpmath rounds +, -, * and / correctly, so the
+round-half-even of the exact result is the value its libmp functions
+return, and every double out of solve_stein and tv_sandwich is the one
+mpf arithmetic gives (tests/test_stein.py pins both with ==). In
+solve_stein that covers each P(A) term's product and quotient, the sum,
+and the recurrence; in tv_sandwich, |p - q| - q, the sum and the step
+q * lambda / (j + 1). The steps that are not one correctly rounded
+operation stay on mpmath: e^(-lambda), lambda^a (mpf_pow_int; exact
+then rounded only while the mantissa's bits times a stay below 1000),
+a! (mpf_factorial), the start value q_s (exp, log and loggamma), the
+rate's own conversion, and the final halving and slop of the sandwich.
+The pmf side p = num / den is mpmath's from_man_exp rounding of a
+truncated quotient, not a correctly rounded num / den; _ratio rounds
+the same truncated quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, exp, expm1, lgamma, log
+from math import ceil, exp, expm1, inf, ldexp, lgamma, log
 from typing import Iterable, Union
 
 from .errors import CertificationError, UserInputError, _LazyModule
@@ -58,10 +73,20 @@ _SANDWICH_LIMIT = 1e-13
 _STEIN_BOUND_ALLOWANCE = 1e-12
 
 
+def _rate(lam: Rational) -> float:
+    """float(lam), refused unless 0 < lam < inf (NaN fails the test)."""
+    try:
+        lam_f = float(lam)
+    except OverflowError:
+        lam_f = inf
+    if not 0 < lam_f < inf:
+        raise UserInputError(f"lambda must be positive and finite, got {lam!r}")
+    return lam_f
+
+
 def poisson_pmf(lam: float, j: int) -> float:
     """P(Poisson(lam) = j), evaluated in log space for stability."""
-    if lam <= 0:
-        raise UserInputError("lambda must be positive")
+    lam = _rate(lam)
     if j < 0:
         raise UserInputError("j must be >= 0")
     return exp(-lam + j * log(lam) - lgamma(j + 1))
@@ -73,16 +98,84 @@ def _mpf_of(x: Rational) -> mp.mpf:
     return mp.mpf(x)
 
 
-def _mpf_ratio(num: int, den: int, prec: int) -> tuple:
-    """num / den rounded to nearest at prec bits, as a libmp value, from
-    one short integer division.
+# ---------------------------------------------------------------------------
+# Integer kernel: a value is man * 2**exp with a signed int man. Each
+# operation forms its exact result (or, for division, a quotient with a
+# sticky bit) and rounds it once, half to even at prec bits; a product is
+# _round(a * b, ...). Operands carry at most prec + 1 bits, as every
+# value the loops below make does.
 
-    The truncated quotient keeps 20 bits beyond the precision before it
-    is rounded; converting a big num and den to mpf first cost about 17x
-    more per atom at 2000 digits.
+
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man * 2**exp rounded half to even to at most prec bits (+1 on a carry)."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    if man < 0:
+        t = -man >> (n - 1)
+        if t & 1 and (t & 2 or -man & ((1 << (n - 1)) - 1)):
+            return -(t >> 1) - 1, exp + n
+        return -(t >> 1), exp + n
+    t = man >> (n - 1)
+    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, exp + n
+    return t >> 1, exp + n
+
+
+def _add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
+    """a + b, rounded.
+
+    When b lies more than prec + 4 bits below a, b only breaks a tie:
+    a gets prec + 4 guard bits and b's sign as a sticky 1, as in libmp's
+    mpf_add, instead of a shift as long as the exponent gap. That rounds
+    right while a has at most prec + 5 bits.
     """
-    shift = max(0, den.bit_length() - num.bit_length()) + prec + 20
-    return mp.libmp.from_man_exp((num << shift) // den, -shift, prec, "n")
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    shift = ae - be
+    if shift > prec + 4:
+        if not bm:
+            return _round(am, ae, prec)
+        if am and am.bit_length() + shift - bm.bit_length() > prec + 4:
+            guard = prec + 4
+            return _round((am << guard) + (1 if bm > 0 else -1), ae - guard, prec)
+    return _round((am << shift) + bm, be, prec)
+
+
+def _div(man: int, exp: int, den: int, prec: int) -> tuple[int, int]:
+    """man * 2**exp / den for an int den > 0, rounded.
+
+    The truncated quotient keeps at least prec + 3 bits; a nonzero
+    remainder becomes a sticky 1 below them, which decides ties and
+    cannot carry.
+    """
+    extra = prec + 3 + den.bit_length() - man.bit_length()
+    if extra < 0:
+        extra = 0
+    quot, rem = divmod((-man if man < 0 else man) << extra, den)
+    if rem:
+        quot = (quot << 1) | 1
+        extra += 1
+    return _round(-quot if man < 0 else quot, exp - extra, prec)
+
+
+def _signed(v: tuple) -> tuple[int, int]:
+    """A libmp value (sign, man, exp, bc) as the kernel's (man, exp)."""
+    return (-v[1] if v[0] else v[1]), v[2]
+
+
+def _ratio(num: int, den: int, prec: int) -> tuple[int, int]:
+    """num / den for ints num, den > 0, from one short integer division.
+
+    The truncated quotient keeps 20 bits beyond the precision and is
+    then rounded, as mpmath's from_man_exp would round it; that is not
+    always the correctly rounded num / den, and the kernel keeps it so.
+    Converting a big num and den to mpf first cost about 17x more per
+    atom at 2000 digits.
+    """
+    shift = den.bit_length() - num.bit_length()
+    shift = (shift if shift > 0 else 0) + prec + 20
+    return _round((num << shift) // den, -shift, prec)
 
 
 @dataclass(frozen=True)
@@ -135,29 +228,32 @@ def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
         raise UserInputError("j_max must be >= 1")
     if any(a > j_max for a in target):
         raise UserInputError("target set reaches beyond j_max")
-    lam_f = float(lam)
-    if lam_f <= 0:
-        raise UserInputError("lambda must be positive")
+    lam_f = _rate(lam)
     amplification = lgamma(j_max + 1) - j_max * log(lam_f)
     dps = 30 + max(0, ceil(amplification / log(10.0)))
     lib = mp.libmp
-    add, sub, mul, div = lib.mpf_add, lib.mpf_sub, lib.mpf_mul, lib.mpf_div
-    mul_int, to_float, rnd = lib.mpf_mul_int, lib.to_float, lib.round_nearest
+    rnd = lib.round_nearest
     with mp.workdps(dps):
         prec, lam_mp = mp.mp.prec, _mpf_of(lam)
         q_0, lam_v = (mp.e ** (-lam_mp))._mpf_, lam_mp._mpf_
-        p_a = lib.fzero
-        for a in sorted(target):
-            term = mul(q_0, lib.mpf_pow_int(lam_v, a, prec, rnd), prec, rnd)
-            fac = lib.mpf_factorial(lib.from_int(a), prec, rnd)
-            p_a = add(p_a, div(term, fac, prec, rnd), prec, rnd)
-        # 1{j in A} - P(A), indexed by the indicator
-        rhs = (sub(lib.fzero, p_a, prec, rnd), sub(lib.fone, p_a, prec, rnd))
-        g = [lib.fzero]
-        for j in range(j_max):
-            step = add(rhs[j in target], mul_int(g[j], j, prec, rnd), prec, rnd)
-            g.append(div(step, lam_v, prec, rnd))
-    sol = SteinSolution(lam, target, tuple(to_float(v, rnd=rnd) for v in g))
+    q_m, q_e = _signed(q_0)
+    lam_m, lam_e = _signed(lam_v)
+    p_m, p_e = 0, 0
+    for a in sorted(target):
+        pow_m, pow_e = _signed(lib.mpf_pow_int(lam_v, a, prec, rnd))
+        t_m, t_e = _round(q_m * pow_m, q_e + pow_e, prec)
+        fac_m, fac_e = _signed(lib.mpf_factorial(lib.from_int(a), prec, rnd))
+        p_m, p_e = _add(p_m, p_e, *_div(t_m, t_e - fac_e, fac_m, prec), prec)
+    # 1{j in A} - P(A), indexed by the indicator
+    rhs = ((-p_m, p_e), _add(1, 0, -p_m, p_e, prec))
+    g_m, g_e = 0, 0
+    g = [0.0]
+    for j in range(j_max):
+        g_m, g_e = _round(g_m * j, g_e, prec)
+        g_m, g_e = _add(*rhs[j in target], g_m, g_e, prec)
+        g_m, g_e = _div(g_m, g_e - lam_e, lam_m, prec)
+        g.append(ldexp(*_round(g_m, g_e, 53)))  # as libmp's to_float
+    sol = SteinSolution(lam, target, tuple(g))
     residual = sol.max_residual()
     if residual >= 1e-12:
         raise CertificationError(
@@ -190,28 +286,26 @@ def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
     final rounding of num / den. The rounding error of the sum is folded
     into the upper end of the sandwich.
     """
-    lam_f = float(lam)
-    if lam_f <= 0:
-        raise UserInputError("lambda must be positive")
-    lib = mp.libmp
-    add, sub, mul, div = lib.mpf_add, lib.mpf_sub, lib.mpf_mul, lib.mpf_div
-    absolute, from_int, rnd = lib.mpf_abs, lib.from_int, lib.round_nearest
+    _rate(lam)
     with mp.workdps(_TV_DPS):
         prec, lam_mp = mp.mp.prec, _mpf_of(lam)
         s = pmf.support[0]
         q = mp.exp(-lam_mp + s * mp.log(lam_mp) - mp.loggamma(s + 1))._mpf_
-        lam_v = lam_mp._mpf_
+        lam_m, lam_e = _signed(lam_mp._mpf_)
+        q_m, q_e = _signed(q)
         num = dict(zip(pmf.support, pmf.nums))
         den = pmf.den
-        acc = lib.fone
+        acc_m, acc_e = 1, 0
         for j in range(s, pmf.support[-1] + 1):
             a = num.get(j)
-            p = _mpf_ratio(a, den, prec) if a else lib.fzero
-            gap = absolute(sub(p, q, prec, rnd), prec, rnd)
-            acc = add(acc, sub(gap, q, prec, rnd), prec, rnd)
-            q = div(mul(q, lam_v, prec, rnd), from_int(j + 1), prec, rnd)
+            p_m, p_e = _ratio(a, den, prec) if a else (0, 0)
+            gap_m, gap_e = _add(p_m, p_e, -q_m, q_e, prec)
+            term_m, term_e = _add(abs(gap_m), gap_e, -q_m, q_e, prec)
+            acc_m, acc_e = _add(acc_m, acc_e, term_m, term_e, prec)
+            q_m, q_e = _round(q_m * lam_m, q_e + lam_e, prec)
+            q_m, q_e = _div(q_m, q_e, j + 1, prec)
         slop = mp.mpf(10) ** (-(_TV_DPS - 12))
-        lo = mp.mpf(acc) / 2
+        lo = mp.mpf(mp.libmp.from_man_exp(acc_m, acc_e)) / 2
         hi = lo + slop
         return float(lo), float(hi)
 
@@ -219,7 +313,7 @@ def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
 def tv_exact_vs_poisson(pmf: ExactPmf, lam: Rational) -> float:
     """TV distance to Poisson(lambda), certified to sandwich width 1e-13."""
     lo, hi = tv_sandwich(pmf, lam)
-    if hi - lo >= _SANDWICH_LIMIT:
+    if not hi - lo < _SANDWICH_LIMIT:  # written so that a NaN width fails
         raise CertificationError(
             f"TV sandwich too wide: [{lo!r}, {hi!r}] at lambda={float(lam)}"
         )

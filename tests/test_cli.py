@@ -718,6 +718,9 @@ PINNED_TABLE_BYTES = [
     (TV_R_ARGV, "csv", "07dd26c53054b34feb3d82ef2c84d2d461ec3e22e036cb36194372ff0fb44083"),
     (TV_GRID_ARGV, "json", "a63b1ddd5328a4b617a03bc905360d2dde64096af5d781ef330e2cdb56ddd6c1"),
     (TV_GRID_ARGV, "csv", "01e112d494d6d7cfea9058cf27a0b9cbf9e2b48f323684637992ecda477e37e0"),
+    # the default grid, 231 rows
+    (("tv", "--grid"), "json", "521fd58adbeda9af2183ea17b0977f25f449bce9b21c9b90fe3d4dab01e65dff"),
+    (("tv", "--grid"), "csv", "0206c5b8424899a657c15611b65202a6190f1bd8a262c4eb0f5260382d8383c2"),
     (("diagnostic",), "json", "f6f21e79d9bf3ee3ef97197fef932c1053cc0d7e7e890192a561ac3a9bffb253"),
     (("diagnostic",), "csv", "0024e691e505480fa8a1c2bf17ffdc0967c345c7d113ac1d25e19283c5f8ea1e"),
     (("diagnostic", "--n-lo", "4", "--n-hi", "60"), "json",
@@ -734,7 +737,8 @@ PINNED_TABLE_BYTES = [
 @pytest.mark.parametrize(
     "argv, fmt, digest",
     PINNED_TABLE_BYTES,
-    ids=["tv-R-json", "tv-R-csv", "tv-grid-json", "tv-grid-csv", "diagnostic-json",
+    ids=["tv-R-json", "tv-R-csv", "tv-grid-json", "tv-grid-csv", "tv-grid-default-json",
+         "tv-grid-default-csv", "diagnostic-json",
          "diagnostic-csv", "diagnostic-4-60-json", "diagnostic-3-60-csv",
          "diagnostic-4-200-json", "diagnostic-3-200-csv"],
 )

@@ -184,7 +184,7 @@ def test_prefix_route_and_kept_rows(empty_cache, monkeypatch):
     ref = reference_triangle(80)
     assert eulerian_row(80, 5) == ref[80][:5]
     assert eulerian_row(80, 3) == ref[80][:3]  # sliced from the kept prefix
-    assert eulerian_row(80, 10) == ref[80][:10]  # wider: a new prefix replaces it
+    assert eulerian_row(80, 10) == ref[80][:10]  # wider: the kept prefix is extended
     assert made == [(80, 5), (80, 10)]
     assert eulerian_row(79, 2) == ref[79][:2]
     # past n/8 the whole row is stepped up from row 1, not from a prefix
@@ -194,6 +194,26 @@ def test_prefix_route_and_kept_rows(empty_cache, monkeypatch):
     assert eulerian_row(80, 9) == ref[80][:9]
     assert eulerian_row(80, 200) == ref[80]
     assert len(made) == 3
+
+
+def test_rising_prefix_sweep_sums_each_column_once(empty_cache, monkeypatch):
+    # A rising sweep of k at n = 400 asks for wider and wider prefixes up
+    # to n/8; each request sums only the columns the kept prefix lacks,
+    # column m costing m products.
+    n = 400
+    fresh = eulerian._row_prefix(n, 50)
+    products = 0
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return a * b
+
+    monkeypatch.setattr(eulerian, "mul", counted)
+    for width in [1, 2, 3, 5, 8, 9, 13, 21, 22, 34, 49, 50]:
+        assert eulerian_row(n, width) == fresh[:width], width
+    assert products == sum(range(1, 51))
+    assert {m: len(row) for m, row in eulerian._kept.items()} == {n: 50}
 
 
 def test_prefix_width_is_validated():

@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, normalize, to_float
 
 from shufflestats.errors import CertificationError, UserInputError
 from shufflestats.measures import ExactPmf, d_pmf_C, d_pmf_R
 from shufflestats.moments import moments_c_C
+from shufflestats import stein
 from shufflestats.stein import (
     STATISTIC_CODES,
     SteinSolution,
@@ -282,3 +286,178 @@ class TestReportsAndSweep:
         assert len(reports) == 3 * len(sweep_k_values(20, 5))
         assert all(r.slack >= 0 for r in reports)
         assert all(r.tv_exact <= r.bound for r in reports)
+
+
+def mpf_object_g(lam, target, j_max):
+    """solve_stein's g as mpf-object arithmetic computes it."""
+    lam_f = float(lam)
+    amplification = math.lgamma(j_max + 1) - j_max * math.log(lam_f)
+    with mp.workdps(30 + max(0, math.ceil(amplification / math.log(10.0)))):
+        if isinstance(lam, Fraction):
+            lam_mp = mp.mpf(lam.numerator) / lam.denominator
+        else:
+            lam_mp = mp.mpf(lam)
+        p_a = mp.mpf(0)
+        for a in sorted(target):
+            p_a += mp.e ** (-lam_mp) * lam_mp**a / mp.factorial(a)
+        g = [mp.mpf(0)]
+        for j in range(j_max):
+            g.append(((1 if j in target else 0) - p_a + j * g[j]) / lam_mp)
+        return tuple(float(v) for v in g)
+
+
+class TestWiderBitIdentity:
+    """Corners of the bit-identity sweeps the c05-style draws miss."""
+
+    def test_powers_past_the_exact_branch(self):
+        # lambda = 0.1 carries 53 bits, so mpf_pow_int rounds as it squares
+        # once 53 * a >= 1000, from a = 19 on.
+        rng = random.Random(2204)
+        for lam in (0.1, F(1, 10), 0.37):
+            for j_max in (19, 25, 40, 60):
+                for _ in range(4):
+                    target = {a for a in range(19, j_max + 1) if rng.random() < 0.5} | {j_max}
+                    assert solve_stein(lam, target, j_max).g == mpf_object_g(lam, target, j_max)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.25, 1.0, F(7, 3), 30.0])
+    def test_shortest_recurrence_and_empty_target(self, lam):
+        for target, j_max in (({0}, 1), ({1}, 1), ({0, 1}, 1), (set(), 1), (set(), 30)):
+            assert solve_stein(lam, target, j_max).g == mpf_object_g(lam, target, j_max)
+
+    def test_sandwich_at_k_far_above_n_200(self):
+        for code in STATISTIC_CODES:
+            pmf, lam = statistic_pushforward(2**17, 200, code)
+            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), code
+
+
+class TestNonFiniteRates:
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+    def test_solver(self, lam):
+        with pytest.raises(UserInputError, match="lambda must be positive and finite"):
+            solve_stein(lam, {0}, 5)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, F(10**400), 0.0])
+    def test_sandwich(self, lam):
+        pmf = ExactPmf(1, [(0, 1)])
+        with pytest.raises(UserInputError, match="lambda must be positive and finite"):
+            tv_sandwich(pmf, lam)
+        with pytest.raises(UserInputError, match="lambda must be positive and finite"):
+            tv_exact_vs_poisson(pmf, lam)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0])
+    def test_pmf(self, lam):
+        with pytest.raises(UserInputError, match="lambda must be positive and finite"):
+            poisson_pmf(lam, 2)
+
+    def test_nan_width_fails_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(stein, "tv_sandwich", lambda pmf, lam: (math.nan, math.nan))
+        with pytest.raises(CertificationError, match="TV sandwich too wide"):
+            tv_exact_vs_poisson(ExactPmf(1, [(0, 1)]), 0.5)
+
+
+# -- the integer kernel against libmp -----------------------------------------
+#
+# A kernel value is (man, exp) with a signed man; from_man_exp makes the
+# libmp value of the same number. Operands of add, mul and div carry at
+# most prec bits, as every value in solve_stein and tv_sandwich does.
+
+precs = st.integers(2, 300)
+exps = st.integers(-3000, 3000)
+
+
+@st.composite
+def operands(draw, prec, spare=0):
+    bits = draw(st.integers(1, prec + spare))
+    man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return man * draw(st.sampled_from((1, -1))), draw(exps)
+
+
+@st.composite
+def exact_halves(draw):
+    """A mantissa whose dropped bits are exactly one half, and its prec."""
+    prec = draw(precs)
+    kept = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+    dropped = draw(st.integers(1, 200))
+    return (kept << dropped) + (1 << (dropped - 1)), prec
+
+
+class TestKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(man=st.integers(-(1 << 900), 1 << 900), exp=exps, prec=precs)
+    @example(man=(1 << 60) - 1, exp=0, prec=53)  # rounds up into a carry
+    @example(man=0, exp=5, prec=10)
+    def test_round(self, man, exp, prec):
+        sign, mag = int(man < 0), abs(man)
+        want = normalize(sign, mag, exp, mag.bit_length(), prec, "n")
+        assert from_man_exp(*stein._round(man, exp, prec)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(half=exact_halves(), exp=exps, sign=st.sampled_from((1, -1)))
+    def test_round_exact_halves(self, half, exp, sign):
+        man, prec = half
+        want = normalize(int(sign < 0), man, exp, man.bit_length(), prec, "n")
+        got = stein._round(sign * man, exp, prec)
+        assert from_man_exp(*got) == want
+        assert got[0] % 2 == 0 or got[0].bit_length() < prec  # ties go to even
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), prec=precs)
+    def test_add(self, data, prec):
+        am, ae = data.draw(operands(prec))
+        bm, be = data.draw(operands(prec))
+        want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, "n")
+        assert from_man_exp(*stein._add(am, ae, bm, be, prec)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), prec=precs, gap=st.integers(0, 2000))
+    def test_add_far_apart(self, data, prec, gap):
+        # b lies prec + 5 + gap bits below a: the guard-and-sticky route,
+        # which rounds right while a has up to prec + 5 bits (the sticky
+        # decides when a itself is a tie)
+        am, ae = data.draw(operands(prec, spare=5))
+        bm, _ = data.draw(operands(prec))
+        be = ae + am.bit_length() - bm.bit_length() - prec - 5 - gap
+        want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, "n")
+        assert from_man_exp(*stein._add(am, ae, bm, be, prec)) == want
+        assert from_man_exp(*stein._add(bm, be, am, ae, prec)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), prec=precs, zero_exp=exps)
+    def test_add_cancels_to_zero(self, data, prec, zero_exp):
+        am, ae = data.draw(operands(prec))
+        assert stein._add(am, ae, -am, ae, prec)[0] == 0
+        assert from_man_exp(*stein._add(am, ae, -am, ae, prec)) == mpf_add(
+            from_man_exp(am, ae), from_man_exp(-am, ae), prec, "n"
+        )
+        # a zero from a cancellation keeps an exponent; adding it is exact
+        assert from_man_exp(*stein._add(am, ae, 0, zero_exp, prec)) == from_man_exp(am, ae)
+        assert from_man_exp(*stein._add(0, zero_exp, am, ae, prec)) == from_man_exp(am, ae)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), prec=precs, unit=st.booleans())
+    def test_mul(self, data, prec, unit):
+        # the kernel multiplies exactly in ints and rounds once
+        am, ae = data.draw(operands(prec))
+        bm, be = (1, data.draw(exps)) if unit else data.draw(operands(prec))
+        want = mpf_mul(from_man_exp(am, ae), from_man_exp(bm, be), prec, "n")
+        assert from_man_exp(*stein._round(am * bm, ae + be, prec)) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), prec=precs, unit=st.booleans(), exact=st.booleans())
+    def test_div(self, data, prec, unit, exact):
+        dm, de = (1, data.draw(exps)) if unit else data.draw(operands(prec))
+        dm = abs(dm)
+        am, ae = data.draw(operands(prec))
+        if exact:
+            am = am * dm
+        want = mpf_div(from_man_exp(am, ae), from_man_exp(dm, de), prec, "n")
+        assert from_man_exp(*stein._div(am, ae - de, dm, prec)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(man=st.integers(-(1 << 400), 1 << 400), exp=st.integers(-1500, 600))
+    @example(man=(1 << 54) - 1, exp=-1100)  # subnormal after a carry
+    @example(man=3, exp=-1076)
+    def test_doubles(self, man, exp):
+        # solve_stein's floats: to 53 bits, then ldexp, as libmp's to_float
+        got = math.ldexp(*stein._round(man, exp, 53))
+        assert got == to_float(from_man_exp(man, exp), rnd="n")

@@ -30,6 +30,7 @@ import io
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, astuple
 from typing import Iterator
 
@@ -154,6 +155,19 @@ def _resolve_seed(args) -> None:
     args.seed = seed
 
 
+@contextmanager
+def _unlimited_int_text() -> Iterator[None]:
+    """Lift Python's 4300-digit int-to-str limit while an exact result becomes text."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _reduced_atoms(pmf: ExactPmf) -> Iterator[tuple[int, int, int, str]]:
     """(value, numerator, denominator, denominator text) of each atom in lowest terms.
 
@@ -182,6 +196,7 @@ def _pmf_json(atoms) -> dict[str, str]:
     return {str(v): f"{a}/{text}" if d != 1 else str(a) for v, a, d, text in atoms}
 
 
+@_unlimited_int_text()
 def _sample_report(args, head: dict, summary: SampleSummary) -> tuple:
     """Payload and CSV rows of `sample` and `riffle`: the run's head plus its summary."""
     atoms = list(_reduced_atoms(summary.exact_pmf))
@@ -196,7 +211,7 @@ def _sample_report(args, head: dict, summary: SampleSummary) -> tuple:
         p_value=summary.p_value,
         max_bin_z=summary.max_bin_z,
     )
-    rows = [(v, counts[v], counts[v] / args.count, a, text, z[v]) for v, a, _, text in atoms]
+    rows = [(v, counts[v], counts[v] / args.count, str(a), text, z[v]) for v, a, _, text in atoms]
     return payload, _SAMPLE_CSV_HEADER, rows, 0
 
 
@@ -214,15 +229,16 @@ def _cmd_dist(args) -> tuple:
 
 def _cmd_moments(args) -> tuple:
     report = statistic_law(args.measure, args.stat).moments(args.k, args.n)
-    payload = {
-        "k": report.k,
-        "n": report.n,
-        "mean_exact": str(report.mean_exact),
-        "second_exact": str(report.second_exact),
-        "variance_exact": str(report.variance_exact),
-        "mean_float": float(report.mean_exact),
-        "variance_float": float(report.variance_exact),
-    }
+    with _unlimited_int_text():
+        payload = {
+            "k": report.k,
+            "n": report.n,
+            "mean_exact": str(report.mean_exact),
+            "second_exact": str(report.second_exact),
+            "variance_exact": str(report.variance_exact),
+            "mean_float": float(report.mean_exact),
+            "variance_float": float(report.variance_exact),
+        }
     if args.asymptotic:
         payload.update((name, getattr(report, name)) for name in _ASYMPTOTIC_FIELDS)
     return payload, tuple(payload), [tuple(payload.values())], 0

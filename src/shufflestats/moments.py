@@ -211,23 +211,6 @@ def _geometric_power_tail(q: mp.mpf, l: int, start: int) -> mp.mpf:
         term = mp.mpf(t) ** l * q**t
 
 
-def bernoulli_tail_bound(alpha: float, l: int, start: int) -> float:
-    """Upper bound on sum_{t>=start} |B_t| t^l / (alpha^t t!).
-
-    Uses |B_{2m}| <= 8 sqrt(pi m) (m/(pi e))^{2m} together with the
-    Stirling lower bound t! >= sqrt(2 pi t) (t/e)^t, which combine to
-    |B_t|/t! <= 4 (2 pi)^{-t} for every t >= 0. Requires
-    alpha > 1/(2 pi) so the majorant series converges.
-    """
-    if alpha <= ALPHA_THRESHOLD:
-        raise UserInputError(f"tail bound needs alpha > 1/(2*pi), got {alpha}")
-    if start < 1:
-        raise UserInputError("start must be >= 1")
-    with mp.workdps(_WORK_DPS):
-        q = 1 / (2 * mp.pi * mp.mpf(alpha))
-        return float(4 * _geometric_power_tail(q, l, start))
-
-
 # ---------------------------------------------------------------------------
 # Closed forms of the four Bernoulli series
 
@@ -240,44 +223,23 @@ def _mean_closed_forms(alpha: mp.mpf, e: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
     return p1, p2
 
 
-def _closed_forms(alpha: mp.mpf) -> tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
-    e = mp.exp(1 / alpha)
-    em1 = e - 1
-    p1, p2 = _mean_closed_forms(alpha, e)
-    p3 = (alpha * e - e - alpha) / (alpha * em1**2)
-    p4 = e * (3 * alpha * e**2 - e**2 - 4 * e - 3 * alpha - 1) / (
-        2 * alpha**3 * em1**4
-    )
-    return p1, p2, p3, p4
-
-
-def bernoulli_series_partial(alpha: float, part: int) -> mp.mpf:
-    """Sum over t <= _SERIES_TERMS (200) of series part 1..4, at 100-digit precision.
+def _series_partials(a: mp.mpf) -> list[mp.mpf]:
+    """The four series summed over t <= _SERIES_TERMS (200), in one pass:
 
     1: sum B_t / (t! alpha^t)
     2: sum B_t C(t,2) / (t! alpha^t)
     3: sum B_{t+1} / (t! alpha^t)
     4: sum B_{t+1} C(t,2) / (t! alpha^t)
     """
-    if part not in (1, 2, 3, 4):
-        raise UserInputError(f"part must be 1..4, got {part}")
     bern = bernoulli_numbers(_SERIES_TERMS + 1)
-    with mp.workdps(_WORK_DPS):
-        a = mp.mpf(alpha)
-        total = mp.mpf(0)
-        for t in range(_SERIES_TERMS + 1):
-            b = bern[t + 1] if part in (3, 4) else bern[t]
-            if part in (2, 4):
-                w = comb(t, 2)
-                if not w:
-                    continue
-                b = b * w
-            if not b:
-                continue
-            total += (
-                mp.mpf(b.numerator) / b.denominator / (mp.factorial(t) * a**t)
-            )
-        return total
+    totals = [mp.mpf(0)] * 4
+    for t in range(_SERIES_TERMS + 1):
+        scale = mp.factorial(t) * a**t
+        w = comb(t, 2)
+        for part, b in enumerate((bern[t], bern[t] * w, bern[t + 1], bern[t + 1] * w)):
+            if b:
+                totals[part] += mp.mpf(b.numerator) / b.denominator / scale
+    return totals
 
 
 def bernoulli_closed_forms(alpha: float) -> tuple[float, float, float, float]:
@@ -293,23 +255,31 @@ def bernoulli_closed_forms(alpha: float) -> tuple[float, float, float, float]:
             f"series diverge for alpha <= 1/(2*pi) ~ {ALPHA_THRESHOLD:.6f}"
         )
     with mp.workdps(_WORK_DPS):
-        closed = _closed_forms(mp.mpf(alpha))
-        q = 1 / (2 * mp.pi * mp.mpf(alpha))
+        a = mp.mpf(alpha)
+        e = mp.exp(1 / a)
+        em1 = e - 1
+        closed = (
+            *_mean_closed_forms(a, e),
+            (a * e - e - a) / (a * em1**2),
+            e * (3 * a * e**2 - e**2 - 4 * e - 3 * a - 1) / (2 * a**3 * em1**4),
+        )
+        q = 1 / (2 * mp.pi * a)
         start = _SERIES_TERMS + 1
-        # Majorants for the dropped tails; see bernoulli_tail_bound for
-        # the |B_t|/t! <= 4 (2 pi)^{-t} ingredient. Parts 3 and 4 shift
-        # the Bernoulli index by one, giving the extra (t+1) factor.
+        # Majorants for the dropped tails. |B_2m| <= 8 sqrt(pi m) (m/(pi e))^2m
+        # and the Stirling bound t! >= sqrt(2 pi t) (t/e)^t give
+        # |B_t|/t! <= 4 (2 pi)^-t for every t >= 0, so the tails are
+        # geometric in q = 1/(2 pi alpha) < 1. Parts 3 and 4 shift the
+        # Bernoulli index by one, giving the extra (t+1) factor.
         tails = (
             4 * _geometric_power_tail(q, 0, start),
             2 * _geometric_power_tail(q, 2, start),
             mp.mpf(4) / mp.pi * _geometric_power_tail(q, 1, start),
             mp.mpf(2) / mp.pi * _geometric_power_tail(q, 3, start),
         )
-        for part in (1, 2, 3, 4):
-            partial = bernoulli_series_partial(alpha, part)
-            gap = abs(closed[part - 1] - partial)
+        for part, (value, partial, tail) in enumerate(zip(closed, _series_partials(a), tails), 1):
+            gap = abs(value - partial)
             # Guard against precision loss in the comparison itself.
-            slack = tails[part - 1] + mp.mpf(10) ** (-(_WORK_DPS - 20))
+            slack = tail + mp.mpf(10) ** (-(_WORK_DPS - 20))
             if gap > slack:
                 raise CertificationError(
                     f"closed form {part} at alpha={alpha} off by {float(gap)}, "

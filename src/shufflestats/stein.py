@@ -35,20 +35,21 @@ Both loops run on a small integer kernel (_round, _add, _div and
 products of ints): a value is a signed int mantissa and an exponent,
 and each addition, product or quotient forms its exact result, or a
 quotient with a sticky bit, then rounds it once, half to even at the
-working precision. mpmath rounds +, -, * and / correctly, so the
-round-half-even of the exact result is the value its libmp functions
-return, and every double out of solve_stein and tv_sandwich is the one
-mpf arithmetic gives (tests/test_stein.py pins both with ==). In
-solve_stein that covers each P(A) term's product and quotient, the sum,
-and the recurrence; in tv_sandwich, |p - q| - q, the sum and the step
-q * lambda / (j + 1). The steps that are not one correctly rounded
-operation stay on mpmath: e^(-lambda), lambda^a (mpf_pow_int; exact
-then rounded only while the mantissa's bits times a stay below 1000),
-a! (mpf_factorial), the start value q_s (exp, log and loggamma), the
-rate's own conversion, and the final halving and slop of the sandwich.
-The pmf side p = num / den is mpmath's from_man_exp rounding of a
-truncated quotient, not a correctly rounded num / den; _ratio rounds
-the same truncated quotient.
+working precision. mpmath rounds +, -, * and / correctly, so that is
+the value its libmp functions return, and every double out of
+solve_stein and tv_sandwich is the one mpf arithmetic gives
+(tests/test_stein.py pins both with ==). The kernel covers each P(A)
+term's product and quotient, the sums, the recurrence, |p - q| - q, the
+step q * lambda / (j + 1), the sandwich's halving (an exponent minus
+one) and its slop 10^-28. No mpf object or precision context is made:
+the other steps call libmp at the working precision, rounding to
+nearest. They are the rate (from_int and mpf_div, or from_float),
+e^(-lambda) (mpf_pow of mpf_e), lambda^a (mpf_pow_int; exact then
+rounded only while the mantissa's bits times a stay below 1000), a!
+(mpf_factorial) and the start value q_s (mpf_exp, mpf_log and
+mpf_loggamma). The pmf side p = num / den is mpmath's from_man_exp
+rounding of a truncated quotient, not a correctly rounded num / den;
+_ratio rounds the same truncated quotient.
 """
 
 from __future__ import annotations
@@ -82,20 +83,6 @@ def _rate(lam: Rational) -> float:
     if not 0 < lam_f < inf:
         raise UserInputError(f"lambda must be positive and finite, got {lam!r}")
     return lam_f
-
-
-def poisson_pmf(lam: float, j: int) -> float:
-    """P(Poisson(lam) = j), evaluated in log space for stability."""
-    lam = _rate(lam)
-    if j < 0:
-        raise UserInputError("j must be >= 0")
-    return exp(-lam + j * log(lam) - lgamma(j + 1))
-
-
-def _mpf_of(x: Rational) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +165,30 @@ def _ratio(num: int, den: int, prec: int) -> tuple[int, int]:
     return _round((num << shift) // den, -shift, prec)
 
 
+def _rate_value(lam: Rational, prec: int) -> tuple:
+    """lam as a libmp value: a float exactly, else mpf(num) / den rounded at prec bits."""
+    lib = mp.libmp
+    if isinstance(lam, float):
+        return lib.from_float(lam)
+    num = lib.from_int(lam.numerator, prec, lib.round_nearest)
+    return lib.mpf_div(num, lib.from_int(lam.denominator), prec, lib.round_nearest)
+
+
+def _exp_neg(lam_v: tuple, prec: int) -> tuple:
+    """e^-lam as mpf(e) ** -lam: e rounded to nearest at prec bits, then the power."""
+    lib, rnd = mp.libmp, mp.libmp.round_nearest
+    return lib.mpf_pow(lib.mpf_e(prec, rnd), lib.mpf_neg(lam_v), prec, rnd)
+
+
+def _poisson_mass(lam_v: tuple, s: int, prec: int) -> tuple:
+    """P(Poisson(lam) = s) as exp(-lam + s log lam - log s!), each step rounded at prec bits."""
+    lib, rnd = mp.libmp, mp.libmp.round_nearest
+    log_pow = lib.mpf_mul_int(lib.mpf_log(lam_v, prec, rnd), s, prec, rnd)
+    log_fac = lib.mpf_loggamma(lib.from_int(s + 1), prec, rnd)
+    log_q = lib.mpf_sub(lib.mpf_add(lib.mpf_neg(lam_v), log_pow, prec, rnd), log_fac, prec, rnd)
+    return lib.mpf_exp(log_q, prec, rnd)
+
+
 @dataclass(frozen=True)
 class SteinSolution:
     """Solution g of lambda*g(j+1) - j*g(j) = 1{j in A} - P_lambda(A).
@@ -191,10 +202,6 @@ class SteinSolution:
     target_set: frozenset[int]
     g: tuple[float, ...]
 
-    @property
-    def j_max(self) -> int:
-        return len(self.g) - 1
-
     def sup_g(self) -> float:
         return max(abs(v) for v in self.g)
 
@@ -205,13 +212,12 @@ class SteinSolution:
 
     def max_residual(self) -> float:
         """Worst |lambda*g(j+1) - j*g(j) - rhs(j)| in double arithmetic."""
-        lam = float(self.lam)
-        p_a = sum(poisson_pmf(lam, a) for a in sorted(self.target_set))
-        worst = 0.0
-        for j in range(self.j_max):
-            rhs = (1.0 if j in self.target_set else 0.0) - p_a
-            worst = max(worst, abs(lam * self.g[j + 1] - j * self.g[j] - rhs))
-        return worst
+        lam, g, target = float(self.lam), self.g, self.target_set
+        p_a = sum(exp(-lam + a * log(lam) - lgamma(a + 1)) for a in sorted(target))
+        return max(
+            abs(lam * b - j * a - ((1.0 if j in target else 0.0) - p_a))
+            for j, (a, b) in enumerate(zip(g, g[1:]))
+        )
 
 
 def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
@@ -231,12 +237,10 @@ def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
     lam_f = _rate(lam)
     amplification = lgamma(j_max + 1) - j_max * log(lam_f)
     dps = 30 + max(0, ceil(amplification / log(10.0)))
-    lib = mp.libmp
-    rnd = lib.round_nearest
-    with mp.workdps(dps):
-        prec, lam_mp = mp.mp.prec, _mpf_of(lam)
-        q_0, lam_v = (mp.e ** (-lam_mp))._mpf_, lam_mp._mpf_
-    q_m, q_e = _signed(q_0)
+    lib, rnd = mp.libmp, mp.libmp.round_nearest
+    prec = lib.dps_to_prec(dps)
+    lam_v = _rate_value(lam, prec)
+    q_m, q_e = _signed(_exp_neg(lam_v, prec))
     lam_m, lam_e = _signed(lam_v)
     p_m, p_e = 0, 0
     for a in sorted(target):
@@ -287,27 +291,25 @@ def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
     into the upper end of the sandwich.
     """
     _rate(lam)
-    with mp.workdps(_TV_DPS):
-        prec, lam_mp = mp.mp.prec, _mpf_of(lam)
-        s = pmf.support[0]
-        q = mp.exp(-lam_mp + s * mp.log(lam_mp) - mp.loggamma(s + 1))._mpf_
-        lam_m, lam_e = _signed(lam_mp._mpf_)
-        q_m, q_e = _signed(q)
-        num = dict(zip(pmf.support, pmf.nums))
-        den = pmf.den
-        acc_m, acc_e = 1, 0
-        for j in range(s, pmf.support[-1] + 1):
-            a = num.get(j)
-            p_m, p_e = _ratio(a, den, prec) if a else (0, 0)
-            gap_m, gap_e = _add(p_m, p_e, -q_m, q_e, prec)
-            term_m, term_e = _add(abs(gap_m), gap_e, -q_m, q_e, prec)
-            acc_m, acc_e = _add(acc_m, acc_e, term_m, term_e, prec)
-            q_m, q_e = _round(q_m * lam_m, q_e + lam_e, prec)
-            q_m, q_e = _div(q_m, q_e, j + 1, prec)
-        slop = mp.mpf(10) ** (-(_TV_DPS - 12))
-        lo = mp.mpf(mp.libmp.from_man_exp(acc_m, acc_e)) / 2
-        hi = lo + slop
-        return float(lo), float(hi)
+    prec = mp.libmp.dps_to_prec(_TV_DPS)
+    lam_v = _rate_value(lam, prec)
+    lam_m, lam_e = _signed(lam_v)
+    s = pmf.support[0]
+    q_m, q_e = _signed(_poisson_mass(lam_v, s, prec))
+    num = dict(zip(pmf.support, pmf.nums))
+    den = pmf.den
+    acc_m, acc_e = 1, 0
+    for j in range(s, pmf.support[-1] + 1):
+        a = num.get(j)
+        p_m, p_e = _ratio(a, den, prec) if a else (0, 0)
+        gap_m, gap_e = _add(p_m, p_e, -q_m, q_e, prec)
+        term_m, term_e = _add(abs(gap_m), gap_e, -q_m, q_e, prec)
+        acc_m, acc_e = _add(acc_m, acc_e, term_m, term_e, prec)
+        q_m, q_e = _round(q_m * lam_m, q_e + lam_e, prec)
+        q_m, q_e = _div(q_m, q_e, j + 1, prec)
+    # Halving is exact; the slop 10^-28 is rounded once.
+    hi_m, hi_e = _add(acc_m, acc_e - 1, *_div(1, 0, 10 ** (_TV_DPS - 12), prec), prec)
+    return ldexp(*_round(acc_m, acc_e - 1, 53)), ldexp(*_round(hi_m, hi_e, 53))
 
 
 def tv_exact_vs_poisson(pmf: ExactPmf, lam: Rational) -> float:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from shufflestats import cli, measures, sampler, stein
 from shufflestats.eulerian import cyclic_descent_counts, eulerian_row
 from shufflestats.measures import d_pmf_R
+from shufflestats.moments import moments_d_R
 from shufflestats.pair import DIAGNOSTIC_N_MAX
 from shufflestats.sampler import DEFAULT_STREAMS
 from shufflestats.verify import DEFAULT_K_MAX, DEFAULT_N_MAX, DEFAULT_ORACLE_MAX
@@ -411,6 +412,52 @@ class TestRiffle:
         payload = json.loads(out)
         assert exact_law(payload) == dict(d_pmf_R(4, 6).items())
         assert float(payload["p_value"]) > 0.001
+
+
+class TestPastTheIntTextLimit:
+    """Exact results past Python's 4300-digit int-to-str limit print in full."""
+
+    def test_moments_at_n_1000(self, capsys):
+        k, n = 822, 1000
+        code, out, _ = run_cli(
+            capsys, "moments", "--measure", "C", "--stat", "d", "--k", str(k), "--n", str(n),
+            "--asymptotic",
+        )
+        assert code == 0
+        with cli._unlimited_int_text():
+            payload = {key: Fraction(v) for key, v in json.loads(out).items() if "exact" in key}
+        assert payload["variance_exact"].denominator > 10**4300
+        # E(d) = (n-1)/n E(c), E(c) = k - n sum_{r<k} r^(n-1) / k^(n-1)
+        mean_c = k - Fraction(n * sum(r ** (n - 1) for r in range(k)), k ** (n - 1))
+        assert payload["mean_exact"] == Fraction(n - 1, n) * mean_c
+
+    def test_moments_at_k_10_400(self, capsys):
+        k, n = 10**400, 10
+        code, out, _ = run_cli(
+            capsys, "moments", "--measure", "R", "--stat", "d", "--k", str(k), "--n", str(n)
+        )
+        assert code == 0
+        with cli._unlimited_int_text():
+            payload = {key: Fraction(v) for key, v in json.loads(out).items() if "exact" in key}
+        assert payload["variance_exact"].denominator > 10**4300
+        assert payload["mean_exact"] == d_pmf_R(k, n).mean()
+
+    @pytest.mark.parametrize(
+        "argv, k, n",
+        [
+            (("sample", "--measure", "R", "--stat", "d", "--k", str(2**80), "--n", "200",
+              "--count", "50", "--seed", "1", "--streams", "1"), 2**80, 200),
+            (("riffle", "--n", "240", "--rounds", "62", "--count", "20", "--seed", "1"),
+             2**62, 240),
+        ],
+    )
+    def test_sample_and_riffle(self, capsys, argv, k, n):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        with cli._unlimited_int_text():
+            law = exact_law(json.loads(out))
+        assert max(p.denominator for p in law.values()) > 10**4300
+        assert sum(v * p for v, p in law.items()) == moments_d_R(k, n).mean_exact
 
 
 # Stdout SHA-256 of `sample` and `riffle` at fixed seeds. Any change to

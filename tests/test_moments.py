@@ -16,7 +16,6 @@ from shufflestats.moments import (
     asymptotic_variance_c,
     bernoulli_closed_forms,
     bernoulli_numbers,
-    bernoulli_tail_bound,
     estimate0_deviation,
     moments_c_C,
     moments_d_C,
@@ -34,7 +33,7 @@ _TAIL_TERMS = 400
 def bernoulli_tail_exact(alpha: float, l: int, start: int) -> float:
     """Numerical value of sum_{t=start}^{_TAIL_TERMS} |B_t| t^l / (alpha^t t!).
 
-    The reference that the tail majorant bernoulli_tail_bound must dominate.
+    The reference that the tail majorant 4 * _geometric_power_tail must dominate.
     """
     bern = bernoulli_numbers(_TAIL_TERMS)
     with mp.workdps(100):
@@ -49,6 +48,40 @@ def bernoulli_tail_exact(alpha: float, l: int, start: int) -> float:
                 / (a**t * mp.factorial(t))
             )
         return float(total)
+
+
+def four_pass_partial(alpha, part):
+    """One Bernoulli series summed on its own, as four separate passes did."""
+    bern = bernoulli_numbers(200 + 1)
+    with mp.workdps(100):
+        a = mp.mpf(alpha)
+        total = mp.mpf(0)
+        for t in range(200 + 1):
+            b = bern[t + 1] if part in (3, 4) else bern[t]
+            if part in (2, 4):
+                w = math.comb(t, 2)
+                if not w:
+                    continue
+                b = b * w
+            if not b:
+                continue
+            total += (
+                mp.mpf(b.numerator) / b.denominator / (mp.factorial(t) * a**t)
+            )
+        return total
+
+
+# bernoulli_closed_forms before its check summed the series in one pass.
+CLOSED_FORM_DOUBLES = {
+    0.2: (0.033918274531521166, 0.26190400099997313, -0.027364709494656057, -0.1847587230780504),
+    0.25: (0.07462944145509619, 0.3267811861491228, -0.057364469474297054, -0.20437508292165701),
+    0.5: (0.3130352854993313, 0.226656848759709, -0.2055131877334896, -0.08438182969921972),
+    1.0: (0.5819767068693265, 0.07547378935470138, -0.33869688733846587, -0.014814247630898985),
+    2.0: (0.7707470412683991, 0.0203201609825728, -0.4173549619795836, -0.0020223999240786533),
+    3.7: (0.8709446352559058, 0.006042896581443367, -0.4550643482289129, -0.0003261894111366501),
+    10.0: (0.9508331944775049, 0.0008325004958003585, -0.4833388869054231, -1.664683927820214e-05),
+    100.0: (0.9950083333194445, 8.33325000049603e-06, -0.49833333888886905, -1.6666468255357136e-08),
+}
 
 
 class TestExactMoments:
@@ -189,14 +222,13 @@ class TestElementaryEstimates:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("l", [0, 2, 4])
     def test_tail_bound_dominates_tail(self, alpha, l):
+        # |B_t|/t! <= 4 (2 pi)^-t, so the tail is at most 4 sum t^l q^t
         for start in (1, 3):
             exact = bernoulli_tail_exact(alpha, l, start)
-            bound = bernoulli_tail_bound(alpha, l, start)
+            with mp.workdps(100):
+                q = 1 / (2 * mp.pi * mp.mpf(alpha))
+                bound = float(4 * moments._geometric_power_tail(q, l, start))
             assert 0 <= exact <= bound
-
-    def test_tail_bound_rejects_divergent_regime(self):
-        with pytest.raises(UserInputError):
-            bernoulli_tail_bound(0.1, 0, 1)
 
 
 class TestAsymptotics:
@@ -216,6 +248,17 @@ class TestAsymptotics:
         # disagrees with its series evaluation; reaching here is the test
         parts = bernoulli_closed_forms(alpha)
         assert len(parts) == 4
+
+    @pytest.mark.parametrize("alpha", sorted(CLOSED_FORM_DOUBLES))
+    def test_one_pass_partials_match_four_passes(self, alpha):
+        with mp.workdps(100):
+            partials = moments._series_partials(mp.mpf(alpha))
+        want = [four_pass_partial(alpha, part)._mpf_ for part in (1, 2, 3, 4)]
+        assert [v._mpf_ for v in partials] == want
+
+    @pytest.mark.parametrize("alpha", sorted(CLOSED_FORM_DOUBLES))
+    def test_closed_form_doubles_are_pinned(self, alpha):
+        assert bernoulli_closed_forms(alpha) == CLOSED_FORM_DOUBLES[alpha]
 
     def test_closed_forms_reject_divergent_alpha(self):
         with pytest.raises(UserInputError):

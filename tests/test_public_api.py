@@ -31,7 +31,6 @@ CALLERS = SOURCE + BENCHMARK_CALLERS
 TEST_ONLY_ALLOWED = {
     "estimate0_deviation": "the only statement of the paper's estimate-zero deviation bound",
     "bernoulli_closed_forms": "the only statement of the paper's Bernoulli closed forms",
-    "bernoulli_tail_bound": "the only statement of the |B_t|/t! <= 4 (2 pi)^-t tail majorant",
     "newton_check": "backs acceptance check c08 (the Newton inequalities on Eulerian rows)",
 }
 

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, normalize, to_float
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_add, mpf_div, mpf_mul, normalize, to_float
 
 from shufflestats.errors import CertificationError, UserInputError
 from shufflestats.measures import ExactPmf, d_pmf_C, d_pmf_R
@@ -19,7 +19,6 @@ from shufflestats.stein import (
     SteinSolution,
     certification_sweep,
     certified_bound,
-    poisson_pmf,
     solve_stein,
     statistic_pushforward,
     sweep_k_values,
@@ -29,12 +28,6 @@ from shufflestats.stein import (
 )
 
 F = Fraction
-
-
-class TestPoissonBasics:
-    def test_pmf_values(self):
-        assert poisson_pmf(1.0, 0) == pytest.approx(math.exp(-1), rel=1e-14)
-        assert poisson_pmf(2.0, 3) == pytest.approx(8 / 6 * math.exp(-2), rel=1e-13)
 
 
 class TestSolver:
@@ -100,7 +93,7 @@ class TestSolver:
             j_max = rng.randint(5, 40)
             target = {j for j in range(j_max + 1) if rng.random() < 0.35}
             assert solve_stein(lam, target, j_max).g == reference_g(lam, target, j_max)
-        # Rational rates take _mpf_of's Fraction path; deeper j_max raises
+        # Rational rates take _rate_value's Fraction path; deeper j_max raises
         # the working precision to about 200 digits at lambda = 1/100.
         rates = [F(1, 4), F(7, 3), F(1, 100), F(31, 2), F(2, 1), 0.37, 12.5]
         for lam in rates:
@@ -344,15 +337,55 @@ class TestNonFiniteRates:
         with pytest.raises(UserInputError, match="lambda must be positive and finite"):
             tv_exact_vs_poisson(pmf, lam)
 
-    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0])
-    def test_pmf(self, lam):
-        with pytest.raises(UserInputError, match="lambda must be positive and finite"):
-            poisson_pmf(lam, 2)
-
     def test_nan_width_fails_the_certificate(self, monkeypatch):
         monkeypatch.setattr(stein, "tv_sandwich", lambda pmf, lam: (math.nan, math.nan))
         with pytest.raises(CertificationError, match="TV sandwich too wide"):
             tv_exact_vs_poisson(ExactPmf(1, [(0, 1)]), 0.5)
+
+
+def _mpf_object_rate(lam):
+    if isinstance(lam, Fraction):
+        return mp.mpf(lam.numerator) / lam.denominator
+    return mp.mpf(lam)
+
+
+class TestLibmpSetup:
+    """The libmp setup rounds lambda, e^-lambda and q_s as mpf objects did."""
+
+    def test_rate_and_its_exponential(self):
+        rng = random.Random(2304)
+        for i in range(3000):
+            if i % 2:
+                lam = 10 ** rng.uniform(-2.0, 1.5)
+            elif i % 3:
+                lam = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            else:  # a numerator wider than the precision is rounded first
+                lam = F(rng.getrandbits(rng.randint(100, 320)) | 1, rng.randint(1, 10**6))
+            dps = rng.randint(30, 90)
+            prec = dps_to_prec(dps)
+            with mp.workdps(dps):
+                lam_mp = _mpf_object_rate(lam)
+                want = lam_mp._mpf_, (mp.e ** (-lam_mp))._mpf_
+            lam_v = stein._rate_value(lam, prec)
+            assert (lam_v, stein._exp_neg(lam_v, prec)) == want, (lam, dps)
+
+    def test_start_mass(self):
+        rng = random.Random(2305)
+        with mp.workdps(40):
+            prec = mp.mp.prec
+            for i in range(3000):
+                if i % 3:
+                    lam = F(rng.randint(1, 2**17), rng.randint(1, 1001))
+                else:
+                    lam = 10 ** rng.uniform(-2.0, 3.0)
+                s = rng.randint(0, 2**17) if i % 4 else rng.randint(0, 40)
+                if i % 5 == 0:  # k wider than the precision, as far as tv --k allows
+                    k = rng.getrandbits(rng.randint(137, 520)) | 1
+                    lam, s = F(k, rng.randint(3, 1001)), k - rng.randint(1, 1000)
+                lam_mp = _mpf_object_rate(lam)
+                want = mp.exp(-lam_mp + s * mp.log(lam_mp) - mp.loggamma(s + 1))._mpf_
+                lam_v = stein._rate_value(lam, prec)
+                assert stein._poisson_mass(lam_v, s, prec) == want, (lam, s)
 
 
 # -- the integer kernel against libmp -----------------------------------------

@@ -15,6 +15,16 @@ O(n) per draw, drawing the very random numbers the word sampler draws.
 The d of a C/d word cut after it is drawn depends on where its descents
 sit, so that walk also keeps a descent bitmap, O(n) per row and step.
 
+Every kernel runs its rows in fixed blocks whose temporaries take about
+_BLOCK_BYTES, and histograms its values block by block, so a drawn row
+costs only the state it carries from step to step: 3 bytes in a walk (d,
+the wrap and the current case), n+4 in the C/d walk (its (n+1)-byte
+descent bitmap besides) and n+1 in the riffle (the word and its cut),
+while a byte holds n. numpy's Generator reads its bit stream the same way
+whether one call draws a batch or consecutive calls draw it piece by
+piece, so each kernel draws its blocks in the order one call per step
+would, and a block boundary changes no draw.
+
 Empirical output is summarized against the exact pmfs from
 :mod:`shufflestats.measures` via a Pearson chi-square test with
 tail-bin merging plus per-bin binomial z-scores, computed once and kept
@@ -36,6 +46,7 @@ only sampling does.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -60,6 +71,11 @@ _SCALE = 1 << _THRESHOLD_BITS
 _MIN_EXPECTED = 5.0
 _TREE_CAP = 8
 _NORMALIZATION_MAX = 50  # largest n and k of the insertion normalization sweep
+# A kernel block's temporaries take about 4 MiB: the C/d walk makes m numpy calls per
+# block and step, so its blocks need thousands of rows to keep up with one whole batch.
+_BLOCK_BYTES = 1 << 22
+_ROW_BYTES = 48  # temporaries of a row in a per-row pass: draws, bounds, masks, bincount
+_GSR_CARD_BYTES = 24  # temporaries of a card in a riffle round: uniforms, their sort, masks
 DEFAULT_STREAMS = 8
 
 
@@ -129,6 +145,21 @@ def _stream_counts(count: int, streams: int) -> list[int]:
     return [base + (sid < extra) for sid in range(streams)]
 
 
+def _blocks(count: int, row_bytes: int) -> list[slice]:
+    """The row blocks of `count` rows for a pass whose temporaries take `row_bytes` a row.
+
+    A block's temporaries take at most about _BLOCK_BYTES; the blocks share
+    the rows evenly, the first ones largest, so a pass reuses memory of one
+    size from block to block. numpy's Generator reads its bit stream the
+    same way whether one call draws a batch or consecutive calls draw it
+    piece by piece, so a block boundary changes no draw and the block size
+    is not part of the output's contract.
+    """
+    sizes = _stream_counts(count, -(-count // max(1, _BLOCK_BYTES // row_bytes)))
+    starts = itertools.accumulate(sizes, initial=0)
+    return [slice(a, a + size) for a, size in zip(starts, sizes)]
+
+
 def _case_thresholds(k: int, m: int) -> np.ndarray:
     """53-bit thresholds for drawing a case-1 insertion at deck size m.
 
@@ -143,23 +174,14 @@ def _case_thresholds(k: int, m: int) -> np.ndarray:
     return out
 
 
-def _insertion_case(
-    k: int, m: int, d: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw each row's insertion case and its slot rank at deck size m.
+def _threshold_tables(k: int, n: int) -> list[np.ndarray]:
+    """_case_thresholds(k, m) for the walk's steps m = 1 .. n-1, built once per run.
 
-    d holds the rows' descent counts (int64). Returns (case1, t): case1
-    is True where the case keeps d, and t is a uniform rank among the
-    d+1 (case 1) or m-d (case 2) qualifying slots. Both samplers draw
-    through here, so they read the stream identically.
+    Each table keeps its first k+1 entries: every entry past d = k is the
+    always-accept threshold at entry k, so a walk reads it with clipped
+    indices, and the tables take O(n min(n, k)) cells, not O(n^2).
     """
-    u = rng.integers(0, _SCALE, size=d.shape[0], dtype=np.uint64)
-    case1 = u < _case_thresholds(k, m)[d]
-    # int64 bounds: their dtype picks numpy's bounded-draw algorithm.
-    hi = m - d
-    np.copyto(hi, d + 1, where=case1)
-    t = rng.integers(0, hi)
-    return case1, t
+    return [_case_thresholds(k, m)[: k + 1].copy() for m in range(1, n)]
 
 
 def _slot_count_dtype(n: int) -> np.dtype:
@@ -167,61 +189,98 @@ def _slot_count_dtype(n: int) -> np.dtype:
 
 
 def _insertion_walk(
-    k: int, n: int, count: int, rng: np.random.Generator, desc: np.ndarray | None = None
+    tables: list[np.ndarray],
+    n: int,
+    count: int,
+    rng: np.random.Generator,
+    desc: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d, last > first) of `count` insertion words, without the words.
 
-    Draws exactly what the word sampler _insertion_words(k, n, count, rng)
-    in tests/test_sampler.py draws, and the tests hold the two to it. Slot 0
-    is taken exactly when the case is 2 and t == 0, which puts the new
-    maximum first; slot m exactly when the case is 1 and t == d, which
-    puts it last. So the descent count and whether the last symbol
-    exceeds the first follow in O(n) per row.
+    tables is _threshold_tables(k, n). Draws exactly what the word sampler
+    _insertion_words(k, n, count, rng) in tests/test_sampler.py draws, and
+    the tests hold the two to it. At deck size m each row draws its case
+    (case 1 keeps d) from a uniform 53-bit integer against its threshold,
+    then a uniform rank t among the d+1 (case 1) or m-d (case 2) slots that
+    qualify. Slot 0 is taken exactly when the case is 2 and t == 0, which
+    puts the new maximum first; slot m exactly when the case is 1 and
+    t == d, which puts it last. So the descent count and whether the last
+    symbol exceeds the first follow in O(n) per row.
+
+    Rows run in blocks (see _blocks). Each step draws every block's cases
+    before any block's slots, since a slot's bound depends on its case, so
+    the stream is read as by one case call and one slot call per step. A
+    row keeps 3 bytes: d (in the smallest unsigned dtype that holds n), the
+    wrap and its current case.
 
     A zeroed (n+1, count) bool `desc` gets desc[s, row] = word[s-1] > word[s]
     for each inner slot s, with slot 0 an ascent and slot m a descent, so
     case 1 takes a descent slot and case 2 an ascent slot. Taking slot j
     moves the slots past j down one row; then j ascends and j+1 descends.
     """
-    d = np.zeros(count, dtype=np.int64)
+    d = np.zeros(count, dtype=np.min_scalar_type(n))
     wrap = np.zeros(count, dtype=bool)
+    case = np.empty(count, dtype=bool)
+    blocks = _blocks(count, _ROW_BYTES if desc is None else _ROW_BYTES + 2 * (n + 1))
     if desc is not None:
         desc[1] = True
-        flat, cols = desc.reshape(-1), np.arange(count)
-        slots = np.empty((n, count), dtype=_slot_count_dtype(n))
-    for m in range(1, n):
-        case1, t = _insertion_case(k, m, d, rng)
-        wrap &= case1 | (t != 0)
-        wrap |= case1 & (t == d)
-        d += ~case1
-        if desc is None:
-            continue
-        # Running count of qualifying slots, row by row: a cumsum along
-        # axis 0 is many times slower. Slot j is the (t+1)-th to qualify.
-        q = np.equal(desc[: m + 1], case1, out=slots[: m + 1])
-        for i in range(1, m + 1):
-            np.add(q[i], q[i - 1], out=q[i])
-        before = q <= t.astype(q.dtype)
-        moved = desc[1 : m + 2] ^ desc[: m + 1]
-        np.greater(moved, before, out=moved)
-        desc[1 : m + 2] ^= moved
-        # Summed in the slot dtype; count_nonzero accumulates in intp, several times slower.
-        at = np.add.reduce(before, axis=0, dtype=q.dtype).astype(np.int64) * count + cols
-        flat[at] = False
-        flat[at + count] = True
+        flat = desc.reshape(-1)
+        # Per block: running slot counts, then the slots that shift.
+        counts = np.empty((n, blocks[0].stop), dtype=_slot_count_dtype(n))
+        shifts = np.empty((n, blocks[0].stop), dtype=bool)
+    for m, table in enumerate(tables, start=1):
+        for blk in blocks:
+            u = rng.integers(0, _SCALE, size=blk.stop - blk.start, dtype=np.uint64)
+            np.less(u, table.take(d[blk], mode="clip"), out=case[blk])
+        for blk in blocks:
+            case1, d_blk, wrap_blk = case[blk], d[blk], wrap[blk]
+            # int64 bounds: their dtype picks numpy's bounded-draw algorithm.
+            hi = d_blk.astype(np.int64)
+            t = rng.integers(0, np.where(case1, hi + 1, m - hi))
+            wrap_blk &= case1 | (t != 0)
+            wrap_blk |= case1 & (t == d_blk)
+            d_blk += ~case1
+            if desc is None:
+                continue
+            # Running count of qualifying slots, row by row: a cumsum along
+            # axis 0 is many times slower. Slot j is the (t+1)-th to qualify.
+            rows = t.shape[0]
+            q = np.equal(desc[: m + 1, blk], case1, out=counts[: m + 1, :rows])
+            prev = q[0]
+            for cur in q[1:]:
+                np.add(cur, prev, out=cur)
+                prev = cur
+            before = np.less_equal(q, t.astype(q.dtype), out=q)  # 1 on the slots before j
+            slot, next_slot = desc[: m + 1, blk], desc[1 : m + 2, blk]
+            moved = np.not_equal(next_slot, slot, out=shifts[: m + 1, :rows])
+            np.greater(moved, before, out=moved)
+            np.bitwise_xor(next_slot, moved, out=next_slot)
+            # Summed in the slot dtype; count_nonzero accumulates in intp, several times slower.
+            at = np.add.reduce(before, axis=0, dtype=q.dtype).astype(np.int64) * count
+            at += np.arange(blk.start, blk.stop)
+            flat[at] = False
+            flat[at + count] = True
     return d, wrap
 
 
-def _cut_descents(k: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def _cut_descents(
+    tables: list[np.ndarray], n: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
     """d of `count` insertion words, each cut before a uniform position s drawn after it.
 
-    The cut turns the pair across slot s into the wrap (at s = 0, the wrap itself).
+    The cut turns the pair across slot s into the wrap (at s = 0, the wrap
+    itself). A row keeps its (n+1)-byte descent bitmap besides the walk's
+    3 bytes; the cuts are drawn block by block once the walk is done.
     """
     desc = np.zeros((n + 1, count), dtype=bool)
-    d, wrap = _insertion_walk(k, n, count, rng, desc)
-    shift = rng.integers(0, n, size=count)
+    d, wrap = _insertion_walk(tables, n, count, rng, desc)
     desc[0] = wrap
-    return d + wrap - desc[shift, np.arange(count)]
+    for blk in _blocks(count, _ROW_BYTES):
+        shift = rng.integers(0, n, size=blk.stop - blk.start)
+        db = d[blk]
+        db += wrap[blk]
+        db -= desc[shift, np.arange(blk.start, blk.stop)]
+    return d
 
 
 def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -240,28 +299,44 @@ def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.
     argsort order. Unless the cut-th and next-lowest uniforms tie, they
     are exactly the uniforms at or below the cut-th lowest, so only a
     tied row needs the argsort to break its tie.
+
+    A round draws every row's cut, then the uniforms block by block, so
+    the blocks read the stream as one call per round would. A row keeps
+    its word, in the smallest dtype that holds n, and its cut.
     """
-    words = np.tile(np.arange(1, n + 1, dtype=np.int32), count)
-    rows = np.arange(count)
+    words = np.tile(np.arange(1, n + 1, dtype=np.min_scalar_type(n)), (count, 1))
+    cuts = np.empty(count, dtype=words.dtype)
+    blocks = _blocks(count, _GSR_CARD_BYTES * n)
+    # One buffer each for the uniforms and their sorted copy, kept from
+    # block to block: fresh ones would page-fault in every block.
+    uniforms = np.empty((blocks[0].stop, n))
+    ordered = np.empty_like(uniforms)
     for _ in range(rounds):
-        cut = rng.binomial(n, 0.5, size=count)
-        u = rng.random((count, n))
-        s = np.sort(u, axis=1)
-        # Uniforms lie in [0, 1), so a cut of 0 takes no position.
-        lo = np.where(cut > 0, s[rows, cut - 1], -1.0)
-        top = u <= lo[:, None]
-        first = np.arange(n) < cut[:, None]
-        tied = np.flatnonzero((cut < n) & (lo == s[rows, np.minimum(cut, n - 1)]))
-        if tied.size:
-            ranked = np.empty((tied.size, n), dtype=bool)
-            np.put_along_axis(ranked, np.argsort(u[tied], axis=1), first[tied], axis=1)
-            top[tied] = ranked
-        # Each packet's cards fill its positions in order, deck by deck.
-        out = np.empty_like(words)
-        out[np.flatnonzero(top)] = words[np.flatnonzero(first)]
-        out[np.flatnonzero(~top)] = words[np.flatnonzero(~first)]
-        words = out
-    return words.reshape(count, n)
+        for blk in blocks:
+            cuts[blk] = rng.binomial(n, 0.5, size=blk.stop - blk.start)
+        for blk in blocks:
+            cut = cuts[blk].astype(np.intp)
+            rows = np.arange(cut.shape[0])
+            u = rng.random(out=uniforms[: rows.size])
+            s = ordered[: rows.size]
+            np.copyto(s, u)
+            s.sort(axis=1)
+            # Uniforms lie in [0, 1), so a cut of 0 takes no position.
+            lo = np.where(cut > 0, s[rows, cut - 1], -1.0)
+            top = u <= lo[:, None]
+            first = np.arange(n) < cut[:, None]
+            tied = np.flatnonzero((cut < n) & (lo == s[rows, np.minimum(cut, n - 1)]))
+            if tied.size:
+                ranked = np.empty((tied.size, n), dtype=bool)
+                np.put_along_axis(ranked, np.argsort(u[tied], axis=1), first[tied], axis=1)
+                top[tied] = ranked
+            # Each packet's cards fill its positions in order, deck by deck.
+            top, first, word = top.reshape(-1), first.reshape(-1), words[blk].reshape(-1)
+            out = np.empty_like(word)
+            out[np.flatnonzero(top)] = word[np.flatnonzero(first)]
+            out[np.flatnonzero(~top)] = word[np.flatnonzero(~first)]
+            words[blk] = out.reshape(-1, n)
+    return words
 
 
 def _descents_per_row(words: np.ndarray) -> np.ndarray:
@@ -274,6 +349,19 @@ def _inverse_descents(words: np.ndarray) -> np.ndarray:
     inv = np.empty_like(words)
     np.put_along_axis(inv, words - 1, np.arange(1, n + 1, dtype=words.dtype)[None, :], axis=1)
     return _descents_per_row(inv)
+
+
+def _merged(parts: list[np.ndarray]) -> np.ndarray:
+    """Sum of histograms of differing lengths."""
+    merged = np.zeros(max(part.shape[0] for part in parts), dtype=np.int64)
+    for part in parts:
+        merged[: part.shape[0]] += part
+    return merged
+
+
+def _tally(count: int, row_bytes: int, values: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """Histogram of values(block) over the row blocks of `count` rows."""
+    return _merged([np.bincount(values(blk)) for blk in _blocks(count, row_bytes)])
 
 
 def exact_statistic_pmf(measure: str, k: int, n: int, statistic: str) -> ExactPmf:
@@ -289,9 +377,9 @@ def _usable_cpus() -> int:
 
 
 def _run_streams(
-    config: SamplerConfig, width: int, draw: Callable[[np.random.Generator, int], np.ndarray]
+    config: SamplerConfig, draw: Callable[[np.random.Generator, int], np.ndarray]
 ) -> np.ndarray:
-    """Bincount each stream's drawn statistic values and merge them in id order.
+    """Merge the streams' histograms of drawn statistic values in id order.
 
     Streams are the logical split of the sample; at most one thread per
     CPU runs them, which changes no draw. Streams with id >= count get
@@ -300,18 +388,13 @@ def _run_streams(
     chunks = _stream_counts(config.count, min(config.streams, config.count))
 
     def run(sid: int) -> np.ndarray:
-        values = draw(_stream_generator(config.seed, sid), chunks[sid])
-        return np.bincount(values, minlength=width)
+        return draw(_stream_generator(config.seed, sid), chunks[sid])
 
     from concurrent.futures import ThreadPoolExecutor
 
     workers = min(len(chunks), _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, range(len(chunks))))
-    merged = np.zeros(max(part.shape[0] for part in parts), dtype=np.int64)
-    for part in parts:
-        merged[: part.shape[0]] += part
-    return merged
+        return _merged(list(pool.map(run, range(len(chunks)))))
 
 
 def _on_support(
@@ -413,6 +496,7 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
     law = statistic_law(measure, statistic)
     k, n = config.k, config.n
     exact = law.pmf(k, n)
+    tables = _threshold_tables(k, n)
     if law.flavor is not None:
         # Parsimony distance of each read value; slot 0 is 0 (c is never 0).
         distance = np.array(
@@ -422,16 +506,19 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
 
     def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
         if measure == "C" and law.reads == "d":
-            values = _cut_descents(k, n, chunk, rng)
+            d = _cut_descents(tables, n, chunk, rng)
         else:
             # c is rotation invariant and the cut is the stream's last draw,
             # so the cut is left undrawn and c = d + [last > first].
-            values, wrap = _insertion_walk(k, n, chunk, rng)
-            if law.reads == "c":
-                values += wrap
-        return values if law.flavor is None else distance[values]
+            d, wrap = _insertion_walk(tables, n, chunk, rng)
 
-    return _summarize(_run_streams(config, exact.support[-1] + 1, draw), exact, config.count)
+        def values(blk: slice) -> np.ndarray:
+            read = d[blk] + wrap[blk] if law.reads == "c" else d[blk]
+            return read if law.flavor is None else distance[read]
+
+        return _tally(chunk, _ROW_BYTES, values)
+
+    return _summarize(_run_streams(config, draw), exact, config.count)
 
 
 def riffle_summary(n: int, rounds: int, count: int, seed: int) -> SampleSummary:
@@ -446,9 +533,10 @@ def riffle_summary(n: int, rounds: int, count: int, seed: int) -> SampleSummary:
     exact = d_pmf_R(config.k, n)
 
     def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
-        return _inverse_descents(_gsr_words(n, rounds, chunk, rng))
+        words = _gsr_words(n, rounds, chunk, rng)
+        return _tally(chunk, _GSR_CARD_BYTES * n, lambda blk: _inverse_descents(words[blk]))
 
-    return _summarize(_run_streams(config, exact.support[-1] + 1, draw), exact, config.count)
+    return _summarize(_run_streams(config, draw), exact, config.count)
 
 
 def decision_tree_distribution(k: int, n: int) -> dict[tuple[int, ...], Fraction]:

@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import math
 import os
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -52,14 +53,18 @@ def _insertion_words(k, n, count, rng):
     or after a descent slot and keeps the descent count; case 2 inserts
     after slot 0 or after an ascent slot and raises it by one. The case
     is drawn first, then a slot uniformly among the d+1 (case 1) or m-d
-    (case 2) qualifying slots. This is the reference the walks of
-    sampler._insertion_walk must reproduce draw for draw.
+    (case 2) qualifying slots, each in one call over the whole batch.
+    This is the reference the walks of sampler._insertion_walk must
+    reproduce draw for draw.
     """
     words = np.ones((count, 1), dtype=np.int32)
     rows = np.arange(count)
     for m in range(1, n):
         desc = words[:, :-1] > words[:, 1:]
-        case1, t = sampler._insertion_case(k, m, desc.sum(axis=1), rng)
+        d = desc.sum(axis=1)
+        u = rng.integers(0, sampler._SCALE, size=count, dtype=np.uint64)
+        case1 = u < sampler._case_thresholds(k, m)[d]
+        t = rng.integers(0, np.where(case1, d + 1, m - d))
         qualifies = np.empty((count, m + 1), dtype=bool)
         qualifies[:, 0] = ~case1
         qualifies[:, 1:m] = desc == case1[:, None]
@@ -81,6 +86,75 @@ def _summarize(values, exact):
 def _draw(pmf, count, rng):
     """count values drawn from pmf's float masses."""
     return rng.choice(pmf.support, size=count, p=[float(m) for _, m in pmf.items()])
+
+
+def _double_argsort_words(n, rounds, count, rng):
+    """The riffle round as first written, one call per round for each draw.
+
+    Ranks come from a second argsort, then each packet's cards are placed
+    through two cumsums. This is the reference sampler._gsr_words must
+    reproduce draw for draw.
+    """
+    words = np.tile(np.arange(1, n + 1, dtype=np.int32), (count, 1))
+    for _ in range(rounds):
+        cut = rng.binomial(n, 0.5, size=count)
+        ranks = np.argsort(np.argsort(rng.random((count, n)), axis=1), axis=1)
+        in_top = ranks < cut[:, None]
+        src = np.where(
+            in_top,
+            in_top.cumsum(axis=1) - 1,
+            cut[:, None] + (~in_top).cumsum(axis=1) - 1,
+        )
+        words = np.take_along_axis(words, src, axis=1)
+    return words
+
+
+class _CoarseUniforms:
+    """A real generator whose uniforms are rounded down to multiples of 1/16, so rows tie."""
+
+    def __init__(self, seed):
+        self.real = _rng(seed)
+        self.cuts, self.uniforms = [], []
+
+    def binomial(self, n, p, size):
+        self.cuts.append(self.real.binomial(n, p, size=size))
+        return self.cuts[-1]
+
+    def random(self, size=None, out=None):
+        u = np.floor(self.real.random(size, out=out) * 16) / 16
+        self.uniforms.append(u)
+        if out is None:
+            return u
+        out[...] = u
+        return out
+
+
+def _check_tied_rows(n, rounds, count):
+    ref, stub = _CoarseUniforms(11), _CoarseUniforms(11)
+    want = _double_argsort_words(n, rounds, count, ref)
+    assert sampler._gsr_words(n, rounds, count, stub).tolist() == want.tolist()
+    np.testing.assert_equal(ref.real.bit_generator.state, stub.real.bit_generator.state)
+    # Rows whose cut-th and next-lowest uniforms tie take the argsort fallback.
+    # A round may draw in several calls; their rows, in order, make up the round.
+    cuts = np.concatenate(stub.cuts).reshape(rounds, count)
+    uniforms = np.concatenate(stub.uniforms).reshape(rounds, count, n)
+    tied = 0
+    for cut, u in zip(cuts, uniforms):
+        s = np.sort(u, axis=1)
+        inner = np.flatnonzero((cut > 0) & (cut < n))
+        tied += np.count_nonzero(s[inner, cut[inner] - 1] == s[inner, cut[inner]])
+    assert tied > 0
+
+
+@pytest.fixture(params=[1, 7, 64])
+def block_rows(request, monkeypatch):
+    """Run every pass of every kernel in blocks of this many rows."""
+    rows = request.param
+
+    def blocks(count, row_bytes):
+        return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
+
+    monkeypatch.setattr(sampler, "_blocks", blocks)
 
 
 class TestConfig:
@@ -149,7 +223,7 @@ class TestInsertionWalk:
         for seed in (0, 1, 20261018):
             word_rng, walk_rng = _rng(seed), _rng(seed)
             words = _insertion_words(k, n, 300, word_rng)
-            d, wrap = sampler._insertion_walk(k, n, 300, walk_rng)
+            d, wrap = sampler._insertion_walk(sampler._threshold_tables(k, n), n, 300, walk_rng)
             assert d.tolist() == sampler._descents_per_row(words).tolist()
             assert wrap.tolist() == (words[:, -1] > words[:, 0]).tolist()
             np.testing.assert_equal(word_rng.bit_generator.state, walk_rng.bit_generator.state)
@@ -163,12 +237,13 @@ class TestInsertionWalk:
             words = _insertion_words(k, n, 300, word_rng)
             shift = word_rng.integers(0, n, size=300)
             cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
-            d = sampler._cut_descents(k, n, 300, walk_rng)
+            tables = sampler._threshold_tables(k, n)
+            d = sampler._cut_descents(tables, n, 300, walk_rng)
             assert d.tolist() == sampler._descents_per_row(cut).tolist()
             np.testing.assert_equal(word_rng.bit_generator.state, walk_rng.bit_generator.state)
             # The bitmap itself: slot 0 ascends, slot n descends.
             desc = np.zeros((n + 1, 300), dtype=bool)
-            sampler._insertion_walk(k, n, 300, desc_rng, desc)
+            sampler._insertion_walk(tables, n, 300, desc_rng, desc)
             assert (desc[1:n].T == (words[:, :-1] > words[:, 1:])).all()
             assert not desc[0].any() and desc[n].all()
 
@@ -178,7 +253,8 @@ class TestInsertionWalk:
         words = _insertion_words(2**40, 300, 40, word_rng)
         shift = word_rng.integers(0, 300, size=40)
         cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
-        assert sampler._cut_descents(2**40, 300, 40, walk_rng).tolist() == (
+        tables = sampler._threshold_tables(2**40, 300)
+        assert sampler._cut_descents(tables, 300, 40, walk_rng).tolist() == (
             sampler._descents_per_row(cut).tolist()
         )
 
@@ -198,6 +274,19 @@ class TestInsertionWalk:
             p1 = F((d + 1) * (m + k - d), k * (m + 1))
             want.append(min((p1.numerator * sampler._SCALE) // p1.denominator, sampler._SCALE))
         assert sampler._case_thresholds(k, m).tolist() == want
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 29, 30, 2**40])
+    def test_clipped_tables_read_as_the_full_thresholds(self, k):
+        for m, table in enumerate(sampler._threshold_tables(k, 30), start=1):
+            d = np.arange(m, dtype=np.uint8)
+            assert table.take(d, mode="clip").tolist() == sampler._case_thresholds(k, m).tolist()
+
+    def test_thresholds_are_built_once_per_run(self, monkeypatch):
+        built = []
+        real = sampler._case_thresholds
+        monkeypatch.setattr(sampler, "_case_thresholds", lambda k, m: built.append(m) or real(k, m))
+        sample_statistic("C", "c", SamplerConfig(k=50, n=30, count=4000, seed=1, streams=4))
+        assert sorted(built) == list(range(1, 30))
 
 
 class TestSeeds:
@@ -253,60 +342,17 @@ class TestGsr:
     def test_zero_rounds_is_identity(self):
         assert sampler._gsr_words(7, 0, 1, _rng())[0].tolist() == list(range(1, 8))
 
-    @staticmethod
-    def _double_argsort_words(n, rounds, count, rng):
-        # The round as first written: ranks by a second argsort, then
-        # each packet's cards placed through two cumsums.
-        words = np.tile(np.arange(1, n + 1, dtype=np.int32), (count, 1))
-        for _ in range(rounds):
-            cut = rng.binomial(n, 0.5, size=count)
-            ranks = np.argsort(np.argsort(rng.random((count, n)), axis=1), axis=1)
-            in_top = ranks < cut[:, None]
-            src = np.where(
-                in_top,
-                in_top.cumsum(axis=1) - 1,
-                cut[:, None] + (~in_top).cumsum(axis=1) - 1,
-            )
-            words = np.take_along_axis(words, src, axis=1)
-        return words
-
     @pytest.mark.parametrize("rounds", [0, 1, 7])
     @pytest.mark.parametrize("n", [1, 2, 13, 52])
     def test_rounds_match_the_double_argsort_round(self, n, rounds):
         for seed in (0, 1, 20261018):
             ref_rng, rng = _rng(seed), _rng(seed)
-            want = self._double_argsort_words(n, rounds, 500, ref_rng)
+            want = _double_argsort_words(n, rounds, 500, ref_rng)
             assert sampler._gsr_words(n, rounds, 500, rng).tolist() == want.tolist()
             np.testing.assert_equal(ref_rng.bit_generator.state, rng.bit_generator.state)
 
-    class _CoarseUniforms:
-        """A real generator whose uniforms are rounded down to multiples of 1/16, so rows tie."""
-
-        def __init__(self, seed):
-            self.real = _rng(seed)
-            self.cuts, self.uniforms = [], []
-
-        def binomial(self, n, p, size):
-            self.cuts.append(self.real.binomial(n, p, size=size))
-            return self.cuts[-1]
-
-        def random(self, size):
-            self.uniforms.append(np.floor(self.real.random(size) * 16) / 16)
-            return self.uniforms[-1]
-
     def test_rows_tied_at_the_cut_match_the_double_argsort_round(self):
-        n, rounds = 13, 3
-        ref, stub = self._CoarseUniforms(11), self._CoarseUniforms(11)
-        want = self._double_argsort_words(n, rounds, 400, ref)
-        assert sampler._gsr_words(n, rounds, 400, stub).tolist() == want.tolist()
-        np.testing.assert_equal(ref.real.bit_generator.state, stub.real.bit_generator.state)
-        # Rows whose cut-th and next-lowest uniforms tie take the argsort fallback.
-        tied = 0
-        for cut, u in zip(stub.cuts, stub.uniforms):
-            s = np.sort(u, axis=1)
-            inner = np.flatnonzero((cut > 0) & (cut < n))
-            tied += np.count_nonzero(s[inner, cut[inner] - 1] == s[inner, cut[inner]])
-        assert tied > 0
+        _check_tied_rows(n=13, rounds=3, count=400)
 
     def test_shuffle_outputs_permutations(self):
         rng = _rng(3)
@@ -349,6 +395,116 @@ class TestGsr:
             values[i] = oracle_descents(oracle_inverse(word))
         summary = _summarize(values, d_pmf_R(4, n))
         assert summary.p_value > 0.001
+
+
+class TestBlocks:
+    # Blocks of any size read the stream as one batch call per step does,
+    # so every kernel matches its one-call reference bit for bit.
+    @pytest.mark.parametrize("k, n", [(1, 4), (2, 7), (3, 30), (50, 52), (2**40, 13)])
+    def test_walks_cross_blocks(self, block_rows, k, n):
+        word_rng, walk_rng, desc_rng = _rng(3), _rng(3), _rng(3)
+        words = _insertion_words(k, n, 150, word_rng)
+        tables = sampler._threshold_tables(k, n)
+        d, wrap = sampler._insertion_walk(tables, n, 150, walk_rng)
+        assert d.tolist() == sampler._descents_per_row(words).tolist()
+        assert wrap.tolist() == (words[:, -1] > words[:, 0]).tolist()
+        np.testing.assert_equal(word_rng.bit_generator.state, walk_rng.bit_generator.state)
+        desc = np.zeros((n + 1, 150), dtype=bool)
+        d_desc, wrap_desc = sampler._insertion_walk(tables, n, 150, desc_rng, desc)
+        assert d_desc.tolist() == d.tolist() and wrap_desc.tolist() == wrap.tolist()
+        assert (desc[1:n].T == (words[:, :-1] > words[:, 1:])).all()
+        np.testing.assert_equal(word_rng.bit_generator.state, desc_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("k, n", [(2, 2), (10, 52), ("n", 30)])
+    def test_cut_descents_cross_blocks(self, block_rows, k, n):
+        k = n if k == "n" else k
+        word_rng, walk_rng = _rng(8), _rng(8)
+        words = _insertion_words(k, n, 150, word_rng)
+        shift = word_rng.integers(0, n, size=150)
+        cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
+        d = sampler._cut_descents(sampler._threshold_tables(k, n), n, 150, walk_rng)
+        assert d.tolist() == sampler._descents_per_row(cut).tolist()
+        np.testing.assert_equal(word_rng.bit_generator.state, walk_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("n, rounds", [(1, 2), (13, 1), (52, 7)])
+    def test_riffle_crosses_blocks(self, block_rows, n, rounds):
+        ref_rng, rng = _rng(4), _rng(4)
+        want = _double_argsort_words(n, rounds, 150, ref_rng)
+        words = sampler._gsr_words(n, rounds, 150, rng)
+        assert words.tolist() == want.tolist()
+        np.testing.assert_equal(ref_rng.bit_generator.state, rng.bit_generator.state)
+        inverse = [oracle_descents(oracle_inverse(w)) for w in want.tolist()]
+        assert sampler._inverse_descents(words).tolist() == inverse
+
+    def test_tied_rows_cross_blocks(self, block_rows):
+        _check_tied_rows(n=13, rounds=3, count=150)
+
+    def test_summaries_do_not_depend_on_the_block_size(self, block_rows, monkeypatch):
+        cfg = SamplerConfig(k=5, n=9, count=600, seed=12, streams=2)
+        blocked = [
+            sample_statistic(m, stat, cfg).histogram
+            for m, stat in (("R", "d"), ("C", "c"), ("C", "d"), ("C", "parsimony"))
+        ]
+        blocked.append(riffle_summary(9, 3, count=600, seed=12).histogram)
+        monkeypatch.undo()
+        whole = [
+            sample_statistic(m, stat, cfg).histogram
+            for m, stat in (("R", "d"), ("C", "c"), ("C", "d"), ("C", "parsimony"))
+        ]
+        whole.append(riffle_summary(9, 3, count=600, seed=12).histogram)
+        assert blocked == whole
+
+    @pytest.mark.parametrize("count", [1, 2, 1000, 1001])
+    @pytest.mark.parametrize("row_bytes", [1, 48, 10**9])
+    def test_blocks_tile_the_rows(self, count, row_bytes, monkeypatch):
+        monkeypatch.setattr(sampler, "_BLOCK_BYTES", 4096)
+        blocks = sampler._blocks(count, row_bytes)
+        assert blocks[0].start == 0 and blocks[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        # As few blocks as the budget allows, sharing the rows evenly, largest first.
+        cap = max(1, 4096 // row_bytes)
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(sizes) == -(-count // cap) and max(sizes) <= cap
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+
+
+class TestMemory:
+    # tracemalloc sees numpy's buffers. The peak's growth from 16k to 32k
+    # rows, in blocks of a few hundred, is what a row costs: the state a
+    # kernel keeps, not the temporaries of a block.
+    @staticmethod
+    def _bytes_per_row(run, monkeypatch):
+        monkeypatch.setattr(sampler, "_BLOCK_BYTES", 1 << 16)
+        run(16_000)  # first-call allocations (numpy's, the exact law's) are not a row's
+        peaks = []
+        for count in (16_000, 32_000):
+            tracemalloc.start()
+            try:
+                run(count)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return (peaks[1] - peaks[0]) / 16_000
+
+    def test_walk_keeps_three_bytes_a_row(self, monkeypatch):
+        tables = sampler._threshold_tables(4, 6)
+        walk = lambda count: sampler._insertion_walk(tables, 6, count, _rng())
+        assert self._bytes_per_row(walk, monkeypatch) <= 8
+
+    def test_cut_walk_keeps_its_bitmap_and_three_bytes_a_row(self, monkeypatch):
+        tables = sampler._threshold_tables(10, 20)
+        walk = lambda count: sampler._cut_descents(tables, 20, count, _rng())
+        assert self._bytes_per_row(walk, monkeypatch) <= 21 + 8
+
+    def test_riffle_keeps_its_word_and_cut_a_row(self, monkeypatch):
+        riffle = lambda count: sampler._gsr_words(20, 3, count, _rng())
+        assert self._bytes_per_row(riffle, monkeypatch) <= 20 + 8
+
+    def test_sampling_histograms_block_by_block(self, monkeypatch):
+        def run(count):
+            sample_statistic("R", "d", SamplerConfig(k=4, n=6, count=count, seed=1, streams=1))
+
+        assert self._bytes_per_row(run, monkeypatch) <= 8
 
 
 class TestFitSummaries:

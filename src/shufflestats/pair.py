@@ -142,20 +142,12 @@ class PairLaw:
 # The G remainder of the normalized pair under the uniform measure
 
 
-@dataclass(frozen=True)
-class NormalizedPair:
-    """Exact Var(d) and E|G(W)| = abs_g_scaled / sqrt(var_d) under U_n."""
-
-    var_d: Fraction
-    abs_g_scaled: Fraction
-
-
-def g_remainder(n: int) -> NormalizedPair:
+def g_remainder(n: int) -> Fraction:
     """The aggregate E|G(W)| under the uniform measure U_n, exact.
 
     G(r) = E(W' - W | d = r) + W(r)/n, and with E(d) = (n-1)/2,
     n sqrt(Var(d)) G(r) = P(c=r+1)(r+1)(n-1) / (n P(d=r)) - (n-1)/2.
-    The aggregate is carried as abs_g_scaled * Var(d)^(-1/2), where
+    It returns abs_g_scaled = E|G(W)| sqrt(Var(d)), Var(d) = (n+1)/12:
     abs_g_scaled = sum_r |P(c=r+1)(r+1)(n-1)/n - P(d=r)(n-1)/2| / n.
     A second simplification, through the cyclic pmf alone, must agree.
     (Under C(k, n), sqrt(Var(d)) G(r) = up_r - down_r + (r - E d)/n on
@@ -164,9 +156,8 @@ def g_remainder(n: int) -> NormalizedPair:
     if n < 2:
         raise UserInputError("need n >= 2")
     d_pmf, c_pmf = d_pmf_uniform(n), c_pmf_uniform(n)
-    mean_d, var_d = Fraction(n - 1, 2), Fraction(n + 1, 12)
     # Downstream trusts E(W) = 0 and E(W^2) = 1; this check makes them exact.
-    if d_pmf.mean() != mean_d or d_pmf.variance() != var_d:
+    if d_pmf.mean() != Fraction(n - 1, 2) or d_pmf.variance() != Fraction(n + 1, 12):
         raise CertificationError(f"moment/pmf disagreement at n={n}")
     c, c_den, d_den = dict(zip(c_pmf.support, c_pmf.nums)), c_pmf.den, d_pmf.den
     # Each term times 2 n c_den d_den / (n-1), an integer.
@@ -184,7 +175,7 @@ def g_remainder(n: int) -> NormalizedPair:
             f"uniform G aggregate simplification mismatch at n={n}: "
             f"{abs_g_scaled} vs {alt}"
         )
-    return NormalizedPair(var_d, abs_g_scaled)
+    return abs_g_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +266,9 @@ def nogood_diagnostic(n_lo: int, n_hi: int) -> list[NogoodRow]:
         raise UserInputError(f"--n-hi must be at most {DIAGNOSTIC_N_MAX}, got {n_hi}")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        pair = g_remainder(n)
-        var_n = pair.var_d
-        if var_n != Fraction(n + 1, 12):
-            raise CertificationError(f"Var under U_{n} is {var_n}, not (n+1)/12")
-        q_scaled = n * pair.abs_g_scaled  # n*E|G| = q_scaled / sqrt(var_n)
+        abs_g_scaled = g_remainder(n)
+        var_n = Fraction(n + 1, 12)  # Var under U_n, certified by g_remainder
+        q_scaled = n * abs_g_scaled  # n*E|G| = q_scaled / sqrt(var_n)
 
         if n % 2:
             b_term = Fraction(n + 1, 4) * central_eulerian_ratio(n)
@@ -287,10 +276,9 @@ def nogood_diagnostic(n_lo: int, n_hi: int) -> list[NogoodRow]:
             # E|G| = (n-1)/(n^2 sqrt(var)) ((n+1)/2 A/(n-1)! - MAD(n-1))
             mad = mean_abs_deviation_uniform_d(n - 1)
             ident = Fraction(n - 1, n * n) * (2 * b_term - mad)
-            if ident != pair.abs_g_scaled:
+            if ident != abs_g_scaled:
                 raise CertificationError(
-                    f"odd-n aggregate identity failed at n={n}: "
-                    f"{pair.abs_g_scaled} vs {ident}"
+                    f"odd-n aggregate identity failed at n={n}: {abs_g_scaled} vs {ident}"
                 )
         else:
             b_term = Fraction(n, 2) * central_eulerian_ratio(n)

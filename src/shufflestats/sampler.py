@@ -100,6 +100,8 @@ class SamplerConfig:
             raise UserInputError(f"n must be a positive integer, got {self.n}")
         if self.count < 1:
             raise UserInputError(f"count must be positive, got {self.count}")
+        if self.count >= 2**63:  # numpy sizes arrays with signed 64-bit ints
+            raise UserInputError(f"count must be below 2**63, got {self.count}")
         if self.streams < 1:
             raise UserInputError(f"streams must be positive, got {self.streams}")
         if not 0 <= self.seed < 2**64:

@@ -111,72 +111,63 @@ def _suite_cyclic_counts(joints: dict[int, Counter]) -> int:
     return checks
 
 
-def _suite_pmf_oracle(joints: dict[int, Counter], k_max: int) -> int:
+def _oracle_laws(joint: Counter, n: int, k: int) -> tuple[Counter, Counter, Counter]:
+    """Laws of d under R(k, n) and of c and d under C(k, n), summed over S_n.
+
+    Every value the enumeration meets is a key, those of mass 0 too.
+    """
+    d_r, c_c, d_c = Counter(), Counter(), Counter()
+    for (d, c), mult in joint.items():
+        w_c = mult * c_weight(k, n, c)
+        d_r[d] += mult * r_weight(k, n, d)
+        c_c[c] += w_c
+        d_c[d] += w_c
+    return d_r, c_c, d_c
+
+
+def _suite_pmf_oracle(laws: dict[tuple[int, int], tuple[Counter, ...]], k_max: int) -> int:
     checks = 0
     for k in range(1, k_max + 1):
         if d_pmf_R(k, 1).items() != ((0, Fraction(1)),):
             raise CertificationError(f"d pmf at (k={k}, n=1) is not a point mass at 0")
         checks += 1
-    for n in range(2, max(joints) + 1):
-        joint = joints[n]
-        for k in range(1, k_max + 1):
-            oracle_d_r: dict[int, Fraction] = {}
-            oracle_c_c: dict[int, Fraction] = {}
-            oracle_d_c: dict[int, Fraction] = {}
-            for (d, c), mult in joint.items():
-                oracle_d_r[d] = oracle_d_r.get(d, Fraction(0)) + mult * r_weight(k, n, d)
-                oracle_c_c[c] = oracle_c_c.get(c, Fraction(0)) + mult * c_weight(k, n, c)
-                oracle_d_c[d] = oracle_d_c.get(d, Fraction(0)) + mult * c_weight(k, n, c)
-            for name, closed, oracle in (
-                ("d_pmf_R", d_pmf_R(k, n), oracle_d_r),
-                ("c_pmf_C", c_pmf_C(k, n), oracle_c_c),
-                ("d_pmf_C", d_pmf_C(k, n), oracle_d_c),
-            ):
-                support = set(dict(closed.items())) | set(oracle)
-                for value in sorted(support):
-                    if closed.prob(value) != oracle.get(value, Fraction(0)):
-                        raise CertificationError(
-                            f"{name}(k={k}, n={n}) at value {value}: closed form "
-                            f"{closed.prob(value)}, enumeration {oracle.get(value, Fraction(0))}"
-                        )
-                    checks += 1
+    for (n, k), oracles in laws.items():
+        closed_forms = (d_pmf_R(k, n), c_pmf_C(k, n), d_pmf_C(k, n))
+        for name, closed, oracle in zip(("d_pmf_R", "c_pmf_C", "d_pmf_C"), closed_forms, oracles):
+            for value in sorted(set(closed.support) | set(oracle)):
+                if closed.prob(value) != oracle[value]:
+                    raise CertificationError(
+                        f"{name}(k={k}, n={n}) at value {value}: closed form "
+                        f"{closed.prob(value)}, enumeration {oracle[value]}"
+                    )
+                checks += 1
     return checks
 
 
-def _suite_moments(joints: dict[int, Counter], k_max: int) -> int:
+def _suite_moments(
+    joints: dict[int, Counter], laws: dict[tuple[int, int], tuple[Counter, ...]]
+) -> int:
     checks = 0
-    for n in range(2, max(joints) + 1):
-        joint = joints[n]
-        for k in range(1, k_max + 1):
-            e_c = e_c2 = e_d = e_d2 = e_use1 = Fraction(0)
-            e_d_r = e_d2_r = Fraction(0)
-            for (d, c), mult in joint.items():
-                w_c = mult * c_weight(k, n, c)
-                e_c += w_c * c
-                e_c2 += w_c * c * c
-                e_d += w_c * d
-                e_d2 += w_c * d * d
-                if c == d + 1:
-                    e_use1 += w_c * d
-                w_r = mult * r_weight(k, n, d)
-                e_d_r += w_r * d
-                e_d2_r += w_r * d * d
-            c_c, d_c, d_r = moments_c_C(k, n), moments_d_C(k, n), moments_d_R(k, n)
-            pairs = (
-                ("mean_c", c_c.mean_exact, e_c),
-                ("second_c", c_c.second_exact, e_c2),
-                ("mean_d_C", d_c.mean_exact, e_d),
-                ("second_d_C", d_c.second_exact, e_d2),
-                ("use1", use1_mean(k, n), e_use1),
-                ("mean_d_R", d_r.mean_exact, e_d_r),
-                ("second_d_R", d_r.second_exact, e_d2_r),
-            )
-            for name, closed, oracle in pairs:
-                if closed != oracle:
-                    raise CertificationError(
-                        f"{name}(k={k}, n={n}): closed form {closed}, enumeration {oracle}"
-                    )
-                checks += 1
+    for (n, k), (d_r, c_c, d_c) in laws.items():
+        e_use1 = sum(
+            mult * c_weight(k, n, c) * d for (d, c), mult in joints[n].items() if c == d + 1
+        )
+        c_mom, d_mom, r_mom = moments_c_C(k, n), moments_d_C(k, n), moments_d_R(k, n)
+        pairs = (
+            ("mean_c", c_mom.mean_exact, sum(c * p for c, p in c_c.items())),
+            ("second_c", c_mom.second_exact, sum(c * c * p for c, p in c_c.items())),
+            ("mean_d_C", d_mom.mean_exact, sum(d * p for d, p in d_c.items())),
+            ("second_d_C", d_mom.second_exact, sum(d * d * p for d, p in d_c.items())),
+            ("use1", use1_mean(k, n), e_use1),
+            ("mean_d_R", r_mom.mean_exact, sum(d * p for d, p in d_r.items())),
+            ("second_d_R", r_mom.second_exact, sum(d * d * p for d, p in d_r.items())),
+        )
+        for name, closed, oracle in pairs:
+            if closed != oracle:
+                raise CertificationError(
+                    f"{name}(k={k}, n={n}): closed form {closed}, enumeration {oracle}"
+                )
+            checks += 1
     return checks
 
 
@@ -310,13 +301,19 @@ def run_all(
         )
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise UserInputError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
-    # The four enumeration suites share one pass over each S_n.
+    # The four enumeration suites share one pass over each S_n, and the
+    # law and moment suites one set of oracle laws per (n, k).
     joints = {n: _joint_counts(n) for n in range(1, oracle_max + 1)}
+    laws = {
+        (n, k): _oracle_laws(joints[n], n, k)
+        for n in range(2, oracle_max + 1)
+        for k in range(1, k_max + 1)
+    }
     suites = (
         ("eulerian", lambda: _suite_eulerian(joints)),
         ("cyclic-counts", lambda: _suite_cyclic_counts(joints)),
-        ("pmf-oracle", lambda: _suite_pmf_oracle(joints, k_max)),
-        ("moments", lambda: _suite_moments(joints, k_max)),
+        ("pmf-oracle", lambda: _suite_pmf_oracle(laws, k_max)),
+        ("moments", lambda: _suite_moments(joints, laws)),
         ("transfer", lambda: _suite_transfer(n_max, k_max, inject_fault)),
         ("generating-function", lambda: _suite_generating_function(n_max)),
         ("pair", lambda: _suite_pair(oracle_max)),

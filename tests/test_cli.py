@@ -414,6 +414,24 @@ class TestRiffle:
         assert float(payload["p_value"]) > 0.001
 
 
+class TestCountPastTheIndexRange:
+    # numpy sizes arrays with signed 64-bit ints: such a count used to
+    # escape as ValueError (sample) or OverflowError (riffle), exit 1.
+    @pytest.mark.parametrize("count", [2**63, 10**20])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--measure", "R", "--k", "4", "--n", "6", "--seed", "1", "--streams", "1"),
+            ("riffle", "--n", "5", "--rounds", "2", "--seed", "1"),
+        ],
+        ids=["sample", "riffle"],
+    )
+    def test_exits_2(self, capsys, argv, count):
+        code, out, err = run_cli(capsys, *argv, "--count", str(count))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: count must be below 2**63, got {count}")
+
+
 class TestPastTheIntTextLimit:
     """Exact results past Python's 4300-digit int-to-str limit print in full."""
 
@@ -850,8 +868,10 @@ class TestVerify:
              "5d631263a9e3c208999a0cdcdd242130649ab4fbe6fb71fb622592b6cf53966d"),
             (("--oracle-max", "4", "--inject-fault", "transfer"), 3,
              "f8d51d761f644f472cee8664c69d2e9b4904d45ea6d9d05561b789632a803d2d"),
+            (("--format", "csv", "--k-max", "20", "--n-max", "10"), 0,
+             "f5298d4fc3c9ada9e3cef6d4555a45215c066b1fe7bd3514f7aff164b6cc4048"),
         ],
-        ids=["json", "csv", "oracle-5", "oracle-4-fault"],
+        ids=["json", "csv", "oracle-5", "oracle-4-fault", "grid-20-10"],
     )
     def test_pinned_bytes(self, capsys, argv, code, digest):
         # The output carries every suite's check count.

@@ -97,6 +97,11 @@ def _run(argv: list[str]) -> int:
 @example(argv=["moments", "--measure", "C", "--stat", "c", "--k", str(10**309), "--n", "3",
                "--asymptotic"])
 @example(argv=["moments", "--measure", "R", "--stat", "d", "--k", str(10**400), "--n", "10"])
+# A count past numpy's signed 64-bit sizes; the drawn counts stay small,
+# since a count numpy can index may still ask for terabytes.
+@example(argv=["sample", "--measure", "R", "--k", "4", "--n", "6", "--count", str(10**20),
+               "--seed", "1", "--streams", "1"])
+@example(argv=["riffle", "--n", "5", "--rounds", "2", "--count", str(10**20), "--seed", "1"])
 def test_every_argv_exits_0_2_or_3(argv):
     started = time.perf_counter()
     with warnings.catch_warnings():

@@ -172,6 +172,7 @@ class TestConfig:
             dict(k=2, n=3, count=1, seed=-1),
             dict(k=2, n=3, count=1, seed=2**64),
             dict(k=2, n=3, count=1, seed=0, streams=0),
+            dict(k=2, n=3, count=2**63, seed=0),
         ],
     )
     def test_invalid(self, kwargs):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_add, mpf_div, mpf_mul, normalize, to_float
 
+from shufflestats import cli
 from shufflestats.errors import CertificationError, UserInputError
 from shufflestats.measures import ExactPmf, d_pmf_C, d_pmf_R
 from shufflestats.moments import moments_c_C
@@ -144,6 +145,21 @@ class TestExactTv:
         assert tv_exact_vs_poisson(pmf, F(1, 4)) == pytest.approx(
             0.05529980423214878, abs=1e-14
         )
+
+    def test_sandwich_width_is_zero_or_one_ulp_on_the_default_grid(self):
+        # lo and hi are the doubles of acc/2 and acc/2 + 10^-28, so the
+        # 1e-13 width check in tv_exact_vs_poisson can fail only on a NaN.
+        args = cli._build_parser().parse_args(["tv", "--grid"])
+        laws = [
+            (k, n, code)
+            for n in args.n_list
+            for k in sweep_k_values(n, args.k_points)
+            for code in STATISTIC_CODES
+        ]
+        assert len(laws) == 231
+        for k, n, code in laws:
+            lo, hi = tv_sandwich(*statistic_pushforward(k, n, code))
+            assert hi - lo in (0, math.ulp(hi)), (k, n, code)
 
 
 def _mpf_object_ratio(num, den):

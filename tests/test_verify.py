@@ -6,6 +6,7 @@ import pytest
 
 from shufflestats import pair, verify
 from shufflestats.errors import UserInputError
+from shufflestats.measures import ExactPmf
 from shufflestats.sampler import insertion_normalization
 from shufflestats.verify import GRID_LIMIT, SuiteResult, run_all
 
@@ -72,6 +73,29 @@ def test_a_wrong_wrap_trips_exactly_the_pair_suite(monkeypatch):
     assert not by_name["pair"].passed
     assert by_name["pair"].detail.startswith("rotation law mismatch for 2 1 3")
     assert all(r.passed for name, r in by_name.items() if name != "pair")
+
+
+def test_a_wrong_law_and_a_wrong_moment_trip_their_suites(monkeypatch):
+    # d_pmf_C(3, 4) with mass 1/(2 den) moved from its lowest value to
+    # its highest, and use1_mean(2, 4) off by one; nothing else changes.
+    real_law, real_use1 = verify.d_pmf_C, verify.use1_mean
+
+    def tilted(k, n):
+        law = real_law(k, n)
+        if (k, n) != (3, 4):
+            return law
+        lo, hi = law.support[0], law.support[-1]
+        atoms = [(v, 2 * a - (v == lo) + (v == hi)) for v, a in zip(law.support, law.nums)]
+        return ExactPmf(2 * law.den, atoms)
+
+    monkeypatch.setattr(verify, "d_pmf_C", tilted)
+    monkeypatch.setattr(verify, "use1_mean", lambda k, n: real_use1(k, n) + ((k, n) == (2, 4)))
+    by_name = {r.name: r for r in run_all(oracle_max=4, k_max=3, n_max=3)}
+    failed = {name: r.detail for name, r in by_name.items() if not r.passed}
+    assert failed == {
+        "pmf-oracle": "d_pmf_C(k=3, n=4) at value 0: closed form 19/216, enumeration 5/54",
+        "moments": "use1(k=2, n=4): closed form 5/4, enumeration 1/4",
+    }
 
 
 def test_insertion_normalization_covers_every_state_at_50_by_50():

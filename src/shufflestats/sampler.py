@@ -4,8 +4,8 @@ Two independent samplers live here, each one vectorised kernel over a
 batch of words. The first grows a permutation one symbol at a time
 through weighted insertions; after n-1 steps the result carries the
 k-shuffle law exactly, with no rejection and no enumeration. The second
-simulates the physical riffle (binomial cut, uniformly random
-interleave) and exists to cross-validate the first.
+simulates the physical riffle, one fair bit a card and round, and exists
+to cross-validate the first.
 
 No row builds the insertion words; the word sampler that does is the
 walks' reference in tests/test_sampler.py. R/d, C/c and both parsimony
@@ -19,11 +19,12 @@ Every kernel runs its rows in fixed blocks whose temporaries take about
 _BLOCK_BYTES, and histograms its values block by block, so a drawn row
 costs only the state it carries from step to step: 3 bytes in a walk (d,
 the wrap and the current case), n+4 in the C/d walk (its (n+1)-byte
-descent bitmap besides) and n+1 in the riffle (the word and its cut),
-while a byte holds n. numpy's Generator reads its bit stream the same way
-whether one call draws a batch or consecutive calls draw it piece by
-piece, so each kernel draws its blocks in the order one call per step
-would, and a block boundary changes no draw.
+descent bitmap besides) and n in the riffle (its word), while a byte
+holds n; rows that physical memory cannot hold are refused before any
+draw. numpy's Generator reads its bit stream the same way whether one
+call draws a batch or consecutive calls draw it piece by piece, so each
+kernel draws its blocks in the order one call per step would, and a
+block boundary changes no draw.
 
 Empirical output is summarized against the exact pmfs from
 :mod:`shufflestats.measures` via a Pearson chi-square test with
@@ -34,7 +35,9 @@ Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``. Each stream draws a fixed, precomputed number of
 samples and the per-stream histograms are merged in stream-id order, so
 aggregate output is reproducible no matter how the threads are scheduled
-or how many run (at most one per CPU).
+or how many run (at most one per CPU; see _THREAD_CELLS). Riffle
+rounds read raw Philox words, so riffle bytes rest on Philox alone,
+not on numpy's Generator algorithms (NEP 19).
 Where a draw must hit an exact rational probability, the rational is
 converted to an integer threshold out of 2**53 and compared against a
 uniform 53-bit integer; the per-draw bias is below 2**-53.
@@ -75,7 +78,10 @@ _NORMALIZATION_MAX = 50  # largest n and k of the insertion normalization sweep
 # block and step, so its blocks need thousands of rows to keep up with one whole batch.
 _BLOCK_BYTES = 1 << 22
 _ROW_BYTES = 48  # temporaries of a row in a per-row pass: draws, bounds, masks, bincount
-_GSR_CARD_BYTES = 24  # temporaries of a card in a riffle round: uniforms, their sort, masks
+_GSR_CARD_BYTES = 24  # temporaries of a card in a riffle round: its bit, masks, packet indices
+# One thread runs every stream while a stream's numpy calls cover fewer values than this:
+# their overhead, which holds the GIL, outweighs their work, and a second thread only contends.
+_THREAD_CELLS = 4096
 DEFAULT_STREAMS = 8
 
 
@@ -288,56 +294,36 @@ def _cut_descents(
 def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized r-round riffle of `count` sorted decks.
 
-    The physical riffle cuts at a Binomial(n, 1/2) position, then drops
-    cards from the bottoms of the two packets with probability
-    proportional to the packets' current sizes. Any one interleaving of
-    packets of sizes a and b then has probability a! b! / (a+b)!, the
-    product of those drop chances, so all interleavings are equally
-    likely (Bayer and Diaconis 1992). Each round therefore places the
-    top packet's cards at a uniformly random size-`cut` subset of
-    positions and fills both packets in order.
+    The physical (Gilbert-Shannon-Reeds) riffle cuts at a Binomial(n, 1/2)
+    position, then drops cards from the bottoms of the two packets with
+    probability proportional to the packets' current sizes, so every
+    (cut, interleaving) pair has probability 2^-n (Bayer and Diaconis
+    1992). n fair bits a deck draw exactly that: bit i set sends position
+    i the next card of the bottom packet. The zero bits count
+    Binomial(n, 1/2), and given their count every set of top positions
+    is equally likely.
 
-    The top positions are those of a row's `cut` lowest uniforms in
-    argsort order. Unless the cut-th and next-lowest uniforms tie, they
-    are exactly the uniforms at or below the cut-th lowest, so only a
-    tied row needs the argsort to break its tie.
-
-    A round draws every row's cut, then the uniforms block by block, so
-    the blocks read the stream as one call per round would. A row keeps
-    its word, in the smallest dtype that holds n, and its cut.
+    The bits are raw Philox words, ceil(n/64) a row and round: position i
+    reads bit i mod 64 of the row's word i // 64, by value, so the bytes
+    rest on the Philox stream alone, not on numpy's Generator algorithms
+    or the machine's byte order. A round draws its blocks' words in row
+    order, as one call per round would. A row keeps only its word, in the
+    smallest dtype that holds n.
     """
     words = np.tile(np.arange(1, n + 1, dtype=np.min_scalar_type(n)), (count, 1))
-    cuts = np.empty(count, dtype=words.dtype)
-    blocks = _blocks(count, _GSR_CARD_BYTES * n)
-    # One buffer each for the uniforms and their sorted copy, kept from
-    # block to block: fresh ones would page-fault in every block.
-    uniforms = np.empty((blocks[0].stop, n))
-    ordered = np.empty_like(uniforms)
+    per_row = -(-n // 64)
+    cards = np.arange(n)
     for _ in range(rounds):
-        for blk in blocks:
-            cuts[blk] = rng.binomial(n, 0.5, size=blk.stop - blk.start)
-        for blk in blocks:
-            cut = cuts[blk].astype(np.intp)
-            rows = np.arange(cut.shape[0])
-            u = rng.random(out=uniforms[: rows.size])
-            s = ordered[: rows.size]
-            np.copyto(s, u)
-            s.sort(axis=1)
-            # Uniforms lie in [0, 1), so a cut of 0 takes no position.
-            lo = np.where(cut > 0, s[rows, cut - 1], -1.0)
-            top = u <= lo[:, None]
-            first = np.arange(n) < cut[:, None]
-            tied = np.flatnonzero((cut < n) & (lo == s[rows, np.minimum(cut, n - 1)]))
-            if tied.size:
-                ranked = np.empty((tied.size, n), dtype=bool)
-                np.put_along_axis(ranked, np.argsort(u[tied], axis=1), first[tied], axis=1)
-                top[tied] = ranked
+        for blk in _blocks(count, _GSR_CARD_BYTES * n):
+            raw = rng.bit_generator.random_raw((blk.stop - blk.start) * per_row)
+            # As little-endian bytes, bit i of a deck's bits is bit i % 8 of its byte i // 8.
+            octets = raw.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8 * per_row)
+            bottom = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+            first = cards < n - np.count_nonzero(bottom, axis=1)[:, None]  # the top packet
             # Each packet's cards fill its positions in order, deck by deck.
-            top, first, word = top.reshape(-1), first.reshape(-1), words[blk].reshape(-1)
-            out = np.empty_like(word)
-            out[np.flatnonzero(top)] = word[np.flatnonzero(first)]
-            out[np.flatnonzero(~top)] = word[np.flatnonzero(~first)]
-            words[blk] = out.reshape(-1, n)
+            bottom, first, word = bottom.reshape(-1), first.reshape(-1), words[blk].reshape(-1)
+            top_cards, bottom_cards = word[np.flatnonzero(first)], word[np.flatnonzero(~first)]
+            word[np.flatnonzero(~bottom)], word[np.flatnonzero(bottom)] = top_cards, bottom_cards
     return words
 
 
@@ -379,14 +365,20 @@ def _usable_cpus() -> int:
 
 
 def _run_streams(
-    config: SamplerConfig, draw: Callable[[np.random.Generator, int], np.ndarray]
+    config: SamplerConfig,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    row_bytes: int,
+    row_cells: int = 1,
 ) -> np.ndarray:
     """Merge the streams' histograms of drawn statistic values in id order.
 
     Streams are the logical split of the sample; at most one thread per
     CPU runs them, which changes no draw. Streams with id >= count get
-    no draws, so they are not run.
+    no draws, so they are not run. A drawn row carries row_bytes (see
+    _check_memory) and row_cells values, which a kernel's numpy calls
+    cover for each row of a stream (see _THREAD_CELLS).
     """
+    _check_memory(config.count, row_bytes)
     chunks = _stream_counts(config.count, min(config.streams, config.count))
 
     def run(sid: int) -> np.ndarray:
@@ -394,18 +386,22 @@ def _run_streams(
 
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = min(len(chunks), _usable_cpus())
+    workers = min(len(chunks), _usable_cpus()) if chunks[0] * row_cells >= _THREAD_CELLS else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return _merged(list(pool.map(run, range(len(chunks)))))
 
 
-def _on_support(
-    histogram: Mapping[int, int], exact: ExactPmf
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Counts over the exact support (zeros present) and the stray counts off it."""
-    observed = {v: histogram.get(v, 0) for v in exact.support}
-    stray = {v: c for v, c in histogram.items() if c and v not in observed}
-    return observed, stray
+def _check_memory(count: int, row_bytes: int) -> None:
+    """Refuse rows past physical memory; skipped where os.sysconf cannot report it."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if count * row_bytes > memory:
+        raise UserInputError(
+            f"--count {count} needs {count * row_bytes} bytes of sampler state, "
+            f"more than the {memory} bytes of physical memory"
+        )
 
 
 def _fit(
@@ -426,12 +422,8 @@ def _fit(
     bins = [[float(observed[v]), count * (a / den)] for v, a in zip(support, exact.nums)]
     while len(bins) > 1 and min(exp for _, exp in bins) < _MIN_EXPECTED:
         i = min(range(len(bins)), key=lambda idx: bins[idx][1])
-        if i == 0:
-            j = 1
-        elif i == len(bins) - 1:
-            j = i - 1
-        else:
-            j = i - 1 if bins[i - 1][1] <= bins[i + 1][1] else i + 1
+        # The smaller neighbour; the left one on a tie.
+        j = min((j for j in (i - 1, i + 1) if 0 <= j < len(bins)), key=lambda j: bins[j][1])
         bins[j][0] += bins[i][0]
         bins[j][1] += bins[i][1]
         del bins[i]
@@ -456,7 +448,9 @@ def _summarize(bin_counts: np.ndarray, exact: ExactPmf, count: int) -> SampleSum
     its appearance means the sampler itself is wrong; that raises
     CertificationError rather than feeding the fit.
     """
-    observed, stray = _on_support(dict(enumerate(bin_counts.tolist())), exact)
+    histogram = dict(enumerate(bin_counts.tolist()))
+    observed = {v: histogram.pop(v, 0) for v in exact.support}
+    stray = {v: c for v, c in histogram.items() if c}
     if stray:
         raise CertificationError(f"samples outside the exact support: {stray}")
     total = sum(observed.values())
@@ -497,6 +491,7 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
     """Sample a statistic under a measure and summarize against its exact pmf."""
     law = statistic_law(measure, statistic)
     k, n = config.k, config.n
+    cut_walk = measure == "C" and law.reads == "d"
     exact = law.pmf(k, n)
     tables = _threshold_tables(k, n)
     if law.flavor is not None:
@@ -507,7 +502,7 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
         )
 
     def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
-        if measure == "C" and law.reads == "d":
+        if cut_walk:
             d = _cut_descents(tables, n, chunk, rng)
         else:
             # c is rotation invariant and the cut is the stream's last draw,
@@ -520,7 +515,8 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
 
         return _tally(chunk, _ROW_BYTES, values)
 
-    return _summarize(_run_streams(config, draw), exact, config.count)
+    carried = np.min_scalar_type(n).itemsize + 2 + cut_walk * (n + 1)  # d, wrap, case, bitmap
+    return _summarize(_run_streams(config, draw, carried), exact, config.count)
 
 
 def riffle_summary(n: int, rounds: int, count: int, seed: int) -> SampleSummary:
@@ -529,7 +525,9 @@ def riffle_summary(n: int, rounds: int, count: int, seed: int) -> SampleSummary:
     This is the physical-simulation counterpart of sample_statistic: the
     decks are riffled, each result is inverted, and the inverse descent
     histogram is tested against d_pmf_R(2**rounds, n). The draws run in
-    SamplerConfig's default 8 streams, so the seed alone fixes them.
+    SamplerConfig's default 8 streams, so the seed alone fixes them; the
+    rounds read raw Philox words, so the bytes rest on Philox alone, not
+    on numpy's Generator algorithms (NEP 19).
     """
     config = SamplerConfig(k=riffle_piles(rounds), n=n, count=count, seed=seed)
     exact = d_pmf_R(config.k, n)
@@ -538,7 +536,8 @@ def riffle_summary(n: int, rounds: int, count: int, seed: int) -> SampleSummary:
         words = _gsr_words(n, rounds, chunk, rng)
         return _tally(chunk, _GSR_CARD_BYTES * n, lambda blk: _inverse_descents(words[blk]))
 
-    return _summarize(_run_streams(config, draw), exact, config.count)
+    carried = n * np.min_scalar_type(n).itemsize  # a deck's word
+    return _summarize(_run_streams(config, draw, carried, row_cells=n), exact, config.count)
 
 
 def decision_tree_distribution(k: int, n: int) -> dict[tuple[int, ...], Fraction]:

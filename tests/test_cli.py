@@ -1,5 +1,6 @@
 """Command-line surface: formats, manifests, exit codes."""
 
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -432,6 +433,56 @@ class TestCountPastTheIndexRange:
         assert err.startswith(f"error: count must be below 2**63, got {count}")
 
 
+class TestCountPastMemory:
+    # Rows that carry more bytes than physical memory holds used to stop in
+    # numpy's _ArrayMemoryError, exit 1; they are refused before any draw.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--measure", "R", "--k", "4", "--n", "6", "--seed", "1", "--streams", "1"),
+            ("riffle", "--n", "5", "--rounds", "2", "--seed", "1"),
+        ],
+        ids=["sample", "riffle"],
+    )
+    def test_exits_2(self, capsys, argv):
+        count = 2**63 - 1
+        code, out, err = run_cli(capsys, *argv, "--count", str(count))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --count {count} needs ")
+
+
+class TestThreadFloor:
+    # Streams whose numpy calls cover fewer than sampler._THREAD_CELLS values
+    # run on one thread; the thread count changes no byte.
+    @pytest.mark.parametrize(
+        "argv, workers",
+        [
+            (("sample", "--measure", "C", "--stat", "c", "--k", "50", "--n", "200",
+              "--count", "2000", "--seed", "20260816", "--streams", "2"), 1),
+            (("sample", "--measure", "C", "--stat", "c", "--k", "50", "--n", "200",
+              "--count", "20000", "--seed", "20260816", "--streams", "2"), 2),
+            (("riffle", "--n", "52", "--rounds", "7", "--count", "35000", "--seed", "1"), 2),
+        ],
+        ids=["C-c-1000-a-stream", "C-c-10000-a-stream", "riffle"],
+    )
+    def test_same_bytes_on_one_and_two_cpus(self, capsys, monkeypatch, argv, workers):
+        seen, outs = [], []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers=None):
+            seen.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        for cpus in (1, 2):
+            monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert seen == [1, workers]
+
+
 class TestPastTheIntTextLimit:
     """Exact results past Python's 4300-digit int-to-str limit print in full."""
 
@@ -497,8 +548,9 @@ PINNED_SAMPLE_BYTES = [
     ("C", "parsimony", 8, 6, "csv",
      "15f7d7971e8a33c5db543b5efeada7869a58b4d4dcb199ce58e5a3ddc65f43e9"),
 ]
+# Riffle pins, recorded once riffle rounds read raw Philox words.
 RIFFLE_ARGV = ("riffle", "--n", "13", "--rounds", "3", "--count", "10000", "--seed", "7")
-RIFFLE_SHA256 = "e07a228896150ef1823db152f786b02a5133c7a84c0fcda2c8d523490e8d8935"
+RIFFLE_SHA256 = "a4b554df0403b7e40832b3b982b8bf61562cb9d186d60bdba10afa818932a3b7"
 # Rows drawn by the descent-count walk, recorded before they stopped
 # building words: (measure, stat, k, n, count, format, digest).
 PINNED_WALK_BYTES = [
@@ -533,9 +585,11 @@ PINNED_WALK_BYTES = [
     ("C", "d", 50, 200, 500, "csv",
      "5992b09669e03894334dc599502cb4831ff02c65581b6bd708045b855b446a30"),
 ]
-# A full deck, recorded while each round took two argsorts.
+# A full deck, and a deck of two raw words a round.
 RIFFLE_52_ARGV = ("riffle", "--n", "52", "--rounds", "7", "--count", "5000", "--seed", "7")
-RIFFLE_52_SHA256 = "b64232138d6edb44320213a694074d17c86614830ae35fdf3cf0f1e0865f75f3"
+RIFFLE_52_SHA256 = "6f185d7f1f47088bce1d017cc36f3f99ec5dbe6393bfee1c2e87207f0154f949"
+RIFFLE_100_ARGV = ("riffle", "--n", "100", "--rounds", "5", "--count", "20000", "--seed", "7")
+RIFFLE_100_SHA256 = "c546644671e55ed0c0ba79223b24b01d18ed04147170d9efe5908ef76e7d7a40"
 
 
 def _sample_argv(measure, stat, k, n, fmt):
@@ -575,6 +629,11 @@ class TestPinnedSampleBytes:
         code, out, err = run_cli(capsys, *RIFFLE_52_ARGV)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == RIFFLE_52_SHA256
+
+    def test_riffle_two_words_a_deck(self, capsys):
+        code, out, err = run_cli(capsys, *RIFFLE_100_ARGV)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == RIFFLE_100_SHA256
 
 
 # Stdout SHA-256 of `dist` at n = 250 for the five (measure, statistic)

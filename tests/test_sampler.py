@@ -6,6 +6,7 @@ import math
 import os
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -89,61 +90,44 @@ def _draw(pmf, count, rng):
 
 
 def _double_argsort_words(n, rounds, count, rng):
-    """The riffle round as first written, one call per round for each draw.
+    """The riffle round written deck by deck in plain Python.
 
-    Ranks come from a second argsort, then each packet's cards are placed
-    through two cumsums. This is the reference sampler._gsr_words must
-    reproduce draw for draw.
+    Each round reads ceil(n/64) raw words a deck in one call; position i
+    takes bit i % 64 of the deck's word i // 64. A stable argsort of the
+    bits lists the top packet's positions, then the bottom's; its own
+    argsort ranks each position, and position i takes the card of that
+    rank. This is the reference sampler._gsr_words must reproduce draw
+    for draw.
     """
-    words = np.tile(np.arange(1, n + 1, dtype=np.int32), (count, 1))
+    per_row = -(-n // 64)
+    decks = [list(range(1, n + 1)) for _ in range(count)]
     for _ in range(rounds):
-        cut = rng.binomial(n, 0.5, size=count)
-        ranks = np.argsort(np.argsort(rng.random((count, n)), axis=1), axis=1)
-        in_top = ranks < cut[:, None]
-        src = np.where(
-            in_top,
-            in_top.cumsum(axis=1) - 1,
-            cut[:, None] + (~in_top).cumsum(axis=1) - 1,
-        )
-        words = np.take_along_axis(words, src, axis=1)
-    return words
+        raw = rng.bit_generator.random_raw(count * per_row).tolist()
+        for row, deck in enumerate(decks):
+            bits = [raw[row * per_row + i // 64] >> (i % 64) & 1 for i in range(n)]
+            order = sorted(range(n), key=bits.__getitem__)
+            deck[:] = [deck[rank] for rank in sorted(range(n), key=order.__getitem__)]
+    return np.array(decks, dtype=np.int64).reshape(count, n)
 
 
-class _CoarseUniforms:
-    """A real generator whose uniforms are rounded down to multiples of 1/16, so rows tie."""
+class _PresetWords:
+    """Stands in for a generator whose bit generator hands out the given raw words in order."""
 
-    def __init__(self, seed):
-        self.real = _rng(seed)
-        self.cuts, self.uniforms = [], []
+    def __init__(self, words):
+        self.bit_generator, self.words = self, np.asarray(words, dtype=np.uint64)
 
-    def binomial(self, n, p, size):
-        self.cuts.append(self.real.binomial(n, p, size=size))
-        return self.cuts[-1]
-
-    def random(self, size=None, out=None):
-        u = np.floor(self.real.random(size, out=out) * 16) / 16
-        self.uniforms.append(u)
-        if out is None:
-            return u
-        out[...] = u
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
         return out
 
 
-def _check_tied_rows(n, rounds, count):
-    ref, stub = _CoarseUniforms(11), _CoarseUniforms(11)
-    want = _double_argsort_words(n, rounds, count, ref)
-    assert sampler._gsr_words(n, rounds, count, stub).tolist() == want.tolist()
-    np.testing.assert_equal(ref.real.bit_generator.state, stub.real.bit_generator.state)
-    # Rows whose cut-th and next-lowest uniforms tie take the argsort fallback.
-    # A round may draw in several calls; their rows, in order, make up the round.
-    cuts = np.concatenate(stub.cuts).reshape(rounds, count)
-    uniforms = np.concatenate(stub.uniforms).reshape(rounds, count, n)
-    tied = 0
-    for cut, u in zip(cuts, uniforms):
-        s = np.sort(u, axis=1)
-        inner = np.flatnonzero((cut > 0) & (cut < n))
-        tied += np.count_nonzero(s[inner, cut[inner] - 1] == s[inner, cut[inner]])
-    assert tied > 0
+def _riffle_counts(n, rounds):
+    """How many of the 2^(n rounds) bit words riffle a sorted deck into each word of S_n."""
+    words = np.arange(2 ** (n * rounds), dtype=np.uint64)
+    # Row r reads its round-j bits from the j-th block of n bits of r, lowest first.
+    per_round = [(words >> np.uint64(n * j)) & np.uint64(2**n - 1) for j in range(rounds)]
+    decks = sampler._gsr_words(n, rounds, words.size, _PresetWords(np.concatenate(per_round)))
+    return Counter(map(tuple, decks.tolist()))
 
 
 @pytest.fixture(params=[1, 7, 64])
@@ -343,8 +327,9 @@ class TestGsr:
     def test_zero_rounds_is_identity(self):
         assert sampler._gsr_words(7, 0, 1, _rng())[0].tolist() == list(range(1, 8))
 
+    # n = 65 and 130 take two and three raw words a deck and round.
     @pytest.mark.parametrize("rounds", [0, 1, 7])
-    @pytest.mark.parametrize("n", [1, 2, 13, 52])
+    @pytest.mark.parametrize("n", [1, 2, 13, 52, 65, 130])
     def test_rounds_match_the_double_argsort_round(self, n, rounds):
         for seed in (0, 1, 20261018):
             ref_rng, rng = _rng(seed), _rng(seed)
@@ -352,8 +337,21 @@ class TestGsr:
             assert sampler._gsr_words(n, rounds, 500, rng).tolist() == want.tolist()
             np.testing.assert_equal(ref_rng.bit_generator.state, rng.bit_generator.state)
 
-    def test_rows_tied_at_the_cut_match_the_double_argsort_round(self):
-        _check_tied_rows(n=13, rounds=3, count=400)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_bit_word_gives_the_shuffle_law_exactly(self, n):
+        # Each of the 2^n bit words is one (cut, interleaving) pair of the
+        # GSR riffle, so each word of S_n comes up 2^n P_R(2, n) times.
+        counts = _riffle_counts(n, 1)
+        for word in itertools.permutations(range(1, n + 1)):
+            weight = oracle_shuffle_weight(2, n, oracle_descents(oracle_inverse(word)))
+            assert counts[word] == weight * 2**n
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_two_rounds_of_bit_words_give_the_four_pile_law_exactly(self, n):
+        counts = _riffle_counts(n, 2)
+        for word in itertools.permutations(range(1, n + 1)):
+            weight = oracle_shuffle_weight(4, n, oracle_descents(oracle_inverse(word)))
+            assert counts[word] == weight * 4**n
 
     def test_shuffle_outputs_permutations(self):
         rng = _rng(3)
@@ -427,7 +425,7 @@ class TestBlocks:
         assert d.tolist() == sampler._descents_per_row(cut).tolist()
         np.testing.assert_equal(word_rng.bit_generator.state, walk_rng.bit_generator.state)
 
-    @pytest.mark.parametrize("n, rounds", [(1, 2), (13, 1), (52, 7)])
+    @pytest.mark.parametrize("n, rounds", [(1, 2), (13, 1), (52, 7), (130, 2)])
     def test_riffle_crosses_blocks(self, block_rows, n, rounds):
         ref_rng, rng = _rng(4), _rng(4)
         want = _double_argsort_words(n, rounds, 150, ref_rng)
@@ -436,9 +434,6 @@ class TestBlocks:
         np.testing.assert_equal(ref_rng.bit_generator.state, rng.bit_generator.state)
         inverse = [oracle_descents(oracle_inverse(w)) for w in want.tolist()]
         assert sampler._inverse_descents(words).tolist() == inverse
-
-    def test_tied_rows_cross_blocks(self, block_rows):
-        _check_tied_rows(n=13, rounds=3, count=150)
 
     def test_summaries_do_not_depend_on_the_block_size(self, block_rows, monkeypatch):
         cfg = SamplerConfig(k=5, n=9, count=600, seed=12, streams=2)
@@ -694,6 +689,8 @@ class TestRoundGuard:
 class TestThreadCap:
     @pytest.fixture
     def requested(self, monkeypatch):
+        # No thread floor: the CPU cap alone sets the worker count.
+        monkeypatch.setattr(sampler, "_THREAD_CELLS", 0)
         seen = []
         real = concurrent.futures.ThreadPoolExecutor
 
@@ -729,6 +726,22 @@ class TestThreadCap:
         pinned = sample_statistic("R", "d", cfg)
         assert requested[-1] == 1
         assert pinned.histogram == wide.histogram
+
+
+class TestMemoryCheck:
+    def test_rows_past_physical_memory_are_refused(self, monkeypatch):
+        monkeypatch.setattr(os, "sysconf", lambda name: 1 << 20, raising=False)
+        sampler._check_memory(1 << 20, 1 << 20)
+        with pytest.raises(UserInputError, match="--count"):
+            sampler._check_memory((1 << 20) + 1, 1 << 20)
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_no_report_of_physical_memory_skips_the_check(self, monkeypatch, error):
+        def sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "sysconf", sysconf, raising=False)
+        sampler._check_memory(2**63 - 1, 2**20)
 
 
 class TestSummaryType:

@@ -11,20 +11,19 @@ No row builds the insertion words; the word sampler that does is the
 walks' reference in tests/test_sampler.py. R/d, C/c and both parsimony
 rows read only the descent count d and whether the last symbol exceeds
 the first (c = d + [last > first]), so they walk those two per row,
-O(n) per draw, drawing the very random numbers the word sampler draws.
-The d of a C/d word cut after it is drawn depends on where its descents
-sit, so that walk also keeps a descent bitmap, O(n) per row and step.
+O(n) per draw, reading the very words the word sampler reads. The d of
+a C/d word cut after it is drawn depends on where its descents sit, so
+that walk also keeps a descent bitmap, O(n) per row and step.
 
 Every kernel runs its rows in fixed blocks whose temporaries take about
 _BLOCK_BYTES, and histograms its values block by block, so a drawn row
-costs only the state it carries from step to step: 3 bytes in a walk (d,
-the wrap and the current case), n+4 in the C/d walk (its (n+1)-byte
-descent bitmap besides) and n in the riffle (its word), while a byte
-holds n; rows that physical memory cannot hold are refused before any
-draw. numpy's Generator reads its bit stream the same way whether one
-call draws a batch or consecutive calls draw it piece by piece, so each
-kernel draws its blocks in the order one call per step would, and a
-block boundary changes no draw.
+costs only the state it carries from step to step: 2 bytes in a walk (d
+and the wrap), n+3 in the C/d walk (its (n+1)-byte descent bitmap
+besides) and n in the riffle (its word), while a byte holds n; rows that
+physical memory cannot hold are refused before any draw. Philox hands
+out the same words whether one call draws a batch or consecutive calls
+draw it piece by piece, and each kernel draws its blocks in row order,
+so a block boundary changes no draw.
 
 Empirical output is summarized against the exact pmfs from
 :mod:`shufflestats.measures` via a Pearson chi-square test with
@@ -35,12 +34,12 @@ Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``. Each stream draws a fixed, precomputed number of
 samples and the per-stream histograms are merged in stream-id order, so
 aggregate output is reproducible no matter how the threads are scheduled
-or how many run (at most one per CPU; see _THREAD_CELLS). Riffle
-rounds read raw Philox words, so riffle bytes rest on Philox alone,
-not on numpy's Generator algorithms (NEP 19).
-Where a draw must hit an exact rational probability, the rational is
-converted to an integer threshold out of 2**53 and compared against a
-uniform 53-bit integer; the per-draw bias is below 2**-53.
+or how many run (at most one per CPU; see _THREAD_CELLS). Every kernel
+reads raw Philox words, so the bytes rest on Philox alone, not on numpy's
+Generator algorithms (NEP 19). A draw among m+1 outcomes of exact
+rational masses takes the top 53 bits of a word, u, in regions as wide
+as the masses times 2**53, rounded down, the last region taking the rest:
+each outcome is within 2**-53 of its mass, the last within (m+2) 2**-53.
 
 numpy and mpmath are imported at their first use and the thread pool
 when the streams run, so importing this module loads none of them;
@@ -81,7 +80,7 @@ _ROW_BYTES = 48  # temporaries of a row in a per-row pass: draws, bounds, masks,
 _GSR_CARD_BYTES = 24  # temporaries of a card in a riffle round: its bit, masks, packet indices
 # One thread runs every stream while a stream's numpy calls cover fewer values than this:
 # their overhead, which holds the GIL, outweighs their work, and a second thread only contends.
-_THREAD_CELLS = 4096
+_THREAD_CELLS = 8192
 DEFAULT_STREAMS = 8
 
 
@@ -158,38 +157,36 @@ def _blocks(count: int, row_bytes: int) -> list[slice]:
 
     A block's temporaries take at most about _BLOCK_BYTES; the blocks share
     the rows evenly, the first ones largest, so a pass reuses memory of one
-    size from block to block. numpy's Generator reads its bit stream the
-    same way whether one call draws a batch or consecutive calls draw it
-    piece by piece, so a block boundary changes no draw and the block size
-    is not part of the output's contract.
+    size from block to block. A block boundary changes no draw (see the
+    module docstring), so the block size is not part of the output's contract.
     """
     sizes = _stream_counts(count, -(-count // max(1, _BLOCK_BYTES // row_bytes)))
     starts = itertools.accumulate(sizes, initial=0)
     return [slice(a, a + size) for a, size in zip(starts, sizes)]
 
 
-def _case_thresholds(k: int, m: int) -> np.ndarray:
-    """53-bit thresholds for drawing a case-1 insertion at deck size m.
-
-    Entry d is floor(2**53 * (d+1)(m+k-d) / (k(m+1))), the total case-1
-    probability for a permutation of m symbols with d descents. States
-    with d >= k are unreachable and get the always-accept threshold.
-    """
-    out = np.full(m, _SCALE, dtype=np.uint64)
-    den = k * (m + 1)
-    for d in range(min(m, k)):
-        out[d] = min(((d + 1) * (m + k - d) << _THRESHOLD_BITS) // den, _SCALE)
-    return out
-
-
 def _threshold_tables(k: int, n: int) -> list[np.ndarray]:
-    """_case_thresholds(k, m) for the walk's steps m = 1 .. n-1, built once per run.
+    """Region bounds of the walk's steps m = 1 .. n-1, built once per run.
 
-    Each table keeps its first k+1 entries: every entry past d = k is the
-    always-accept threshold at entry k, so a walk reads it with clipped
-    indices, and the tables take O(n min(n, k)) cells, not O(n^2).
+    At deck size m with d descents and K = k(m+1), each of the m-d case-2
+    slots is a = floor((k-d-1) 2**53 / K) values of u wide, each of the d+1
+    case-1 slots w = floor((m+k-d) 2**53 / K). Step m's table has rows
+    (a, (m-d)a, (m-d)a + dw, w), the last two where case 1 and slot m
+    start, and a column per reachable d < min(m, k). As floor(x 2**53 / K)
+    = floor(floor(x 2**53 / k) / (m+1)), only 2n inner floors take big
+    integers; w's, J 2**53 + g with g < 2**53, divide in 64 bits as
+    Jq + (Jr + g) // (m+1), where 2**53 = q(m+1) + r.
     """
-    return [_case_thresholds(k, m)[: k + 1].copy() for m in range(1, n)]
+    sizes = [min(m, k) for m in range(1, n)]
+    ends = list(itertools.accumulate(sizes, initial=0))
+    d = np.arange(ends[-1], dtype=np.uint64) - np.repeat(np.array(ends[:-1], np.uint64), sizes)
+    step = np.repeat(np.arange(2, n + 1, dtype=np.uint64), sizes)  # m+1
+    ascents = step - 1 - d  # m-d
+    a = np.array([(k - 1 - e) * _SCALE // k for e in range(min(n - 1, k))], np.uint64)[d] // step
+    j, g = np.array([(1 + e // k, e % k * _SCALE // k) for e in range(n)], np.uint64)[ascents].T
+    w = j * (_SCALE // step) + (j * (_SCALE % step) + g) // step
+    table = np.stack([a, ascents * a, ascents * a + d * w, w])
+    return [table[:, lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
 def _slot_count_dtype(n: int) -> np.dtype:
@@ -207,29 +204,28 @@ def _insertion_walk(
 
     tables is _threshold_tables(k, n). Draws exactly what the word sampler
     _insertion_words(k, n, count, rng) in tests/test_sampler.py draws, and
-    the tests hold the two to it. At deck size m each row draws its case
-    (case 1 keeps d) from a uniform 53-bit integer against its threshold,
-    then a uniform rank t among the d+1 (case 1) or m-d (case 2) slots that
-    qualify. Slot 0 is taken exactly when the case is 2 and t == 0, which
-    puts the new maximum first; slot m exactly when the case is 1 and
-    t == d, which puts it last. So the descent count and whether the last
-    symbol exceeds the first follow in O(n) per row.
+    the tests hold the two to it. At deck size m each row reads one raw
+    word, u = word >> 11: case-2 rank r (an ascent slot, slot 0 first)
+    covers [ra, (r+1)a), case-1 rank r (a descent slot, slot m last) starts
+    at (m-d)a + rw, and slot m takes the rest up to 2**53. So u < a puts
+    the new maximum first, u < (m-d)a raises d and u >= (m-d)a + dw puts
+    it last: three comparisons a row and step follow d and whether the
+    last symbol exceeds the first.
 
-    Rows run in blocks (see _blocks). Each step draws every block's cases
-    before any block's slots, since a slot's bound depends on its case, so
-    the stream is read as by one case call and one slot call per step. A
-    row keeps 3 bytes: d (in the smallest unsigned dtype that holds n), the
-    wrap and its current case.
+    Rows run in blocks (see _blocks); each step draws its blocks' words in
+    row order. A row keeps d (in the smallest unsigned dtype that holds n)
+    and the wrap.
 
     A zeroed (n+1, count) bool `desc` gets desc[s, row] = word[s-1] > word[s]
-    for each inner slot s, with slot 0 an ascent and slot m a descent, so
-    case 1 takes a descent slot and case 2 an ascent slot. Taking slot j
-    moves the slots past j down one row; then j ascends and j+1 descends.
+    for each inner slot s, with slot 0 an ascent and slot m a descent. The
+    slot taken is the ascent slot of rank u // a in case 2, the descent slot
+    of rank min((u - (m-d)a) // w, d) in case 1. Taking slot j moves the
+    slots past j down one row; then j ascends and j+1 descends.
     """
     d = np.zeros(count, dtype=np.min_scalar_type(n))
     wrap = np.zeros(count, dtype=bool)
-    case = np.empty(count, dtype=bool)
     blocks = _blocks(count, _ROW_BYTES if desc is None else _ROW_BYTES + 2 * (n + 1))
+    index, bound, hit = (np.empty(blocks[0].stop, dtype=t) for t in (np.intp, np.uint64, bool))
     if desc is not None:
         desc[1] = True
         flat = desc.reshape(-1)
@@ -237,28 +233,32 @@ def _insertion_walk(
         counts = np.empty((n, blocks[0].stop), dtype=_slot_count_dtype(n))
         shifts = np.empty((n, blocks[0].stop), dtype=bool)
     for m, table in enumerate(tables, start=1):
+        low, case1_start, last, _ = table
+        widths = table[[0, 3]].reshape(-1)  # a then w, each d's case-2 and case-1 widths
         for blk in blocks:
-            u = rng.integers(0, _SCALE, size=blk.stop - blk.start, dtype=np.uint64)
-            np.less(u, table.take(d[blk], mode="clip"), out=case[blk])
-        for blk in blocks:
-            case1, d_blk, wrap_blk = case[blk], d[blk], wrap[blk]
-            # int64 bounds: their dtype picks numpy's bounded-draw algorithm.
-            hi = d_blk.astype(np.int64)
-            t = rng.integers(0, np.where(case1, hi + 1, m - hi))
-            wrap_blk &= case1 | (t != 0)
-            wrap_blk |= case1 & (t == d_blk)
+            rows = blk.stop - blk.start
+            d_blk, wrap_blk, i, b, h = d[blk], wrap[blk], index[:rows], bound[:rows], hit[:rows]
+            u = rng.bit_generator.random_raw(rows)
+            u >>= 64 - _THRESHOLD_BITS
+            np.copyto(i, d_blk)
+            wrap_blk &= np.greater_equal(u, low.take(i, out=b, mode="clip"), out=h)
+            wrap_blk |= np.greater_equal(u, last.take(i, out=b, mode="clip"), out=h)
+            if desc is not None:
+                np.minimum(u, b, out=u)  # slot m's values all read as its start, rank d
+            case1 = np.greater_equal(u, case1_start.take(i, out=b, mode="clip"), out=h)
             d_blk += ~case1
             if desc is None:
                 continue
+            u -= b * case1  # b holds where case 1 starts
+            u //= widths.take(i + low.shape[0] * case1, out=b, mode="clip")
             # Running count of qualifying slots, row by row: a cumsum along
             # axis 0 is many times slower. Slot j is the (t+1)-th to qualify.
-            rows = t.shape[0]
             q = np.equal(desc[: m + 1, blk], case1, out=counts[: m + 1, :rows])
             prev = q[0]
             for cur in q[1:]:
                 np.add(cur, prev, out=cur)
                 prev = cur
-            before = np.less_equal(q, t.astype(q.dtype), out=q)  # 1 on the slots before j
+            before = np.less_equal(q, u.astype(q.dtype), out=q)  # 1 on the slots before j
             slot, next_slot = desc[: m + 1, blk], desc[1 : m + 2, blk]
             moved = np.not_equal(next_slot, slot, out=shifts[: m + 1, :rows])
             np.greater(moved, before, out=moved)
@@ -277,17 +277,17 @@ def _cut_descents(
     """d of `count` insertion words, each cut before a uniform position s drawn after it.
 
     The cut turns the pair across slot s into the wrap (at s = 0, the wrap
-    itself). A row keeps its (n+1)-byte descent bitmap besides the walk's
-    3 bytes; the cuts are drawn block by block once the walk is done.
+    itself). Once the walk is done, s reads one raw word a row: each s < n-1
+    covers floor(2**53 / n) values of u = word >> 11 and s = n-1 the rest.
     """
     desc = np.zeros((n + 1, count), dtype=bool)
     d, wrap = _insertion_walk(tables, n, count, rng, desc)
     desc[0] = wrap
     for blk in _blocks(count, _ROW_BYTES):
-        shift = rng.integers(0, n, size=blk.stop - blk.start)
-        db = d[blk]
-        db += wrap[blk]
-        db -= desc[shift, np.arange(blk.start, blk.stop)]
+        u = rng.bit_generator.random_raw(blk.stop - blk.start) >> (64 - _THRESHOLD_BITS)
+        shift = np.minimum(u // (_SCALE // n), n - 1)
+        d[blk] += wrap[blk]
+        d[blk] -= desc[shift, np.arange(blk.start, blk.stop)]
     return d
 
 
@@ -515,7 +515,7 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
 
         return _tally(chunk, _ROW_BYTES, values)
 
-    carried = np.min_scalar_type(n).itemsize + 2 + cut_walk * (n + 1)  # d, wrap, case, bitmap
+    carried = np.min_scalar_type(n).itemsize + 1 + cut_walk * (n + 1)  # d, wrap, bitmap
     return _summarize(_run_streams(config, draw, carried), exact, config.count)
 
 

@@ -533,57 +533,58 @@ class TestPastTheIntTextLimit:
 # a draw, the fit or the rendering moves one of these.
 SAMPLE_ARGS = ("--count", "10000", "--seed", "20261018", "--streams", "3")
 PINNED_SAMPLE_BYTES = [
-    ("R", "d", 4, 6, "json", "94eacfaf67c9d9693417272a44354730c063b2fabafc0a1eaa519e3ea7d07e92"),
-    ("R", "d", 4, 6, "csv", "df8991e5d279c08ca1f4ef10f94297c3138f28daf52ac82cb6f9093e044f2ae7"),
-    ("C", "d", 5, 6, "json", "f72314f01a6236c0eeca13b6481f3c0d48db6e74ac6cc3388632209365f84a6f"),
-    ("C", "d", 5, 6, "csv", "5f4153d4c031fdb43263c5c42f6062e8484712cad3f509c9ed50a89f4275fdc7"),
-    ("C", "c", 3, 5, "json", "231eff10f65d84e2080eea9ee803e01f19cc83a39fddb44b15c95e2981048a15"),
-    ("C", "c", 3, 5, "csv", "fa3ce56ef0d02e71f907ed0ba56c0c092ac639b5a0de170928b9c4518f270a02"),
+    ("R", "d", 4, 6, "json", "91abd2e4680a6206b7106acba6034c1b656c90862462a85e2f560ba4d06927c0"),
+    ("R", "d", 4, 6, "csv", "8a4b55f6569af871d33813ef99ac44ab582e79409b58a38589f494cd450797e7"),
+    ("C", "d", 5, 6, "json", "4dd1e1fd0946fac02c3c6625bf3f5a0166805de36f267d71c00685fd880b8228"),
+    ("C", "d", 5, 6, "csv", "ec772923365c9a038980cb80bf0cde97da8d9fea70ff2546235c7ebe19508110"),
+    ("C", "c", 3, 5, "json", "e8140d3621378485349d6d704b8734047eb479bf6d7c123f3f783f4ffe91728e"),
+    ("C", "c", 3, 5, "csv", "81d89f874b1fc713fc0d5dcbaea8bb4d6976b4a73932fc6668ef72537fa962b2"),
     ("R", "parsimony", 8, 6, "json",
-     "584fc9c6dc0cc394a075f27bf4558ed55390033145af01f8cfdfaaeecde16a90"),
+     "153f2b47c995883660fd0f1d7753f1e2b64c2c99a310b636875368b76851f35b"),
     ("R", "parsimony", 8, 6, "csv",
-     "e8b408a2f418a8b876526048900ae807612984921106ed3bfcc5abb16c42849f"),
+     "9b7436217a57658801149b7fb0f23b99226fa28dcab86143d79a4f52b3f302bd"),
     ("C", "parsimony", 8, 6, "json",
-     "aef2366437020a022b9a366ce23e4d509301614a40f58e0d353d8b37618942b1"),
+     "06a90a689c3624ad450855bddd26a5f9dd6dfc5b4c6fcb7162d7a9079b47f3b4"),
     ("C", "parsimony", 8, 6, "csv",
-     "15f7d7971e8a33c5db543b5efeada7869a58b4d4dcb199ce58e5a3ddc65f43e9"),
+     "fd20f82968293539c074e03f7981693f0f6820796b321943a4089ca187d10e5d"),
 ]
 # Riffle pins, recorded once riffle rounds read raw Philox words.
 RIFFLE_ARGV = ("riffle", "--n", "13", "--rounds", "3", "--count", "10000", "--seed", "7")
 RIFFLE_SHA256 = "a4b554df0403b7e40832b3b982b8bf61562cb9d186d60bdba10afa818932a3b7"
-# Rows drawn by the descent-count walk, recorded before they stopped
-# building words: (measure, stat, k, n, count, format, digest).
+# Rows drawn by the descent-count walks, recorded once each insertion
+# step read one raw Philox word a row: (measure, stat, k, n, count,
+# format, digest).
 PINNED_WALK_BYTES = [
     ("C", "c", 50, 200, 2000, "json",
-     "6f136536fce38c8566e73cd37349f0d54cdfc0dc4e0375f10fa967c92f71417b"),
+     "f6fe2f5a4c5d9a6e46b0d8650182d43f0ece7c1b0ed1a02221b18d5c73cbb6b8"),
     ("C", "c", 50, 200, 2000, "csv",
-     "4fc04912bc7e88bf5b88e9fdf64b93bc7aa23c06aa4b0965cc638abb79066d7d"),
+     "17d31c3b2a6a4585ad381a61e1c2ef80d62e0e9db8f0d77938cbaf86a649581a"),
     # d >= k is unreachable.
     ("R", "d", 3, 24, 10000, "json",
-     "aa081d51836ee7f68035afefb2813c0f671f0e556d1b626b0e492b08653f7298"),
+     "3991af2122ffc084fb0c2c306c7e850320a56dd3066d0fff9bb0a1fd9a817dbd"),
     ("R", "d", 3, 24, 10000, "csv",
-     "da699e42db11b591d141c7ecbd7c91706290b3ac7c9236fa358b63a61c0502cc"),
+     "9e5f686b9700a0d9edd41e37add0ea76238abfb50f3d08902d5d332bd0f61e8f"),
     ("R", "d", 1, 12, 10000, "json",
      "0fb78c5b8d69e68a8e8a72e1298e0e1248fd1d01915b3c57f4655251817440d1"),
     ("R", "d", 1, 12, 10000, "csv",
      "70adb991843f6e671ea48037076415534f6915ae0f82183fb0b134fb4b872e56"),
     ("R", "parsimony", 2**40, 30, 10000, "json",
-     "152951e64aa5c4df91cf3b18ad2870a0542d2598e9250cc063644d87f8a60579"),
+     "cccd821e71f3510d81e7c72986e513f570bf7b53fff4e9e2bfa2b7bace4e8208"),
     ("R", "parsimony", 2**40, 30, 10000, "csv",
-     "626b07e8a50fd3c3d7197d0809f69d304188ae6687aff9cbe57df855d2770e79"),
+     "67dd8f7dfe644675084810fa70ffb35997f919a537d7c7e9074f9ddf86c1a551"),
     ("C", "parsimony", 2**40, 30, 10000, "json",
-     "c82cef829c40b3c8471be9f4751eebcb814f74028648a8255f1b32094892edd6"),
+     "0dacf35f1b7a0585166761dc17f127ed4d2bfdebc418fd68d47453b2ba2f1907"),
     ("C", "parsimony", 2**40, 30, 10000, "csv",
-     "ce58e59aaec5c84c3e95afcf568fc74f52ae1f9101aad5230202be7e932f3fb6"),
-    # C/d, recorded while it still built and rotated whole words.
+     "18452f1de685b104f01ab8529e6675e753c06a4a20f295d3722110772256a569"),
+    # C/d: the bitmap walk, then a cut from one raw word a row.
     ("C", "d", 10, 52, 2000, "json",
-     "f980988d6fdf25347cd61212cf0de39b5811bee17d8b6c8dbe6f4b20c9f71266"),
+     "5e02c5b36120303197d954887cabd6b8afa5a4a6b62d35be585624172cef5848"),
     ("C", "d", 10, 52, 2000, "csv",
-     "84a87875220b368ff623e023de81c1140b1d4bc44698b48c65c7c7f4f60d7b25"),
+     "6193fff18610e27ea959d3482631af076daef9d64302ebed6b568af68e1ff91b"),
     ("C", "d", 50, 200, 500, "json",
-     "2b1e5a622c555b6ffdcecbae5274fbd55456b1ff066364b6093bf0b566c5105f"),
+     "fef582cc761c97bd40d293065288dd6f3f6f61131c742ee28afe0c450368df44"),
     ("C", "d", 50, 200, 500, "csv",
-     "5992b09669e03894334dc599502cb4831ff02c65581b6bd708045b855b446a30"),
+     "9af5f0806b7cf9913eebae9175b8c846a9a3b704859d437ea5f371b0a2de25f1"),
 ]
 # A full deck, and a deck of two raw words a round.
 RIFFLE_52_ARGV = ("riffle", "--n", "52", "--rounds", "7", "--count", "5000", "--seed", "7")

@@ -1,6 +1,7 @@
 """Monte Carlo machinery: insertion sampler, GSR shuffles, fit summaries."""
 
 import concurrent.futures
+import functools
 import itertools
 import math
 import os
@@ -47,35 +48,61 @@ def _rng(seed=1234):
     return np.random.Generator(np.random.Philox(key=[seed, 0]))
 
 
+@functools.lru_cache(maxsize=None)
+def _regions(k, m, d):
+    """(a, w) at deck size m with d descents, from Fractions: the 53-bit widths of a
+    case-2 (ascent) slot and of a case-1 (descent) slot."""
+    K = k * (m + 1)
+    return math.floor(F(k - d - 1, K) * 2**53), math.floor(F(m + k - d, K) * 2**53)
+
+
+def _bounds(k, m, d):
+    """[a, (m-d)a, (m-d)a + dw, w]: the case-2 width, where case 1 and slot m start, the
+    case-1 width."""
+    a, w = _regions(k, m, d)
+    return [a, (m - d) * a, (m - d) * a + d * w, w]
+
+
 def _insertion_words(k, n, count, rng):
     """Batch of `count` words drawn from the k-shuffle measure on n symbols.
 
     Step m inserts symbol m+1 into every row. Case 1 inserts after slot m
     or after a descent slot and keeps the descent count; case 2 inserts
-    after slot 0 or after an ascent slot and raises it by one. The case
-    is drawn first, then a slot uniformly among the d+1 (case 1) or m-d
-    (case 2) qualifying slots, each in one call over the whole batch.
-    This is the reference the walks of sampler._insertion_walk must
+    after slot 0 or after an ascent slot and raises it by one. Each row
+    reads one raw word a step, all rows in one call, and its top 53 bits u
+    pick the slot: the m-d case-2 slots of width a come first, then the
+    d+1 case-1 slots of width w, the last of them taking everything up to
+    2^53. This is the reference the walks of sampler._insertion_walk must
     reproduce draw for draw.
     """
     words = np.ones((count, 1), dtype=np.int32)
     rows = np.arange(count)
     for m in range(1, n):
         desc = words[:, :-1] > words[:, 1:]
-        d = desc.sum(axis=1)
-        u = rng.integers(0, sampler._SCALE, size=count, dtype=np.uint64)
-        case1 = u < sampler._case_thresholds(k, m)[d]
-        t = rng.integers(0, np.where(case1, d + 1, m - d))
+        d = desc.sum(axis=1).astype(np.uint64)
+        widths = np.array([_regions(k, m, e) for e in range(min(m, k))], dtype=np.uint64)
+        a, w = widths[d].T
+        u = rng.bit_generator.random_raw(count) >> np.uint64(11)
+        start = (np.uint64(m) - d) * a  # where case 1 starts
+        case1 = u >= start
+        t = np.where(case1, np.minimum((u - start) // w, d), u // np.maximum(a, 1))
         qualifies = np.empty((count, m + 1), dtype=bool)
         qualifies[:, 0] = ~case1
         qualifies[:, 1:m] = desc == case1[:, None]
         qualifies[:, m] = case1
-        j = np.argmax(qualifies.cumsum(axis=1) > t[:, None], axis=1)
+        j = np.argmax(qualifies.cumsum(axis=1) > t.astype(np.int64)[:, None], axis=1)
         idx = np.arange(m + 1, dtype=np.int64)[None, :]
         src = np.clip(idx - (idx > j[:, None]), 0, m - 1)
         words = np.take_along_axis(words, src, axis=1)
         words[rows, j] = m + 1
     return words
+
+
+def _cut_positions(n, count, rng):
+    """Uniform cut positions in [0, n), one raw word a row: each s < n-1 covers
+    floor(2^53 / n) values of the top 53 bits and s = n-1 the rest."""
+    raw = rng.bit_generator.random_raw(count).tolist()
+    return np.array([min((u >> 11) // (2**53 // n), n - 1) for u in raw], dtype=np.int64)
 
 
 def _summarize(values, exact):
@@ -220,7 +247,7 @@ class TestInsertionWalk:
         for seed in (0, 1, 20261018):
             word_rng, walk_rng, desc_rng = _rng(seed), _rng(seed), _rng(seed)
             words = _insertion_words(k, n, 300, word_rng)
-            shift = word_rng.integers(0, n, size=300)
+            shift = _cut_positions(n, 300, word_rng)
             cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
             tables = sampler._threshold_tables(k, n)
             d = sampler._cut_descents(tables, n, 300, walk_rng)
@@ -236,7 +263,7 @@ class TestInsertionWalk:
         # n = 300 takes the running slot counts past uint8.
         word_rng, walk_rng = _rng(5), _rng(5)
         words = _insertion_words(2**40, 300, 40, word_rng)
-        shift = word_rng.integers(0, 300, size=40)
+        shift = _cut_positions(300, 40, word_rng)
         cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
         tables = sampler._threshold_tables(2**40, 300)
         assert sampler._cut_descents(tables, 300, 40, walk_rng).tolist() == (
@@ -251,27 +278,77 @@ class TestInsertionWalk:
     @pytest.mark.parametrize("m", [1, 2, 5, 60, 200])
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 50, 1000, 2**40])
     def test_thresholds_match_the_fraction_formula(self, k, m):
-        want = []
-        for d in range(m):
-            if d >= k:
-                want.append(sampler._SCALE)
-                continue
-            p1 = F((d + 1) * (m + k - d), k * (m + 1))
-            want.append(min((p1.numerator * sampler._SCALE) // p1.denominator, sampler._SCALE))
-        assert sampler._case_thresholds(k, m).tolist() == want
+        # Rows a, where case 1 starts, where slot m starts, w; a column per reachable d.
+        want = [_bounds(k, m, d) for d in range(min(m, k))]
+        assert sampler._threshold_tables(k, m + 1)[m - 1].T.tolist() == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 50, 2**40, 2**80])
+    def test_widths_tile_the_53_bit_range_within_the_bias_bound(self, k):
+        # Every slot but slot m is within 2^-53 of its exact mass, slot m within m 2^-53.
+        for m, (a, start, last, w) in enumerate(sampler._threshold_tables(k, 61), start=1):
+            for d in range(min(m, k)):
+                ascent, descent = F(k - d - 1, k * (m + 1)), F(m + k - d, k * (m + 1))
+                assert (m - d) * ascent + (d + 1) * descent == 1
+                assert start[d] == (m - d) * a[d] and last[d] == start[d] + d * w[d]
+                assert last[d] <= 2**53  # m-d widths a, d widths w, then slot m up to 2^53
+                assert 0 <= ascent * 2**53 - int(a[d]) < 1
+                assert 0 <= descent * 2**53 - int(w[d]) < 1
+                assert 0 <= (2**53 - int(last[d])) - descent * 2**53 < m
 
     @pytest.mark.parametrize("k", [1, 2, 5, 29, 30, 2**40])
     def test_clipped_tables_read_as_the_full_thresholds(self, k):
+        # A table keeps the columns d < min(m, k) that a walk reaches: case 2 has no width
+        # at d = k-1, so d never reaches k. Read at those d it gives the Fraction bounds.
         for m, table in enumerate(sampler._threshold_tables(k, 30), start=1):
-            d = np.arange(m, dtype=np.uint8)
-            assert table.take(d, mode="clip").tolist() == sampler._case_thresholds(k, m).tolist()
+            d = np.arange(min(m, k), dtype=np.uint8)
+            assert table.shape == (4, d.size)
+            want = [_bounds(k, m, e) for e in d.tolist()]
+            assert table.take(d, axis=1, mode="clip").T.tolist() == want
+            if k <= m:
+                assert table[0, k - 1] == 0
 
     def test_thresholds_are_built_once_per_run(self, monkeypatch):
-        built = []
-        real = sampler._case_thresholds
-        monkeypatch.setattr(sampler, "_case_thresholds", lambda k, m: built.append(m) or real(k, m))
+        built, real = [], sampler._threshold_tables
+        monkeypatch.setattr(sampler, "_threshold_tables", lambda *kn: built.append(kn) or real(*kn))
         sample_statistic("C", "c", SamplerConfig(k=50, n=30, count=4000, seed=1, streams=4))
-        assert sorted(built) == list(range(1, 30))
+        sample_statistic("C", "d", SamplerConfig(k=50, n=30, count=4000, seed=1, streams=4))
+        assert built == [(50, 30), (50, 30)]
+
+    @pytest.mark.parametrize(
+        "prefix, word",
+        [((0, 0, 2**64 - 1), [3, 2, 1, 4]), ((0, 2**64 - 1, 0), [4, 2, 1, 3])],
+    )
+    def test_words_on_region_boundaries_take_their_slots(self, prefix, word):
+        # k = 5: slots 0 and m (a word of 0 and of 2^64 - 1) build a word of m = 4 and d = 2,
+        # whose ascent slots are 0 and 3 and whose descent slots 1, 2 and 4, with the wrap
+        # ascending or descending. Then each row reads one word on a region boundary.
+        a, start, last, _ = _bounds(5, 4, 2)
+        u = [a - 1, a, start - 1, start, last - 1, last]
+        want = [word[:j] + [5] + word[j:] for j in (0, 3, 3, 1, 2, 4)]
+        raw = [w for w in prefix for _ in u] + [x << 11 for x in u]
+        words = _insertion_words(5, 5, 6, _PresetWords(raw))
+        assert words.tolist() == want
+        tables = sampler._threshold_tables(5, 5)
+        d, wrap = sampler._insertion_walk(tables, 5, 6, _PresetWords(raw))
+        assert d.tolist() == [oracle_descents(w) for w in want]
+        assert wrap.tolist() == [w[-1] > w[0] for w in want]
+        desc = np.zeros((6, 6), dtype=bool)
+        sampler._insertion_walk(tables, 5, 6, _PresetWords(raw), desc)
+        assert (desc[1:5].T == (words[:, :-1] > words[:, 1:])).all()
+
+    def test_cut_words_on_region_boundaries_take_their_positions(self):
+        # k = 10: slot m twice, then case-2 ranks 2, 1 and 0 build 6 1 5 2 4 3, whose wrap
+        # ascends and whose slots 1 to 5 alternate descent and ascent. So a cut before s
+        # leaves 3 descents at even s and 2 at odd s, and an off-by-one shows.
+        (a3, _), (a4, _) = _regions(10, 3, 0), _regions(10, 4, 1)
+        walk = [2**64 - 1] * 10 + [2 * a3 << 11] * 5 + [a4 << 11] * 5 + [0] * 5
+        assert _insertion_words(10, 6, 5, _PresetWords(walk)).tolist() == [[6, 1, 5, 2, 4, 3]] * 5
+        width = 2**53 // 6
+        cuts = [(width - 1) << 11, width << 11, (5 * width - 1) << 11, 5 * width << 11, 2**64 - 1]
+        assert _cut_positions(6, 5, _PresetWords(cuts)).tolist() == [0, 1, 4, 5, 5]
+        tables = sampler._threshold_tables(10, 6)
+        d = sampler._cut_descents(tables, 6, 5, _PresetWords(walk + cuts))
+        assert d.tolist() == [3, 2, 3, 2, 2]
 
 
 class TestSeeds:
@@ -290,7 +367,7 @@ class TestSeeds:
 
 class TestScalarSamplers:
     # One draw is row 0 of a one-row batch; a C draw rotates that row
-    # left by rng.integers(0, n).
+    # left by _cut_positions(n, 1, rng)[0].
     def test_single_pile_is_identity(self):
         rng = _rng()
         for _ in range(5):
@@ -304,7 +381,7 @@ class TestScalarSamplers:
         for _ in range(50):
             p = _insertion_words(3, 5, 1, rng)[0]
             assert sorted(p.tolist()) == [1, 2, 3, 4, 5]
-            q = np.roll(_insertion_words(3, 5, 1, rng)[0], -int(rng.integers(0, 5)))
+            q = np.roll(_insertion_words(3, 5, 1, rng)[0], -_cut_positions(5, 1, rng)[0])
             assert sorted(q.tolist()) == [1, 2, 3, 4, 5]
 
     def test_cut_measure_needs_two_cards(self):
@@ -419,7 +496,7 @@ class TestBlocks:
         k = n if k == "n" else k
         word_rng, walk_rng = _rng(8), _rng(8)
         words = _insertion_words(k, n, 150, word_rng)
-        shift = word_rng.integers(0, n, size=150)
+        shift = _cut_positions(n, 150, word_rng)
         cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
         d = sampler._cut_descents(sampler._threshold_tables(k, n), n, 150, walk_rng)
         assert d.tolist() == sampler._descents_per_row(cut).tolist()
@@ -467,7 +544,8 @@ class TestBlocks:
 class TestMemory:
     # tracemalloc sees numpy's buffers. The peak's growth from 16k to 32k
     # rows, in blocks of a few hundred, is what a row costs: the state a
-    # kernel keeps, not the temporaries of a block.
+    # kernel keeps, not the temporaries of a block. A walk row keeps 2
+    # bytes (d and the wrap), at most the 3 the test names allow.
     @staticmethod
     def _bytes_per_row(run, monkeypatch):
         monkeypatch.setattr(sampler, "_BLOCK_BYTES", 1 << 16)

@@ -31,7 +31,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, astuple
 from typing import Iterator
 
 from . import __version__
@@ -252,14 +251,14 @@ def _cmd_tv(args) -> tuple:
         stats = STATISTIC_CODES if args.statistic == "all" else (args.statistic,)
         reports = certification_sweep(n_list, args.k_points, stats)
         reports.sort(key=lambda r: (r.statistic, r.n, r.k))
-        rows = [astuple(r) for r in reports]
+        rows = [tuple(r) for r in reports]
         payload = [dict(zip(_TV_HEADER, row)) for row in rows]
         return payload, _TV_HEADER, rows, 0
     if args.statistic == "all":
         raise UserInputError("single-point tv needs --statistic Cd, Cc, or R")
     if args.k is None or args.n is None:
         raise UserInputError("single-point tv needs --k and --n (or use --grid)")
-    row = astuple(tv_report(args.k, args.n, args.statistic))
+    row = tuple(tv_report(args.k, args.n, args.statistic))
     return dict(zip(_TV_HEADER, row)), _TV_HEADER, [row], 0
 
 
@@ -309,7 +308,7 @@ def _cmd_verify(args) -> tuple:
         "n_max": args.n_max,
         "inject_fault": args.inject_fault,
         "all_passed": all_passed,
-        "suites": [asdict(r) for r in results],
+        "suites": [r._asdict() for r in results],
     }
     rows = [(r.name, r.passed, r.checks, r.detail) for r in results]
     header = ("name", "passed", "checks", "detail")

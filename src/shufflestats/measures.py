@@ -15,12 +15,11 @@ appears only in tests, as the oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 from typing import Callable, Iterable, Optional
 
-from .errors import UserInputError
+from .errors import UserInputError, _Record
 from .eulerian import eulerian_row
 from .moments import MomentReport, moments_c_C, moments_d_C, moments_d_R
 
@@ -282,8 +281,7 @@ def riffle_piles(rounds: int) -> int:
 # The (measure, statistic) law table
 
 
-@dataclass(frozen=True)
-class StatisticLaw:
+class StatisticLaw(_Record):
     """Everything the package knows about one (measure, statistic) pair.
 
     `base` builds the Eulerian-row law of the statistic the sampler reads

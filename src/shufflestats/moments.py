@@ -16,13 +16,12 @@ Bernoulli series they come from.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import ceil, comb, log10, perm, pi
 from typing import Optional
 
-from .errors import CertificationError, UserInputError, _LazyModule
+from .errors import CertificationError, UserInputError, _LazyModule, _Record
 from .eulerian import _powers
 
 mp = _LazyModule("mpmath", "mp", globals())
@@ -329,8 +328,7 @@ def asymptotic_variance_c(alpha: float) -> mp.mpf:
 # Reports
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(_Record):
     """Exact moments, with asymptotic companions evaluated on first read.
 
     The asymptotics are those of c under C(k, scale), shifted by shift.

@@ -19,11 +19,10 @@ symbolically until the final float rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CertificationError, UserInputError
+from .errors import CertificationError, UserInputError, _Record
 from .eulerian import eulerian_row, eulerian_value
 from .measures import ExactPmf, c_pmf_C, c_pmf_uniform, d_pmf_C, d_pmf_uniform
 from .permutations import cyclic_rotate, descent_count
@@ -84,8 +83,7 @@ def drift(p: tuple[int, ...]) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class PairLaw:
+class PairLaw(_Record):
     """Exact step law of the pair: per conditioning value r, P(d = r)
     and the probabilities of d' - d = -1, 0, +1."""
 
@@ -182,8 +180,7 @@ def g_remainder(n: int) -> Fraction:
 # Newton inequalities on Eulerian rows
 
 
-@dataclass(frozen=True)
-class NewtonRecord:
+class NewtonRecord(_Record):
     n_max: int
     cases: int
     equality_points: tuple[tuple[int, int], ...]
@@ -238,8 +235,7 @@ def mean_abs_deviation_uniform_d(n: int) -> Fraction:
     return Fraction(sum(a * abs(r * den - s1) for r, a in atoms), den * den)
 
 
-@dataclass(frozen=True)
-class NogoodRow:
+class NogoodRow(_Record):
     """One row of the diagnostic: how big n * E|G(W)| stays under U_n."""
 
     n: int

@@ -59,12 +59,11 @@ _ratio rounds the same truncated quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, exp, expm1, inf, ldexp, lgamma, log
 from typing import Iterable, Union
 
-from .errors import CertificationError, UserInputError, _LazyModule
+from .errors import CertificationError, UserInputError, _LazyModule, _Record
 from .measures import STATISTIC_LAWS, ExactPmf, StatisticLaw
 
 mp = _LazyModule("mpmath", "mp", globals())
@@ -194,8 +193,7 @@ def _poisson_mass(lam_v: tuple, s: int, prec: int) -> tuple:
     return lib.mpf_exp(log_q, prec, rnd)
 
 
-@dataclass(frozen=True)
-class SteinSolution:
+class SteinSolution(_Record):
     """Solution g of lambda*g(j+1) - j*g(j) = 1{j in A} - P_lambda(A).
 
     g is tabulated on 0..j_max with g(0) = 0. The classical bounds
@@ -346,8 +344,7 @@ def certified_bound(k: int, n: int, statistic: str) -> Fraction:
 # Reports
 
 
-@dataclass(frozen=True)
-class TvReport:
+class TvReport(_Record):
     """One certified comparison of an exact law against its Poisson limit."""
 
     k: int

@@ -15,12 +15,11 @@ this guards the harness itself against vacuous green runs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
-from .errors import CertificationError, UserInputError
+from .errors import CertificationError, UserInputError, _Record
 from .eulerian import cyclic_descent_counts, eulerian_value
 from .measures import c_pmf_C, c_weight, d_pmf_C, d_pmf_R, r_weight
 from .moments import moments_c_C, moments_d_C, moments_d_R, use1_mean
@@ -45,8 +44,7 @@ GRID_LIMIT = 200
 _SERIES_ORDER = 12
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(_Record):
     """Outcome of one verification suite."""
 
     name: str

@@ -1134,11 +1134,13 @@ class TestConsoleEntry:
         # Each is loaded by the first command that uses it: mpmath by the
         # Stein side and the asymptotics, numpy and the thread pool (which
         # imports logging) by the samplers, hashlib by --out and secrets by
-        # --seed auto. The package modules stay eager: the benchmark looks
-        # them up in sys.modules.
+        # --seed auto. The package itself imports neither dataclasses nor
+        # inspect (numpy loads inspect). The package modules stay eager: the
+        # benchmark looks them up in sys.modules.
         script = (
             "import sys, shufflestats.cli\n"
-            "heavy = ('mpmath', 'numpy', 'concurrent.futures', 'logging', 'hashlib', 'secrets')\n"
+            "heavy = ('mpmath', 'numpy', 'concurrent.futures', 'logging', 'hashlib', 'secrets',\n"
+            "         'dataclasses', 'inspect')\n"
             "print([name for name in heavy if name in sys.modules])\n"
             "ours = ('measures', 'moments', 'stein', 'sampler', 'pair', 'verify')\n"
             "print([name for name in ours if 'shufflestats.' + name not in sys.modules])\n"
@@ -1167,6 +1169,26 @@ class TestConsoleEntry:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0] False\n"
+
+    def test_exact_commands_leave_inspect_unloaded(self):
+        # The records need no dataclasses, so only numpy (the samplers)
+        # loads inspect, and with it dis, ast and tokenize.
+        script = (
+            "import contextlib, io, sys\n"
+            "from shufflestats.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in (\n"
+            "        ['dist', '--measure', 'C', '--stat', 'd', '--k', '3', '--n', '6'],\n"
+            "        ['tv', '--statistic', 'Cc', '--k', '3', '--n', '20'],\n"
+            "        ['moments', '--measure', 'R', '--k', '30', '--n', '6', '--asymptotic'],\n"
+            "        ['eulerian', '--n', '6'],\n"
+            "        ['diagnostic'],\n"
+            "        ['verify', '--oracle-max', '4'])]\n"
+            "print(codes, 'inspect' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0, 0, 0] False\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,6 +1,5 @@
 """Exchangeable rotation pair: conditional laws, drift, diagnostics."""
 
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -258,7 +257,7 @@ class TestCertificates:
         law = PairLaw.build(5, 2)
         stay = (law.stay[0] + F(1, 7),) + law.stay[1:]
         with pytest.raises(CertificationError, match="conditional law at r=0 sums to 8/7"):
-            dataclasses.replace(law, stay=stay)._check_exchangeable()
+            law._replace(stay=stay)._check_exchangeable()
 
     def test_step_laws_certify_the_rotation_pushforward(self, monkeypatch):
         # A valid d law that is not the rotation pushforward of the c law.
@@ -271,13 +270,13 @@ class TestCertificates:
         stay = (law.stay[0] - 1,) + law.stay[1:]
         up = (law.up[0] + 1,) + law.up[1:]
         with pytest.raises(CertificationError, match="negative step probability at r=0"):
-            dataclasses.replace(law, stay=stay, up=up)._check_exchangeable()
+            law._replace(stay=stay, up=up)._check_exchangeable()
 
     def test_joint_law_is_exchangeable(self):
         law = PairLaw.build(5, 2)
         d_mass = (law.d_mass[0] * 2,) + law.d_mass[1:]
         with pytest.raises(CertificationError, match=r"joint law not exchangeable at \(0, 1\)"):
-            dataclasses.replace(law, d_mass=d_mass)._check_exchangeable()
+            law._replace(d_mass=d_mass)._check_exchangeable()
 
     def test_remainder_moments_match_the_pmf(self, monkeypatch):
         monkeypatch.setattr(pair_module, "d_pmf_uniform", _tilted(pair_module.d_pmf_uniform))

@@ -274,7 +274,6 @@ def _cmd_sample(args) -> tuple:
         "n": args.n,
         "count": args.count,
         "seed": args.seed,
-        "streams": args.streams,
     }
     return _sample_report(args, head, sample_statistic(args.measure, args.stat, config))
 
@@ -321,6 +320,7 @@ def _palindrome_text(values) -> list[str]:
     return half + half[: len(values) // 2][::-1]
 
 
+@_unlimited_int_text()
 def _cmd_eulerian(args) -> tuple:
     if args.cyclic:
         # n * A(n-1, i) for i < n is a palindrome; the last count is 0.
@@ -387,7 +387,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--n", type=int, required=True)
     sample.add_argument("--count", type=int, required=True)
     sample.add_argument("--seed", required=True, help="64-bit integer or 'auto'")
-    sample.add_argument("--streams", type=int, default=DEFAULT_STREAMS)
+    sample.add_argument(
+        "--streams",
+        type=int,
+        default=DEFAULT_STREAMS,
+        help="worker threads; changes no output byte",
+    )
     sample.add_argument("--stat", choices=("d", "c", "parsimony"), default="d")
     _add_output_flags(sample)
     sample.set_defaults(handler=_cmd_sample)

@@ -15,42 +15,39 @@ O(n) per draw, reading the very words the word sampler reads. The d of
 a C/d word cut after it is drawn depends on where its descents sit, so
 that walk also keeps a descent bitmap, O(n) per row and step.
 
-Every kernel runs its rows in fixed blocks whose temporaries take about
-_BLOCK_BYTES, and histograms its values block by block, so a drawn row
-costs only the state it carries from step to step: 2 bytes in a walk (d
-and the wrap), n+3 in the C/d walk (its (n+1)-byte descent bitmap
-besides) and n in the riffle (its word), while a byte holds n; rows that
-physical memory cannot hold are refused before any draw. Philox hands
-out the same words whether one call draws a batch or consecutive calls
-draw it piece by piece, and each kernel draws its blocks in row order,
-so a block boundary changes no draw.
+A run cuts its rows into blocks of about _BLOCK_BYTES of temporaries
+(see _blocks). A kernel call draws every step of one block, whose
+histogram is then taken, so a run holds a few blocks at a time,
+whatever its count.
 
 Empirical output is summarized against the exact pmfs from
 :mod:`shufflestats.measures` via a Pearson chi-square test with
 tail-bin merging plus per-bin binomial z-scores, computed once and kept
 on the summary.
 
-Randomness comes from counter-based Philox streams keyed by
-``(seed, stream_id)``. Each stream draws a fixed, precomputed number of
-samples and the per-stream histograms are merged in stream-id order, so
-aggregate output is reproducible no matter how the threads are scheduled
-or how many run (at most one per CPU; see _THREAD_CELLS). Every kernel
-reads raw Philox words, so the bytes rest on Philox alone, not on numpy's
-Generator algorithms (NEP 19). A draw among m+1 outcomes of exact
+Each block draws from a counter-based Philox generator keyed by
+``(seed, block)`` (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011), and its rows depend only on the count and n. So the
+seed and the count alone fix the output, the block size being part of
+that contract; the threads that add the blocks' histograms do not.
+Every kernel reads raw Philox words, so the bytes rest on Philox alone,
+not on numpy's Generator algorithms (NEP 19). A draw among m+1 outcomes of exact
 rational masses takes the top 53 bits of a word, u, in regions as wide
 as the masses times 2**53, rounded down, the last region taking the rest:
 each outcome is within 2**-53 of its mass, the last within (m+2) 2**-53.
 
 numpy and mpmath are imported at their first use and the thread pool
-when the streams run, so importing this module loads none of them;
+when the blocks run, so importing this module loads none of them;
 only sampling does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
+import threading
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -72,22 +69,21 @@ _SCALE = 1 << _THRESHOLD_BITS
 _MIN_EXPECTED = 5.0
 _TREE_CAP = 8
 _NORMALIZATION_MAX = 50  # largest n and k of the insertion normalization sweep
-# A kernel block's temporaries take about 4 MiB: the C/d walk makes m numpy calls per
-# block and step, so its blocks need thousands of rows to keep up with one whole batch.
-_BLOCK_BYTES = 1 << 22
+# Bytes of a block's temporaries; they set its rows, and so the output. The C/d walk makes m
+# numpy calls per block and step, so its blocks need thousands of rows to keep their cost small.
+_BLOCK_BYTES = 1 << 21
 _ROW_BYTES = 48  # temporaries of a row in a per-row pass: draws, bounds, masks, bincount
 _GSR_CARD_BYTES = 24  # temporaries of a card in a riffle round: its bit, masks, packet indices
-# One thread runs every stream while a stream's numpy calls cover fewer values than this:
-# their overhead, which holds the GIL, outweighs their work, and a second thread only contends.
-_THREAD_CELLS = 8192
 DEFAULT_STREAMS = 8
+_WORKER = threading.local()  # .arrays: those a run's worker thread reuses (see _reused)
 
 
 class SamplerConfig(_Record):
     """Parameters of one sampling run.
 
-    The triple (seed, streams, count) pins the output exactly: the same
-    config always produces the same SampleSummary, byte for byte.
+    The seed and the count pin the draws: the same k, n, seed and count
+    always produce the same SampleSummary, byte for byte. streams only
+    caps the worker threads, which changes no draw.
     """
 
     k: int
@@ -133,34 +129,25 @@ class SampleSummary(_Record):
         return max(abs(z) for z in self.bin_z.values())
 
 
-def _stream_generator(seed: int, stream_id: int) -> np.random.Generator:
-    """Philox generator for one stream, keyed by (seed, stream_id)."""
+def _stream_generator(seed: int, block: int) -> np.random.Generator:
+    """Philox generator of one block, keyed by (seed, block)."""
     # A uint64 array: numpy reads a plain list of ints >= 2**63 as float64.
-    key = np.array([seed, stream_id], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _stream_counts(count: int, streams: int) -> list[int]:
-    """Fixed per-stream sample counts; the remainder goes to the low ids.
-
-    >>> _stream_counts(10, 4)
-    [3, 3, 2, 2]
-    """
-    base, extra = divmod(count, streams)
-    return [base + (sid < extra) for sid in range(streams)]
-
-
 def _blocks(count: int, row_bytes: int) -> list[slice]:
-    """The row blocks of `count` rows for a pass whose temporaries take `row_bytes` a row.
+    """The row blocks of `count` rows for a kernel whose temporaries take `row_bytes` a row.
 
     A block's temporaries take at most about _BLOCK_BYTES; the blocks share
-    the rows evenly, the first ones largest, so a pass reuses memory of one
-    size from block to block. A block boundary changes no draw (see the
-    module docstring), so the block size is not part of the output's contract.
+    the rows evenly, the first ones largest, so a run reuses memory of one
+    size from block to block. Block b draws from its own generator (see
+    the module docstring), so these rows are part of the output's contract.
     """
-    sizes = _stream_counts(count, -(-count // max(1, _BLOCK_BYTES // row_bytes)))
-    starts = itertools.accumulate(sizes, initial=0)
-    return [slice(a, a + size) for a, size in zip(starts, sizes)]
+    blocks = -(-count // max(1, _BLOCK_BYTES // row_bytes))
+    base, extra = divmod(count, blocks)
+    starts = itertools.accumulate((base + (b < extra) for b in range(blocks)), initial=0)
+    return [slice(a, b) for a, b in itertools.pairwise(starts)]
 
 
 def _threshold_tables(k: int, n: int) -> list[np.ndarray]:
@@ -187,6 +174,21 @@ def _threshold_tables(k: int, n: int) -> list[np.ndarray]:
     return [table[:, lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
+def _reused(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array of this shape, whose memory a run's worker keeps under `name`.
+
+    A worker counts each block before it draws the next, the first the largest, so its
+    blocks share arrays: made afresh each block, they were paged in anew (R/d: 4x the faults).
+    """
+    work = getattr(_WORKER, "arrays", None)
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    if name not in work or work[name].size < size:
+        work[name] = np.empty(size, dtype)
+    return work[name][:size].reshape(shape)
+
+
 def _slot_count_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(n + 1)  # holds a running count of up to n+1 slots
 
@@ -194,103 +196,97 @@ def _slot_count_dtype(n: int) -> np.dtype:
 def _insertion_walk(
     tables: list[np.ndarray],
     n: int,
-    count: int,
+    rows: int,
     rng: np.random.Generator,
     desc: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(d, last > first) of `count` insertion words, without the words.
+    """(d, last > first) of a block of `rows` insertion words, without the words.
 
     tables is _threshold_tables(k, n). Draws exactly what the word sampler
-    _insertion_words(k, n, count, rng) in tests/test_sampler.py draws, and
+    _insertion_words(k, n, rows, rng) in tests/test_sampler.py draws, and
     the tests hold the two to it. At deck size m each row reads one raw
     word, u = word >> 11: case-2 rank r (an ascent slot, slot 0 first)
     covers [ra, (r+1)a), case-1 rank r (a descent slot, slot m last) starts
     at (m-d)a + rw, and slot m takes the rest up to 2**53. So u < a puts
     the new maximum first, u < (m-d)a raises d and u >= (m-d)a + dw puts
     it last: three comparisons a row and step follow d and whether the
-    last symbol exceeds the first.
+    last symbol exceeds the first. A row keeps d, in the smallest unsigned
+    dtype that holds n, and the wrap (see _reused).
 
-    Rows run in blocks (see _blocks); each step draws its blocks' words in
-    row order. A row keeps d (in the smallest unsigned dtype that holds n)
-    and the wrap.
-
-    A zeroed (n+1, count) bool `desc` gets desc[s, row] = word[s-1] > word[s]
+    A zeroed (n+1, rows) bool `desc` gets desc[s, row] = word[s-1] > word[s]
     for each inner slot s, with slot 0 an ascent and slot m a descent. The
     slot taken is the ascent slot of rank u // a in case 2, the descent slot
     of rank min((u - (m-d)a) // w, d) in case 1. Taking slot j moves the
     slots past j down one row; then j ascends and j+1 descends.
     """
-    d = np.zeros(count, dtype=np.min_scalar_type(n))
-    wrap = np.zeros(count, dtype=bool)
-    blocks = _blocks(count, _ROW_BYTES if desc is None else _ROW_BYTES + 2 * (n + 1))
-    index, bound, hit = (np.empty(blocks[0].stop, dtype=t) for t in (np.intp, np.uint64, bool))
+    dtypes = dict(d=np.min_scalar_type(n), wrap=bool, index=np.intp, bound=np.uint64, hit=bool)
+    d, wrap, index, bound, hit = (_reused(name, (rows,), t) for name, t in dtypes.items())
+    d[:], wrap[:] = 0, False
     if desc is not None:
         desc[1] = True
         flat = desc.reshape(-1)
-        # Per block: running slot counts, then the slots that shift.
-        counts = np.empty((n, blocks[0].stop), dtype=_slot_count_dtype(n))
-        shifts = np.empty((n, blocks[0].stop), dtype=bool)
+        columns = np.arange(rows)
+        # Running slot counts, then the slots that shift.
+        counts = _reused("counts", (n, rows), _slot_count_dtype(n))
+        shifts = _reused("shifts", (n, rows), bool)
     for m, table in enumerate(tables, start=1):
         low, case1_start, last, _ = table
         widths = table[[0, 3]].reshape(-1)  # a then w, each d's case-2 and case-1 widths
-        for blk in blocks:
-            rows = blk.stop - blk.start
-            d_blk, wrap_blk, i, b, h = d[blk], wrap[blk], index[:rows], bound[:rows], hit[:rows]
-            u = rng.bit_generator.random_raw(rows)
-            u >>= 64 - _THRESHOLD_BITS
-            np.copyto(i, d_blk)
-            wrap_blk &= np.greater_equal(u, low.take(i, out=b, mode="clip"), out=h)
-            wrap_blk |= np.greater_equal(u, last.take(i, out=b, mode="clip"), out=h)
-            if desc is not None:
-                np.minimum(u, b, out=u)  # slot m's values all read as its start, rank d
-            case1 = np.greater_equal(u, case1_start.take(i, out=b, mode="clip"), out=h)
-            d_blk += ~case1
-            if desc is None:
-                continue
-            u -= b * case1  # b holds where case 1 starts
-            u //= widths.take(i + low.shape[0] * case1, out=b, mode="clip")
-            # Running count of qualifying slots, row by row: a cumsum along
-            # axis 0 is many times slower. Slot j is the (t+1)-th to qualify.
-            q = np.equal(desc[: m + 1, blk], case1, out=counts[: m + 1, :rows])
-            prev = q[0]
-            for cur in q[1:]:
-                np.add(cur, prev, out=cur)
-                prev = cur
-            before = np.less_equal(q, u.astype(q.dtype), out=q)  # 1 on the slots before j
-            slot, next_slot = desc[: m + 1, blk], desc[1 : m + 2, blk]
-            moved = np.not_equal(next_slot, slot, out=shifts[: m + 1, :rows])
-            np.greater(moved, before, out=moved)
-            np.bitwise_xor(next_slot, moved, out=next_slot)
-            # Summed in the slot dtype; count_nonzero accumulates in intp, several times slower.
-            at = np.add.reduce(before, axis=0, dtype=q.dtype).astype(np.int64) * count
-            at += np.arange(blk.start, blk.stop)
-            flat[at] = False
-            flat[at + count] = True
+        u = rng.bit_generator.random_raw(rows)
+        u >>= 64 - _THRESHOLD_BITS
+        np.copyto(index, d)
+        wrap &= np.greater_equal(u, low.take(index, out=bound, mode="clip"), out=hit)
+        wrap |= np.greater_equal(u, last.take(index, out=bound, mode="clip"), out=hit)
+        if desc is not None:
+            np.minimum(u, bound, out=u)  # slot m's values all read as its start, rank d
+        case1 = np.greater_equal(u, case1_start.take(index, out=bound, mode="clip"), out=hit)
+        d += ~case1
+        if desc is None:
+            continue
+        u -= bound * case1  # bound holds where case 1 starts
+        u //= widths.take(index + low.shape[0] * case1, out=bound, mode="clip")
+        # Running count of qualifying slots, row by row: a cumsum along
+        # axis 0 is many times slower. Slot j is the (t+1)-th to qualify.
+        q = np.equal(desc[: m + 1], case1, out=counts[: m + 1])
+        prev = q[0]
+        for cur in q[1:]:
+            np.add(cur, prev, out=cur)
+            prev = cur
+        before = np.less_equal(q, u.astype(q.dtype), out=q)  # 1 on the slots before j
+        slot, next_slot = desc[: m + 1], desc[1 : m + 2]
+        moved = np.not_equal(next_slot, slot, out=shifts[: m + 1])
+        np.greater(moved, before, out=moved)
+        np.bitwise_xor(next_slot, moved, out=next_slot)
+        # Summed in the slot dtype; count_nonzero accumulates in intp, several times slower.
+        at = np.add.reduce(before, axis=0, dtype=q.dtype).astype(np.int64) * rows
+        at += columns
+        flat[at] = False
+        flat[at + rows] = True
     return d, wrap
 
 
 def _cut_descents(
-    tables: list[np.ndarray], n: int, count: int, rng: np.random.Generator
+    tables: list[np.ndarray], n: int, rows: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """d of `count` insertion words, each cut before a uniform position s drawn after it.
+    """d of a block of `rows` insertion words, each cut before a uniform position s drawn after it.
 
     The cut turns the pair across slot s into the wrap (at s = 0, the wrap
     itself). Once the walk is done, s reads one raw word a row: each s < n-1
     covers floor(2**53 / n) values of u = word >> 11 and s = n-1 the rest.
     """
-    desc = np.zeros((n + 1, count), dtype=bool)
-    d, wrap = _insertion_walk(tables, n, count, rng, desc)
+    desc = _reused("desc", (n + 1, rows), bool)
+    desc[...] = False
+    d, wrap = _insertion_walk(tables, n, rows, rng, desc)
     desc[0] = wrap
-    for blk in _blocks(count, _ROW_BYTES):
-        u = rng.bit_generator.random_raw(blk.stop - blk.start) >> (64 - _THRESHOLD_BITS)
-        shift = np.minimum(u // (_SCALE // n), n - 1)
-        d[blk] += wrap[blk]
-        d[blk] -= desc[shift, np.arange(blk.start, blk.stop)]
+    u = rng.bit_generator.random_raw(rows) >> (64 - _THRESHOLD_BITS)
+    shift = np.minimum(u // (_SCALE // n), n - 1)
+    d += wrap
+    d -= desc[shift, np.arange(rows)]
     return d
 
 
-def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized r-round riffle of `count` sorted decks.
+def _gsr_words(n: int, rounds: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Vectorized r-round riffle of a block of `rows` sorted decks.
 
     The physical (Gilbert-Shannon-Reeds) riffle cuts at a Binomial(n, 1/2)
     position, then drops cards from the bottoms of the two packets with
@@ -304,26 +300,26 @@ def _gsr_words(n: int, rounds: int, count: int, rng: np.random.Generator) -> np.
     The bits are raw Philox words, ceil(n/64) a row and round: position i
     reads bit i mod 64 of the row's word i // 64, by value, so the bytes
     rest on the Philox stream alone, not on numpy's Generator algorithms
-    or the machine's byte order. A round draws its blocks' words in row
-    order, as one call per round would. A row keeps only its word, in the
-    smallest dtype that holds n.
+    or the machine's byte order. A row keeps only its word, in the
+    smallest dtype that holds n (see _reused).
     """
-    words = np.tile(np.arange(1, n + 1, dtype=np.min_scalar_type(n)), (count, 1))
+    words = _reused("words", (rows, n), np.min_scalar_type(n))
+    words[...] = np.arange(1, n + 1)
     per_row = -(-n // 64)
     cards = np.arange(n, dtype=words.dtype)
+    flat = words.reshape(-1)
     for _ in range(rounds):
-        for blk in _blocks(count, _GSR_CARD_BYTES * n):
-            raw = rng.bit_generator.random_raw((blk.stop - blk.start) * per_row)
-            # As little-endian bytes, bit i of a deck's bits is bit i % 8 of its byte i // 8.
-            octets = raw.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8 * per_row)
-            bottom = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
-            tops = (n - np.count_nonzero(bottom, axis=1)).astype(words.dtype)
-            first = cards < tops[:, None]  # the top packet
-            # Each packet's cards fill its positions in order, deck by deck.
-            bottom, first, word = bottom.reshape(-1), first.reshape(-1), words[blk].reshape(-1)
-            top_cards, bottom_cards = word[first], word[~first]
-            # Masks gather, but index arrays scatter: masked assignment ran 2-3x slower at n = 52.
-            word[np.flatnonzero(~bottom)], word[np.flatnonzero(bottom)] = top_cards, bottom_cards
+        raw = rng.bit_generator.random_raw(rows * per_row)
+        # As little-endian bytes, bit i of a deck's bits is bit i % 8 of its byte i // 8.
+        octets = raw.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8 * per_row)
+        bottom = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+        tops = (n - np.count_nonzero(bottom, axis=1)).astype(words.dtype)
+        first = cards < tops[:, None]  # the top packet
+        # Each packet's cards fill its positions in order, deck by deck.
+        bottom, first = bottom.reshape(-1), first.reshape(-1)
+        top_cards, bottom_cards = flat[first], flat[~first]
+        # Masks gather, but index arrays scatter: masked assignment ran 2-3x slower at n = 52.
+        flat[np.flatnonzero(~bottom)], flat[np.flatnonzero(bottom)] = top_cards, bottom_cards
     return words
 
 
@@ -339,17 +335,12 @@ def _inverse_descents(words: np.ndarray) -> np.ndarray:
     return _descents_per_row(inv)
 
 
-def _merged(parts: list[np.ndarray]) -> np.ndarray:
-    """Sum of histograms of differing lengths."""
-    merged = np.zeros(max(part.shape[0] for part in parts), dtype=np.int64)
-    for part in parts:
-        merged[: part.shape[0]] += part
-    return merged
-
-
-def _tally(count: int, row_bytes: int, values: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """Histogram of values(block) over the row blocks of `count` rows."""
-    return _merged([np.bincount(values(blk)) for blk in _blocks(count, row_bytes)])
+def _added(total: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Sum of two histograms of possibly differing lengths, in the longer one."""
+    if total.shape[0] < part.shape[0]:
+        total, part = part, total
+    total[: part.shape[0]] += part
+    return total
 
 
 def exact_statistic_pmf(measure: str, k: int, n: int, statistic: str) -> ExactPmf:
@@ -364,35 +355,38 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_streams(
-    config: SamplerConfig,
-    draw: Callable[[np.random.Generator, int], np.ndarray],
-    row_bytes: int,
-    row_cells: int = 1,
+def _run_blocks(
+    config: SamplerConfig, draw: Callable[..., np.ndarray], row_bytes: int
 ) -> np.ndarray:
-    """Merge the streams' histograms of drawn statistic values in id order.
+    """Sum of the histograms that draw(rng, rows) gives for each block of the run.
 
-    Streams are the logical split of the sample; at most one thread per
-    CPU runs them, which changes no draw. Streams with id >= count get
-    no draws, so they are not run. A drawn row carries row_bytes (see
-    _check_memory) and row_cells values, which a kernel's numpy calls
-    cover for each row of a stream (see _THREAD_CELLS).
+    Block b of _blocks(count, row_bytes) draws from _stream_generator(seed, b).
+    Thread t of min(streams, CPUs, blocks) runs the blocks b = t modulo their
+    number; integer histograms add in any order, so the threads change no byte.
     """
-    _check_memory(config.count, row_bytes)
-    chunks = _stream_counts(config.count, min(config.streams, config.count))
+    blocks = _blocks(config.count, row_bytes)
+    workers = min(config.streams, _usable_cpus(), len(blocks))
 
-    def run(sid: int) -> np.ndarray:
-        return draw(_stream_generator(config.seed, sid), chunks[sid])
+    def run(first: int) -> np.ndarray:
+        _WORKER.arrays = {}  # freed with the pool's thread, at the end of the run
+        parts = (
+            draw(_stream_generator(config.seed, b), blocks[b].stop - blocks[b].start)
+            for b in range(first, len(blocks), workers)
+        )
+        return functools.reduce(_added, parts)
 
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = min(len(chunks), _usable_cpus()) if chunks[0] * row_cells >= _THREAD_CELLS else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _merged(list(pool.map(run, range(len(chunks)))))
+        return functools.reduce(_added, pool.map(run, range(workers)))
 
 
 def _check_memory(count: int, row_bytes: int) -> None:
-    """Refuse rows past physical memory; skipped where os.sysconf cannot report it."""
+    """Refuse rows past physical memory; skipped where os.sysconf cannot report it.
+
+    A run holds only a few blocks, so this stands in for the work budget on --count
+    that ROADMAP item 1 plans: such a count would take practically forever to draw.
+    """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -501,22 +495,20 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
             dtype=np.int64,
         )
 
-    def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
+    def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
         if cut_walk:
-            d = _cut_descents(tables, n, chunk, rng)
+            d = _cut_descents(tables, n, rows, rng)
         else:
-            # c is rotation invariant and the cut is the stream's last draw,
+            # c is rotation invariant and the cut is the block's last draw,
             # so the cut is left undrawn and c = d + [last > first].
-            d, wrap = _insertion_walk(tables, n, chunk, rng)
+            d, wrap = _insertion_walk(tables, n, rows, rng)
+            if law.reads == "c":
+                d += wrap
+        return np.bincount(d if law.flavor is None else distance[d])
 
-        def values(blk: slice) -> np.ndarray:
-            read = d[blk] + wrap[blk] if law.reads == "c" else d[blk]
-            return read if law.flavor is None else distance[read]
-
-        return _tally(chunk, _ROW_BYTES, values)
-
-    carried = np.min_scalar_type(n).itemsize + 1 + cut_walk * (n + 1)  # d, wrap, bitmap
-    return _summarize(_run_streams(config, draw, carried), exact, config.count)
+    _check_memory(config.count, np.min_scalar_type(n).itemsize + 1 + cut_walk * (n + 1))
+    row_bytes = _ROW_BYTES + cut_walk * 2 * (n + 1)  # the C/d walk's slot counts and shifts
+    return _summarize(_run_blocks(config, draw, row_bytes), exact, config.count)
 
 
 def riffle_summary(n: int, rounds: int, count: int, seed: int) -> SampleSummary:
@@ -524,20 +516,19 @@ def riffle_summary(n: int, rounds: int, count: int, seed: int) -> SampleSummary:
 
     This is the physical-simulation counterpart of sample_statistic: the
     decks are riffled, each result is inverted, and the inverse descent
-    histogram is tested against d_pmf_R(2**rounds, n). The draws run in
-    SamplerConfig's default 8 streams, so the seed alone fixes them; the
-    rounds read raw Philox words, so the bytes rest on Philox alone, not
-    on numpy's Generator algorithms (NEP 19).
+    histogram is tested against d_pmf_R(2**rounds, n). As there, the
+    seed and the count alone fix the draws, on up to SamplerConfig's
+    default of 8 threads; the rounds read raw Philox words, so the bytes
+    rest on Philox alone, not on numpy's Generator algorithms (NEP 19).
     """
     config = SamplerConfig(k=riffle_piles(rounds), n=n, count=count, seed=seed)
     exact = d_pmf_R(config.k, n)
 
-    def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
-        words = _gsr_words(n, rounds, chunk, rng)
-        return _tally(chunk, _GSR_CARD_BYTES * n, lambda blk: _inverse_descents(words[blk]))
+    def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
+        return np.bincount(_inverse_descents(_gsr_words(n, rounds, rows, rng)))
 
-    carried = n * np.min_scalar_type(n).itemsize  # a deck's word
-    return _summarize(_run_streams(config, draw, carried, row_cells=n), exact, config.count)
+    _check_memory(count, n * np.min_scalar_type(n).itemsize)  # a deck's word
+    return _summarize(_run_blocks(config, draw, _GSR_CARD_BYTES * n), exact, count)
 
 
 def decision_tree_distribution(k: int, n: int) -> dict[tuple[int, ...], Fraction]:

@@ -4,7 +4,9 @@ import concurrent.futures
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -363,8 +365,8 @@ class TestSample:
         assert streams == DEFAULT_STREAMS == 8
 
     def test_streams_beyond_count_cost_nothing(self, capsys):
-        # Streams with id >= count draw nothing, so they are not run, and
-        # the payload is that of one stream per draw apart from the echo.
+        # --streams only caps the worker threads, at most one a block, so a
+        # cap far above the count starts no more threads and changes no byte.
         payloads = []
         for streams in ("100000", "100"):
             started = time.perf_counter()
@@ -375,9 +377,7 @@ class TestSample:
             )
             assert time.perf_counter() - started < 3
             assert code == 0
-            payload = json.loads(out)
-            assert payload.pop("streams") == int(streams)
-            payloads.append(payload)
+            payloads.append(json.loads(out))
         assert payloads[0] == payloads[1]
 
     def test_bad_seed_exits_2(self, capsys):
@@ -452,35 +452,55 @@ class TestCountPastMemory:
 
 
 class TestThreadFloor:
-    # Streams whose numpy calls cover fewer than sampler._THREAD_CELLS values
-    # run on one thread; the thread count changes no byte.
+    # The number of worker threads changes no byte.
     @pytest.mark.parametrize(
-        "argv, workers",
+        "argv",
         [
-            (("sample", "--measure", "C", "--stat", "c", "--k", "50", "--n", "200",
-              "--count", "2000", "--seed", "20260816", "--streams", "2"), 1),
-            (("sample", "--measure", "C", "--stat", "c", "--k", "50", "--n", "200",
-              "--count", "20000", "--seed", "20260816", "--streams", "2"), 2),
-            (("riffle", "--n", "52", "--rounds", "7", "--count", "35000", "--seed", "1"), 2),
+            ("sample", "--measure", "C", "--stat", "c", "--k", "50", "--n", "200",
+             "--count", "2000", "--seed", "20260816", "--streams", "2"),
+            ("sample", "--measure", "C", "--stat", "c", "--k", "50", "--n", "200",
+             "--count", "20000", "--seed", "20260816", "--streams", "2"),
+            ("riffle", "--n", "52", "--rounds", "7", "--count", "35000", "--seed", "1"),
         ],
         ids=["C-c-1000-a-stream", "C-c-10000-a-stream", "riffle"],
     )
-    def test_same_bytes_on_one_and_two_cpus(self, capsys, monkeypatch, argv, workers):
-        seen, outs = [], []
-        real = concurrent.futures.ThreadPoolExecutor
-
-        def recording(max_workers=None):
-            seen.append(max_workers)
-            return real(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    def test_same_bytes_on_one_and_two_cpus(self, capsys, monkeypatch, argv):
+        outs = []
         for cpus in (1, 2):
             monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, "")
             outs.append(out)
         assert outs[0] == outs[1]
-        assert seen == [1, workers]
+
+    # C/d at n = 52 takes 13,617 rows a block, so 40,000 draws make 3 blocks;
+    # the riffle at n = 52 takes 1,680 decks a block. riffle has no --streams.
+    @pytest.mark.parametrize(
+        "argv, streams, workers",
+        [
+            (("sample", "--measure", "C", "--stat", "d", "--k", "10", "--n", "52",
+              "--count", "40000", "--seed", "1"), ("1", "2", "8"), {1, 2, 3}),
+            (("riffle", "--n", "52", "--rounds", "7", "--count", "35000", "--seed", "1"),
+             (None,), {1, 2, 8}),
+        ],
+        ids=["sample-C-d", "riffle"],
+    )
+    def test_same_bytes_on_any_workers(self, capsys, monkeypatch, argv, streams, workers):
+        seen, outs = set(), set()
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers=None):
+            seen.add(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        for cap, cpus in itertools.product(streams, (1, 2, 8)):
+            monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+            code, out, err = run_cli(capsys, *argv, *(("--streams", cap) if cap else ()))
+            assert (code, err) == (0, "")
+            outs.add(out)
+        assert len(outs) == 1
+        assert seen == workers
 
 
 class TestPastTheIntTextLimit:
@@ -511,6 +531,21 @@ class TestPastTheIntTextLimit:
         assert payload["variance_exact"].denominator > 10**4300
         assert payload["mean_exact"] == d_pmf_R(k, n).mean()
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["row", "cyclic"])
+    def test_eulerian_past_a_lowered_limit(self, capsys, cyclic):
+        # 400! has 869 digits, past the lowest limit Python allows.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run_cli(capsys, "eulerian", "--n", "400", *["--cyclic"] * cyclic)
+            assert code == 0
+            with cli._unlimited_int_text():
+                values = [int(v) for v in json.loads(out)["values"]]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert sum(values) == math.factorial(400)
+
     @pytest.mark.parametrize(
         "argv, k, n",
         [
@@ -529,68 +564,68 @@ class TestPastTheIntTextLimit:
         assert sum(v * p for v, p in law.items()) == moments_d_R(k, n).mean_exact
 
 
-# Stdout SHA-256 of `sample` and `riffle` at fixed seeds. Any change to
-# a draw, the fit or the rendering moves one of these.
+# Stdout SHA-256 of `sample` and `riffle` at fixed seeds, recorded once
+# each row block drew from its own key (seed, block). Any change to a draw,
+# the block rows, the fit or the rendering moves one of these.
 SAMPLE_ARGS = ("--count", "10000", "--seed", "20261018", "--streams", "3")
 PINNED_SAMPLE_BYTES = [
-    ("R", "d", 4, 6, "json", "91abd2e4680a6206b7106acba6034c1b656c90862462a85e2f560ba4d06927c0"),
-    ("R", "d", 4, 6, "csv", "8a4b55f6569af871d33813ef99ac44ab582e79409b58a38589f494cd450797e7"),
-    ("C", "d", 5, 6, "json", "4dd1e1fd0946fac02c3c6625bf3f5a0166805de36f267d71c00685fd880b8228"),
-    ("C", "d", 5, 6, "csv", "ec772923365c9a038980cb80bf0cde97da8d9fea70ff2546235c7ebe19508110"),
-    ("C", "c", 3, 5, "json", "e8140d3621378485349d6d704b8734047eb479bf6d7c123f3f783f4ffe91728e"),
-    ("C", "c", 3, 5, "csv", "81d89f874b1fc713fc0d5dcbaea8bb4d6976b4a73932fc6668ef72537fa962b2"),
+    ("R", "d", 4, 6, "json", "1b25d71489966b5ff38db57c3e0c773e40cd2238cfc9acb2b736ae003af4f018"),
+    ("R", "d", 4, 6, "csv", "13e7a4251e260aff58a3e628ceb53325382e8196a71c37bf912a6289e28d1ac9"),
+    ("C", "d", 5, 6, "json", "20815cc2b298e4d23a187ddf62911df200f734b5fa8be347ee74b38af6f3d6fe"),
+    ("C", "d", 5, 6, "csv", "db08c7b5214b60d51678048e26ad4d70c38585edad4974a68ac7929bbb47ad2a"),
+    ("C", "c", 3, 5, "json", "e60084cee841f2a3feec833298a94d54eb37d107916d2386a12e5102c2e49043"),
+    ("C", "c", 3, 5, "csv", "564d97254efc15c2194ecbf0bfadcaf8ee038b704ef0a4e7e0d8b89c37a3c4d5"),
     ("R", "parsimony", 8, 6, "json",
-     "153f2b47c995883660fd0f1d7753f1e2b64c2c99a310b636875368b76851f35b"),
+     "69298d01f5ce855922a347e89689c196516790842556cbe4e851828d26823b83"),
     ("R", "parsimony", 8, 6, "csv",
-     "9b7436217a57658801149b7fb0f23b99226fa28dcab86143d79a4f52b3f302bd"),
+     "a3abaafc4414abda9775feb3ad3ef36321bb2e81442645b7967b46f6972b722e"),
     ("C", "parsimony", 8, 6, "json",
-     "06a90a689c3624ad450855bddd26a5f9dd6dfc5b4c6fcb7162d7a9079b47f3b4"),
+     "f44a71081ade5f71429b17f86f7d750c8e03f5e30483129d040939841b1cae2f"),
     ("C", "parsimony", 8, 6, "csv",
-     "fd20f82968293539c074e03f7981693f0f6820796b321943a4089ca187d10e5d"),
+     "6a77294e661ce22349f1767de5e371591322e43c6016228d0fdebbc93de7c87c"),
 ]
-# Riffle pins, recorded once riffle rounds read raw Philox words.
+# Riffle rounds read raw Philox words.
 RIFFLE_ARGV = ("riffle", "--n", "13", "--rounds", "3", "--count", "10000", "--seed", "7")
-RIFFLE_SHA256 = "a4b554df0403b7e40832b3b982b8bf61562cb9d186d60bdba10afa818932a3b7"
-# Rows drawn by the descent-count walks, recorded once each insertion
-# step read one raw Philox word a row: (measure, stat, k, n, count,
-# format, digest).
+RIFFLE_SHA256 = "d58d352cb747d81d3f90294a96a26e93299c4c3d2817f7c0c32fe3f92c1117ab"
+# Rows drawn by the descent-count walks, each insertion step reading one
+# raw Philox word a row: (measure, stat, k, n, count, format, digest).
 PINNED_WALK_BYTES = [
     ("C", "c", 50, 200, 2000, "json",
-     "f6fe2f5a4c5d9a6e46b0d8650182d43f0ece7c1b0ed1a02221b18d5c73cbb6b8"),
+     "78f23ab2d65fa19bd25bb3f1bda8a3750e90dc4e7760a6a265b21e451c6f2cd0"),
     ("C", "c", 50, 200, 2000, "csv",
-     "17d31c3b2a6a4585ad381a61e1c2ef80d62e0e9db8f0d77938cbaf86a649581a"),
+     "5c275d3e67950b234d600cfbf85519577acd1787606ebfbcd91680bcded7ccd1"),
     # d >= k is unreachable.
     ("R", "d", 3, 24, 10000, "json",
-     "3991af2122ffc084fb0c2c306c7e850320a56dd3066d0fff9bb0a1fd9a817dbd"),
+     "bc233a06b9730a1a1822d4b3782cf0f0a558d8688b629085e5a27a046a72164e"),
     ("R", "d", 3, 24, 10000, "csv",
-     "9e5f686b9700a0d9edd41e37add0ea76238abfb50f3d08902d5d332bd0f61e8f"),
+     "9572a7a29016a52f81f3525e27058309726f340ff001a2e3cf3b82581aed3976"),
     ("R", "d", 1, 12, 10000, "json",
-     "0fb78c5b8d69e68a8e8a72e1298e0e1248fd1d01915b3c57f4655251817440d1"),
+     "6cf77937ed07d945a3670a744f0e5840cc4b8964d73cc743a5882826e5167dda"),
     ("R", "d", 1, 12, 10000, "csv",
      "70adb991843f6e671ea48037076415534f6915ae0f82183fb0b134fb4b872e56"),
     ("R", "parsimony", 2**40, 30, 10000, "json",
-     "cccd821e71f3510d81e7c72986e513f570bf7b53fff4e9e2bfa2b7bace4e8208"),
+     "6f860a61c94a3cecdd27fe0a50c345d567dde1cc2dc978c8b091d9778ac2fd08"),
     ("R", "parsimony", 2**40, 30, 10000, "csv",
-     "67dd8f7dfe644675084810fa70ffb35997f919a537d7c7e9074f9ddf86c1a551"),
+     "d4b2399664149bb39c0bf36605bab57ec7fd65d26d4c4055b16d6d5f048e53fa"),
     ("C", "parsimony", 2**40, 30, 10000, "json",
-     "0dacf35f1b7a0585166761dc17f127ed4d2bfdebc418fd68d47453b2ba2f1907"),
+     "fb65ce3c858543a5fcea74aad28d6aa2bb1a9a2c9ce6c0fbc611006935fa05fd"),
     ("C", "parsimony", 2**40, 30, 10000, "csv",
-     "18452f1de685b104f01ab8529e6675e753c06a4a20f295d3722110772256a569"),
+     "0d684557cad81facad8568cfd40bbb59aa97de746164e2fd14373cedc56f5d26"),
     # C/d: the bitmap walk, then a cut from one raw word a row.
     ("C", "d", 10, 52, 2000, "json",
-     "5e02c5b36120303197d954887cabd6b8afa5a4a6b62d35be585624172cef5848"),
+     "7b1b73ef164d6c9c2b7cbffd8310b11e9409e816141a4d7f33f6a62a04052f53"),
     ("C", "d", 10, 52, 2000, "csv",
-     "6193fff18610e27ea959d3482631af076daef9d64302ebed6b568af68e1ff91b"),
+     "2247fa65a359f277f8dbe17fe9e5c1f5713a87dd5f29185eda214abff8fb1e44"),
     ("C", "d", 50, 200, 500, "json",
-     "fef582cc761c97bd40d293065288dd6f3f6f61131c742ee28afe0c450368df44"),
+     "5f304f2a558eaca22b4f5bb4165fe8e171440d307d65f7344eefc15076183a8d"),
     ("C", "d", 50, 200, 500, "csv",
-     "9af5f0806b7cf9913eebae9175b8c846a9a3b704859d437ea5f371b0a2de25f1"),
+     "80f47951a348cfbf81a3404c74be2732101d81cbed34b9fbb482ad533d725ede"),
 ]
 # A full deck, and a deck of two raw words a round.
 RIFFLE_52_ARGV = ("riffle", "--n", "52", "--rounds", "7", "--count", "5000", "--seed", "7")
-RIFFLE_52_SHA256 = "6f185d7f1f47088bce1d017cc36f3f99ec5dbe6393bfee1c2e87207f0154f949"
+RIFFLE_52_SHA256 = "b0d525def6936ccfe2dc3f6da09d8a851177afc0e22d107d2f0afcfd351b08d0"
 RIFFLE_100_ARGV = ("riffle", "--n", "100", "--rounds", "5", "--count", "20000", "--seed", "7")
-RIFFLE_100_SHA256 = "c546644671e55ed0c0ba79223b24b01d18ed04147170d9efe5908ef76e7d7a40"
+RIFFLE_100_SHA256 = "c90610f3f05811e8e29241db3172c02c66619b2e06c17a6497d975e1e0bdd340"
 
 
 def _sample_argv(measure, stat, k, n, fmt):

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     fraction_pmf,
+    oracle_cyclic_descents,
     oracle_descents,
     oracle_inverse,
     oracle_shuffle_weight,
@@ -157,15 +158,31 @@ def _riffle_counts(n, rounds):
     return Counter(map(tuple, decks.tolist()))
 
 
-@pytest.fixture(params=[1, 7, 64])
-def block_rows(request, monkeypatch):
-    """Run every pass of every kernel in blocks of this many rows."""
-    rows = request.param
+def _bin_counts(values):
+    """The np.bincount of a multiset of values, as a list."""
+    counts = Counter(values)
+    return [counts[v] for v in range(max(counts) + 1)]
+
+
+def _run_bin_counts(monkeypatch, run):
+    """The bin counts that run() hands to the fit, as a list."""
+    monkeypatch.setattr(sampler, "_summarize", lambda counts, exact, count: counts)
+    return run().tolist()
+
+
+def _blocks_of(rows):
+    """A sampler._blocks that cuts every run into blocks of `rows` rows, the last one shorter."""
 
     def blocks(count, row_bytes):
         return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
 
-    monkeypatch.setattr(sampler, "_blocks", blocks)
+    return blocks
+
+
+@pytest.fixture(params=[1, 7, 64])
+def block_rows(request, monkeypatch):
+    """Cut every sampling run into blocks of this many rows."""
+    monkeypatch.setattr(sampler, "_blocks", _blocks_of(request.param))
 
 
 class TestConfig:
@@ -474,58 +491,85 @@ class TestGsr:
 
 
 class TestBlocks:
-    # Blocks of any size read the stream as one batch call per step does,
-    # so every kernel matches its one-call reference bit for bit.
+    # Block b of a run draws from the key (seed, b), and the run's histogram
+    # is the sum of its blocks': each block read as the one-call reference
+    # reads a generator of that key, at any block size.
     @pytest.mark.parametrize("k, n", [(1, 4), (2, 7), (3, 30), (50, 52), (2**40, 13)])
-    def test_walks_cross_blocks(self, block_rows, k, n):
-        word_rng, walk_rng, desc_rng = _rng(3), _rng(3), _rng(3)
-        words = _insertion_words(k, n, 150, word_rng)
-        tables = sampler._threshold_tables(k, n)
-        d, wrap = sampler._insertion_walk(tables, n, 150, walk_rng)
-        assert d.tolist() == sampler._descents_per_row(words).tolist()
-        assert wrap.tolist() == (words[:, -1] > words[:, 0]).tolist()
-        np.testing.assert_equal(word_rng.bit_generator.state, walk_rng.bit_generator.state)
-        desc = np.zeros((n + 1, 150), dtype=bool)
-        d_desc, wrap_desc = sampler._insertion_walk(tables, n, 150, desc_rng, desc)
-        assert d_desc.tolist() == d.tolist() and wrap_desc.tolist() == wrap.tolist()
-        assert (desc[1:n].T == (words[:, :-1] > words[:, 1:])).all()
-        np.testing.assert_equal(word_rng.bit_generator.state, desc_rng.bit_generator.state)
+    def test_walks_cross_blocks(self, block_rows, k, n, monkeypatch):
+        d, c = [], []
+        for b, blk in enumerate(sampler._blocks(150, None)):
+            rows, rng = blk.stop - blk.start, sampler._stream_generator(3, b)
+            words = _insertion_words(k, n, rows, rng)
+            d += sampler._descents_per_row(words).tolist()
+            c += [oracle_cyclic_descents(w) for w in words.tolist()]
+        config = SamplerConfig(k=k, n=n, count=150, seed=3)
+        assert _run_bin_counts(monkeypatch, lambda: sample_statistic("R", "d", config)) == (
+            _bin_counts(d)
+        )
+        assert _run_bin_counts(monkeypatch, lambda: sample_statistic("C", "c", config)) == (
+            _bin_counts(c)
+        )
 
     @pytest.mark.parametrize("k, n", [(2, 2), (10, 52), ("n", 30)])
-    def test_cut_descents_cross_blocks(self, block_rows, k, n):
+    def test_cut_descents_cross_blocks(self, block_rows, k, n, monkeypatch):
         k = n if k == "n" else k
-        word_rng, walk_rng = _rng(8), _rng(8)
-        words = _insertion_words(k, n, 150, word_rng)
-        shift = _cut_positions(n, 150, word_rng)
-        cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
-        d = sampler._cut_descents(sampler._threshold_tables(k, n), n, 150, walk_rng)
-        assert d.tolist() == sampler._descents_per_row(cut).tolist()
-        np.testing.assert_equal(word_rng.bit_generator.state, walk_rng.bit_generator.state)
+        d = []
+        for b, blk in enumerate(sampler._blocks(150, None)):
+            rows, rng = blk.stop - blk.start, sampler._stream_generator(8, b)
+            words = _insertion_words(k, n, rows, rng)
+            shift = _cut_positions(n, rows, rng)
+            d += [oracle_descents(np.roll(w, -s).tolist()) for w, s in zip(words, shift)]
+        config = SamplerConfig(k=k, n=n, count=150, seed=8)
+        assert _run_bin_counts(monkeypatch, lambda: sample_statistic("C", "d", config)) == (
+            _bin_counts(d)
+        )
 
     @pytest.mark.parametrize("n, rounds", [(1, 2), (13, 1), (52, 7), (130, 2)])
-    def test_riffle_crosses_blocks(self, block_rows, n, rounds):
-        ref_rng, rng = _rng(4), _rng(4)
-        want = _double_argsort_words(n, rounds, 150, ref_rng)
-        words = sampler._gsr_words(n, rounds, 150, rng)
-        assert words.tolist() == want.tolist()
-        np.testing.assert_equal(ref_rng.bit_generator.state, rng.bit_generator.state)
-        inverse = [oracle_descents(oracle_inverse(w)) for w in want.tolist()]
-        assert sampler._inverse_descents(words).tolist() == inverse
+    def test_riffle_crosses_blocks(self, block_rows, n, rounds, monkeypatch):
+        inverse = []
+        for b, blk in enumerate(sampler._blocks(150, None)):
+            rows, rng = blk.stop - blk.start, sampler._stream_generator(4, b)
+            words = _double_argsort_words(n, rounds, rows, rng)
+            inverse += [oracle_descents(oracle_inverse(w)) for w in words.tolist()]
+        run = lambda: riffle_summary(n, rounds, count=150, seed=4)
+        assert _run_bin_counts(monkeypatch, run) == _bin_counts(inverse)
 
-    def test_summaries_do_not_depend_on_the_block_size(self, block_rows, monkeypatch):
-        cfg = SamplerConfig(k=5, n=9, count=600, seed=12, streams=2)
-        blocked = [
-            sample_statistic(m, stat, cfg).histogram
-            for m, stat in (("R", "d"), ("C", "c"), ("C", "d"), ("C", "parsimony"))
-        ]
-        blocked.append(riffle_summary(9, 3, count=600, seed=12).histogram)
-        monkeypatch.undo()
-        whole = [
-            sample_statistic(m, stat, cfg).histogram
-            for m, stat in (("R", "d"), ("C", "c"), ("C", "d"), ("C", "parsimony"))
-        ]
-        whole.append(riffle_summary(9, 3, count=600, seed=12).histogram)
-        assert blocked == whole
+    # One block's rows: _BLOCK_BYTES over a row's temporaries, 48 bytes a walk
+    # row, 48 + 2(n+1) a C/d row and 24 a riffle card. With the seed and the
+    # count they fix the output.
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "rows, run, kernel",
+        [
+            (
+                43_690,
+                lambda count: sample_statistic("R", "d", SamplerConfig(4, 6, count, seed=9)),
+                lambda rows, rng: sampler._insertion_walk(
+                    sampler._threshold_tables(4, 6), 6, rows, rng
+                )[0],
+            ),
+            (
+                13_617,
+                lambda count: sample_statistic("C", "d", SamplerConfig(10, 52, count, seed=9)),
+                lambda rows, rng: sampler._cut_descents(
+                    sampler._threshold_tables(10, 52), 52, rows, rng
+                ),
+            ),
+            (
+                1_680,
+                lambda count: riffle_summary(52, 7, count=count, seed=9),
+                lambda rows, rng: sampler._inverse_descents(sampler._gsr_words(52, 7, rows, rng)),
+            ),
+        ],
+        ids=["R-d", "C-d", "riffle"],
+    )
+    def test_runs_sum_their_blocks(self, rows, run, kernel, offset, monkeypatch):
+        count = rows + offset
+        # Past one block's rows, two blocks share the rows evenly, the first the larger.
+        sizes = [count] if offset <= 0 else [count - count // 2, count // 2]
+        blocks = [kernel(size, sampler._stream_generator(9, b)) for b, size in enumerate(sizes)]
+        want = _bin_counts(np.concatenate(blocks).tolist())
+        assert _run_bin_counts(monkeypatch, lambda: run(count)) == want
 
     @pytest.mark.parametrize("count", [1, 2, 1000, 1001])
     @pytest.mark.parametrize("row_bytes", [1, 48, 10**9])
@@ -542,13 +586,15 @@ class TestBlocks:
 
 
 class TestMemory:
-    # tracemalloc sees numpy's buffers. The peak's growth from 16k to 32k
-    # rows, in blocks of a few hundred, is what a row costs: the state a
-    # kernel keeps, not the temporaries of a block. A walk row keeps 2
-    # bytes (d and the wrap), at most the 3 the test names allow.
+    # tracemalloc sees numpy's buffers. A run here draws blocks of 2,000
+    # rows on one thread, each counted before the next reuses its arrays,
+    # so its peak barely grows from 16k to 32k rows: a row keeps no state
+    # past its block, and a block's slice (about 120 bytes) is shared by
+    # its rows.
     @staticmethod
     def _bytes_per_row(run, monkeypatch):
-        monkeypatch.setattr(sampler, "_BLOCK_BYTES", 1 << 16)
+        monkeypatch.setattr(sampler, "_blocks", _blocks_of(2000))
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
         run(16_000)  # first-call allocations (numpy's, the exact law's) are not a row's
         peaks = []
         for count in (16_000, 32_000):
@@ -560,25 +606,21 @@ class TestMemory:
                 tracemalloc.stop()
         return (peaks[1] - peaks[0]) / 16_000
 
-    def test_walk_keeps_three_bytes_a_row(self, monkeypatch):
-        tables = sampler._threshold_tables(4, 6)
-        walk = lambda count: sampler._insertion_walk(tables, 6, count, _rng())
-        assert self._bytes_per_row(walk, monkeypatch) <= 8
-
-    def test_cut_walk_keeps_its_bitmap_and_three_bytes_a_row(self, monkeypatch):
-        tables = sampler._threshold_tables(10, 20)
-        walk = lambda count: sampler._cut_descents(tables, 20, count, _rng())
-        assert self._bytes_per_row(walk, monkeypatch) <= 21 + 8
-
-    def test_riffle_keeps_its_word_and_cut_a_row(self, monkeypatch):
-        riffle = lambda count: sampler._gsr_words(20, 3, count, _rng())
-        assert self._bytes_per_row(riffle, monkeypatch) <= 20 + 8
-
     def test_sampling_histograms_block_by_block(self, monkeypatch):
         def run(count):
-            sample_statistic("R", "d", SamplerConfig(k=4, n=6, count=count, seed=1, streams=1))
+            sample_statistic("R", "d", SamplerConfig(k=4, n=6, count=count, seed=1))
 
-        assert self._bytes_per_row(run, monkeypatch) <= 8
+        assert self._bytes_per_row(run, monkeypatch) < 1
+
+    def test_cut_walk_keeps_no_row_past_its_block(self, monkeypatch):
+        def run(count):
+            sample_statistic("C", "d", SamplerConfig(k=10, n=20, count=count, seed=1))
+
+        assert self._bytes_per_row(run, monkeypatch) < 1
+
+    def test_riffle_keeps_no_deck_past_its_block(self, monkeypatch):
+        run = lambda count: riffle_summary(20, 3, count=count, seed=1)
+        assert self._bytes_per_row(run, monkeypatch) < 1
 
 
 class TestFitSummaries:
@@ -678,14 +720,6 @@ class TestStreamedSampling:
         summary = sample_statistic("R", "d", cfg)
         assert sum(summary.histogram.values()) == 10_007
 
-    def test_stream_layout_changes_draws(self):
-        base = SamplerConfig(k=3, n=5, count=20_000, seed=11, streams=8)
-        other = SamplerConfig(k=3, n=5, count=20_000, seed=11, streams=4)
-        assert (
-            sample_statistic("R", "d", base).histogram
-            != sample_statistic("R", "d", other).histogram
-        )
-
     def test_fit_against_exact_law(self):
         cfg = SamplerConfig(k=4, n=6, count=50_000, seed=1, streams=8)
         summary = sample_statistic("R", "d", cfg)
@@ -767,8 +801,8 @@ class TestRoundGuard:
 class TestThreadCap:
     @pytest.fixture
     def requested(self, monkeypatch):
-        # No thread floor: the CPU cap alone sets the worker count.
-        monkeypatch.setattr(sampler, "_THREAD_CELLS", 0)
+        # Blocks of 100 walk rows: each run below has more blocks than CPUs.
+        monkeypatch.setattr(sampler, "_BLOCK_BYTES", 100 * sampler._ROW_BYTES)
         seen = []
         real = concurrent.futures.ThreadPoolExecutor
 

@@ -13,7 +13,7 @@ rows read only the descent count d and whether the last symbol exceeds
 the first (c = d + [last > first]), so they walk those two per row,
 O(n) per draw, reading the very words the word sampler reads. The d of
 a C/d word cut after it is drawn depends on where its descents sit, so
-that walk also keeps a descent bitmap, O(n) per row and step.
+that walk keeps each row's descent slots too, O(n min(n, k)) a draw.
 
 A run cuts its rows into blocks of about _BLOCK_BYTES of temporaries
 (see _blocks). A kernel call draws every step of one block, whose
@@ -69,8 +69,7 @@ _SCALE = 1 << _THRESHOLD_BITS
 _MIN_EXPECTED = 5.0
 _TREE_CAP = 8
 _NORMALIZATION_MAX = 50  # largest n and k of the insertion normalization sweep
-# Bytes of a block's temporaries; they set its rows, and so the output. The C/d walk makes m
-# numpy calls per block and step, so its blocks need thousands of rows to keep their cost small.
+# Bytes of a block's temporaries; they set its rows, and so the output.
 _BLOCK_BYTES = 1 << 21
 _ROW_BYTES = 48  # temporaries of a row in a per-row pass: draws, bounds, masks, bincount
 _GSR_CARD_BYTES = 24  # temporaries of a card in a riffle round: its bit, masks, packet indices
@@ -189,16 +188,12 @@ def _reused(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     return work[name][:size].reshape(shape)
 
 
-def _slot_count_dtype(n: int) -> np.dtype:
-    return np.min_scalar_type(n + 1)  # holds a running count of up to n+1 slots
-
-
 def _insertion_walk(
     tables: list[np.ndarray],
     n: int,
     rows: int,
     rng: np.random.Generator,
-    desc: np.ndarray | None = None,
+    lists: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d, last > first) of a block of `rows` insertion words, without the words.
 
@@ -213,55 +208,54 @@ def _insertion_walk(
     last symbol exceeds the first. A row keeps d, in the smallest unsigned
     dtype that holds n, and the wrap (see _reused).
 
-    A zeroed (n+1, rows) bool `desc` gets desc[s, row] = word[s-1] > word[s]
-    for each inner slot s, with slot 0 an ascent and slot m a descent. The
-    slot taken is the ascent slot of rank u // a in case 2, the descent slot
-    of rank min((u - (m-d)a) // w, d) in case 1. Taking slot j moves the
-    slots past j down one row; then j ascends and j+1 descends.
+    A (min(n-1, k-1), rows) `lists` of n+1, its dtype holding 2n, gets each
+    row's inner descent slots P[0] < ... < P[d-1] (word[s-1] > word[s]) as
+    Q[i] = P[i] - i, the ascent slots before P[i], and n+1 past them. The
+    slot taken has rank t: u // a in case 2, min((u - (m-d)a) // w, d) in
+    case 1. Case 2 adds a descent after the ascent slot of rank t: Q' =
+    max(min(Q, t+1), Q one entry down). Case 1 moves P[t] and the later
+    descents up a slot (rank d is slot m): Q'[i] = Q[i] + [i >= t], unused
+    entries too, up to 2n. Step m touches min(m, width) entries.
     """
     dtypes = dict(d=np.min_scalar_type(n), wrap=bool, index=np.intp, bound=np.uint64, hit=bool)
     d, wrap, index, bound, hit = (_reused(name, (rows,), t) for name, t in dtypes.items())
     d[:], wrap[:] = 0, False
-    if desc is not None:
-        desc[1] = True
-        flat = desc.reshape(-1)
-        columns = np.arange(rows)
-        # Running slot counts, then the slots that shift.
-        counts = _reused("counts", (n, rows), _slot_count_dtype(n))
-        shifts = _reused("shifts", (n, rows), bool)
+    if lists is not None:
+        width, kind = lists.shape[0], lists.dtype
+        t, cap, lo = _reused("rank", (3, rows), kind)
+        ranks = np.arange(width, dtype=kind)[:, None]
+        q, spare = lists, _reused("spare", lists.shape, kind)
+        spare[...] = n + 1
     for m, table in enumerate(tables, start=1):
         low, case1_start, last, _ = table
-        widths = table[[0, 3]].reshape(-1)  # a then w, each d's case-2 and case-1 widths
         u = rng.bit_generator.random_raw(rows)
         u >>= 64 - _THRESHOLD_BITS
         np.copyto(index, d)
         wrap &= np.greater_equal(u, low.take(index, out=bound, mode="clip"), out=hit)
         wrap |= np.greater_equal(u, last.take(index, out=bound, mode="clip"), out=hit)
-        if desc is not None:
+        if lists is not None:
             np.minimum(u, bound, out=u)  # slot m's values all read as its start, rank d
         case1 = np.greater_equal(u, case1_start.take(index, out=bound, mode="clip"), out=hit)
         d += ~case1
-        if desc is None:
+        if lists is None:
             continue
-        u -= bound * case1  # bound holds where case 1 starts
-        u //= widths.take(index + low.shape[0] * case1, out=bound, mode="clip")
-        # Running count of qualifying slots, row by row: a cumsum along
-        # axis 0 is many times slower. Slot j is the (t+1)-th to qualify.
-        q = np.equal(desc[: m + 1], case1, out=counts[: m + 1])
-        prev = q[0]
-        for cur in q[1:]:
-            np.add(cur, prev, out=cur)
-            prev = cur
-        before = np.less_equal(q, u.astype(q.dtype), out=q)  # 1 on the slots before j
-        slot, next_slot = desc[: m + 1], desc[1 : m + 2]
-        moved = np.not_equal(next_slot, slot, out=shifts[: m + 1])
-        np.greater(moved, before, out=moved)
-        np.bitwise_xor(next_slot, moved, out=next_slot)
-        # Summed in the slot dtype; count_nonzero accumulates in intp, several times slower.
-        at = np.add.reduce(before, axis=0, dtype=q.dtype).astype(np.int64) * rows
-        at += columns
-        flat[at] = False
-        flat[at + rows] = True
+        u -= np.multiply(bound, case1, out=bound)  # bound held where case 1 starts
+        # bound's memory, free again, holds each row's column of widths, then its width.
+        index += np.multiply(case1, low.shape[0], out=bound.view(np.intp))
+        widths = table[[0, 3]].reshape(-1).astype(np.float64)  # each d's a, then its w
+        ratio = widths.take(index, out=bound.view(np.float64), mode="clip")
+        # Below 2**53 every u and width is a double, and the rounded quotient floors exactly.
+        np.copyto(t, np.divide(u.view(np.int64), ratio, out=ratio), casting="unsafe")
+        # Case 2 caps Q at t+1 and steps no entry up; case 1 keeps Q and steps i >= t up.
+        np.maximum(np.add(t, 1, out=cap), np.multiply(case1, kind.type(n + 1), out=lo), out=cap)
+        np.maximum(np.multiply(~case1, kind.type(width), out=lo), t, out=lo)
+        h = min(m, width)
+        new = np.minimum(q[:h], cap, out=spare[:h])
+        np.maximum(new[1:], q[: h - 1], out=new[1:])
+        new += np.greater_equal(ranks[:h], lo, out=q[:h])
+        q, spare = spare, q
+    if lists is not None:
+        np.minimum(q, n + 1, out=lists)  # case 1 stepped up the unused entries too
     return d, wrap
 
 
@@ -270,18 +264,23 @@ def _cut_descents(
 ) -> np.ndarray:
     """d of a block of `rows` insertion words, each cut before a uniform position s drawn after it.
 
-    The cut turns the pair across slot s into the wrap (at s = 0, the wrap
-    itself). Once the walk is done, s reads one raw word a row: each s < n-1
-    covers floor(2**53 / n) values of u = word >> 11 and s = n-1 the rest.
+    The cut turns the pair across slot s into the wrap: at s = 0 the wrap
+    itself, else a descent iff some P[i] = Q[i] + i is s. Once the walk is
+    done, s reads one raw word a row: each s < n-1 covers floor(2**53 / n)
+    values of u = word >> 11 and s = n-1 the rest.
     """
-    desc = _reused("desc", (n + 1, rows), bool)
-    desc[...] = False
-    d, wrap = _insertion_walk(tables, n, rows, rng, desc)
-    desc[0] = wrap
+    # min(n-1, k-1): the last table's columns, less its last where that is d = k-1 (a = 0).
+    width = 0 if n < 2 else tables[-1].shape[1] - int(tables[-1][0, -1] == 0)
+    kind = np.min_scalar_type(2 * n)
+    lists = _reused("lists", (width, rows), kind)
+    lists[...] = n + 1
+    d, wrap = _insertion_walk(tables, n, rows, rng, lists)
     u = rng.bit_generator.random_raw(rows) >> (64 - _THRESHOLD_BITS)
-    shift = np.minimum(u // (_SCALE // n), n - 1)
-    d += wrap
-    d -= desc[shift, np.arange(rows)]
+    shift = np.minimum(u // (_SCALE // n), n - 1).astype(kind)
+    hits = np.add(lists, np.arange(width, dtype=kind)[:, None], out=lists)
+    hits = np.equal(hits, shift, out=hits)
+    d += wrap & (shift != 0)
+    d -= np.maximum.reduce(hits, axis=0, initial=0)
     return d
 
 
@@ -507,7 +506,7 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
         return np.bincount(d if law.flavor is None else distance[d])
 
     _check_memory(config.count, np.min_scalar_type(n).itemsize + 1 + cut_walk * (n + 1))
-    row_bytes = _ROW_BYTES + cut_walk * 2 * (n + 1)  # the C/d walk's slot counts and shifts
+    row_bytes = _ROW_BYTES + cut_walk * 2 * (n + 1)  # C/d: sets its rows, not its memory
     return _summarize(_run_blocks(config, draw, row_bytes), exact, config.count)
 
 

@@ -611,7 +611,7 @@ PINNED_WALK_BYTES = [
      "fb65ce3c858543a5fcea74aad28d6aa2bb1a9a2c9ce6c0fbc611006935fa05fd"),
     ("C", "parsimony", 2**40, 30, 10000, "csv",
      "0d684557cad81facad8568cfd40bbb59aa97de746164e2fd14373cedc56f5d26"),
-    # C/d: the bitmap walk, then a cut from one raw word a row.
+    # C/d: the walk on each row's sorted descent list, then a cut from one raw word a row.
     ("C", "d", 10, 52, 2000, "json",
      "7b1b73ef164d6c9c2b7cbffd8310b11e9409e816141a4d7f33f6a62a04052f53"),
     ("C", "d", 10, 52, 2000, "csv",
@@ -621,6 +621,14 @@ PINNED_WALK_BYTES = [
     ("C", "d", 50, 200, 500, "csv",
      "80f47951a348cfbf81a3404c74be2732101d81cbed34b9fbb482ad533d725ede"),
 ]
+# C/d with k << n, the argv CI pins, recorded while the walk still kept an (n+1)-slot
+# descent bitmap.
+CUT_WALK_1000_ARGV = ("sample", "--measure", "C", "--stat", "d", "--k", "10", "--n", "1000",
+                      "--count", "3000", "--seed", "9", "--streams", "2")
+CUT_WALK_1000_SHA256 = {
+    "json": "8d45c8ff572f35fd8f781d122d55ed9cd92a5fd0f4e0eaa6d256cd8339d79b84",
+    "csv": "f480964b7fd8e25c0db1c318d78d327c4892a81ada9136f2cc8bee7428993963",
+}
 # A full deck, and a deck of two raw words a round.
 RIFFLE_52_ARGV = ("riffle", "--n", "52", "--rounds", "7", "--count", "5000", "--seed", "7")
 RIFFLE_52_SHA256 = "b0d525def6936ccfe2dc3f6da09d8a851177afc0e22d107d2f0afcfd351b08d0"
@@ -655,6 +663,12 @@ class TestPinnedSampleBytes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_cut_walk_at_n_1000(self, capsys, fmt):
+        code, out, err = run_cli(capsys, *CUT_WALK_1000_ARGV, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == CUT_WALK_1000_SHA256[fmt]
 
     def test_riffle(self, capsys):
         code, out, err = run_cli(capsys, *RIFFLE_ARGV)

@@ -138,6 +138,24 @@ def _double_argsort_words(n, rounds, count, rng):
     return np.array(decks, dtype=np.int64).reshape(count, n)
 
 
+def _descent_lists(k, n, rows, rng):
+    """Each row's Q from sampler._insertion_walk, in lists sized as sampler._cut_descents
+    sizes them: min(n-1, k-1) entries of n+1, in the smallest dtype that holds 2n."""
+    lists = np.full((min(n - 1, k - 1), rows), n + 1, dtype=np.min_scalar_type(2 * n))
+    sampler._insertion_walk(sampler._threshold_tables(k, n), n, rows, rng, lists)
+    return lists
+
+
+def _assert_descent_lists(lists, words):
+    """Q[i] + i runs through each word's inner descent slots s, word[s-1] > word[s], in
+    order; the entries past them read n+1."""
+    n = words.shape[1]
+    for q, word in zip(lists.T.tolist(), words.tolist()):
+        slots = [s for s in range(1, n) if word[s - 1] > word[s]]
+        assert [v + i for i, v in enumerate(q[: len(slots)])] == slots
+        assert q[len(slots) :] == [n + 1] * (len(q) - len(slots))
+
+
 class _PresetWords:
     """Stands in for a generator whose bit generator hands out the given raw words in order."""
 
@@ -270,14 +288,11 @@ class TestInsertionWalk:
             d = sampler._cut_descents(tables, n, 300, walk_rng)
             assert d.tolist() == sampler._descents_per_row(cut).tolist()
             np.testing.assert_equal(word_rng.bit_generator.state, walk_rng.bit_generator.state)
-            # The bitmap itself: slot 0 ascends, slot n descends.
-            desc = np.zeros((n + 1, 300), dtype=bool)
-            sampler._insertion_walk(tables, n, 300, desc_rng, desc)
-            assert (desc[1:n].T == (words[:, :-1] > words[:, 1:])).all()
-            assert not desc[0].any() and desc[n].all()
+            # The lists themselves: each row's inner descent slots, then n+1.
+            _assert_descent_lists(_descent_lists(k, n, 300, desc_rng), words)
 
     def test_cut_descents_past_a_byte_of_slot_counts(self):
-        # n = 300 takes the running slot counts past uint8.
+        # n = 300 takes the descent lists past uint8.
         word_rng, walk_rng = _rng(5), _rng(5)
         words = _insertion_words(2**40, 300, 40, word_rng)
         shift = _cut_positions(300, 40, word_rng)
@@ -287,10 +302,20 @@ class TestInsertionWalk:
             sampler._descents_per_row(cut).tolist()
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 254, 255, 256, 32_767, 32_768, 65_535, 10**6])
-    def test_slot_count_dtype_holds_n_plus_one(self, n):
-        # A fixed int16 would overflow from n = 32,767 on.
-        assert np.iinfo(sampler._slot_count_dtype(n)).max >= n + 1
+    @pytest.mark.parametrize(
+        "k, n", [*((2**40, n) for n in (126, 127, 128, 254, 255, 256)), (200, 250), (10, 1000)]
+    )
+    def test_cut_descents_where_the_list_dtype_widens(self, k, n):
+        # The lists' entries reach 2n, uint8 up to n = 127. A dtype sized by n+1 alone
+        # gave a wrong d at (200, 250), where Q + i wraps on the unused entries.
+        word_rng, walk_rng = _rng(n), _rng(n)
+        words = _insertion_words(k, n, 40, word_rng)
+        shift = _cut_positions(n, 40, word_rng)
+        cut = np.array([np.roll(w, -s) for w, s in zip(words, shift)])
+        tables = sampler._threshold_tables(k, n)
+        assert sampler._cut_descents(tables, n, 40, walk_rng).tolist() == (
+            sampler._descents_per_row(cut).tolist()
+        )
 
     @pytest.mark.parametrize("m", [1, 2, 5, 60, 200])
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 50, 1000, 2**40])
@@ -349,9 +374,7 @@ class TestInsertionWalk:
         d, wrap = sampler._insertion_walk(tables, 5, 6, _PresetWords(raw))
         assert d.tolist() == [oracle_descents(w) for w in want]
         assert wrap.tolist() == [w[-1] > w[0] for w in want]
-        desc = np.zeros((6, 6), dtype=bool)
-        sampler._insertion_walk(tables, 5, 6, _PresetWords(raw), desc)
-        assert (desc[1:5].T == (words[:, :-1] > words[:, 1:])).all()
+        _assert_descent_lists(_descent_lists(5, 5, 6, _PresetWords(raw)), words)
 
     def test_cut_words_on_region_boundaries_take_their_positions(self):
         # k = 10: slot m twice, then case-2 ranks 2, 1 and 0 build 6 1 5 2 4 3, whose wrap
@@ -621,6 +644,20 @@ class TestMemory:
     def test_riffle_keeps_no_deck_past_its_block(self, monkeypatch):
         run = lambda count: riffle_summary(20, 3, count=count, seed=1)
         assert self._bytes_per_row(run, monkeypatch) < 1
+
+    @pytest.mark.parametrize("k, n", [(10, 52), (50, 200), (2**40, 60)])
+    def test_cut_walk_block_keeps_within_the_block_bytes(self, k, n):
+        # A full C/d block, its tables built beforehand as a run builds them.
+        rows = sampler._BLOCK_BYTES // (sampler._ROW_BYTES + 2 * (n + 1))
+        tables = sampler._threshold_tables(k, n)
+        sampler._cut_descents(tables, n, 100, _rng())  # first-call allocations
+        tracemalloc.start()
+        try:
+            sampler._cut_descents(tables, n, rows, _rng())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sampler._BLOCK_BYTES
 
 
 class TestFitSummaries:

@@ -24,35 +24,44 @@ but at a working precision sized to the instance: the recurrence's
 homogeneous mode grows like j!/lambda^j, so double precision loses the
 bounded solution entirely well before j = 20 at lambda = 1. Extending
 the mantissa by log10(j_max!/lambda^j_max) digits keeps the returned
-floats correct to ~1e-15. Total variation against Poisson is computed
-at 40-digit precision over the pmf's range only: the Poisson masses sum
-to 1, so everything outside the range is one minus the Poisson mass
-inside it, and the loop costs n terms even when k, and with it the
-range's offset, is far above n. The rounding error goes into a reported
-sandwich [lo, hi], the doubles of acc/2 and acc/2 + 10^-28, so hi - lo
-is 0 or one ulp of hi. It is 0 on all 231 laws of the default `tv
---grid` and at the pinned points (k, n, code) = (500, 2000, Cd),
-(100, 1000, R), (2, 5000, R) and (2^17, 10, R). The width check
-(< 1e-13) can therefore fail only on a NaN, which the integer kernel
+floats correct to ~1e-15. Total variation against Poisson is a sum
+over the pmf's range only: the Poisson masses sum to 1, so everything
+outside the range is one minus the Poisson mass inside it, and the sum
+has n terms even when k, and with it the range's offset, is far above
+n. Its defining value is a 40-digit (136-bit) loop that rounds every
+step; the doubles of its acc/2 and acc/2 + 10^-28 are the sandwich
+[lo, hi]. That loop errs by at most 18 N 2^-136 on acc over N atoms
+(tv_sandwich derives it; under 1e-36 on TV at N = 5000), and that
+error, not the width hi - lo (0 or one ulp of hi), is the margin a
+report on TV should state. tv_sandwich first forms the same sum in
+plain-int fixed point, 192 fraction bits with one reciprocal of den
+and no rounding call per atom, under an a-priori error bound, and
+returns its doubles only when Ziv's rounding test (Ziv, ACM TOMS 17,
+1991) shows that every value within both errors rounds to the same
+double; otherwise the 136-bit loop runs. Both routes so give the
+loop's doubles, and the loop is not needed on any of the 231 laws of
+the default `tv --grid` or at the pinned points (k, n, code) =
+(500, 2000, Cd), (100, 1000, R), (2, 5000, R) and (2^17, 10, R). The
+width check (< 1e-13) can fail only on a NaN, which the integer kernel
 cannot produce; it stays as the enclosure that later certificates read.
 
-Both loops run on a small integer kernel (_round, _add, _div and
-products of ints): a value is a signed int mantissa and an exponent,
-and each addition, product or quotient forms its exact result, or a
-quotient with a sticky bit, then rounds it once, half to even at the
-working precision. mpmath rounds +, -, * and / correctly, so that is
-the value its libmp functions return, and every double out of
-solve_stein and tv_sandwich is the one mpf arithmetic gives
-(tests/test_stein.py pins both with ==). The kernel covers each P(A)
-term's product and quotient, the sums, the recurrence, |p - q| - q, the
-step q * lambda / (j + 1), the sandwich's halving (an exponent minus
-one) and its slop 10^-28. No mpf object or precision context is made:
-the other steps call libmp at the working precision, rounding to
-nearest. They are the rate (from_int and mpf_div, or from_float),
-e^(-lambda) (mpf_pow of mpf_e), lambda^a (mpf_pow_int; exact then
-rounded only while the mantissa's bits times a stay below 1000), a!
-(mpf_factorial) and the start value q_s (mpf_exp, mpf_log and
-mpf_loggamma). The pmf side p = num / den is mpmath's from_man_exp
+solve_stein and the 136-bit TV loop run on a small integer kernel
+(_round, _add, _div and products of ints): a value is a signed int
+mantissa and an exponent, and each addition, product or quotient forms
+its exact result, or a quotient with a sticky bit, then rounds it once,
+half to even at the working precision. mpmath rounds +, -, * and /
+correctly, so that is the value its libmp functions return, and every
+double out of solve_stein and tv_sandwich is the one mpf arithmetic
+gives (tests/test_stein.py pins both with ==). The kernel covers each
+P(A) term's product and quotient, the sums, the recurrence,
+|p - q| - q, the step q * lambda / (j + 1), the sandwich's halving (an
+exponent minus one) and its slop 10^-28. No mpf object or precision
+context is made: the other steps call libmp at the working precision,
+rounding to nearest. They are the rate (from_int and mpf_div, or
+from_float), e^(-lambda) (mpf_pow of mpf_e), lambda^a (mpf_pow_int;
+exact then rounded only while the mantissa's bits times a stay below
+1000), a! (mpf_factorial) and the start value q_s (mpf_exp, mpf_log
+and mpf_loggamma). The pmf side p = num / den is mpmath's from_man_exp
 rounding of a truncated quotient, not a correctly rounded num / den;
 _ratio rounds the same truncated quotient.
 """
@@ -61,7 +70,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, exp, expm1, inf, ldexp, lgamma, log
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .errors import CertificationError, UserInputError, _LazyModule, _Record
 from .measures import STATISTIC_LAWS, ExactPmf, StatisticLaw
@@ -74,6 +83,7 @@ _POISSON_LAWS = {law.poisson: law for law in STATISTIC_LAWS.values() if law.pois
 STATISTIC_CODES = tuple(_POISSON_LAWS)
 
 _TV_DPS = 40
+_FIX = 192
 _SANDWICH_LIMIT = 1e-13
 _STEIN_BOUND_ALLOWANCE = 1e-12
 
@@ -280,29 +290,23 @@ def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
     return sol
 
 
-def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
-    """Lower and upper enclosure of TV(pmf, Poisson(lambda)).
-
-    TV is half the L1 distance. Off the pmf's range [s, t] every term
-    |p_j - q_j| is the Poisson mass q_j, and the q_j sum to 1, so
-
-        sum_j |p_j - q_j| = 1 + sum_{j=s}^{t} (|p_j - q_j| - q_j),
-
-    a finite sum. It runs at 40-digit precision from q_s, which is
-    evaluated directly in log space; the pmf side is exact up to the
-    final rounding of num / den. The rounding error of the sum is folded
-    into the upper end of the sandwich.
-    """
+def _sandwich_inputs(pmf: ExactPmf, lam: Rational) -> tuple:
+    """prec, lambda, q_s and the slop 10^-28 as kernel values, shared by both sums."""
     _rate(lam)
     prec = mp.libmp.dps_to_prec(_TV_DPS)
     lam_v = _rate_value(lam, prec)
-    lam_m, lam_e = _signed(lam_v)
-    s = pmf.support[0]
-    q_m, q_e = _signed(_poisson_mass(lam_v, s, prec))
+    q = _signed(_poisson_mass(lam_v, pmf.support[0], prec))
+    return prec, _signed(lam_v), q, _div(1, 0, 10 ** (_TV_DPS - 12), prec)
+
+
+def _float_sum(pmf: ExactPmf, lam: tuple, q: tuple, prec: int) -> tuple[int, int]:
+    """acc = 1 + sum_{j=s}^{t} (|p_j - q_j| - q_j), each step rounded at prec bits."""
+    lam_m, lam_e = lam
+    q_m, q_e = q
     num = dict(zip(pmf.support, pmf.nums))
     den = pmf.den
     acc_m, acc_e = 1, 0
-    for j in range(s, pmf.support[-1] + 1):
+    for j in range(pmf.support[0], pmf.support[-1] + 1):
         a = num.get(j)
         p_m, p_e = _ratio(a, den, prec) if a else (0, 0)
         gap_m, gap_e = _add(p_m, p_e, -q_m, q_e, prec)
@@ -310,8 +314,119 @@ def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
         acc_m, acc_e = _add(acc_m, acc_e, term_m, term_e, prec)
         q_m, q_e = _round(q_m * lam_m, q_e + lam_e, prec)
         q_m, q_e = _div(q_m, q_e, j + 1, prec)
-    # Halving is exact; the slop 10^-28 is rounded once.
-    hi_m, hi_e = _add(acc_m, acc_e - 1, *_div(1, 0, 10 ** (_TV_DPS - 12), prec), prec)
+    return acc_m, acc_e
+
+
+def _fixed_sum(pmf: ExactPmf, lam: tuple, q: tuple) -> Optional[int]:
+    """The same acc in units of 2^-F, F = _FIX, or None unless sum_j q_j < 2.
+
+    With G = F + 64, p_j is ((a_j >> t) * R) >> G from one reciprocal
+    R = 2^(F+G) // (den >> t), t = max(0, bits(den) - G), so no atom
+    divides by den. q_j keeps a G-bit mantissa and an exponent of its
+    own: each step multiplies by lambda's mantissa (widened to 64 bits
+    past the largest divisor), floor-divides by j + 1, truncates back to
+    G bits, and the sum takes q_j floored to units. Once q_j floors to
+    0 with j + 1 >= lambda, every later q_j is smaller still, and the
+    rest of the sum adds p_j alone. Nothing is rounded; tv_sandwich
+    bounds what the truncations lose.
+    """
+    F, G = _FIX, _FIX + 64
+    s, top = pmf.support[0], pmf.support[-1]
+    lam_m, lam_e = lam
+    # 64 bits past the largest divisor, so each quotient keeps G + 62 bits
+    shift = max(0, 64 + (top + 1).bit_length() - lam_m.bit_length())
+    lam_m, lam_e = lam_m << shift, lam_e - shift
+    q_m, q_e = q
+    shift = G - q_m.bit_length()
+    q_m, down = q_m << shift, shift - q_e - F  # q_j is (q_m >> down) units
+    den = pmf.den
+    t = max(0, den.bit_length() - G)
+    recip = (1 << F + G) // (den >> t)
+    p = [0] * (top - s + 1)
+    for j, a in zip(pmf.support, pmf.nums):
+        p[j - s] = (a >> t) * recip >> G
+    mode = -(-lam_m >> -lam_e) if lam_e < 0 else lam_m << lam_e  # ceil(lambda)
+    acc, q_sum = 1 << F, 0
+    for j, p_j in enumerate(p, s + 1):
+        if down < 0:  # q_j >= 2^63: q_s is no Poisson mass
+            return None
+        q_j = q_m >> down
+        if not q_j and j >= mode:  # every later q_j is smaller: below one unit
+            acc += sum(p[j - s - 1:])
+            break
+        acc += abs(p_j - q_j) - q_j
+        q_sum += q_j
+        x = q_m * lam_m // j
+        shift = x.bit_length() - G
+        q_m, down = x >> shift, down - shift - lam_e
+    return acc if q_sum <= 3 << F - 1 else None
+
+
+def _sum_error(atoms: int) -> int:
+    """|_fixed_sum - _float_sum| at most, in units of 2^-_FIX: 8 + 32 * 2^56 an atom."""
+    return atoms * ((1 << _FIX - 131) + 8)
+
+
+def _ziv(mid: int, err: int, frac: int) -> Optional[float]:
+    """The one double that all of [mid - err, mid + err] * 2^-frac round to, if any."""
+    lo = ldexp(*_round(mid - err, -frac, 53))
+    return lo if lo == ldexp(*_round(mid + err, -frac, 53)) else None
+
+
+def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
+    """Lower and upper enclosure of TV(pmf, Poisson(lambda)).
+
+    TV is half the L1 distance. Off the pmf's range [s, t] every term
+    |p_j - q_j| is the Poisson mass q_j, and the q_j sum to 1, so
+
+        sum_j |p_j - q_j| = 1 + sum_{j=s}^{t} (|p_j - q_j| - q_j) = S,
+
+    a sum over N = t - s + 1 atoms with p_j = a_j / den, q_s evaluated
+    in log space at 136 bits and q_{j+1} = q_j lambda / (j + 1). The
+    enclosure is lo = acc/2 and hi = acc/2 + 10^-28, each rounded to a
+    double, where acc is S as _float_sum forms it at 136 bits.
+
+    The 136-bit loop's error. Let u = 2^-136 and suppose sum q_j < 2,
+    which _fixed_sum shows by its floored sum of at most 3/2. Then p_j, q_j, the gap p_j - q_j, the term
+    |gap| - q_j and every partial acc (in [1 - sum q, 1 + sum p]) lie in
+    [-2, 2], so each correctly rounded step errs by at most 2u. p_j is
+    within (1 + 2^-19) u p_j (the truncated quotient keeps 20 spare
+    bits); q_j, i = j - s steps of two roundings from the shared q_s,
+    within 3iu q_j. An atom's term so errs by |dp| + 2|dq| + 4u, and the
+    acc update adds 2u. With sum p_j = 1 and sum i q_j <= 2(N - 1),
+
+        |acc - S| <= 1.01u + 12(N - 1)u + 6Nu < 18 N u < 32 N u,
+
+    and TV by half of it, under 9 N 2^-136 (5e-37 at N = 5000). That is
+    the real rounding error of the sum, and the margin a TV certificate
+    has; the width hi - lo is 0 or one ulp of hi.
+
+    The fast route. _fixed_sum forms S in units of 2^-192 with plain
+    ints: p_j errs by under 3 units, q_j by under 1 + 2i 2^-62, so acc
+    errs by at most 8N units for any N below 2^60. So acc is within
+    E = 8N + 32N 2^56 units of the 136-bit acc (_sum_error). Ziv's
+    rounding test: if acc - E and acc + E, halved, round to the same
+    double, so does the loop's acc/2, and that double is lo; hi is
+    tested the same way on acc/2 + 10^-28, the slop floored to units of
+    2^-193, widened by that unit and by 2^-135 for the loop's rounding
+    of the sum. The doubles are compared, not (man, exp) pairs, since
+    1.0 has two. If either test fails, or sum q_j < 2 is not shown,
+    _float_sum runs. Both routes thus return the loop's doubles; the
+    fixed-point sum takes 1/3 (at 4 atoms) to 1/70 (at 500) of the
+    loop's time.
+    """
+    prec, lam_v, q, (slop_m, slop_e) = _sandwich_inputs(pmf, lam)
+    acc = _fixed_sum(pmf, lam_v, q)
+    if acc is not None:
+        err = _sum_error(pmf.support[-1] - pmf.support[0] + 1)
+        lo = _ziv(acc, err, _FIX + 1)
+        slop = slop_m >> -(slop_e + _FIX + 1)
+        hi = _ziv(acc + slop, err + (1 << _FIX - 134) + 1, _FIX + 1)
+        if lo is not None and hi is not None:
+            return lo, hi
+    acc_m, acc_e = _float_sum(pmf, lam_v, q, prec)
+    # Halving is exact; the slop is rounded once.
+    hi_m, hi_e = _add(acc_m, acc_e - 1, slop_m, slop_e, prec)
     return ldexp(*_round(acc_m, acc_e - 1, 53)), ldexp(*_round(hi_m, hi_e, 53))
 
 

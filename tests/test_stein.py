@@ -229,6 +229,133 @@ class TestSandwichBitIdentity:
             assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), lam
 
 
+@st.composite
+def sparse_laws(draw):
+    """A small hand-built law whose range holds zero atoms, some of them interior."""
+    nums = draw(st.lists(st.integers(0, 50), min_size=1, max_size=12))
+    nums[0], nums[-1] = max(1, nums[0]), max(1, nums[-1])
+    start = draw(st.integers(0, 30))
+    return ExactPmf(sum(nums), [(start + i, a) for i, a in enumerate(nums)])
+
+
+class TestSandwichIdentityProperty:
+    """Drawn laws, with the Poisson start mass far below 2^-192 at large k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(code=st.sampled_from(STATISTIC_CODES), n=st.integers(2, 60), k=st.integers(1, 2**20))
+    def test_statistic_laws(self, code, n, k):
+        pmf, lam = statistic_pushforward(k, n, code)
+        assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pmf=sparse_laws(), lam=st.floats(2.0**-160, 2.0**40))
+    @example(pmf=ExactPmf(4, [(0, 1), (3, 3)]), lam=2.0**-150)  # q_s rounds to 1
+    def test_float_rates_on_sparse_laws(self, pmf, lam):
+        assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam)
+
+
+# (k, n, code) points whose tv bytes the CLI tests and CI pin
+PINNED_POINTS = [
+    (500, 2000, "Cd"), (100, 1000, "R"), (2, 5000, "R"), (2**17, 10, "R"),
+    (250, 1000, "Cd"), (40, 3000, "Cd"),
+]
+
+
+def _identity_laws():
+    """Every law TestSandwichBitIdentity checks, then the pinned points."""
+    for k, n, code in _default_grid():
+        yield statistic_pushforward(k, n, code)
+    for n in (250, 500, 1000):
+        for k in (13, 100, 400, n):
+            for code in STATISTIC_CODES:
+                yield statistic_pushforward(k, n, code)
+    for n in range(8, 13):
+        for code in STATISTIC_CODES:
+            yield statistic_pushforward(2**17, n, code)
+    pmf = ExactPmf(10, [(1, 3), (2, 0), (3, 5), (6, 2)])
+    for lam in (F(1, 3), F(5, 2), 0.7, 12.0):
+        yield pmf, lam
+    for k, n, code in PINNED_POINTS:
+        yield statistic_pushforward(k, n, code)
+
+
+def _refuse_fallback(*args):
+    raise AssertionError("136-bit fallback taken")
+
+
+class TestSandwichRoutes:
+    """tv_sandwich's fixed-point sum and its 136-bit fallback give the same doubles."""
+
+    def test_fixed_point_route_alone(self, monkeypatch):
+        monkeypatch.setattr(stein, "_float_sum", _refuse_fallback)
+        for pmf, lam in _identity_laws():
+            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (pmf.support, lam)
+
+    @pytest.mark.parametrize("k", [2**62, 2**70, 10**150], ids=["2^62", "2^70", "10^150"])
+    def test_divisors_past_64_bits(self, monkeypatch, k):
+        # Each q step divides by j + 1 near k, so lambda's mantissa widens with it.
+        monkeypatch.setattr(stein, "_float_sum", _refuse_fallback)
+        for n in (2, 8):
+            for code in STATISTIC_CODES:
+                pmf, lam = statistic_pushforward(k, n, code)
+                assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (n, code)
+
+    def test_forced_fallback(self, monkeypatch):
+        calls = []
+        float_sum = stein._float_sum
+
+        def counted(*args):
+            calls.append(args)
+            return float_sum(*args)
+
+        monkeypatch.setattr(stein, "_sum_error", lambda atoms: 1 << 400)
+        monkeypatch.setattr(stein, "_float_sum", counted)
+        laws = list(_identity_laws())
+        for pmf, lam in laws:
+            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (pmf.support, lam)
+        assert len(calls) == len(laws)
+
+    def test_fixed_point_sum_within_the_stated_bound(self):
+        laws = [statistic_pushforward(*row) for row in _default_grid()]
+        laws += [statistic_pushforward(*row) for row in PINNED_POINTS]
+        for pmf, lam in laws:
+            prec, lam_v, q, _ = stein._sandwich_inputs(pmf, lam)
+            acc = F(stein._fixed_sum(pmf, lam_v, q), 2**stein._FIX)
+            acc_m, acc_e = stein._float_sum(pmf, lam_v, q, prec)
+            atoms = pmf.support[-1] - pmf.support[0] + 1
+            err = F(stein._sum_error(atoms), 2**stein._FIX)
+            assert abs(acc - acc_m * F(2) ** acc_e) <= err, (pmf.support, lam)
+
+    def test_each_sum_within_its_share_of_the_bound(self):
+        # Against the exact sum of the same p_j and q_j: 8 units of 2^-192
+        # an atom for the fixed-point sum, 18 units of 2^-136 for the
+        # 136-bit loop, as the tv_sandwich docstring derives.
+        for k, n, code in _default_grid():
+            if n > 50:
+                continue
+            pmf, lam = statistic_pushforward(k, n, code)
+            prec, (lam_m, lam_e), (q_m, q_e), _ = stein._sandwich_inputs(pmf, lam)
+            rate, q = lam_m * F(2) ** lam_e, q_m * F(2) ** q_e
+            num = dict(zip(pmf.support, pmf.nums))
+            exact = F(1)
+            for j in range(pmf.support[0], pmf.support[-1] + 1):
+                exact += abs(F(num.get(j, 0), pmf.den) - q) - q
+                q = q * rate / (j + 1)
+            atoms = pmf.support[-1] - pmf.support[0] + 1
+            fixed = F(stein._fixed_sum(pmf, (lam_m, lam_e), (q_m, q_e)), 2**stein._FIX)
+            acc_m, acc_e = stein._float_sum(pmf, (lam_m, lam_e), (q_m, q_e), prec)
+            assert abs(fixed - exact) <= F(8 * atoms, 2**stein._FIX), (k, n, code)
+            assert abs(acc_m * F(2) ** acc_e - exact) <= F(18 * atoms, 2**136), (k, n, code)
+
+    def test_a_start_mass_no_poisson_law_has_is_declined(self):
+        # A start mass of 2^70 is no Poisson mass: the fixed-point sum
+        # declines it rather than shift q past its 2^63 ceiling.
+        pmf = ExactPmf(2, [(0, 1), (1, 1)])
+        assert stein._fixed_sum(pmf, (1, 0), (1, 70)) is None
+        assert stein._fixed_sum(pmf, (1, 0), (3, -1)) is None  # q_0 + q_1 = 3
+        assert stein._fixed_sum(pmf, (1, 0), (1, -1)) is not None
+
+
 class TestBounds:
     def test_exact_bound_values(self):
         assert certified_bound(1, 7, "Cd") == F(1, 49)

@@ -99,7 +99,7 @@ class SamplerConfig(_Record):
             raise UserInputError(f"n must be a positive integer, got {self.n}")
         if self.count < 1:
             raise UserInputError(f"count must be positive, got {self.count}")
-        if self.count >= 2**63:  # numpy sizes arrays with signed 64-bit ints
+        if self.count >= 2**63:  # an input bound, exit 2; arrays are sized by block, not by count
             raise UserInputError(f"count must be below 2**63, got {self.count}")
         if self.streams < 1:
             raise UserInputError(f"streams must be positive, got {self.streams}")

@@ -27,49 +27,31 @@ the mantissa by log10(j_max!/lambda^j_max) digits keeps the returned
 floats correct to ~1e-15. Total variation against Poisson is a sum
 over the pmf's range only: the Poisson masses sum to 1, so everything
 outside the range is one minus the Poisson mass inside it, and the sum
-has n terms even when k, and with it the range's offset, is far above
-n. Its defining value is a 40-digit (136-bit) loop that rounds every
-step; the doubles of its acc/2 and acc/2 + 10^-28 are the sandwich
-[lo, hi]. That loop errs by at most 18 N 2^-136 on acc over N atoms
-(tv_sandwich derives it; under 1e-36 on TV at N = 5000), and that
-error, not the width hi - lo (0 or one ulp of hi), is the margin a
-report on TV should state. tv_sandwich first forms the same sum in
-plain-int fixed point, 192 fraction bits with one reciprocal of den
-and no rounding call per atom, under an a-priori error bound, and
-returns its doubles only when Ziv's rounding test (Ziv, ACM TOMS 17,
-1991) shows that every value within both errors rounds to the same
-double; otherwise the 136-bit loop runs. Both routes so give the
-loop's doubles, and the loop is not needed on any of the 231 laws of
-the default `tv --grid` or at the pinned points (k, n, code) =
-(500, 2000, Cd), (100, 1000, R), (2, 5000, R) and (2^17, 10, R). The
-width check (< 1e-13) can fail only on a NaN, which the integer kernel
-cannot produce; it stays as the enclosure that later certificates read.
+S has n terms even when k, and with it the range's offset, is far above
+n. The sandwich [lo, hi] is the doubles nearest S/2 and S/2 + 10^-28
+for S taken exactly, which tv_sandwich forms in fixed point behind
+Ziv's rounding test (Ziv, ACM TOMS 17, 1991). It derives the margin a
+report on TV should state, which the width hi - lo (0 or one ulp of hi)
+does not show: the width check (< 1e-13) can fail only on a NaN, and
+stays as the enclosure that later certificates read.
 
-solve_stein and the 136-bit TV loop run on a small integer kernel
-(_round, _add, _div and products of ints): a value is a signed int
-mantissa and an exponent, and each addition, product or quotient forms
-its exact result, or a quotient with a sticky bit, then rounds it once,
-half to even at the working precision. mpmath rounds +, -, * and /
-correctly, so that is the value its libmp functions return, and every
-double out of solve_stein and tv_sandwich is the one mpf arithmetic
-gives (tests/test_stein.py pins both with ==). The kernel covers each
-P(A) term's product and quotient, the sums, the recurrence,
-|p - q| - q, the step q * lambda / (j + 1), the sandwich's halving (an
-exponent minus one) and its slop 10^-28. No mpf object or precision
-context is made: the other steps call libmp at the working precision,
+solve_stein runs on the integer kernel below, whose +, -, * and /
+each round their exact result once, half to even, as mpmath's libmp
+does; so every double out of solve_stein is the one mpf arithmetic
+gives (tests/test_stein.py pins it with ==, and tv_sandwich's against
+a 40-digit mpf loop). No mpf object or precision context is made: the
+steps that are not one operation call libmp at the working precision,
 rounding to nearest. They are the rate (from_int and mpf_div, or
 from_float), e^(-lambda) (mpf_pow of mpf_e), lambda^a (mpf_pow_int;
 exact then rounded only while the mantissa's bits times a stay below
 1000), a! (mpf_factorial) and the start value q_s (mpf_exp, mpf_log
-and mpf_loggamma). The pmf side p = num / den is mpmath's from_man_exp
-rounding of a truncated quotient, not a correctly rounded num / den;
-_ratio rounds the same truncated quotient.
+and mpf_loggamma).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, exp, expm1, inf, ldexp, lgamma, log
+from math import ceil, exp, expm1, inf, ldexp, lgamma, log, log2
 from typing import Iterable, Optional, Union
 
 from .errors import CertificationError, UserInputError, _LazyModule, _Record
@@ -82,8 +64,9 @@ Rational = Union[Fraction, float]
 _POISSON_LAWS = {law.poisson: law for law in STATISTIC_LAWS.values() if law.poisson}
 STATISTIC_CODES = tuple(_POISSON_LAWS)
 
-_TV_DPS = 40
+_TV_PREC = 136  # 40 digits
 _FIX = 192
+_SLOP = (1 << _FIX + 1) // 10**28  # 10^-28 floored to units of 2^-(_FIX + 1)
 _SANDWICH_LIMIT = 1e-13
 _STEIN_BOUND_ALLOWANCE = 1e-12
 
@@ -163,20 +146,6 @@ def _div(man: int, exp: int, den: int, prec: int) -> tuple[int, int]:
 def _signed(v: tuple) -> tuple[int, int]:
     """A libmp value (sign, man, exp, bc) as the kernel's (man, exp)."""
     return (-v[1] if v[0] else v[1]), v[2]
-
-
-def _ratio(num: int, den: int, prec: int) -> tuple[int, int]:
-    """num / den for ints num, den > 0, from one short integer division.
-
-    The truncated quotient keeps 20 bits beyond the precision and is
-    then rounded, as mpmath's from_man_exp would round it; that is not
-    always the correctly rounded num / den, and the kernel keeps it so.
-    Converting a big num and den to mpf first cost about 17x more per
-    atom at 2000 digits.
-    """
-    shift = den.bit_length() - num.bit_length()
-    shift = (shift if shift > 0 else 0) + prec + 20
-    return _round((num << shift) // den, -shift, prec)
 
 
 def _rate_value(lam: Rational, prec: int) -> tuple:
@@ -291,34 +260,26 @@ def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
 
 
 def _sandwich_inputs(pmf: ExactPmf, lam: Rational) -> tuple:
-    """prec, lambda, q_s and the slop 10^-28 as kernel values, shared by both sums."""
-    _rate(lam)
-    prec = mp.libmp.dps_to_prec(_TV_DPS)
+    """lambda and q_s as kernel values at 136 bits, the inputs S is defined from.
+
+    log q_s = -lambda + s log lambda - log s! cancels terms up to about
+    x = lambda + s |log2 lambda|, so both are formed with the bits x
+    carries past 2^64 added, keeping q_s's relative error near 2^-72,
+    and q_s is rounded back to 136 bits. As |log2 lambda| < 2^11 for a
+    double, nothing is added unless lambda >= 2^63 or s >= 2^52.
+    """
+    lam_f = _rate(lam)
+    s = pmf.support[0]
+    prec = _TV_PREC
+    if lam_f >= 2.0**63 or s >= 2**52:
+        prec += max(0, (int(lam_f) + s * ceil(abs(log2(lam_f)))).bit_length() - 64)
     lam_v = _rate_value(lam, prec)
-    q = _signed(_poisson_mass(lam_v, pmf.support[0], prec))
-    return prec, _signed(lam_v), q, _div(1, 0, 10 ** (_TV_DPS - 12), prec)
-
-
-def _float_sum(pmf: ExactPmf, lam: tuple, q: tuple, prec: int) -> tuple[int, int]:
-    """acc = 1 + sum_{j=s}^{t} (|p_j - q_j| - q_j), each step rounded at prec bits."""
-    lam_m, lam_e = lam
-    q_m, q_e = q
-    num = dict(zip(pmf.support, pmf.nums))
-    den = pmf.den
-    acc_m, acc_e = 1, 0
-    for j in range(pmf.support[0], pmf.support[-1] + 1):
-        a = num.get(j)
-        p_m, p_e = _ratio(a, den, prec) if a else (0, 0)
-        gap_m, gap_e = _add(p_m, p_e, -q_m, q_e, prec)
-        term_m, term_e = _add(abs(gap_m), gap_e, -q_m, q_e, prec)
-        acc_m, acc_e = _add(acc_m, acc_e, term_m, term_e, prec)
-        q_m, q_e = _round(q_m * lam_m, q_e + lam_e, prec)
-        q_m, q_e = _div(q_m, q_e, j + 1, prec)
-    return acc_m, acc_e
+    q_m, q_e = _signed(_poisson_mass(lam_v, s, prec))
+    return _signed(lam_v), _round(q_m, q_e, _TV_PREC)
 
 
 def _fixed_sum(pmf: ExactPmf, lam: tuple, q: tuple) -> Optional[int]:
-    """The same acc in units of 2^-F, F = _FIX, or None unless sum_j q_j < 2.
+    """S in units of 2^-F, F = _FIX, or None unless sum_j q_j < 2.
 
     With G = F + 64, p_j is ((a_j >> t) * R) >> G from one reciprocal
     R = 2^(F+G) // (den >> t), t = max(0, bits(den) - G), so no atom
@@ -328,7 +289,7 @@ def _fixed_sum(pmf: ExactPmf, lam: tuple, q: tuple) -> Optional[int]:
     G bits, and the sum takes q_j floored to units. Once q_j floors to
     0 with j + 1 >= lambda, every later q_j is smaller still, and the
     rest of the sum adds p_j alone. Nothing is rounded; tv_sandwich
-    bounds what the truncations lose.
+    bounds what the truncations lose (_sum_error).
     """
     F, G = _FIX, _FIX + 64
     s, top = pmf.support[0], pmf.support[-1]
@@ -363,8 +324,24 @@ def _fixed_sum(pmf: ExactPmf, lam: tuple, q: tuple) -> Optional[int]:
 
 
 def _sum_error(atoms: int) -> int:
-    """|_fixed_sum - _float_sum| at most, in units of 2^-_FIX: 8 + 32 * 2^56 an atom."""
-    return atoms * ((1 << _FIX - 131) + 8)
+    """|_fixed_sum - 2^F S| at most, in units of 2^-F, F = _FIX: 8 an atom."""
+    return 8 * atoms
+
+
+def _exact_sum(pmf: ExactPmf, lam: tuple, q: tuple) -> Fraction:
+    """S = 1 + sum_{j=s}^{t} (|p_j - q_j| - q_j), exactly, in Fractions.
+
+    tv_sandwich comes here only if some q_j reaches min(1/den, 2^-56/N),
+    as S/2 is otherwise within 2^-56 of 1 and both Ziv tests pass; so
+    -log2 q_s <= bits(den) + 56 + N (1 + log2 max(1, lambda)).
+    """
+    rate, q_j = (Fraction(m) * Fraction(2) ** e for m, e in (lam, q))
+    num = dict(zip(pmf.support, pmf.nums))
+    acc = Fraction(1)
+    for j in range(pmf.support[0], pmf.support[-1] + 1):
+        acc += abs(Fraction(num.get(j, 0), pmf.den) - q_j) - q_j
+        q_j = q_j * rate / (j + 1)
+    return acc
 
 
 def _ziv(mid: int, err: int, frac: int) -> Optional[float]:
@@ -381,53 +358,34 @@ def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
 
         sum_j |p_j - q_j| = 1 + sum_{j=s}^{t} (|p_j - q_j| - q_j) = S,
 
-    a sum over N = t - s + 1 atoms with p_j = a_j / den, q_s evaluated
-    in log space at 136 bits and q_{j+1} = q_j lambda / (j + 1). The
-    enclosure is lo = acc/2 and hi = acc/2 + 10^-28, each rounded to a
-    double, where acc is S as _float_sum forms it at 136 bits.
+    over N = t - s + 1 atoms, exact over p_j = a_j / den and q_{j+1} =
+    q_j lambda / (j + 1) from _sandwich_inputs' rounded lambda and q_s.
+    lo and hi are the doubles nearest S/2 and S/2 + 10^-28.
 
-    The 136-bit loop's error. Let u = 2^-136 and suppose sum q_j < 2,
-    which _fixed_sum shows by its floored sum of at most 3/2. Then p_j, q_j, the gap p_j - q_j, the term
-    |gap| - q_j and every partial acc (in [1 - sum q, 1 + sum p]) lie in
-    [-2, 2], so each correctly rounded step errs by at most 2u. p_j is
-    within (1 + 2^-19) u p_j (the truncated quotient keeps 20 spare
-    bits); q_j, i = j - s steps of two roundings from the shared q_s,
-    within 3iu q_j. An atom's term so errs by |dp| + 2|dq| + 4u, and the
-    acc update adds 2u. With sum p_j = 1 and sum i q_j <= 2(N - 1),
+    _fixed_sum forms S in units of 2^-192: p_j errs by under 3 units;
+    q_j, i steps from q_s, by under 1 + 2i 2^-62 while every q_j < 2,
+    which it checks; so acc errs by under 5 + 4i 2^-62 an atom, at most
+    8N for N below 2^60 (_sum_error). Ziv's test: if acc - 8N and
+    acc + 8N, halved, round to the same double, so does S/2, and that is
+    lo; hi likewise, on acc/2 plus 10^-28 floored to units of 2^-193,
+    with one unit more error. Doubles are compared, not (man, exp)
+    pairs, as 1.0 has two. If a test fails or _fixed_sum declines,
+    _exact_sum forms S for float(): 1.1 s on the default grid, not 9 ms.
 
-        |acc - S| <= 1.01u + 12(N - 1)u + 6Nu < 18 N u < 32 N u,
-
-    and TV by half of it, under 9 N 2^-136 (5e-37 at N = 5000). That is
-    the real rounding error of the sum, and the margin a TV certificate
-    has; the width hi - lo is 0 or one ulp of hi.
-
-    The fast route. _fixed_sum forms S in units of 2^-192 with plain
-    ints: p_j errs by under 3 units, q_j by under 1 + 2i 2^-62, so acc
-    errs by at most 8N units for any N below 2^60. So acc is within
-    E = 8N + 32N 2^56 units of the 136-bit acc (_sum_error). Ziv's
-    rounding test: if acc - E and acc + E, halved, round to the same
-    double, so does the loop's acc/2, and that double is lo; hi is
-    tested the same way on acc/2 + 10^-28, the slop floored to units of
-    2^-193, widened by that unit and by 2^-135 for the loop's rounding
-    of the sum. The doubles are compared, not (man, exp) pairs, since
-    1.0 has two. If either test fails, or sum q_j < 2 is not shown,
-    _float_sum runs. Both routes thus return the loop's doubles; the
-    fixed-point sum takes 1/3 (at 4 atoms) to 1/70 (at 500) of the
-    loop's time.
+    The margin: the fixed-point sum puts TV = S/2 within 8N 2^-193
+    (2e-55 at N = 5000), and S/2 is off the true TV by at most
+    sum_j |dq_j|, q_j's error from the rounding of lambda and q_s.
     """
-    prec, lam_v, q, (slop_m, slop_e) = _sandwich_inputs(pmf, lam)
+    lam_v, q = _sandwich_inputs(pmf, lam)
     acc = _fixed_sum(pmf, lam_v, q)
     if acc is not None:
         err = _sum_error(pmf.support[-1] - pmf.support[0] + 1)
         lo = _ziv(acc, err, _FIX + 1)
-        slop = slop_m >> -(slop_e + _FIX + 1)
-        hi = _ziv(acc + slop, err + (1 << _FIX - 134) + 1, _FIX + 1)
+        hi = _ziv(acc + _SLOP, err + 1, _FIX + 1)
         if lo is not None and hi is not None:
             return lo, hi
-    acc_m, acc_e = _float_sum(pmf, lam_v, q, prec)
-    # Halving is exact; the slop is rounded once.
-    hi_m, hi_e = _add(acc_m, acc_e - 1, slop_m, slop_e, prec)
-    return ldexp(*_round(acc_m, acc_e - 1, 53)), ldexp(*_round(hi_m, hi_e, 53))
+    half = _exact_sum(pmf, lam_v, q) / 2
+    return float(half), float(half + Fraction(1, 10**28))
 
 
 def tv_exact_vs_poisson(pmf: ExactPmf, lam: Rational) -> float:

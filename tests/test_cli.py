@@ -416,8 +416,9 @@ class TestRiffle:
 
 
 class TestCountPastTheIndexRange:
-    # numpy sizes arrays with signed 64-bit ints: such a count used to
-    # escape as ValueError (sample) or OverflowError (riffle), exit 1.
+    # 2**63 is an input bound on --count, refused with exit 2. Arrays are
+    # sized by block, not by count; when they were sized by count, such a
+    # count escaped as ValueError (sample) or OverflowError (riffle), exit 1.
     @pytest.mark.parametrize("count", [2**63, 10**20])
     @pytest.mark.parametrize(
         "argv",

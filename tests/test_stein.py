@@ -146,6 +146,18 @@ class TestExactTv:
             0.05529980423214878, abs=1e-14
         )
 
+    def test_start_mass_where_its_log_cancels_past_136_bits(self):
+        # log q_s = -lambda + s log lambda - log s! cancels about 157 bits
+        # at lambda = s = 10^45: formed at 136 bits alone, q_s is near 1, not
+        # 1.3e-23, and TV reads 5e-29. The true TVs, 1 - 4e-23 and
+        # 1 - 1.3e-23, round to 1.
+        lam = F(10**45)
+        spread = ExactPmf(4, [(10**45, 1), (10**45 + 1, 1), (10**45 + 3, 2)])
+        point = ExactPmf(4, [(10**45, 4)])
+        for pmf in (spread, point):
+            assert tv_exact_vs_poisson(pmf, lam) == 1.0
+            assert tv_sandwich(pmf, lam) == _exact_halves(pmf, lam) == (1.0, 1.0)
+
     def test_sandwich_width_is_zero_or_one_ulp_on_the_default_grid(self):
         # lo and hi are the doubles of acc/2 and acc/2 + 10^-28, so the
         # 1e-13 width check in tv_exact_vs_poisson can fail only on a NaN.
@@ -279,73 +291,73 @@ def _identity_laws():
         yield statistic_pushforward(k, n, code)
 
 
-def _refuse_fallback(*args):
-    raise AssertionError("136-bit fallback taken")
+def _refuse_exact_sum(*args):
+    raise AssertionError("exact-sum route taken")
+
+
+def _exact_halves(pmf, lam):
+    """float() of S/2 and of S/2 + 10^-28, S formed by _exact_sum."""
+    half = stein._exact_sum(pmf, *stein._sandwich_inputs(pmf, lam)) / 2
+    return float(half), float(half + F(1, 10**28))
 
 
 class TestSandwichRoutes:
-    """tv_sandwich's fixed-point sum and its 136-bit fallback give the same doubles."""
+    """tv_sandwich's fixed-point sum and its exact-sum route give the same doubles."""
 
     def test_fixed_point_route_alone(self, monkeypatch):
-        monkeypatch.setattr(stein, "_float_sum", _refuse_fallback)
+        # Unforced, no law here reaches the exact route.
+        monkeypatch.setattr(stein, "_exact_sum", _refuse_exact_sum)
         for pmf, lam in _identity_laws():
             assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (pmf.support, lam)
 
     @pytest.mark.parametrize("k", [2**62, 2**70, 10**150], ids=["2^62", "2^70", "10^150"])
     def test_divisors_past_64_bits(self, monkeypatch, k):
         # Each q step divides by j + 1 near k, so lambda's mantissa widens with it.
-        monkeypatch.setattr(stein, "_float_sum", _refuse_fallback)
+        monkeypatch.setattr(stein, "_exact_sum", _refuse_exact_sum)
         for n in (2, 8):
             for code in STATISTIC_CODES:
                 pmf, lam = statistic_pushforward(k, n, code)
                 assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (n, code)
 
-    def test_forced_fallback(self, monkeypatch):
+    def test_forced_exact_route(self, monkeypatch):
+        # The exact route costs about 1 s on the grid; the fixed-point
+        # route's test above covers the n >= 1000 laws.
         calls = []
-        float_sum = stein._float_sum
+        exact_sum = stein._exact_sum
 
         def counted(*args):
             calls.append(args)
-            return float_sum(*args)
+            return exact_sum(*args)
 
         monkeypatch.setattr(stein, "_sum_error", lambda atoms: 1 << 400)
-        monkeypatch.setattr(stein, "_float_sum", counted)
-        laws = list(_identity_laws())
+        monkeypatch.setattr(stein, "_exact_sum", counted)
+        laws = [statistic_pushforward(*row) for row in _default_grid()]
+        pmf = ExactPmf(10, [(1, 3), (2, 0), (3, 5), (6, 2)])
+        laws += [(pmf, lam) for lam in (F(1, 3), F(5, 2), 0.7, 12.0)]
         for pmf, lam in laws:
             assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (pmf.support, lam)
         assert len(calls) == len(laws)
 
-    def test_fixed_point_sum_within_the_stated_bound(self):
+    def test_fixed_point_sum_within_its_bound(self):
+        # |_fixed_sum - 2^192 S| <= 8 units an atom, S the exact sum.
         laws = [statistic_pushforward(*row) for row in _default_grid()]
         laws += [statistic_pushforward(*row) for row in PINNED_POINTS]
         for pmf, lam in laws:
-            prec, lam_v, q, _ = stein._sandwich_inputs(pmf, lam)
-            acc = F(stein._fixed_sum(pmf, lam_v, q), 2**stein._FIX)
-            acc_m, acc_e = stein._float_sum(pmf, lam_v, q, prec)
-            atoms = pmf.support[-1] - pmf.support[0] + 1
-            err = F(stein._sum_error(atoms), 2**stein._FIX)
-            assert abs(acc - acc_m * F(2) ** acc_e) <= err, (pmf.support, lam)
+            lam_v, q = stein._sandwich_inputs(pmf, lam)
+            exact = stein._exact_sum(pmf, lam_v, q) * 2**stein._FIX
+            err = stein._sum_error(pmf.support[-1] - pmf.support[0] + 1)
+            assert abs(stein._fixed_sum(pmf, lam_v, q) - exact) <= err, (pmf.support, lam)
 
-    def test_each_sum_within_its_share_of_the_bound(self):
-        # Against the exact sum of the same p_j and q_j: 8 units of 2^-192
-        # an atom for the fixed-point sum, 18 units of 2^-136 for the
-        # 136-bit loop, as the tv_sandwich docstring derives.
-        for k, n, code in _default_grid():
-            if n > 50:
-                continue
-            pmf, lam = statistic_pushforward(k, n, code)
-            prec, (lam_m, lam_e), (q_m, q_e), _ = stein._sandwich_inputs(pmf, lam)
-            rate, q = lam_m * F(2) ** lam_e, q_m * F(2) ** q_e
-            num = dict(zip(pmf.support, pmf.nums))
-            exact = F(1)
-            for j in range(pmf.support[0], pmf.support[-1] + 1):
-                exact += abs(F(num.get(j, 0), pmf.den) - q) - q
-                q = q * rate / (j + 1)
-            atoms = pmf.support[-1] - pmf.support[0] + 1
-            fixed = F(stein._fixed_sum(pmf, (lam_m, lam_e), (q_m, q_e)), 2**stein._FIX)
-            acc_m, acc_e = stein._float_sum(pmf, (lam_m, lam_e), (q_m, q_e), prec)
-            assert abs(fixed - exact) <= F(8 * atoms, 2**stein._FIX), (k, n, code)
-            assert abs(acc_m * F(2) ** acc_e - exact) <= F(18 * atoms, 2**136), (k, n, code)
+    # The exact sum's ints carry q_s's exponent, about 1.44 lambda bits
+    # once lambda is far above the range, so lambda stops at 2^12 here.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pmf=sparse_laws(),
+        lam=st.floats(2.0**-160, 2.0**12)
+        | st.fractions(F(1, 10**6), 2**12, max_denominator=10**6),
+    )
+    def test_doubles_of_the_exact_sum(self, pmf, lam):
+        assert tv_sandwich(pmf, lam) == _exact_halves(pmf, lam)
 
     def test_a_start_mass_no_poisson_law_has_is_declined(self):
         # A start mass of 2^70 is no Poisson mass: the fixed-point sum

@@ -319,7 +319,7 @@ class TestSandwichRoutes:
                 pmf, lam = statistic_pushforward(k, n, code)
                 assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (n, code)
 
-    def test_forced_exact_route(self, monkeypatch):
+    def test_forced_fallback(self, monkeypatch):
         # The exact route costs about 1 s on the grid; the fixed-point
         # route's test above covers the n >= 1000 laws.
         calls = []
@@ -338,7 +338,28 @@ class TestSandwichRoutes:
             assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (pmf.support, lam)
         assert len(calls) == len(laws)
 
-    def test_fixed_point_sum_within_its_bound(self):
+    def test_each_sum_within_its_share_of_the_bound(self):
+        # Against S written from its definition, q_j = q_s lambda^(j-s) s!/j!
+        # rather than stepped: 8 units of 2^-192 an atom for the fixed-point
+        # sum, and no error at all for the exact sum.
+        for k, n, code in _default_grid():
+            if n > 50:
+                continue
+            pmf, lam = statistic_pushforward(k, n, code)
+            lam_v, q_v = stein._sandwich_inputs(pmf, lam)
+            rate, q_s = (m * F(2) ** e for m, e in (lam_v, q_v))
+            s = pmf.support[0]
+            num = dict(zip(pmf.support, pmf.nums))
+            exact = F(1)
+            for j in range(s, pmf.support[-1] + 1):
+                q = q_s * rate ** (j - s) * F(math.factorial(s), math.factorial(j))
+                exact += abs(F(num.get(j, 0), pmf.den) - q) - q
+            atoms = pmf.support[-1] - s + 1
+            fixed = F(stein._fixed_sum(pmf, lam_v, q_v), 2**stein._FIX)
+            assert abs(fixed - exact) <= F(8 * atoms, 2**stein._FIX), (k, n, code)
+            assert stein._exact_sum(pmf, lam_v, q_v) == exact, (k, n, code)
+
+    def test_fixed_point_sum_within_the_stated_bound(self):
         # |_fixed_sum - 2^192 S| <= 8 units an atom, S the exact sum.
         laws = [statistic_pushforward(*row) for row in _default_grid()]
         laws += [statistic_pushforward(*row) for row in PINNED_POINTS]

@@ -146,12 +146,9 @@ def _resolve_seed(args) -> None:
             print(f"drawn seed: {args.seed}", file=sys.stderr)
         return
     try:
-        seed = int(args.seed)
+        args.seed = int(args.seed)  # SamplerConfig checks the range
     except ValueError as exc:
         raise UserInputError(f"seed must be an integer or 'auto', got {args.seed!r}") from exc
-    if not 0 <= seed < 2**64:
-        raise UserInputError("seed must fit in an unsigned 64-bit integer")
-    args.seed = seed
 
 
 @contextmanager

@@ -1,9 +1,9 @@
 """Exact and asymptotic moments of the cyclic descent count.
 
 Exact means and second moments under C(k, n) come from closed formulas
-in big-integer power sums. A second, independent route goes through
-Bernoulli numbers; the two must agree identically, and the test suite
-holds them to that. For k = alpha*n with alpha > 1/(2*pi) the module
+in big-integer power sums. For large k they come from a second,
+independent route, Newton's forward differences, which the test suite
+holds to sum(r**p). For k = alpha*n with alpha > 1/(2*pi) the module
 also evaluates the sharp asymptotic coefficients
 
     mean:     E(c) ~ n*m(alpha) + s(alpha)
@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 from functools import cached_property
 from fractions import Fraction
+from itertools import pairwise
 from math import ceil, comb, log10, perm, pi
 from typing import Optional
 
@@ -68,78 +69,53 @@ def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact power sums, two ways
+# Exact power sums
 
 
-# Where power_sum takes the Bernoulli route; see its docstring.
-_BERNOULLI_MIN_A = 1024
-_BERNOULLI_P_MAX = 300
-
-
-def _bernoulli_route(p: int, a: int) -> bool:
-    return p <= _BERNOULLI_P_MAX and a >= max(_BERNOULLI_MIN_A, (p + 1) ** 2)
+_DIFFERENCES_PER_P = 32  # power_sum's switch; see its docstring
 
 
 def power_sum(p: int, a: int) -> int:
     """sum_{r=0}^{a-1} r^p exactly (0^0 counted as 1).
 
-    Direct summation costs a big-integer powers, each a pow only at a
-    prime r and one product elsewhere (eulerian._powers); the Bernoulli
-    expansion costs p rational terms once B_0..B_p are cached, and
-    building those costs O(p^2). On a 2-vCPU machine (Python 3.11) the
-    two break even, with B_0..B_p cached, near a = 500 at p = 12, 2,400
-    at p = 40, 4,500 at p = 160 and 8,000 at p = 300. Just below
-    a = (p + 1)^2 the direct sum costs about what building B_0..B_p
-    does (0.28 s against 0.30 s at p = 300, 0.03 s against 0.05 s at
-    p = 160), so the switch at a >= (p + 1)^2, and a >= 1024, keeps a
-    one-shot call from paying more for the Bernoulli route; the cache
-    build alone takes 1.5 s at p = 500, which caps p. At p = 9, a = 2^20
-    the sum drops from about 1 s to 4 ms.
+    Direct summation costs a big-integer powers (eulerian._powers).
+    Newton's series sum_{j=0}^{p} D^j(0) C(a, j+1), D^j(0) the j-th
+    forward difference of r^p at r = 0 (Concrete Mathematics, 2nd ed.,
+    2.6 and 6.1), needs the powers of r <= p and p^2/2 subtractions,
+    whatever a is. On a 2-vCPU machine (Python 3.11) _power_sum_pair's
+    routes break even near a = 10p for p <= 30, 20p at p = 100, 26p at
+    p = 300 and 34p at p = 1000, a ratio that grows only slowly with p,
+    so one multiple of p serves: at a = 32(p + 1), differences ran 0.93x
+    (p = 1000) to 3.2x (p = 10) the speed of direct summation, p <= 3000.
     """
     if p < 0 or a < 0:
         raise UserInputError("need p >= 0 and a >= 0")
     if p == 0:
         return a
-    if _bernoulli_route(p, a):
-        total = power_sum_bernoulli(p, a)
-        if total.denominator != 1:
-            raise CertificationError(f"Bernoulli power sum at p={p} a={a} is not an integer")
-        return total.numerator
-    return sum(_powers(p, a))
+    if a <= _DIFFERENCES_PER_P * p:
+        return sum(_powers(p, a))
+    row = list(_powers(p, p + 1))
+    total, binom = 0, a  # binom = C(a, j + 1)
+    for j in range(p + 1):
+        total += row[0] * binom
+        binom = binom * (a - j - 1) // (j + 2)
+        row = [y - x for x, y in pairwise(row)]
+    return total
 
 
 def _power_sum_pair(p: int, a: int) -> tuple[int, int]:
     """(power_sum(p, a), power_sum(p + 1, a)) for p >= 1.
 
-    Off the Bernoulli route both sums come from one table of r^p, the
-    second as sum r * r^p.
+    Past the switch both sums take differences; below it both come from
+    one table of r^p, the second as sum r * r^p.
     """
-    if _bernoulli_route(p + 1, a):
+    if a > _DIFFERENCES_PER_P * (p + 1):
         return power_sum(p, a), power_sum(p + 1, a)
     lower = upper = 0
     for r, power in enumerate(_powers(p, a)):
         lower += power
         upper += r * power
     return lower, upper
-
-
-def power_sum_bernoulli(p: int, a: int) -> Fraction:
-    """The same partial power sum through the Bernoulli expansion.
-
-    sum_{r=0}^{a-1} r^p = a^p/(p+1) * (a + sum_{t=0}^{p-1}
-    B_{t+1} (p+1)_{t+1} / ((t+1)! a^t)), where (x)_t is the falling
-    factorial. Exact rational arithmetic; kept as an independent route
-    so tests can pin it against the direct summation.
-    """
-    if p < 1 or a < 1:
-        raise UserInputError("expansion needs p >= 1 and a >= 1")
-    bern = bernoulli_numbers(p)
-    inner = Fraction(a)
-    fact = 1  # (t+1)! running value
-    for t in range(p):
-        fact *= t + 1
-        inner += bern[t + 1] * perm(p + 1, t + 1) / (fact * Fraction(a) ** t)
-    return Fraction(a) ** p / (p + 1) * inner
 
 
 # ---------------------------------------------------------------------------

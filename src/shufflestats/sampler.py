@@ -505,6 +505,8 @@ def sample_statistic(measure: str, statistic: str, config: SamplerConfig) -> Sam
                 d += wrap
         return np.bincount(d if law.flavor is None else distance[d])
 
+    # C/d's n + 1 is the size of a descent bitmap the walk no longer keeps (no
+    # row state outlives its block); it holds the exit-2 count threshold where it was.
     _check_memory(config.count, np.min_scalar_type(n).itemsize + 1 + cut_walk * (n + 1))
     row_bytes = _ROW_BYTES + cut_walk * 2 * (n + 1)  # C/d: sets its rows, not its memory
     return _summarize(_run_blocks(config, draw, row_bytes), exact, config.count)

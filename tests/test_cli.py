@@ -389,6 +389,16 @@ class TestSample:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    @pytest.mark.parametrize("command", [
+        ("sample", "--measure", "R", "--k", "2", "--n", "3", "--count", "100"),
+        ("riffle", "--n", "3", "--rounds", "1", "--count", "100"),
+    ], ids=["sample", "riffle"])
+    def test_seed_outside_64_bits_exits_2(self, capsys, command, seed):
+        code, out, err = run_cli(capsys, *command, "--seed", seed)
+        assert (code, out) == (2, "")
+        assert "seed must fit in an unsigned 64-bit integer" in err
+
     def test_undersized_sample_with_underflowing_mass_exits_2(self, capsys):
         # P(d = 199) = 200^-200 is 0.0 as a float; the fit must reject the
         # 10-draw sample, not divide by its float variance
@@ -768,7 +778,7 @@ def test_large_k_commands_are_fast_and_unchanged(capsys, argv, digest):
 
 # Stdout SHA-256 of `moments` for the three pairs, recorded before the
 # reports shared one pair of power sums: alpha above and below the
-# asymptotic threshold, and k >> n on the Bernoulli power-sum route.
+# asymptotic threshold, and k >> n, where the power sums take differences.
 PINNED_MOMENTS_BYTES = [
     ("C", "c", 50, 50, "json", False,
      "f0eaf99684491b570ad1c1e3499b8c0f31ea8b22480018afeaeb29d71f9d305b"),
@@ -880,6 +890,16 @@ def test_pinned_moments_bytes(capsys, measure, stat, k, n, fmt, asym, digest):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_moments_bytes_at_large_p_and_k(capsys):
+    # Recorded while power_sum summed all 10^6 powers of r^399 directly.
+    code, out, err = run_cli(capsys, "moments", "--measure", "C", "--stat", "c",
+                             "--k", "1000000", "--n", "400")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0ba990268e583e2652df746c3b3ee8d419d75a405fea4ea87d4e73ea732d3573"
+    )
 
 
 # Stdout SHA-256 of `tv` and `diagnostic`, recorded while the library

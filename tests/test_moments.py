@@ -21,7 +21,6 @@ from shufflestats.moments import (
     moments_d_C,
     moments_d_R,
     power_sum,
-    power_sum_bernoulli,
     use1_mean,
 )
 
@@ -145,8 +144,8 @@ class TestExactMoments:
 
     @pytest.mark.parametrize("report", [moments_c_C, moments_d_C, moments_d_R])
     def test_each_report_sums_powers_twice(self, report, monkeypatch):
-        # Off the Bernoulli route both sums come from one table of powers;
-        # on it, each is one power_sum call.
+        # Below the switch both sums come from one table of powers; past
+        # it, each is one power_sum call reading the p + 1 powers r <= p.
         tables, calls = [], []
         powers, power_sum_ = moments._powers, moments.power_sum
 
@@ -164,7 +163,9 @@ class TestExactMoments:
         assert (len(tables), calls) == (1, [])
         tables.clear()
         report(2**20, 6)
-        assert (tables, len(calls)) == ([], 2)
+        assert len(calls) == 2
+        assert tables == [(p, p + 1) for p, _ in calls]
+        assert [a for _, a in calls] == [2**20] * 2
 
 
 class TestBernoulli:
@@ -189,12 +190,14 @@ class TestBernoulli:
         assert grown[6] == F(1, 42)
 
     @pytest.mark.parametrize("p", range(1, 13))
-    def test_power_sum_routes_agree(self, p):
-        # both routes compute sum of r^p over 0 <= r < a
-        for a in range(1, 11):
+    def test_power_sum_routes_agree(self, p, monkeypatch):
+        # both routes compute sum of r^p over 0 <= r < a, a <= p + 1 included
+        for a in range(0, 20):
             direct = power_sum(p, a)
-            assert power_sum_bernoulli(p, a) == direct
             assert direct == sum(r**p for r in range(a))
+            with monkeypatch.context() as forced:
+                forced.setattr(moments, "_DIFFERENCES_PER_P", 0)
+                assert power_sum(p, a) == direct
 
     def test_power_sum_zeroth_power(self):
         # 0^0 counts as 1, so the p = 0 sum over r < a is a itself
@@ -202,10 +205,11 @@ class TestBernoulli:
         assert power_sum(0, 0) == 0
 
     @pytest.mark.parametrize("n", range(2, 21))
-    def test_series_route_matches_exact_mean(self, n):
-        # E(c) = k - n S(n-1, k) / k^(n-1), so the mean's power sum by series
+    def test_series_route_matches_exact_mean(self, n, monkeypatch):
+        # E(c) = k - n S(n-1, k) / k^(n-1), so the mean's power sum by differences
+        monkeypatch.setattr(moments, "_DIFFERENCES_PER_P", 0)
         for k in (1, 2, 3, 7, n, 3 * n):
-            assert power_sum_bernoulli(n - 1, k) == power_sum(n - 1, k)
+            assert power_sum(n - 1, k) == sum(r ** (n - 1) for r in range(k))
 
 
 class TestElementaryEstimates:

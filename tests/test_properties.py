@@ -3,7 +3,7 @@
 Every law is held as int numerators over one denominator; these tests
 hold that representation to the enumeration oracle in conftest and to
 the law built from reduced Fraction masses, and hold the two k >> n shortcuts (power
-sums by Bernoulli numbers, the TV sum over the pmf's range only) to the
+sums by forward differences, the TV sum over the pmf's range only) to the
 direct computations they replace. The reduction to lowest terms, which
 goes through the denominator's base, and the CLI's text of it are held
 to Fraction's gcd.
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import fraction_pmf, oracle_law
 from shufflestats import cli, moments
-from shufflestats.errors import CertificationError, UserInputError
+from shufflestats.errors import UserInputError
 from shufflestats.measures import STATISTIC_LAWS, ExactPmf, c_pmf_uniform, d_pmf_uniform
 from shufflestats.moments import power_sum
 from shufflestats.stein import STATISTIC_CODES, statistic_pushforward, sweep_k_values, tv_sandwich
@@ -250,8 +250,9 @@ def test_power_sum_matches_direct_summation(p, a):
     assert power_sum(p, a) == _direct(p, a)
 
 
-def _threshold(p):
-    return max(moments._BERNOULLI_MIN_A, (p + 1) ** 2)
+def _switch(p):
+    """The least a at which power_sum(p, a) takes forward differences."""
+    return moments._DIFFERENCES_PER_P * p + 1
 
 
 @pytest.mark.parametrize("a", [0, 1, 2])
@@ -262,48 +263,48 @@ def test_power_sum_on_the_smallest_ranges(a):
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.integers(301, 700), a=st.integers(0, 800))
-def test_power_sum_matches_direct_summation_past_the_bernoulli_cap(p, a):
+def test_power_sum_matches_direct_summation_at_large_p(p, a):
     assert power_sum(p, a) == _direct(p, a)
+    # Past the switch, modulo the prime 2^127 - 1, to keep the reference cheap.
+    a, m = _switch(p) + a, 2**127 - 1
+    assert power_sum(p, a) % m == sum(pow(r, p, m) for r in range(a)) % m
 
 
 @pytest.mark.parametrize("p", [1, 9, 31, 60])
 def test_power_sum_pair_on_both_sides_of_the_switch(p):
-    for a in (_threshold(p + 1) - 1, _threshold(p + 1), 2):
+    for a in (_switch(p + 1) - 1, _switch(p + 1), 2):
         assert moments._power_sum_pair(p, a) == (_direct(p, a), _direct(p + 1, a))
 
 
 @pytest.mark.parametrize("p", [1, 2, 9, 31, 32, 60])
 def test_power_sum_on_both_sides_of_the_switch(p, monkeypatch):
-    routed = []
-    bernoulli = moments.power_sum_bernoulli
+    tables = []
+    powers = moments._powers
 
-    def counted(*args):
-        routed.append(args)
-        return bernoulli(*args)
+    def counted(q, b):
+        tables.append((q, b))
+        return powers(q, b)
 
-    monkeypatch.setattr(moments, "power_sum_bernoulli", counted)
-    a = _threshold(p)
+    monkeypatch.setattr(moments, "_powers", counted)
+    a = _switch(p)
     assert power_sum(p, a - 1) == _direct(p, a - 1)
-    assert routed == []
+    assert tables == [(p, a - 1)]
     assert power_sum(p, a) == _direct(p, a)
-    assert routed == [(p, a)]
+    assert tables == [(p, a - 1), (p, p + 1)]
 
 
-def test_power_sum_keeps_large_p_off_the_bernoulli_route(monkeypatch):
-    p = moments._BERNOULLI_P_MAX + 1
+def test_power_sum_reads_p_plus_one_powers_at_large_a(monkeypatch):
+    # p = 399, a = 10^6 is the power sum of moments --k 1000000 --n 400.
+    p, a = 399, 10**6
+    powers = moments._powers
 
-    def refuse(*args):
-        raise AssertionError("Bernoulli route taken")
+    def refuse_long_tables(q, b):
+        if b > p + 1:
+            raise AssertionError(f"direct summation of {b} powers")
+        return powers(q, b)
 
-    monkeypatch.setattr(moments, "power_sum_bernoulli", refuse)
-    a = _threshold(p)
-    assert power_sum(p, a) == _direct(p, a)
-
-
-def test_power_sum_rejects_a_fractional_bernoulli_sum(monkeypatch):
-    monkeypatch.setattr(moments, "power_sum_bernoulli", lambda p, a: F(1, 2))
-    with pytest.raises(CertificationError):
-        power_sum(3, 10**6)
+    monkeypatch.setattr(moments, "_powers", refuse_long_tables)
+    assert power_sum(p, a) % 10**9 == sum(pow(r, p, 10**9) for r in range(a)) % 10**9
 
 
 # -- TV sum ------------------------------------------------------------------

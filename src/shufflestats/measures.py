@@ -225,7 +225,9 @@ def d_pmf_C(k: int, n: int) -> ExactPmf:
     num = dict(zip(cp.support, cp.nums))
     return ExactPmf(
         n * cp.den,
-        ((l, num.get(l, 0) * (n - l) + num.get(l + 1, 0) * (l + 1)) for l in range(n)),
+        # d <= c <= k
+        ((l, num.get(l, 0) * (n - l) + num.get(l + 1, 0) * (l + 1))
+         for l in range(min(n, k + 1))),
         n * k,
     )
 

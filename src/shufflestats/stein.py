@@ -28,18 +28,16 @@ floats correct to ~1e-15. Total variation against Poisson is a sum
 over the pmf's range only: the Poisson masses sum to 1, so everything
 outside the range is one minus the Poisson mass inside it, and the sum
 S has n terms even when k, and with it the range's offset, is far above
-n. The sandwich [lo, hi] is the doubles nearest S/2 and S/2 + 10^-28
-for S taken exactly, which tv_sandwich forms in fixed point behind
-Ziv's rounding test (Ziv, ACM TOMS 17, 1991). It derives the margin a
-report on TV should state, which the width hi - lo (0 or one ulp of hi)
-does not show: the width check (< 1e-13) can fail only on a NaN, and
-stays as the enclosure that later certificates read.
+n. TV is the double nearest S/2 for S taken exactly, which
+tv_exact_vs_poisson forms in fixed point behind Ziv's rounding test
+(Ziv, ACM TOMS 17, 1991); its docstring derives the margin a report on
+TV should state.
 
 solve_stein runs on the integer kernel below, whose +, -, * and /
 each round their exact result once, half to even, as mpmath's libmp
 does; so every double out of solve_stein is the one mpf arithmetic
-gives (tests/test_stein.py pins it with ==, and tv_sandwich's against
-a 40-digit mpf loop). No mpf object or precision context is made: the
+gives (tests/test_stein.py pins it with ==, and the TV against a
+40-digit mpf loop). No mpf object or precision context is made: the
 steps that are not one operation call libmp at the working precision,
 rounding to nearest. They are the rate (from_int and mpf_div, or
 from_float), e^(-lambda) (mpf_pow of mpf_e), lambda^a (mpf_pow_int;
@@ -66,8 +64,6 @@ STATISTIC_CODES = tuple(_POISSON_LAWS)
 
 _TV_PREC = 136  # 40 digits
 _FIX = 192
-_SLOP = (1 << _FIX + 1) // 10**28  # 10^-28 floored to units of 2^-(_FIX + 1)
-_SANDWICH_LIMIT = 1e-13
 _STEIN_BOUND_ALLOWANCE = 1e-12
 
 
@@ -111,8 +107,9 @@ def _add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
 
     When b lies more than prec + 4 bits below a, b only breaks a tie:
     a gets prec + 4 guard bits and b's sign as a sticky 1, as in libmp's
-    mpf_add, instead of a shift as long as the exponent gap. That rounds
-    right while a has at most prec + 5 bits.
+    mpf_add, instead of a shift as long as the exponent gap, which in
+    solve_stein's 1 - P(A) runs to some 1.44 lambda bits at large
+    lambda. That rounds right while a has at most prec + 5 bits.
     """
     if ae < be:
         am, ae, bm, be = bm, be, am, ae
@@ -288,8 +285,8 @@ def _fixed_sum(pmf: ExactPmf, lam: tuple, q: tuple) -> Optional[int]:
     past the largest divisor), floor-divides by j + 1, truncates back to
     G bits, and the sum takes q_j floored to units. Once q_j floors to
     0 with j + 1 >= lambda, every later q_j is smaller still, and the
-    rest of the sum adds p_j alone. Nothing is rounded; tv_sandwich
-    bounds what the truncations lose (_sum_error).
+    rest of the sum adds p_j alone. Nothing is rounded;
+    tv_exact_vs_poisson bounds what the truncations lose (_sum_error).
     """
     F, G = _FIX, _FIX + 64
     s, top = pmf.support[0], pmf.support[-1]
@@ -331,9 +328,9 @@ def _sum_error(atoms: int) -> int:
 def _exact_sum(pmf: ExactPmf, lam: tuple, q: tuple) -> Fraction:
     """S = 1 + sum_{j=s}^{t} (|p_j - q_j| - q_j), exactly, in Fractions.
 
-    tv_sandwich comes here only if some q_j reaches min(1/den, 2^-56/N),
-    as S/2 is otherwise within 2^-56 of 1 and both Ziv tests pass; so
-    -log2 q_s <= bits(den) + 56 + N (1 + log2 max(1, lambda)).
+    tv_exact_vs_poisson comes here only if some q_j reaches
+    min(1/den, 2^-56/N), as S/2 is otherwise within 2^-56 of 1 and the
+    Ziv test passes. So -log2 q_s <= bits(den) + 56 + N (1 + log2 max(1, lambda)).
     """
     rate, q_j = (Fraction(m) * Fraction(2) ** e for m, e in (lam, q))
     num = dict(zip(pmf.support, pmf.nums))
@@ -350,8 +347,8 @@ def _ziv(mid: int, err: int, frac: int) -> Optional[float]:
     return lo if lo == ldexp(*_round(mid + err, -frac, 53)) else None
 
 
-def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
-    """Lower and upper enclosure of TV(pmf, Poisson(lambda)).
+def tv_exact_vs_poisson(pmf: ExactPmf, lam: Rational) -> float:
+    """TV(pmf, Poisson(lambda)), the double nearest S/2.
 
     TV is half the L1 distance. Off the pmf's range [s, t] every term
     |p_j - q_j| is the Poisson mass q_j, and the q_j sum to 1, so
@@ -360,17 +357,15 @@ def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
 
     over N = t - s + 1 atoms, exact over p_j = a_j / den and q_{j+1} =
     q_j lambda / (j + 1) from _sandwich_inputs' rounded lambda and q_s.
-    lo and hi are the doubles nearest S/2 and S/2 + 10^-28.
 
     _fixed_sum forms S in units of 2^-192: p_j errs by under 3 units;
     q_j, i steps from q_s, by under 1 + 2i 2^-62 while every q_j < 2,
     which it checks; so acc errs by under 5 + 4i 2^-62 an atom, at most
     8N for N below 2^60 (_sum_error). Ziv's test: if acc - 8N and
-    acc + 8N, halved, round to the same double, so does S/2, and that is
-    lo; hi likewise, on acc/2 plus 10^-28 floored to units of 2^-193,
-    with one unit more error. Doubles are compared, not (man, exp)
-    pairs, as 1.0 has two. If a test fails or _fixed_sum declines,
-    _exact_sum forms S for float(): 1.1 s on the default grid, not 9 ms.
+    acc + 8N, halved, round to the same double, so does S/2. Doubles are
+    compared, not (man, exp) pairs, as 1.0 has two. If the test fails or
+    _fixed_sum declines, _exact_sum forms S for float(): 1.1 s on the
+    default grid, not 9 ms.
 
     The margin: the fixed-point sum puts TV = S/2 within 8N 2^-193
     (2e-55 at N = 5000), and S/2 is off the true TV by at most
@@ -379,23 +374,10 @@ def tv_sandwich(pmf: ExactPmf, lam: Rational) -> tuple[float, float]:
     lam_v, q = _sandwich_inputs(pmf, lam)
     acc = _fixed_sum(pmf, lam_v, q)
     if acc is not None:
-        err = _sum_error(pmf.support[-1] - pmf.support[0] + 1)
-        lo = _ziv(acc, err, _FIX + 1)
-        hi = _ziv(acc + _SLOP, err + 1, _FIX + 1)
-        if lo is not None and hi is not None:
-            return lo, hi
-    half = _exact_sum(pmf, lam_v, q) / 2
-    return float(half), float(half + Fraction(1, 10**28))
-
-
-def tv_exact_vs_poisson(pmf: ExactPmf, lam: Rational) -> float:
-    """TV distance to Poisson(lambda), certified to sandwich width 1e-13."""
-    lo, hi = tv_sandwich(pmf, lam)
-    if not hi - lo < _SANDWICH_LIMIT:  # written so that a NaN width fails
-        raise CertificationError(
-            f"TV sandwich too wide: [{lo!r}, {hi!r}] at lambda={float(lam)}"
-        )
-    return (lo + hi) / 2
+        tv = _ziv(acc, _sum_error(pmf.support[-1] - pmf.support[0] + 1), _FIX + 1)
+        if tv is not None:
+            return tv
+    return float(_exact_sum(pmf, lam_v, q) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -776,6 +776,28 @@ def test_large_k_commands_are_fast_and_unchanged(capsys, argv, digest):
     assert elapsed < 0.5
 
 
+# A TV of 1e-16, the double nearest S/2. The C/d law has two atoms, as
+# d <= k = 1, so the command takes well under a second.
+TINY_TV_ARGV = ("tv", "--statistic", "Cd", "--k", "1", "--n", "100000000")
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [("json", "81e3d43acde1ed70b09e7897f155a84c659500da9bf47ec2762ee87fc594ec3e"),
+     ("csv", "8f3c9ed27eddaadb6431e4af307e21c3c7331686356cec88eadafe47d9db3944")],
+)
+def test_tiny_tv_bytes(capsys, fmt, digest):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *TINY_TV_ARGV, "--format", fmt)
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["tv_exact"], payload["slack"]) == ("9.99999995e-17", "4.9999999744478905e-25")
+    assert elapsed < 2.0
+
+
 # Stdout SHA-256 of `moments` for the three pairs, recorded before the
 # reports shared one pair of power sums: alpha above and below the
 # asymptotic threshold, and k >> n, where the power sums take differences.

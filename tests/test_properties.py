@@ -22,7 +22,12 @@ from shufflestats import cli, moments
 from shufflestats.errors import UserInputError
 from shufflestats.measures import STATISTIC_LAWS, ExactPmf, c_pmf_uniform, d_pmf_uniform
 from shufflestats.moments import power_sum
-from shufflestats.stein import STATISTIC_CODES, statistic_pushforward, sweep_k_values, tv_sandwich
+from shufflestats.stein import (
+    STATISTIC_CODES,
+    statistic_pushforward,
+    sweep_k_values,
+    tv_exact_vs_poisson,
+)
 
 F = Fraction
 
@@ -336,11 +341,10 @@ def reference_tv_sandwich(pmf, lam):
 
 def _agrees_with_reference(code, k, n):
     pmf, lam = statistic_pushforward(k, n, code)
-    lo, hi = tv_sandwich(pmf, lam)
+    tv = tv_exact_vs_poisson(pmf, lam)
     ref_lo, ref_hi = reference_tv_sandwich(pmf, lam)
-    assert lo <= hi
-    # The two enclosures overlap to within one part in 10^15.
-    assert lo <= ref_hi + 1e-15 and ref_lo <= hi + 1e-15
+    # TV lies in the full walk's enclosure to within one part in 10^15.
+    assert ref_lo - 1e-15 <= tv <= ref_hi + 1e-15
 
 
 @settings(max_examples=120, deadline=None)

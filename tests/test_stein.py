@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_add, mpf_div, mpf_mul, normalize, to_float
 
-from shufflestats import cli
 from shufflestats.errors import CertificationError, UserInputError
 from shufflestats.measures import ExactPmf, d_pmf_C, d_pmf_R
 from shufflestats.moments import moments_c_C
@@ -25,7 +24,6 @@ from shufflestats.stein import (
     sweep_k_values,
     tv_exact_vs_poisson,
     tv_report,
-    tv_sandwich,
 )
 
 F = Fraction
@@ -139,12 +137,9 @@ class TestExactTv:
 
     def test_sandwich_is_tight(self):
         pmf = d_pmf_C(1, 4).pushforward(lambda d: 1 - d)
-        lo, hi = tv_sandwich(pmf, F(1, 4))
-        assert 0 <= lo <= hi
-        assert hi - lo < 1e-13
-        assert tv_exact_vs_poisson(pmf, F(1, 4)) == pytest.approx(
-            0.05529980423214878, abs=1e-14
-        )
+        tv = tv_exact_vs_poisson(pmf, F(1, 4))
+        assert tv == _exact_halves(pmf, F(1, 4))[0]
+        assert tv == pytest.approx(0.05529980423214878, abs=1e-14)
 
     def test_start_mass_where_its_log_cancels_past_136_bits(self):
         # log q_s = -lambda + s log lambda - log s! cancels about 157 bits
@@ -155,23 +150,22 @@ class TestExactTv:
         spread = ExactPmf(4, [(10**45, 1), (10**45 + 1, 1), (10**45 + 3, 2)])
         point = ExactPmf(4, [(10**45, 4)])
         for pmf in (spread, point):
-            assert tv_exact_vs_poisson(pmf, lam) == 1.0
-            assert tv_sandwich(pmf, lam) == _exact_halves(pmf, lam) == (1.0, 1.0)
+            assert tv_exact_vs_poisson(pmf, lam) == _exact_halves(pmf, lam)[0] == 1.0
 
-    def test_sandwich_width_is_zero_or_one_ulp_on_the_default_grid(self):
-        # lo and hi are the doubles of acc/2 and acc/2 + 10^-28, so the
-        # 1e-13 width check in tv_exact_vs_poisson can fail only on a NaN.
-        args = cli._build_parser().parse_args(["tv", "--grid"])
-        laws = [
-            (k, n, code)
-            for n in args.n_list
-            for k in sweep_k_values(n, args.k_points)
-            for code in STATISTIC_CODES
-        ]
-        assert len(laws) == 231
-        for k, n, code in laws:
-            lo, hi = tv_sandwich(*statistic_pushforward(k, n, code))
-            assert hi - lo in (0, math.ulp(hi)), (k, n, code)
+    @pytest.mark.parametrize(
+        "pmf, lam",
+        [
+            statistic_pushforward(1, 10**7, "Cd"),
+            statistic_pushforward(2, 10**7, "Cd"),
+            (ExactPmf(1, [(0, 1)]), 6.842277657836021e-49),  # q_s rounds to 1: S = 0
+        ],
+        ids=["Cd-1-1e7", "Cd-2-1e7", "point-mass"],
+    )
+    def test_tiny_tv_is_the_double_nearest_half_the_sum(self, pmf, lam):
+        # TVs below about 1e-12, where a slop of 1e-28 moves the last digit:
+        # the TV is S/2 correctly rounded, with no slop on either side.
+        half = stein._exact_sum(pmf, *stein._sandwich_inputs(pmf, lam)) / 2
+        assert tv_exact_vs_poisson(pmf, lam) == float(half)
 
 
 def _mpf_object_ratio(num, den):
@@ -180,7 +174,7 @@ def _mpf_object_ratio(num, den):
 
 
 def mpf_object_tv_sandwich(pmf, lam):
-    """tv_sandwich as it ran on mpf objects, before its loop called libmp."""
+    """The TV sandwich, S/2 and S/2 + 10^-28, as it ran on mpf objects."""
     with mp.workdps(40):
         if isinstance(lam, Fraction):
             lam_mp = mp.mpf(lam.numerator) / lam.denominator
@@ -217,20 +211,23 @@ class TestSandwichBitIdentity:
         assert len(rows) == 231
         for k, n, code in rows:
             pmf, lam = statistic_pushforward(k, n, code)
-            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (k, n, code)
+            tv = tv_exact_vs_poisson(pmf, lam)
+            assert tv == mpf_object_tv_sandwich(pmf, lam)[0], (k, n, code)
 
     @pytest.mark.parametrize("n", [250, 500, 1000])
     def test_large_n(self, n):
         for k in (13, 100, 400, n):
             for code in STATISTIC_CODES:
                 pmf, lam = statistic_pushforward(k, n, code)
-                assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (k, code)
+                tv = tv_exact_vs_poisson(pmf, lam)
+                assert tv == mpf_object_tv_sandwich(pmf, lam)[0], (k, code)
 
     def test_k_far_above_n(self):
         for n in range(8, 13):
             for code in STATISTIC_CODES:
                 pmf, lam = statistic_pushforward(2**17, n, code)
-                assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (n, code)
+                tv = tv_exact_vs_poisson(pmf, lam)
+                assert tv == mpf_object_tv_sandwich(pmf, lam)[0], (n, code)
 
     def test_interior_zero_atom(self):
         # The zero atom at 2 is dropped from the support, so the loop meets
@@ -238,7 +235,7 @@ class TestSandwichBitIdentity:
         pmf = ExactPmf(10, [(1, 3), (2, 0), (3, 5), (6, 2)])
         assert pmf.support == (1, 3, 6)
         for lam in (F(1, 3), F(5, 2), 0.7, 12.0):
-            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), lam
+            assert tv_exact_vs_poisson(pmf, lam) == mpf_object_tv_sandwich(pmf, lam)[0], lam
 
 
 @st.composite
@@ -257,13 +254,13 @@ class TestSandwichIdentityProperty:
     @given(code=st.sampled_from(STATISTIC_CODES), n=st.integers(2, 60), k=st.integers(1, 2**20))
     def test_statistic_laws(self, code, n, k):
         pmf, lam = statistic_pushforward(k, n, code)
-        assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam)
+        assert tv_exact_vs_poisson(pmf, lam) == mpf_object_tv_sandwich(pmf, lam)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(pmf=sparse_laws(), lam=st.floats(2.0**-160, 2.0**40))
     @example(pmf=ExactPmf(4, [(0, 1), (3, 3)]), lam=2.0**-150)  # q_s rounds to 1
     def test_float_rates_on_sparse_laws(self, pmf, lam):
-        assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam)
+        assert tv_exact_vs_poisson(pmf, lam) == mpf_object_tv_sandwich(pmf, lam)[0]
 
 
 # (k, n, code) points whose tv bytes the CLI tests and CI pin
@@ -302,13 +299,14 @@ def _exact_halves(pmf, lam):
 
 
 class TestSandwichRoutes:
-    """tv_sandwich's fixed-point sum and its exact-sum route give the same doubles."""
+    """The TV's fixed-point sum and its exact-sum route give the same double."""
 
     def test_fixed_point_route_alone(self, monkeypatch):
         # Unforced, no law here reaches the exact route.
         monkeypatch.setattr(stein, "_exact_sum", _refuse_exact_sum)
         for pmf, lam in _identity_laws():
-            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (pmf.support, lam)
+            tv = tv_exact_vs_poisson(pmf, lam)
+            assert tv == mpf_object_tv_sandwich(pmf, lam)[0], (pmf.support, lam)
 
     @pytest.mark.parametrize("k", [2**62, 2**70, 10**150], ids=["2^62", "2^70", "10^150"])
     def test_divisors_past_64_bits(self, monkeypatch, k):
@@ -317,7 +315,8 @@ class TestSandwichRoutes:
         for n in (2, 8):
             for code in STATISTIC_CODES:
                 pmf, lam = statistic_pushforward(k, n, code)
-                assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (n, code)
+                tv = tv_exact_vs_poisson(pmf, lam)
+                assert tv == mpf_object_tv_sandwich(pmf, lam)[0], (n, code)
 
     def test_forced_fallback(self, monkeypatch):
         # The exact route costs about 1 s on the grid; the fixed-point
@@ -335,7 +334,8 @@ class TestSandwichRoutes:
         pmf = ExactPmf(10, [(1, 3), (2, 0), (3, 5), (6, 2)])
         laws += [(pmf, lam) for lam in (F(1, 3), F(5, 2), 0.7, 12.0)]
         for pmf, lam in laws:
-            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), (pmf.support, lam)
+            tv = tv_exact_vs_poisson(pmf, lam)
+            assert tv == mpf_object_tv_sandwich(pmf, lam)[0], (pmf.support, lam)
         assert len(calls) == len(laws)
 
     def test_each_sum_within_its_share_of_the_bound(self):
@@ -378,7 +378,7 @@ class TestSandwichRoutes:
         | st.fractions(F(1, 10**6), 2**12, max_denominator=10**6),
     )
     def test_doubles_of_the_exact_sum(self, pmf, lam):
-        assert tv_sandwich(pmf, lam) == _exact_halves(pmf, lam)
+        assert tv_exact_vs_poisson(pmf, lam) == _exact_halves(pmf, lam)[0]
 
     def test_a_start_mass_no_poisson_law_has_is_declined(self):
         # A start mass of 2^70 is no Poisson mass: the fixed-point sum
@@ -493,10 +493,17 @@ class TestWiderBitIdentity:
         for target, j_max in (({0}, 1), ({1}, 1), ({0, 1}, 1), (set(), 1), (set(), 30)):
             assert solve_stein(lam, target, j_max).g == mpf_object_g(lam, target, j_max)
 
+    @pytest.mark.parametrize(
+        "lam, target, j_max", [(2.0**40, {0}, 3), (2.0**40, {0, 7}, 8), (1e9, {0, 3}, 5), (1e300, {0}, 1)]
+    )
+    def test_rates_far_above_the_targets(self, lam, target, j_max):
+        # P(A) = e^-lambda lambda^a / a! lies some 1.44 lambda bits below 1
+        assert solve_stein(lam, target, j_max).g == mpf_object_g(lam, target, j_max)
+
     def test_sandwich_at_k_far_above_n_200(self):
         for code in STATISTIC_CODES:
             pmf, lam = statistic_pushforward(2**17, 200, code)
-            assert tv_sandwich(pmf, lam) == mpf_object_tv_sandwich(pmf, lam), code
+            assert tv_exact_vs_poisson(pmf, lam) == mpf_object_tv_sandwich(pmf, lam)[0], code
 
 
 class TestNonFiniteRates:
@@ -509,14 +516,7 @@ class TestNonFiniteRates:
     def test_sandwich(self, lam):
         pmf = ExactPmf(1, [(0, 1)])
         with pytest.raises(UserInputError, match="lambda must be positive and finite"):
-            tv_sandwich(pmf, lam)
-        with pytest.raises(UserInputError, match="lambda must be positive and finite"):
             tv_exact_vs_poisson(pmf, lam)
-
-    def test_nan_width_fails_the_certificate(self, monkeypatch):
-        monkeypatch.setattr(stein, "tv_sandwich", lambda pmf, lam: (math.nan, math.nan))
-        with pytest.raises(CertificationError, match="TV sandwich too wide"):
-            tv_exact_vs_poisson(ExactPmf(1, [(0, 1)]), 0.5)
 
 
 def _mpf_object_rate(lam):
@@ -568,7 +568,7 @@ class TestLibmpSetup:
 #
 # A kernel value is (man, exp) with a signed man; from_man_exp makes the
 # libmp value of the same number. Operands of add, mul and div carry at
-# most prec bits, as every value in solve_stein and tv_sandwich does.
+# most prec bits, as every value in solve_stein and the TV sum does.
 
 precs = st.integers(2, 300)
 exps = st.integers(-3000, 3000)
@@ -629,6 +629,19 @@ class TestKernel:
         want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, "n")
         assert from_man_exp(*stein._add(am, ae, bm, be, prec)) == want
         assert from_man_exp(*stein._add(bm, be, am, ae, prec)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), prec=precs, gap=st.sampled_from((10**12, 10**300)))
+    def test_add_gaps_past_any_shift(self, data, prec, gap):
+        # 1 - P(A) at lambda = 2^40 spans some 1.6e12 bits; no shift that
+        # long is made, and b only breaks a tie
+        am, ae = data.draw(operands(prec))
+        bm, _ = data.draw(operands(prec))
+        be = ae - gap
+        want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, "n")
+        assert from_man_exp(*stein._add(am, ae, bm, be, prec)) == want
+        assert from_man_exp(*stein._add(bm, be, am, ae, prec)) == want
+        assert from_man_exp(*stein._add(am, ae, 0, be, prec)) == from_man_exp(am, ae)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), prec=precs, zero_exp=exps)

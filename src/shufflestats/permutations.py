@@ -6,6 +6,8 @@ two-line form: ``word[i-1] == pi(i)``.
 
 from __future__ import annotations
 
+from operator import gt
+
 from .errors import UserInputError
 
 
@@ -19,7 +21,7 @@ def descent_count(w: tuple[int, ...]) -> int:
     >>> descent_count((4, 3, 2, 1))
     3
     """
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+    return sum(map(gt, w, w[1:]))
 
 
 def cyclic_descent_count(w: tuple[int, ...]) -> int:

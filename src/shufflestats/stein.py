@@ -37,19 +37,23 @@ solve_stein runs on the integer kernel below, whose +, -, * and /
 each round their exact result once, half to even, as mpmath's libmp
 does; so every double out of solve_stein is the one mpf arithmetic
 gives (tests/test_stein.py pins it with ==, and the TV against a
-40-digit mpf loop). No mpf object or precision context is made: the
-steps that are not one operation call libmp at the working precision,
-rounding to nearest. They are the rate (from_int and mpf_div, or
-from_float), e^(-lambda) (mpf_pow of mpf_e), lambda^a (mpf_pow_int;
-exact then rounded only while the mantissa's bits times a stay below
-1000), a! (mpf_factorial) and the start value q_s (mpf_exp, mpf_log
-and mpf_loggamma).
+40-digit mpf loop). No mpf object or precision context is made. The
+kernel also forms lambda^a, while the mantissa's bits times a stay
+below 1000, and a!, for a < 150, exactly and rounds each once, as libmp
+does there. The other steps call libmp at the working precision,
+rounding to nearest: the rate (from_int and mpf_div, or from_float),
+e^(-lambda) (mpf_exp of -lambda times the log of e, that log cached per
+precision; mpf_pow at integer and half-integer rates), lambda^a past
+the exact branch (mpf_pow_int), a! from 150 on (mpf_factorial) and the
+start value q_s (mpf_exp, mpf_log and mpf_loggamma).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, exp, expm1, inf, ldexp, lgamma, log, log2
+from functools import lru_cache
+from math import ceil, exp, expm1, factorial, inf, ldexp, lgamma, log, log2
+from operator import index, sub
 from typing import Iterable, Optional, Union
 
 from .errors import CertificationError, UserInputError, _LazyModule, _Record
@@ -126,18 +130,12 @@ def _add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
 def _div(man: int, exp: int, den: int, prec: int) -> tuple[int, int]:
     """man * 2**exp / den for an int den > 0, rounded.
 
-    The truncated quotient keeps at least prec + 3 bits; a nonzero
-    remainder becomes a sticky 1 below them, which decides ties and
-    cannot carry.
+    The floor quotient keeps at least prec + 3 bits, and a last bit 1
+    stands for a nonzero remainder: it decides ties and cannot carry.
     """
-    extra = prec + 3 + den.bit_length() - man.bit_length()
-    if extra < 0:
-        extra = 0
-    quot, rem = divmod((-man if man < 0 else man) << extra, den)
-    if rem:
-        quot = (quot << 1) | 1
-        extra += 1
-    return _round(-quot if man < 0 else quot, exp - extra, prec)
+    shift = max(0, prec + 3 + den.bit_length() - man.bit_length())
+    quot, rem = divmod(man << shift, den)
+    return _round(quot << 1 | (rem > 0), exp - shift - 1, prec)
 
 
 def _signed(v: tuple) -> tuple[int, int]:
@@ -154,9 +152,22 @@ def _rate_value(lam: Rational, prec: int) -> tuple:
     return lib.mpf_div(num, lib.from_int(lam.denominator), prec, lib.round_nearest)
 
 
-def _exp_neg(lam_v: tuple, prec: int) -> tuple:
-    """e^-lam as mpf(e) ** -lam: e rounded to nearest at prec bits, then the power."""
+@lru_cache(maxsize=128)
+def _log_e(prec: int) -> tuple:
+    """log(e rounded at prec bits), at prec + 10 bits: what mpf_pow takes of its base."""
     lib, rnd = mp.libmp, mp.libmp.round_nearest
+    return lib.mpf_log(lib.mpf_e(prec, rnd), prec + 10, rnd)
+
+
+def _exp_neg(lam_v: tuple, prec: int) -> tuple:
+    """e^-lam as mpf(e) ** -lam: e rounded to nearest at prec bits, then the power.
+
+    Past integer and half-integer lam (mpf exponent below -1) that power
+    is mpf_pow's exp(-lam * log e), the product exact, here with _log_e.
+    """
+    lib, rnd = mp.libmp, mp.libmp.round_nearest
+    if lam_v[2] < -1:
+        return lib.mpf_exp(lib.mpf_mul(lib.mpf_neg(lam_v), _log_e(prec)), prec, rnd)
     return lib.mpf_pow(lib.mpf_e(prec, rnd), lib.mpf_neg(lam_v), prec, rnd)
 
 
@@ -182,21 +193,19 @@ class SteinSolution(_Record):
     g: tuple[float, ...]
 
     def sup_g(self) -> float:
-        return max(abs(v) for v in self.g)
+        return max(map(abs, self.g))
 
     def sup_delta_g(self) -> float:
-        return max(
-            abs(b - a) for a, b in zip(self.g, self.g[1:])
-        )
+        return max(map(abs, map(sub, self.g[1:], self.g)))
 
     def max_residual(self) -> float:
         """Worst |lambda*g(j+1) - j*g(j) - rhs(j)| in double arithmetic."""
         lam, g, target = float(self.lam), self.g, self.target_set
-        p_a = sum(exp(-lam + a * log(lam) - lgamma(a + 1)) for a in sorted(target))
-        return max(
-            abs(lam * b - j * a - ((1.0 if j in target else 0.0) - p_a))
-            for j, (a, b) in enumerate(zip(g, g[1:]))
-        )
+        log_lam = log(lam)
+        p_a = sum(exp(-lam + a * log_lam - lgamma(a + 1)) for a in sorted(target))
+        rhs = (0.0 - p_a, 1.0 - p_a)
+        steps = zip(range(len(g)), g, g[1:])
+        return max(abs(lam * b - j * a - rhs[j in target]) for j, a, b in steps)
 
 
 def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
@@ -206,12 +215,15 @@ def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
     j_max!/lambda^j_max, which is exactly the factor by which the
     recurrence amplifies rounding noise.
     """
-    target = frozenset(A)
-    if any(a < 0 for a in target):
+    try:
+        target = frozenset(map(index, A))
+    except TypeError:
+        target = None
+    if target is None or min(target, default=0) < 0:
         raise UserInputError("target set must contain nonnegative integers")
     if j_max < 1:
         raise UserInputError("j_max must be >= 1")
-    if any(a > j_max for a in target):
+    if max(target, default=0) > j_max:
         raise UserInputError("target set reaches beyond j_max")
     lam_f = _rate(lam)
     amplification = lgamma(j_max + 1) - j_max * log(lam_f)
@@ -223,19 +235,34 @@ def solve_stein(lam: Rational, A: Iterable[int], j_max: int) -> SteinSolution:
     lam_m, lam_e = _signed(lam_v)
     p_m, p_e = 0, 0
     for a in sorted(target):
-        pow_m, pow_e = _signed(lib.mpf_pow_int(lam_v, a, prec, rnd))
+        # lambda^a and a! exact, then rounded, where libmp does that too
+        pow_m, pow_e = (_round(lam_m**a, lam_e * a, prec) if lam_v[3] * a < 1000
+                        else _signed(lib.mpf_pow_int(lam_v, a, prec, rnd)))
         t_m, t_e = _round(q_m * pow_m, q_e + pow_e, prec)
-        fac_m, fac_e = _signed(lib.mpf_factorial(lib.from_int(a), prec, rnd))
+        fac_m, fac_e = (_round(factorial(a), 0, prec) if a < 150  # libmp's table
+                        else _signed(lib.mpf_factorial(lib.from_int(a), prec, rnd)))
         p_m, p_e = _add(p_m, p_e, *_div(t_m, t_e - fac_e, fac_m, prec), prec)
     # 1{j in A} - P(A), indexed by the indicator
     rhs = ((-p_m, p_e), _add(1, 0, -p_m, p_e, prec))
+    near, width = prec + 4, prec + 3 + lam_m.bit_length()
     g_m, g_e = 0, 0
     g = [0.0]
     for j in range(j_max):
-        g_m, g_e = _round(g_m * j, g_e, prec)
-        g_m, g_e = _add(*rhs[j in target], g_m, g_e, prec)
-        g_m, g_e = _div(g_m, g_e - lam_e, lam_m, prec)
-        g.append(ldexp(*_round(g_m, g_e, 53)))  # as libmp's to_float
+        r_m, r_e = rhs[j in target]
+        t_m, t_e = _round(g_m * j, g_e, prec)
+        shift = t_e - r_e  # r + t, as _add forms it where the gap is small
+        if 0 <= shift <= near:
+            g_m, g_e = _round((t_m << shift) + r_m, r_e, prec)
+        elif 0 < -shift <= near:
+            g_m, g_e = _round((r_m << -shift) + t_m, t_e, prec)
+        else:
+            g_m, g_e = _add(r_m, r_e, t_m, t_e, prec)
+        # / lambda as _div does it; g_m has at most prec + 1 bits, so shift > 0
+        shift = width - g_m.bit_length()
+        quot, rem = divmod(g_m << shift, lam_m)
+        g_m, g_e = _round(quot << 1 | (rem > 0), g_e - lam_e - shift - 1, prec)
+        # as libmp's to_float: float() rounds as _round(g_m, g_e, 53) does
+        g.append(ldexp(float(g_m), g_e) if prec < 1000 else ldexp(*_round(g_m, g_e, 53)))
     sol = SteinSolution(lam, target, tuple(g))
     residual = sol.max_residual()
     if residual >= 1e-12:

@@ -126,6 +126,18 @@ class TestSolver:
         with pytest.raises(UserInputError):
             solve_stein(1, {0}, 0)
 
+    @pytest.mark.parametrize("target", [{2.5}, {"a"}, {2.0}, {-1}, {0, -3}, [None]])
+    def test_target_set_must_hold_nonnegative_integers(self, target):
+        with pytest.raises(UserInputError, match="^target set must contain nonnegative integers$"):
+            solve_stein(0.7, target, 6)
+
+    def test_numpy_ints_are_targets(self):
+        import numpy as np
+
+        want = solve_stein(0.7, {2, 5}, 6)
+        sol = solve_stein(0.7, {np.int64(2), np.uint8(5)}, 6)
+        assert sol.g == want.g and sol.target_set == want.target_set
+
 
 class TestExactTv:
     def test_point_mass_against_poisson(self):
@@ -499,6 +511,40 @@ class TestWiderBitIdentity:
     def test_rates_far_above_the_targets(self, lam, target, j_max):
         # P(A) = e^-lambda lambda^a / a! lies some 1.44 lambda bits below 1
         assert solve_stein(lam, target, j_max).g == mpf_object_g(lam, target, j_max)
+
+    @pytest.mark.parametrize("lam", [0.5, 2.5, F(5, 2), 1.0, 30.0])
+    def test_integer_and_half_integer_rates(self, lam):
+        # mpf_pow takes its sqrt branch at half-integers and mpf_pow_int at
+        # integers, not exp(-lambda log e)
+        rng = random.Random(3501)
+        for j_max in (1, 6, 25, 60):
+            target = {a for a in range(j_max + 1) if rng.random() < 0.4} | {j_max}
+            assert solve_stein(lam, target, j_max).g == mpf_object_g(lam, target, j_max)
+
+    @pytest.mark.parametrize("a", [18, 19])
+    def test_powers_either_side_of_the_exact_branch(self, a):
+        # 1/3 carries 53 bits: bc * a is 954 at a = 18 and 1007 at a = 19
+        assert stein._rate_value(1 / 3, 100)[3] == 53
+        for target in ({a}, {0, a}, set(range(a + 1))):
+            assert solve_stein(1 / 3, target, a).g == mpf_object_g(1 / 3, target, a)
+
+    def test_factorials_from_libmp_past_its_table(self):
+        # a! for a >= 150 is mpf_factorial's, which need not be the exact a!
+        # rounded: at 113 bits, 369! from mpf_factorial is one unit low
+        target, j_max = {0, 149, 150, 200}, 200
+        assert solve_stein(100.3, target, j_max).g == mpf_object_g(100.3, target, j_max)
+
+    @pytest.mark.parametrize("lam, target, j_max", [(0.01, {0, 50, 100}, 100), (1e154, {0}, 3)])
+    def test_doubles_past_1000_bits_and_below_the_normal_range(self, lam, target, j_max):
+        # 0.01 at j_max = 100 works at 1,292 bits, a mantissa too wide for
+        # float(); at 1e154, g(2) lies below the normal doubles
+        assert solve_stein(lam, target, j_max).g == mpf_object_g(lam, target, j_max)
+
+    def test_one_rate_at_two_precisions(self):
+        # the cached log of e is per precision: each j_max reads its own
+        lam, target = 0.3, {0, 2, 5}
+        for j_max in (8, 40, 8, 40):
+            assert solve_stein(lam, target, j_max).g == mpf_object_g(lam, target, j_max)
 
     def test_sandwich_at_k_far_above_n_200(self):
         for code in STATISTIC_CODES:
